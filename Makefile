@@ -37,11 +37,13 @@ lint:
 
 ## fuzz-seed replays the fuzz seed corpora deterministically (no fuzzing
 ## engine): every seed the wire-format and frame-codec fuzzers ever
-## minimized must keep decoding without panics or round-trip drift.
+## minimized must keep decoding without panics or round-trip drift, and
+## the hand-written FMCAD .meta encoder must match encoding/json.
 fuzz-seed:
 	$(GO) test -run FuzzDecodeChanges ./internal/oms/
 	$(GO) test -run FuzzReadFrame ./internal/repl/
 	$(GO) test -run FuzzDecodeBlobRef ./internal/oms/blobstore/
+	$(GO) test -run FuzzAppendMeta ./internal/fmcad/
 
 test:
 	$(GO) test ./...

@@ -24,14 +24,23 @@
 // Hierarchy is stored inside the design files (inst lines), not in the
 // metadata, and is bound dynamically against default versions — flexible,
 // but with no what-belongs-to-what history (section 3.5).
+//
+// On disk, .meta is compact JSON (struct fields in declaration order, map
+// keys sorted). Every mutation rewrites the whole file under the library
+// mutex: the new content goes to .meta.tmp, which is then renamed over
+// .meta, so a reader sees either the old or the new file, never a torn
+// one. There is no fsync, so a crash can lose the latest mutations. A
+// design file is written before the metadata that names it, so .meta
+// never names a version with no file behind it.
 package fmcad
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -49,6 +58,7 @@ var (
 	ErrNotFound  = errors.New("fmcad: object not found")
 	ErrExists    = errors.New("fmcad: object already exists")
 	ErrNotLocked = errors.New("fmcad: cellview is not checked out by this user")
+	ErrCorrupt   = errors.New("fmcad: corrupt library metadata")
 )
 
 // cellviewMeta is the per-cellview record in the .meta file.
@@ -83,26 +93,38 @@ func newMeta(name string) *meta {
 }
 
 // clone deep-copies the metadata so session snapshots cannot alias the
-// authoritative copy.
+// authoritative copy. The top-level maps of the copy are never nil.
 func (m *meta) clone() *meta {
-	data, err := json.Marshal(m)
-	if err != nil {
-		panic("fmcad: meta clone: " + err.Error()) // plain data; cannot fail
+	cp := &meta{
+		Name:    m.Name,
+		Seq:     m.Seq,
+		Views:   make(map[string]string, len(m.Views)),
+		Cells:   make(map[string]*cellMeta, len(m.Cells)),
+		Configs: make(map[string]map[string]int, len(m.Configs)),
 	}
-	var cp meta
-	if err := json.Unmarshal(data, &cp); err != nil {
-		panic("fmcad: meta clone: " + err.Error())
+	maps.Copy(cp.Views, m.Views)
+	for name, c := range m.Cells {
+		cvs := make(map[string]*cellviewMeta, len(c.Cellviews))
+		for view, cv := range c.Cellviews {
+			cvs[view] = cv.clone()
+		}
+		cp.Cells[name] = &cellMeta{Cellviews: cvs}
 	}
-	if cp.Views == nil {
-		cp.Views = map[string]string{}
+	for name, cfg := range m.Configs {
+		cp.Configs[name] = maps.Clone(cfg)
 	}
-	if cp.Cells == nil {
-		cp.Cells = map[string]*cellMeta{}
+	return cp
+}
+
+func (cv *cellviewMeta) clone() *cellviewMeta {
+	cp := &cellviewMeta{Versions: slices.Clone(cv.Versions), Default: cv.Default, LockedBy: cv.LockedBy}
+	if cv.Props != nil {
+		cp.Props = make(map[string]map[string]string, len(cv.Props))
+		for k, props := range cv.Props {
+			cp.Props[k] = maps.Clone(props)
+		}
 	}
-	if cp.Configs == nil {
-		cp.Configs = map[string]map[string]int{}
-	}
-	return &cp
+	return cp
 }
 
 func (m *meta) cellview(cell, view string) (*cellviewMeta, error) {
@@ -125,6 +147,7 @@ type Library struct {
 
 	mu   sync.Mutex
 	meta *meta
+	enc  []byte // .meta encoding buffer, reused by every flush
 
 	// statConflicts counts rejected checkouts; the section 3.1 experiment
 	// reads it.
@@ -151,18 +174,27 @@ func Create(dir, name string) (*Library, error) {
 	return l, nil
 }
 
-// Open loads an existing library from dir.
+// Open loads an existing library from dir. A .meta that does not parse,
+// or holds a null cell, cellview or config record, fails with ErrCorrupt.
 func Open(dir string) (*Library, error) {
+	m, err := readMeta(dir)
+	if err != nil {
+		return nil, err
+	}
+	return &Library{dir: dir, meta: m}, nil
+}
+
+// readMeta loads and validates the .meta file in dir.
+func readMeta(dir string) (*meta, error) {
 	data, err := os.ReadFile(filepath.Join(dir, MetaFileName))
 	if err != nil {
 		return nil, fmt.Errorf("fmcad: open library: %w", err)
 	}
-	var m meta
-	if err := json.Unmarshal(data, &m); err != nil {
+	m, err := decodeMeta(data)
+	if err != nil {
 		return nil, fmt.Errorf("fmcad: open library %s: %w", dir, err)
 	}
-	cp := (&m).clone() // normalizes nil maps
-	return &Library{dir: dir, meta: cp}, nil
+	return m, nil
 }
 
 // Name returns the library name.
@@ -191,12 +223,9 @@ func (l *Library) Conflicts() int64 {
 
 // flushLocked writes .meta; caller holds l.mu.
 func (l *Library) flushLocked() error {
-	data, err := json.MarshalIndent(l.meta, "", " ")
-	if err != nil {
-		return fmt.Errorf("fmcad: flush meta: %w", err)
-	}
+	l.enc = appendMeta(l.enc[:0], l.meta)
 	tmp := filepath.Join(l.dir, MetaFileName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := os.WriteFile(tmp, l.enc, 0o644); err != nil {
 		return fmt.Errorf("fmcad: flush meta: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, MetaFileName)); err != nil {
@@ -206,15 +235,33 @@ func (l *Library) flushLocked() error {
 }
 
 // mutate applies fn to the authoritative metadata under the lock, bumps the
-// sequence number and persists on success.
+// sequence number and persists on success. fn must leave the metadata
+// unchanged when it returns an error.
 func (l *Library) mutate(fn func(m *meta) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := fn(l.meta); err != nil {
 		return err
 	}
+	return l.commitLocked()
+}
+
+// commitLocked bumps the sequence number of the just-changed metadata and
+// persists it; caller holds l.mu. If the write fails, the metadata is
+// reloaded from the .meta on disk, which the failed write left untouched,
+// so memory never runs ahead of the file.
+func (l *Library) commitLocked() error {
 	l.meta.Seq++
-	return l.flushLocked()
+	err := l.flushLocked()
+	if err == nil {
+		return nil
+	}
+	m, rerr := readMeta(l.dir)
+	if rerr != nil {
+		return errors.Join(err, fmt.Errorf("fmcad: rollback: %w", rerr))
+	}
+	l.meta = m
+	return err
 }
 
 // snapshot returns a deep copy of the current metadata.
@@ -271,30 +318,40 @@ func (l *Library) CreateCell(cell string) error {
 }
 
 // CreateCellview creates the (cell, view) cellview with an empty initial
-// version 1 file.
+// version 1 file. The file is written before the metadata names it, all
+// under the library lock: until the record commits, the name is free and
+// another CreateCellview of the same cellview could write the same path.
 func (l *Library) CreateCellview(cell, view string) error {
-	err := l.mutate(func(m *meta) error {
-		c, ok := m.Cells[cell]
-		if !ok {
-			return fmt.Errorf("%w: cell %q", ErrNotFound, cell)
-		}
-		if _, ok := m.Views[view]; !ok {
-			return fmt.Errorf("%w: view %q", ErrNotFound, view)
-		}
-		if _, dup := c.Cellviews[view]; dup {
-			return fmt.Errorf("%w: cellview %s/%s", ErrExists, cell, view)
-		}
-		c.Cellviews[view] = &cellviewMeta{Versions: []int{1}, Default: 1, Props: map[string]map[string]string{}}
-		return nil
-	})
-	if err != nil {
-		return err
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	c, ok := l.meta.Cells[cell]
+	if !ok {
+		return fmt.Errorf("%w: cell %q", ErrNotFound, cell)
+	}
+	if _, ok := l.meta.Views[view]; !ok {
+		return fmt.Errorf("%w: view %q", ErrNotFound, view)
+	}
+	if _, dup := c.Cellviews[view]; dup {
+		return fmt.Errorf("%w: cellview %s/%s", ErrExists, cell, view)
 	}
 	path := l.versionPath(cell, view, 1)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := writeDesignFile(path, nil); err != nil {
 		return fmt.Errorf("fmcad: create cellview: %w", err)
 	}
-	return os.WriteFile(path, nil, 0o644)
+	c.Cellviews[view] = &cellviewMeta{Versions: []int{1}, Default: 1, Props: map[string]map[string]string{}}
+	if err := l.commitLocked(); err != nil {
+		_ = os.Remove(path) //lint:allow noerrdrop no metadata names the file; a leftover is overwritten by the next create
+		return err
+	}
+	return nil
+}
+
+// writeDesignFile writes a design file, creating its directory.
+func writeDesignFile(path string, data []byte) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
 }
 
 // versionPath returns the design file path for a cellview version (the

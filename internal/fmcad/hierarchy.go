@@ -34,7 +34,7 @@ func InstLine(name, cell, view string) string {
 func ParseInstances(data []byte) []InstanceRef {
 	var out []InstanceRef
 	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	sc.Buffer(nil, 16*1024*1024)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 4 && fields[0] == "inst" {

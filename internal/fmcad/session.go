@@ -1,6 +1,7 @@
 package fmcad
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -105,7 +106,8 @@ func (s *Session) workPath(cell, view string) string {
 // Checkout acquires the cellview for this user and stages a working copy of
 // the default version. It fails with ErrLocked if any other user holds the
 // checkout. Checking out a cellview you already hold is an error too (one
-// working copy at a time).
+// working copy at a time). If the working copy cannot be staged, the
+// checkout is released again.
 func (s *Session) Checkout(cell, view string) (*Workfile, error) {
 	var base int
 	err := s.lib.mutate(func(m *meta) error {
@@ -125,17 +127,14 @@ func (s *Session) Checkout(cell, view string) (*Workfile, error) {
 		return nil, err
 	}
 	// Stage the working copy from the base version file.
-	src := s.lib.versionPath(cell, view, base)
-	data, err := os.ReadFile(src)
-	if err != nil {
-		return nil, fmt.Errorf("fmcad: checkout stage: %w", err)
-	}
 	wp := s.workPath(cell, view)
-	if err := os.MkdirAll(filepath.Dir(wp), 0o755); err != nil {
-		return nil, fmt.Errorf("fmcad: checkout stage: %w", err)
+	data, err := os.ReadFile(s.lib.versionPath(cell, view, base))
+	if err == nil {
+		err = writeDesignFile(wp, data)
 	}
-	if err := os.WriteFile(wp, data, 0o644); err != nil {
-		return nil, fmt.Errorf("fmcad: checkout stage: %w", err)
+	if err != nil {
+		// Without a Workfile the caller cannot Cancel, so release here.
+		return nil, errors.Join(fmt.Errorf("fmcad: checkout stage: %w", err), s.release(cell, view))
 	}
 	return &Workfile{Cell: cell, View: view, BaseVersion: base, Path: wp, session: s}, nil
 }
@@ -164,6 +163,11 @@ func (s *Session) Resume(cell, view string) (*Workfile, error) {
 
 // Checkin turns the working copy into the next cellview version, makes it
 // the default, and releases the lock. Returns the new version number.
+//
+// The next version number cannot change while this user holds the
+// checkout, so the version file is written first and the metadata commit
+// follows: if either step fails, .meta is unchanged and the checkout is
+// still held.
 func (s *Session) Checkin(wf *Workfile) (int, error) {
 	if wf == nil || wf.session != s {
 		return 0, fmt.Errorf("fmcad: checkin of foreign workfile")
@@ -175,30 +179,27 @@ func (s *Session) Checkin(wf *Workfile) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("fmcad: checkin: %w", err)
 	}
-	var newVersion int
+	newVersion, err := s.lib.nextVersion(wf.Cell, wf.View, s.user)
+	if err != nil {
+		return 0, err
+	}
+	dst := s.lib.versionPath(wf.Cell, wf.View, newVersion)
+	if err := writeDesignFile(dst, data); err != nil {
+		return 0, fmt.Errorf("fmcad: checkin: %w", err)
+	}
 	err = s.lib.mutate(func(m *meta) error {
-		cv, err := m.cellview(wf.Cell, wf.View)
+		cv, err := m.heldBy(wf.Cell, wf.View, s.user)
 		if err != nil {
 			return err
 		}
-		if cv.LockedBy != s.user {
-			return fmt.Errorf("%w (%s/%s, lock holder %q)", ErrNotLocked, wf.Cell, wf.View, cv.LockedBy)
-		}
-		newVersion = cv.Versions[len(cv.Versions)-1] + 1
 		cv.Versions = append(cv.Versions, newVersion)
 		cv.Default = newVersion
 		cv.LockedBy = ""
 		return nil
 	})
 	if err != nil {
+		_ = os.Remove(dst) //lint:allow noerrdrop no metadata names the file; a leftover is overwritten by the next checkin
 		return 0, err
-	}
-	dst := s.lib.versionPath(wf.Cell, wf.View, newVersion)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return 0, fmt.Errorf("fmcad: checkin: %w", err)
-	}
-	if err := os.WriteFile(dst, data, 0o644); err != nil {
-		return 0, fmt.Errorf("fmcad: checkin: %w", err)
 	}
 	wf.done = true
 	_ = os.Remove(wf.Path) //lint:allow noerrdrop the version is committed; a leftover workfile is harmless scratch
@@ -214,21 +215,46 @@ func (s *Session) Cancel(wf *Workfile) error {
 	if wf.done {
 		return fmt.Errorf("fmcad: workfile already checked in or cancelled")
 	}
-	err := s.lib.mutate(func(m *meta) error {
-		cv, err := m.cellview(wf.Cell, wf.View)
-		if err != nil {
-			return err
-		}
-		if cv.LockedBy != s.user {
-			return fmt.Errorf("%w (%s/%s, lock holder %q)", ErrNotLocked, wf.Cell, wf.View, cv.LockedBy)
-		}
-		cv.LockedBy = ""
-		return nil
-	})
-	if err != nil {
+	if err := s.release(wf.Cell, wf.View); err != nil {
 		return err
 	}
 	wf.done = true
 	_ = os.Remove(wf.Path) //lint:allow noerrdrop the lock is released; a leftover workfile is harmless scratch
 	return nil
+}
+
+// release frees this user's checkout of a cellview.
+func (s *Session) release(cell, view string) error {
+	return s.lib.mutate(func(m *meta) error {
+		cv, err := m.heldBy(cell, view, s.user)
+		if err != nil {
+			return err
+		}
+		cv.LockedBy = ""
+		return nil
+	})
+}
+
+// heldBy returns the record of a cellview user has checked out.
+func (m *meta) heldBy(cell, view, user string) (*cellviewMeta, error) {
+	cv, err := m.cellview(cell, view)
+	if err != nil {
+		return nil, err
+	}
+	if cv.LockedBy != user {
+		return nil, fmt.Errorf("%w (%s/%s, lock holder %q)", ErrNotLocked, cell, view, cv.LockedBy)
+	}
+	return cv, nil
+}
+
+// nextVersion returns the number the next checkin of a cellview user has
+// checked out will create.
+func (l *Library) nextVersion(cell, view, user string) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	cv, err := l.meta.heldBy(cell, view, user)
+	if err != nil {
+		return 0, err
+	}
+	return cv.Versions[len(cv.Versions)-1] + 1, nil
 }

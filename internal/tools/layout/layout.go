@@ -258,7 +258,7 @@ func (l *Layout) Format() []byte {
 // Parse reads a layout design file produced by Format.
 func Parse(data []byte) (*Layout, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	sc.Buffer(nil, 64*1024*1024)
 	var l *Layout
 	lineNo := 0
 	atoi := func(s string) (int, error) { return strconv.Atoi(s) }

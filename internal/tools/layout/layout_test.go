@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -143,6 +144,22 @@ func TestFormatParseRoundTrip(t *testing.T) {
 	}
 	if l2.Labels()[0].Text != "multi word label" {
 		t.Fatalf("label = %+v", l2.Labels()[0])
+	}
+}
+
+// Parse reads lines far longer than its scanner's initial buffer.
+func TestParseLongLine(t *testing.T) {
+	l := New("alu")
+	if err := l.AddLabel("text", 1, 2, strings.Repeat("x", 2<<20)); err != nil {
+		t.Fatal(err)
+	}
+	data := l.Format()
+	l2, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(l2.Format(), data) {
+		t.Fatal("long label did not round-trip")
 	}
 }
 

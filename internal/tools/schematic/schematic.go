@@ -339,7 +339,7 @@ func (s *Schematic) Format() []byte {
 // Parse reads a schematic design file produced by Format.
 func Parse(data []byte) (*Schematic, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	sc.Buffer(nil, 64*1024*1024)
 	var s *Schematic
 	lineNo := 0
 	for sc.Scan() {

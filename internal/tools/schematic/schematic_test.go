@@ -137,6 +137,19 @@ func TestFormatParseRoundTrip(t *testing.T) {
 	}
 }
 
+// Parse reads lines far longer than its scanner's initial buffer.
+func TestParseLongLine(t *testing.T) {
+	data := halfAdder(t).Format()
+	long := append([]byte("# "+strings.Repeat("x", 2<<20)+"\n"), data...)
+	s, err := Parse(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(s.Format(), data) {
+		t.Fatalf("parsed %s", s.Format())
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"",
