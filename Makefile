@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint fuzz-seed test race stress-persist stress-atomic stress-feed stress-repl stress-blob bench bench-contention bench-persist bench-batch bench-feed bench-repl bench-blob bench-obs clean
+.PHONY: check build vet lint fuzz-seed test race stress-persist stress-atomic stress-feed stress-repl stress-blob stress-fmcad bench bench-contention bench-persist bench-batch bench-feed bench-repl bench-blob bench-obs clean
 
 ## check is the CI gate: a fresh checkout must build, vet (go vet ./...),
 ## pass jcflint with zero unsuppressed findings, replay the decoder fuzz
@@ -10,7 +10,7 @@ GO ?= go
 ## races in the sharded OMS kernel, torn (oms, framework) snapshot
 ## pairs, diverging replicas, and unguarded replica writes from ever
 ## landing again.
-check: build vet lint fuzz-seed race stress-persist stress-atomic stress-feed stress-repl stress-blob bench-obs
+check: build vet lint fuzz-seed race stress-persist stress-atomic stress-feed stress-repl stress-blob stress-fmcad bench-obs
 
 build:
 	$(GO) build ./...
@@ -38,7 +38,8 @@ lint:
 ## fuzz-seed replays the fuzz seed corpora deterministically (no fuzzing
 ## engine): every seed the wire-format and frame-codec fuzzers ever
 ## minimized must keep decoding without panics or round-trip drift, and
-## the hand-written FMCAD .meta encoder must match encoding/json.
+## the hand-written FMCAD .meta encoder, cold and with a warm per-cell
+## cache, must match encoding/json.
 fuzz-seed:
 	$(GO) test -run FuzzDecodeChanges ./internal/oms/
 	$(GO) test -run FuzzReadFrame ./internal/repl/
@@ -92,6 +93,14 @@ stress-repl:
 ## missing blobs by digest (internal/repl/blob_test.go).
 stress-blob:
 	$(GO) test -race -count=3 -run 'TestStressBlob|TestReplicaBlobFetch' ./internal/jcf/ ./internal/repl/
+
+## stress-fmcad hammers the copy-on-write FMCAD metadata under the race
+## detector: sessions open, refresh and read their snapshots while
+## designers check out, check in, tag and configure, so any write to a
+## published record is a race; of concurrent Creates on one directory
+## exactly one must win (internal/fmcad/snapshot_test.go).
+stress-fmcad:
+	$(GO) test -race -count=3 -run 'TestSessionsReadWhileLibraryMutates|TestConcurrentCreateOneWins|TestPublishedMetaNeverChanges' ./internal/fmcad/
 
 ## bench regenerates every paper table/figure benchmark.
 bench:

@@ -25,18 +25,25 @@
 // metadata, and is bound dynamically against default versions — flexible,
 // but with no what-belongs-to-what history (section 3.5).
 //
+// In memory, published metadata is immutable. A mutation builds a new root
+// that shares every record it does not change, writes it to .meta, and
+// only then publishes it; a Session snapshot is just the root published
+// when it was taken, so opening or refreshing one copies nothing.
+//
 // On disk, .meta is compact JSON (struct fields in declaration order, map
 // keys sorted). Every mutation rewrites the whole file under the library
 // mutex: the new content goes to .meta.tmp, which is then renamed over
 // .meta, so a reader sees either the old or the new file, never a torn
-// one. There is no fsync, so a crash can lose the latest mutations. A
-// design file is written before the metadata that names it, so .meta
-// never names a version with no file behind it.
+// one. The encoder keeps each cell's bytes and re-encodes only the cells
+// a mutation changed. There is no fsync, so a crash can lose the latest
+// mutations. A design file is written before the metadata that names it,
+// so .meta never names a version with no file behind it.
 package fmcad
 
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"maps"
 	"os"
 	"path/filepath"
@@ -92,39 +99,33 @@ func newMeta(name string) *meta {
 	}
 }
 
-// clone deep-copies the metadata so session snapshots cannot alias the
-// authoritative copy. The top-level maps of the copy are never nil.
-func (m *meta) clone() *meta {
-	cp := &meta{
+// next returns the root a mutation builds on: a copy of m whose top-level
+// maps are shallow clones. Published records are immutable, and next
+// shares them, so a mutation writes only these maps and the records it
+// replaced with copies (editCellview, or a maps.Clone of a config).
+func (m *meta) next() *meta {
+	return &meta{
 		Name:    m.Name,
 		Seq:     m.Seq,
-		Views:   make(map[string]string, len(m.Views)),
-		Cells:   make(map[string]*cellMeta, len(m.Cells)),
-		Configs: make(map[string]map[string]int, len(m.Configs)),
+		Views:   maps.Clone(m.Views),
+		Cells:   maps.Clone(m.Cells),
+		Configs: maps.Clone(m.Configs),
 	}
-	maps.Copy(cp.Views, m.Views)
-	for name, c := range m.Cells {
-		cvs := make(map[string]*cellviewMeta, len(c.Cellviews))
-		for view, cv := range c.Cellviews {
-			cvs[view] = cv.clone()
-		}
-		cp.Cells[name] = &cellMeta{Cellviews: cvs}
-	}
-	for name, cfg := range m.Configs {
-		cp.Configs[name] = maps.Clone(cfg)
-	}
-	return cp
 }
 
-func (cv *cellviewMeta) clone() *cellviewMeta {
-	cp := &cellviewMeta{Versions: slices.Clone(cv.Versions), Default: cv.Default, LockedBy: cv.LockedBy}
-	if cv.Props != nil {
-		cp.Props = make(map[string]map[string]string, len(cv.Props))
-		for k, props := range cv.Props {
-			cp.Props[k] = maps.Clone(props)
-		}
-	}
-	return cp
+// editCellview replaces the existing (cell, view) record of m, a root from
+// next, with a copy the mutation may write, and returns the copy. Its
+// Versions are clipped, so an append reallocates instead of writing the
+// shared array; its Props map is a shallow clone, so an inner map must be
+// cloned before it is written.
+func (m *meta) editCellview(cell, view string) *cellviewMeta {
+	c := &cellMeta{Cellviews: maps.Clone(m.Cells[cell].Cellviews)}
+	cv := *c.Cellviews[view]
+	cv.Versions = slices.Clip(cv.Versions)
+	cv.Props = maps.Clone(cv.Props)
+	c.Cellviews[view] = &cv
+	m.Cells[cell] = c
+	return &cv
 }
 
 func (m *meta) cellview(cell, view string) (*cellviewMeta, error) {
@@ -146,8 +147,8 @@ type Library struct {
 	dir string
 
 	mu   sync.Mutex
-	meta *meta
-	enc  []byte // .meta encoding buffer, reused by every flush
+	meta *meta       // published root; never written, only replaced
+	enc  metaEncoder // .meta encoder with its per-cell cache
 
 	// statConflicts counts rejected checkouts; the section 3.1 experiment
 	// reads it.
@@ -155,7 +156,9 @@ type Library struct {
 }
 
 // Create makes a new library directory at dir (which must not already
-// contain a library) and writes an empty .meta.
+// contain a library) and writes an empty .meta. The .meta appears by
+// linking a private temp file to its name, so of concurrent Creates on one
+// directory exactly one succeeds; the others fail with ErrExists.
 func Create(dir, name string) (*Library, error) {
 	if name == "" {
 		return nil, fmt.Errorf("fmcad: empty library name")
@@ -163,13 +166,24 @@ func Create(dir, name string) (*Library, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fmcad: create library: %w", err)
 	}
-	metaPath := filepath.Join(dir, MetaFileName)
-	if _, err := os.Stat(metaPath); err == nil {
+	l := &Library{dir: dir, meta: newMeta(name)}
+	f, err := os.CreateTemp(dir, MetaFileName+".new*")
+	if err != nil {
+		return nil, fmt.Errorf("fmcad: create library: %w", err)
+	}
+	defer os.Remove(f.Name()) // after the link, .meta keeps the content
+	_, err = f.Write(l.enc.encode(l.meta))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Link(f.Name(), filepath.Join(dir, MetaFileName))
+	}
+	if errors.Is(err, fs.ErrExist) {
 		return nil, fmt.Errorf("%w: library at %s", ErrExists, dir)
 	}
-	l := &Library{dir: dir, meta: newMeta(name)}
-	if err := l.flushLocked(); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, fmt.Errorf("fmcad: create library: %w", err)
 	}
 	return l, nil
 }
@@ -177,15 +191,6 @@ func Create(dir, name string) (*Library, error) {
 // Open loads an existing library from dir. A .meta that does not parse,
 // or holds a null cell, cellview or config record, fails with ErrCorrupt.
 func Open(dir string) (*Library, error) {
-	m, err := readMeta(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &Library{dir: dir, meta: m}, nil
-}
-
-// readMeta loads and validates the .meta file in dir.
-func readMeta(dir string) (*meta, error) {
 	data, err := os.ReadFile(filepath.Join(dir, MetaFileName))
 	if err != nil {
 		return nil, fmt.Errorf("fmcad: open library: %w", err)
@@ -194,7 +199,7 @@ func readMeta(dir string) (*meta, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fmcad: open library %s: %w", dir, err)
 	}
-	return m, nil
+	return &Library{dir: dir, meta: m}, nil
 }
 
 // Name returns the library name.
@@ -221,54 +226,41 @@ func (l *Library) Conflicts() int64 {
 	return l.statConflicts
 }
 
-// flushLocked writes .meta; caller holds l.mu.
-func (l *Library) flushLocked() error {
-	l.enc = appendMeta(l.enc[:0], l.meta)
+// mutate applies fn to a new root built from the current metadata (see
+// next) under the lock, bumps the sequence number and persists on success.
+// When fn returns an error, the new root is dropped.
+func (l *Library) mutate(fn func(m *meta) error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	next := l.meta.next()
+	if err := fn(next); err != nil {
+		return err
+	}
+	return l.commitLocked(next)
+}
+
+// commitLocked bumps the sequence number of next, writes it to .meta and
+// only then publishes it as the library's root; caller holds l.mu. If the
+// write fails, next is dropped, so memory never runs ahead of the file.
+func (l *Library) commitLocked(next *meta) error {
+	next.Seq++
 	tmp := filepath.Join(l.dir, MetaFileName+".tmp")
-	if err := os.WriteFile(tmp, l.enc, 0o644); err != nil {
+	if err := os.WriteFile(tmp, l.enc.encode(next), 0o644); err != nil {
 		return fmt.Errorf("fmcad: flush meta: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, MetaFileName)); err != nil {
 		return fmt.Errorf("fmcad: flush meta: %w", err)
 	}
+	l.meta = next
 	return nil
 }
 
-// mutate applies fn to the authoritative metadata under the lock, bumps the
-// sequence number and persists on success. fn must leave the metadata
-// unchanged when it returns an error.
-func (l *Library) mutate(fn func(m *meta) error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := fn(l.meta); err != nil {
-		return err
-	}
-	return l.commitLocked()
-}
-
-// commitLocked bumps the sequence number of the just-changed metadata and
-// persists it; caller holds l.mu. If the write fails, the metadata is
-// reloaded from the .meta on disk, which the failed write left untouched,
-// so memory never runs ahead of the file.
-func (l *Library) commitLocked() error {
-	l.meta.Seq++
-	err := l.flushLocked()
-	if err == nil {
-		return nil
-	}
-	m, rerr := readMeta(l.dir)
-	if rerr != nil {
-		return errors.Join(err, fmt.Errorf("fmcad: rollback: %w", rerr))
-	}
-	l.meta = m
-	return err
-}
-
-// snapshot returns a deep copy of the current metadata.
+// snapshot returns the current root. Published roots are never written,
+// so the caller may read it without the lock for as long as it likes.
 func (l *Library) snapshot() *meta {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.meta.clone()
+	return l.meta
 }
 
 // --- schema-level operations (views, cells, cellviews) -------------------
@@ -338,8 +330,11 @@ func (l *Library) CreateCellview(cell, view string) error {
 	if err := writeDesignFile(path, nil); err != nil {
 		return fmt.Errorf("fmcad: create cellview: %w", err)
 	}
+	next := l.meta.next()
+	c = &cellMeta{Cellviews: maps.Clone(c.Cellviews)}
 	c.Cellviews[view] = &cellviewMeta{Versions: []int{1}, Default: 1, Props: map[string]map[string]string{}}
-	if err := l.commitLocked(); err != nil {
+	next.Cells[cell] = c
+	if err := l.commitLocked(next); err != nil {
 		_ = os.Remove(path) //lint:allow noerrdrop no metadata names the file; a leftover is overwritten by the next create
 		return err
 	}
@@ -484,14 +479,17 @@ func (l *Library) SetProperty(cell, view string, num int, name, value string) er
 		if !containsInt(cv.Versions, num) {
 			return fmt.Errorf("%w: version %d of %s/%s", ErrNotFound, num, cell, view)
 		}
+		cv = m.editCellview(cell, view)
 		if cv.Props == nil {
 			cv.Props = map[string]map[string]string{}
 		}
 		k := versionKey(num)
-		if cv.Props[k] == nil {
-			cv.Props[k] = map[string]string{}
+		props := maps.Clone(cv.Props[k])
+		if props == nil {
+			props = map[string]string{}
 		}
-		cv.Props[k][name] = value
+		props[name] = value
+		cv.Props[k] = props
 		return nil
 	})
 }
@@ -555,7 +553,9 @@ func (l *Library) AddToConfig(config, cell, view string, num int) error {
 		if !containsInt(cv.Versions, num) {
 			return fmt.Errorf("%w: version %d of %s/%s", ErrNotFound, num, cell, view)
 		}
+		cfg = maps.Clone(cfg)
 		cfg[cvKey(cell, view)] = num
+		m.Configs[config] = cfg
 		return nil
 	})
 }
@@ -607,7 +607,8 @@ func (l *Library) AddConfigToConfig(parent, child string) error {
 		return fmt.Errorf("fmcad: config %q cannot contain itself", parent)
 	}
 	return l.mutate(func(m *meta) error {
-		if _, ok := m.Configs[parent]; !ok {
+		cfg, ok := m.Configs[parent]
+		if !ok {
 			return fmt.Errorf("%w: config %q", ErrNotFound, parent)
 		}
 		if _, ok := m.Configs[child]; !ok {
@@ -616,7 +617,9 @@ func (l *Library) AddConfigToConfig(parent, child string) error {
 		if configReaches(m, child, parent) {
 			return fmt.Errorf("fmcad: config cycle: %q already contains %q", child, parent)
 		}
-		m.Configs[parent][configRefPrefix+child] = 0
+		cfg = maps.Clone(cfg)
+		cfg[configRefPrefix+child] = 0
+		m.Configs[parent] = cfg
 		return nil
 	})
 }

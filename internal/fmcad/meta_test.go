@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// FuzzAppendMeta holds the hand-written .meta encoder and the typed deep
-// copy to encoding/json: for any metadata Open accepts, plus records named
-// by an arbitrary string, appendMeta must produce exactly json.Marshal's
-// bytes, and a clone must encode the same as the original.
+// FuzzAppendMeta holds the hand-written .meta encoder and its per-cell
+// cache to encoding/json. For any metadata Open accepts, plus records named
+// by an arbitrary string, a cold encoder must produce exactly json.Marshal's
+// bytes. After one cell of a next() root is edited the way the mutations
+// edit it, the same (warm) encoder must produce json.Marshal's bytes of the
+// new root, and the old root must still encode as before.
 func FuzzAppendMeta(f *testing.F) {
 	full := `{"name":"lib","seq":7,"views":{"layout":"layout","schematic":"schematic"},` +
 		`"cells":{"alu":{"cellviews":{"schematic":{"versions":[1,2,3],"default":3,"locked_by":"anna",` +
@@ -49,15 +52,35 @@ func FuzzAppendMeta(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendMeta(nil, m); !bytes.Equal(got, want) {
-			t.Fatalf("appendMeta differs from json.Marshal:\n got %s\nwant %s", got, want)
+		var enc metaEncoder
+		if got := enc.encode(m); !bytes.Equal(got, want) {
+			t.Fatalf("encode differs from json.Marshal:\n got %s\nwant %s", got, want)
 		}
-		cp, err := json.Marshal(m.clone())
+
+		next := m.next()
+		next.Seq++
+		cv := next.editCellview(name, name)
+		cv.Versions = append(cv.Versions, 3)
+		cv.Default = 3
+		cv.LockedBy = ""
+		props := maps.Clone(cv.Props["v2"])
+		if props == nil {
+			props = map[string]string{}
+		}
+		props[name+"/"] = name
+		cv.Props["v2"] = props
+		wantNext, err := json.Marshal(next)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(cp, want) {
-			t.Fatalf("clone encodes differently:\n got %s\nwant %s", cp, want)
+		if got := enc.encode(next); !bytes.Equal(got, wantNext) {
+			t.Fatalf("warm encode differs from json.Marshal:\n got %s\nwant %s", got, wantNext)
+		}
+		if old, err := json.Marshal(m); err != nil || !bytes.Equal(old, want) {
+			t.Fatalf("editing the next root changed the old one (%v):\n got %s\nwant %s", err, old, want)
+		}
+		if got := enc.encode(m); !bytes.Equal(got, want) {
+			t.Fatalf("warm encode of the old root differs:\n got %s\nwant %s", got, want)
 		}
 	})
 }
@@ -76,7 +99,7 @@ func TestSnapshotIndependentOfLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := l.NewSession("anna")
-	before := appendMeta(nil, s.snap)
+	before := bytes.Clone(new(metaEncoder).encode(s.snap))
 
 	if err := l.SetProperty("alu", "schematic", 1, "owner", "bert"); err != nil {
 		t.Fatal(err)
@@ -98,10 +121,10 @@ func TestSnapshotIndependentOfLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if after := appendMeta(nil, s.snap); !bytes.Equal(after, before) {
+	if after := new(metaEncoder).encode(s.snap); !bytes.Equal(after, before) {
 		t.Fatalf("snapshot changed with the library:\nbefore %s\n after %s", before, after)
 	}
-	if lib := appendMeta(nil, l.meta); bytes.Equal(lib, before) {
+	if lib := new(metaEncoder).encode(l.meta); bytes.Equal(lib, before) {
 		t.Fatal("library metadata did not change")
 	}
 }

@@ -11,10 +11,11 @@ import (
 // The .meta codec. Reading goes through encoding/json, so a file in any
 // JSON layout (including the indented one older libraries were written
 // in) opens. Writing happens on every mutation, so it is hand-written:
-// appendMeta emits exactly the bytes json.Marshal would — struct fields
+// metaEncoder emits exactly the bytes json.Marshal would — struct fields
 // in declaration order, map keys sorted, the same string escaping — with
-// no reflection and no intermediate values. FuzzAppendMeta holds it to
-// encoding/json as the oracle.
+// no reflection and no intermediate values, and re-encodes only the cells
+// a mutation changed. FuzzAppendMeta holds it to encoding/json as the
+// oracle.
 
 // decodeMeta parses and validates a .meta file. Records a later lookup or
 // mutation would dereference must be present; missing top-level maps are
@@ -51,23 +52,49 @@ func decodeMeta(data []byte) (*meta, error) {
 	return &m, nil
 }
 
-// appendMeta appends the compact JSON encoding of m to buf. For metadata
-// decodeMeta accepts, and everything the mutations derive from it, the
-// result is byte-identical to json.Marshal(m).
-func appendMeta(buf []byte, m *meta) []byte {
-	buf = append(buf, `{"name":`...)
+// metaEncoder encodes the successive roots of one library. Published
+// records are immutable, so a cell whose record is the one it encoded last
+// time reuses the cached bytes: each write encodes only the cells changed
+// since the previous one. The zero value is ready to use.
+type metaEncoder struct {
+	buf   []byte
+	cells map[string]cellEnc
+}
+
+type cellEnc struct {
+	c   *cellMeta
+	enc []byte
+}
+
+// encode returns the compact JSON encoding of m. For metadata decodeMeta
+// accepts, and everything the mutations derive from it, the result is
+// byte-identical to json.Marshal(m). It is valid until the next call.
+func (e *metaEncoder) encode(m *meta) []byte {
+	if e.cells == nil {
+		e.cells = make(map[string]cellEnc, len(m.Cells))
+	}
+	buf := append(e.buf[:0], `{"name":`...)
 	buf = appendString(buf, m.Name)
 	buf = append(buf, `,"seq":`...)
 	buf = strconv.AppendInt(buf, m.Seq, 10)
 	buf = append(buf, `,"views":`...)
 	buf = appendMap(buf, m.Views, appendString)
 	buf = append(buf, `,"cells":`...)
-	buf = appendMap(buf, m.Cells, appendCell)
+	buf = appendObject(buf, m.Cells, func(buf []byte, name string) []byte {
+		c := m.Cells[name]
+		ce := e.cells[name]
+		if ce.c != c {
+			ce = cellEnc{c: c, enc: appendCell(ce.enc[:0], c)}
+			e.cells[name] = ce
+		}
+		return append(buf, ce.enc...)
+	})
 	buf = append(buf, `,"configs":`...)
 	buf = appendMap(buf, m.Configs, func(buf []byte, cfg map[string]int) []byte {
 		return appendMap(buf, cfg, appendInt)
 	})
-	return append(buf, '}')
+	e.buf = append(buf, '}')
+	return e.buf
 }
 
 func appendCell(buf []byte, c *cellMeta) []byte {
@@ -102,6 +129,12 @@ func appendCellview(buf []byte, cv *cellviewMeta) []byte {
 // appendMap appends m as a JSON object with sorted keys, encoding each
 // value with val.
 func appendMap[V any](buf []byte, m map[string]V, val func([]byte, V) []byte) []byte {
+	return appendObject(buf, m, func(buf []byte, k string) []byte { return val(buf, m[k]) })
+}
+
+// appendObject appends m as a JSON object with sorted keys; val appends
+// the value of key k.
+func appendObject[V any](buf []byte, m map[string]V, val func(buf []byte, k string) []byte) []byte {
 	if m == nil {
 		return append(buf, "null"...)
 	}
@@ -117,7 +150,7 @@ func appendMap[V any](buf []byte, m map[string]V, val func([]byte, V) []byte) []
 		}
 		buf = appendString(buf, k)
 		buf = append(buf, ':')
-		buf = val(buf, m[k])
+		buf = val(buf, k)
 	}
 	return append(buf, '}')
 }

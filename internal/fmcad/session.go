@@ -8,8 +8,10 @@ import (
 	"sort"
 )
 
-// Session is one designer's connection to a library. It holds a private
-// snapshot of the library metadata taken at open (or the last Refresh).
+// Session is one designer's connection to a library. It holds a snapshot
+// of the library metadata taken at open (or the last Refresh): the root
+// published then, whose records it shares with the library and with every
+// other snapshot, since published records are never written.
 // The paper: "The refreshment of the metadata objects is not performed
 // automatically, and therefore, it is the responsibility of the designer to
 // keep his design up to date. Of course, this aspect may cause severe
@@ -22,7 +24,7 @@ import (
 type Session struct {
 	lib  *Library
 	user string
-	snap *meta // private, possibly stale
+	snap *meta // possibly stale; read-only
 }
 
 // NewSession opens a session for user, snapshotting the current metadata.
@@ -119,7 +121,7 @@ func (s *Session) Checkout(cell, view string) (*Workfile, error) {
 			s.lib.statConflicts++
 			return fmt.Errorf("%w (%s/%s held by %s, wanted by %s)", ErrLocked, cell, view, cv.LockedBy, s.user)
 		}
-		cv.LockedBy = s.user
+		m.editCellview(cell, view).LockedBy = s.user
 		base = cv.Default
 		return nil
 	})
@@ -188,10 +190,10 @@ func (s *Session) Checkin(wf *Workfile) (int, error) {
 		return 0, fmt.Errorf("fmcad: checkin: %w", err)
 	}
 	err = s.lib.mutate(func(m *meta) error {
-		cv, err := m.heldBy(wf.Cell, wf.View, s.user)
-		if err != nil {
+		if _, err := m.heldBy(wf.Cell, wf.View, s.user); err != nil {
 			return err
 		}
+		cv := m.editCellview(wf.Cell, wf.View)
 		cv.Versions = append(cv.Versions, newVersion)
 		cv.Default = newVersion
 		cv.LockedBy = ""
@@ -226,11 +228,10 @@ func (s *Session) Cancel(wf *Workfile) error {
 // release frees this user's checkout of a cellview.
 func (s *Session) release(cell, view string) error {
 	return s.lib.mutate(func(m *meta) error {
-		cv, err := m.heldBy(cell, view, s.user)
-		if err != nil {
+		if _, err := m.heldBy(cell, view, s.user); err != nil {
 			return err
 		}
-		cv.LockedBy = ""
+		m.editCellview(cell, view).LockedBy = ""
 		return nil
 	})
 }
