@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint fuzz-seed test race stress-persist stress-atomic stress-feed stress-repl stress-blob stress-fmcad bench bench-contention bench-persist bench-batch bench-feed bench-repl bench-blob bench-obs clean
+.PHONY: check build vet lint fuzz-seed test race stress-persist stress-atomic stress-feed stress-repl stress-blob stress-fmcad bench bench-contention bench-feed bench-repl bench-blob bench-obs clean
 
 ## check is the CI gate: a fresh checkout must build, vet (go vet ./...),
 ## pass jcflint with zero unsuppressed findings, replay the decoder fuzz
@@ -111,26 +111,10 @@ bench:
 bench-contention:
 	$(GO) test -bench 'BenchmarkE31LockContention|BenchmarkE36MetadataOps' -run '^$$' .
 
-## bench-persist runs the writer-stall ablation behind BENCH_2.json:
-## p99 Set latency during a concurrent snapshot, stop-the-world capture
-## vs consistent cut. Record medians of the three counts.
-bench-persist:
-	$(GO) test -bench 'BenchmarkE37SnapshotWriterStall' -run '^$$' -benchtime 150000x -count 3 .
-
-## bench-batch runs the grouped-checkin ablation behind BENCH_3.json:
-## the section 3.6 copy-in sequence, op-by-op vs one atomic batch, at
-## 4/16/64 concurrent designers. Each mode runs in its own process with
-## a fixed iteration count so both do identical work on identical store
-## sizes (heap/store growth otherwise penalizes whichever mode runs
-## second). Record per-designer-count medians of the three counts.
-bench-batch:
-	$(GO) test -bench 'BenchmarkE38BatchCheckin/mode=op-by-op' -run '^$$' -benchtime 300x -count 3 .
-	$(GO) test -bench 'BenchmarkE38BatchCheckin/mode=batched' -run '^$$' -benchtime 300x -count 3 .
-
-## bench-feed runs the change-feed ablation behind BENCH_4.json: full vs
-## differential Framework.SaveTo on the segment backend as the store
-## grows (equal churn per save in both modes), plus the Watch delivery
-## latency probe. Record medians.
+## bench-feed runs the change-feed benchmarks: differential
+## Framework.SaveTo on the segment backend as the store grows (equal
+## churn per save), plus the Watch delivery latency probe. BENCH_4.json
+## froze the full-vs-differential ablation these continue. Record medians.
 bench-feed:
 	$(GO) test -bench 'BenchmarkE39DifferentialSave' -run '^$$' -benchtime 20x -count 3 .
 	$(GO) test -bench 'BenchmarkFeedWatchLatency' -run '^$$' -benchtime 20000x -count 3 .

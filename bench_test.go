@@ -13,11 +13,12 @@
 //	                               *Parallel = concurrent designers)
 //	BenchmarkE36DesignData*        section 3.6 (design-data performance)
 //	BenchmarkE37SnapshotWriterStall  writer p99 latency during a concurrent
-//	                               snapshot save (BENCH_2.json; not a paper
-//	                               artifact — the PR 2 persistence ablation)
-//	BenchmarkE38BatchCheckin       grouped vs op-by-op checkin under
-//	                               concurrent designers (BENCH_3.json; the
-//	                               PR 3 batched-operations ablation)
+//	                               consistent-cut snapshot save (not a paper
+//	                               artifact; BENCH_2.json froze its ablation)
+//	BenchmarkE38BatchCheckin       batched checkin under concurrent designers
+//	                               (BENCH_3.json froze its op-by-op ablation)
+//	BenchmarkE39DifferentialSave   differential SaveTo as the store grows
+//	                               (BENCH_4.json froze its full-save ablation)
 //
 // Run with: go test -bench=. -benchmem
 package repro
@@ -545,20 +546,14 @@ func BenchmarkE36DesignDataWriteHybrid(b *testing.B) {
 // BenchmarkE37SnapshotWriterStall measures what a designer feels while
 // the framework persists itself: the latency distribution of Set calls
 // issued against a blob-heavy store (the realistic shape — design data
-// dwarfs metadata) while a save loop runs concurrently. Two modes:
-//
-//   - stop-the-world: SnapshotStopTheWorld, the pre-PR-2 capture that
-//     holds every stripe read lock while copying all blob bytes out.
-//   - consistent-cut: Snapshot — stripes are held only for the
-//     O(headers) cut; blob bytes are shared (immutable, CoW).
-//
-// Everything around the capture — JSON encode, atomic file write, the
-// pause between saves — is byte-identical in both modes, so the modes
-// differ exactly in how long the stripe locks are held. The headline
-// metric is the p99 of Sets that overlap a capture (p99-during-snap-ns):
-// capture is the only phase either mode holds locks, and gating to it
-// keeps single-core scheduler noise from the lock-free encode phase from
-// burying the stall being measured.
+// dwarfs metadata) while a save loop runs concurrently. Each save takes
+// a consistent-cut Snapshot — stripes are held only for the O(headers)
+// cut; blob bytes are shared (immutable, CoW) — then encodes it with
+// Snapshot.EncodeJSON and writes it atomically, outside all locks. The
+// headline metric is the p99 of Sets that overlap a capture
+// (p99-during-snap-ns): capture is the only phase that holds locks, and
+// gating to it keeps single-core scheduler noise from the lock-free
+// encode phase from burying the stall being measured.
 //
 // The writer is open-loop: Sets are scheduled at a fixed arrival rate
 // and latency is measured from the scheduled instant, not from when the
@@ -569,147 +564,137 @@ func BenchmarkE36DesignDataWriteHybrid(b *testing.B) {
 //
 // Reported metrics are per-Set percentiles in nanoseconds plus the
 // number of saves that completed while the writer was being measured.
-// BENCH_2.json records the ablation; regenerate with `make bench-persist`.
+// BENCH_2.json records the ablation against the retired stop-the-world
+// capture, which held every stripe while copying all blob bytes out.
 func BenchmarkE37SnapshotWriterStall(b *testing.B) {
 	const (
 		objects  = 128
 		blobSize = 256 << 10 // 32 MiB of design data total
 	)
-	for _, mode := range []string{"stop-the-world", "consistent-cut"} {
-		b.Run("mode="+mode, func(b *testing.B) {
-			schema := oms.NewSchema()
-			if err := schema.AddClass("DesignObjectVersion",
-				oms.AttrDef{Name: "data", Kind: oms.KindBlob},
-				oms.AttrDef{Name: "rev", Kind: oms.KindInt}); err != nil {
+	b.Run("mode=consistent-cut", func(b *testing.B) {
+		schema := oms.NewSchema()
+		if err := schema.AddClass("DesignObjectVersion",
+			oms.AttrDef{Name: "data", Kind: oms.KindBlob},
+			oms.AttrDef{Name: "rev", Kind: oms.KindInt}); err != nil {
+			b.Fatal(err)
+		}
+		st := oms.NewStore(schema)
+		blob := make([]byte, blobSize)
+		for i := range blob {
+			blob[i] = byte(i)
+		}
+		oids := make([]oms.OID, objects)
+		for i := range oids {
+			oid, err := st.Create("DesignObjectVersion", map[string]oms.Value{
+				"data": oms.Bytes(blob),
+				"rev":  oms.I(0),
+			})
+			if err != nil {
 				b.Fatal(err)
 			}
-			st := oms.NewStore(schema)
-			blob := make([]byte, blobSize)
-			for i := range blob {
-				blob[i] = byte(i)
+			oids[i] = oid
+		}
+		// Snapshots land on tmpfs when the host has one: the file write
+		// is outside all locks, so slow-disk writeback would only inject
+		// minutes-long system stalls that drown the lock behaviour this
+		// benchmark isolates.
+		dir := b.TempDir()
+		if fi, err := os.Stat("/dev/shm"); err == nil && fi.IsDir() {
+			if d, err := os.MkdirTemp("/dev/shm", "omsbench"); err == nil {
+				dir = d
+				b.Cleanup(func() { os.RemoveAll(d) })
 			}
-			oids := make([]oms.OID, objects)
-			for i := range oids {
-				oid, err := st.Create("DesignObjectVersion", map[string]oms.Value{
-					"data": oms.Bytes(blob),
-					"rev":  oms.I(0),
-				})
+		}
+		path := filepath.Join(dir, "oms.json")
+		var stop, inCapture atomic.Bool
+		var saves atomic.Int64
+		var captureNS []time.Duration // saver-owned; read after wg.Wait
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				c0 := time.Now()
+				inCapture.Store(true)
+				snap := st.Snapshot()
+				inCapture.Store(false)
+				captureNS = append(captureNS, time.Since(c0))
+				data, err := snap.EncodeJSON()
 				if err != nil {
-					b.Fatal(err)
+					b.Error(err)
+					return
 				}
-				oids[i] = oid
+				tmp := path + ".tmp"
+				if err := os.WriteFile(tmp, data, 0o644); err != nil {
+					b.Error(err)
+					return
+				}
+				if err := os.Rename(tmp, path); err != nil {
+					b.Error(err)
+					return
+				}
+				saves.Add(1)
+				// Pause between saves so the writer's queue drains:
+				// the measured tail is then the per-save stall, not
+				// sustained CPU saturation from back-to-back encodes.
+				time.Sleep(400 * time.Millisecond)
 			}
-			// Snapshots land on tmpfs when the host has one: the file
-			// write is outside all locks in BOTH modes, so slow-disk
-			// writeback would only inject minutes-long system stalls that
-			// drown the lock behaviour this benchmark isolates.
-			dir := b.TempDir()
-			if fi, err := os.Stat("/dev/shm"); err == nil && fi.IsDir() {
-				if d, err := os.MkdirTemp("/dev/shm", "omsbench"); err == nil {
-					dir = d
-					b.Cleanup(func() { os.RemoveAll(d) })
-				}
+		}()
+		const interval = 50 * time.Microsecond // 20k Sets/s arrival rate
+		lat := make([]time.Duration, 0, b.N)   // every op (open-loop, from sched)
+		var latDuring []time.Duration          // block time of Sets overlapping a capture
+		b.ResetTimer()
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			sched := start.Add(time.Duration(i) * interval)
+			if d := time.Until(sched); d > 0 {
+				time.Sleep(d)
 			}
-			path := filepath.Join(dir, "oms.json")
-			capture := st.Snapshot
-			if mode == "stop-the-world" {
-				capture = st.SnapshotStopTheWorld
+			overlapped := inCapture.Load()
+			t0 := time.Now()
+			if err := st.Set(oids[i%objects], "rev", oms.I(int64(i))); err != nil {
+				b.Fatal(err)
 			}
-			var stop, inCapture atomic.Bool
-			var saves atomic.Int64
-			var captureNS []time.Duration // saver-owned; read after wg.Wait
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !stop.Load() {
-					c0 := time.Now()
-					inCapture.Store(true)
-					snap := capture()
-					inCapture.Store(false)
-					captureNS = append(captureNS, time.Since(c0))
-					data, err := snap.EncodeJSON()
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					tmp := path + ".tmp"
-					if err := os.WriteFile(tmp, data, 0o644); err != nil {
-						b.Error(err)
-						return
-					}
-					if err := os.Rename(tmp, path); err != nil {
-						b.Error(err)
-						return
-					}
-					saves.Add(1)
-					// Pause between saves so the writer's queue drains:
-					// the measured tail is then the per-save stall, not
-					// sustained CPU saturation from back-to-back encodes.
-					time.Sleep(400 * time.Millisecond)
-				}
-			}()
-			const interval = 50 * time.Microsecond // 20k Sets/s arrival rate
-			lat := make([]time.Duration, 0, b.N)   // every op (open-loop, from sched)
-			var latDuring []time.Duration          // block time of Sets overlapping a capture
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				sched := start.Add(time.Duration(i) * interval)
-				if d := time.Until(sched); d > 0 {
-					time.Sleep(d)
-				}
-				overlapped := inCapture.Load()
-				t0 := time.Now()
-				if err := st.Set(oids[i%objects], "rev", oms.I(int64(i))); err != nil {
-					b.Fatal(err)
-				}
-				now := time.Now()
-				lat = append(lat, now.Sub(sched))
-				if overlapped || inCapture.Load() {
-					// This Set ran while the capture held the stripe
-					// locks; its call duration is the stall it ate.
-					latDuring = append(latDuring, now.Sub(t0))
-				}
+			now := time.Now()
+			lat = append(lat, now.Sub(sched))
+			if overlapped || inCapture.Load() {
+				// This Set ran while the capture held the stripe
+				// locks; its call duration is the stall it ate.
+				latDuring = append(latDuring, now.Sub(t0))
 			}
-			b.StopTimer()
-			stop.Store(true)
-			wg.Wait()
-			var captureTotal time.Duration
-			maxCapture := time.Duration(0)
-			for _, d := range captureNS {
-				captureTotal += d
-				if d > maxCapture {
-					maxCapture = d
-				}
+		}
+		b.StopTimer()
+		stop.Store(true)
+		wg.Wait()
+		var captureTotal time.Duration
+		maxCapture := time.Duration(0)
+		for _, d := range captureNS {
+			captureTotal += d
+			if d > maxCapture {
+				maxCapture = d
 			}
-			pct := func(ds []time.Duration, p float64) float64 {
-				if len(ds) == 0 {
-					return 0
-				}
-				sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-				return float64(ds[int(p*float64(len(ds)-1))].Nanoseconds())
+		}
+		pct := func(ds []time.Duration, p float64) float64 {
+			if len(ds) == 0 {
+				return 0
 			}
-			b.ReportMetric(pct(lat, 0.50), "p50-set-ns")
-			b.ReportMetric(pct(latDuring, 0.99), "p99-set-during-snap-ns")
-			b.ReportMetric(float64(len(latDuring)), "snap-overlap-ops")
-			b.ReportMetric(float64(captureTotal.Nanoseconds())/float64(len(captureNS)), "mean-capture-ns")
-			b.ReportMetric(float64(maxCapture.Nanoseconds()), "max-capture-ns")
-			b.ReportMetric(float64(saves.Load()), "saves")
-		})
-	}
+			sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+			return float64(ds[int(p*float64(len(ds)-1))].Nanoseconds())
+		}
+		b.ReportMetric(pct(lat, 0.50), "p50-set-ns")
+		b.ReportMetric(pct(latDuring, 0.99), "p99-set-during-snap-ns")
+		b.ReportMetric(float64(len(latDuring)), "snap-overlap-ops")
+		b.ReportMetric(float64(captureTotal.Nanoseconds())/float64(len(captureNS)), "mean-capture-ns")
+		b.ReportMetric(float64(maxCapture.Nanoseconds()), "max-capture-ns")
+		b.ReportMetric(float64(saves.Load()), "saves")
+	})
 }
 
 // BenchmarkE38BatchCheckin measures the copy-in checkin sequence of
 // section 3.6 — version create + ownership link + data blob + derivation
-// link — through both checkin paths at 4/16/64 concurrent designers:
-//
-//   - op-by-op: CheckInDataOpByOp, the pre-batch path retained as the
-//     ablation baseline; every op pays its own stripe-lock round-trip and
-//     the sequence can be observed (or left) half-done.
-//   - batched: CheckInData over oms.Batch/Store.Apply; the touched
-//     stripe set is locked once for all four ops and the group is
-//     all-or-nothing.
+// link — through CheckInData at 4/16/64 concurrent designers. The
+// checkin is one oms.Batch handed to Store.Apply: the touched stripe set
+// is locked once for all four ops and the group is all-or-nothing.
 //
 // Designers work on disjoint cells (their own reserved cell versions),
 // the section 3.1 regime, and each checks a fresh design object in
@@ -717,155 +702,50 @@ func BenchmarkE37SnapshotWriterStall(b *testing.B) {
 // version lists stay short and the measured cost is the checkin itself,
 // not version-history scans.
 //
-// Store and process heap grow monotonically across a benchmark process's
-// lifetime and measurably slow every later sub-benchmark, so a fair
-// ablation runs the two modes in SEPARATE processes with a fixed
-// iteration count (equal work on equal store sizes) — that is what
-// `make bench-batch` does; compare per-designer-count medians between
-// the two invocations. BENCH_3.json records the result.
+// BENCH_3.json records the ablation against the retired op-by-op
+// checkin, which paid one stripe-lock round-trip per op and could leave
+// the sequence half-done. Store and process heap grow monotonically
+// across a benchmark process's lifetime and measurably slow every later
+// sub-benchmark, so compare runs with a fixed iteration count.
 func BenchmarkE38BatchCheckin(b *testing.B) {
 	const checkinsPerOp = 10
 	for _, n := range benchDesigners {
-		for _, mode := range []string{"op-by-op", "batched"} {
-			b.Run(fmt.Sprintf("mode=%s/designers=%d", mode, n), func(b *testing.B) {
-				fw, err := jcf.New(jcf.Release30)
-				if err != nil {
-					b.Fatal(err)
-				}
-				team, err := fw.CreateTeam("bench")
-				if err != nil {
-					b.Fatal(err)
-				}
-				f := flow.New("bench-flow")
-				if err := f.AddActivity(flow.Activity{Name: "edit"}); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := fw.RegisterFlow(f); err != nil {
-					b.Fatal(err)
-				}
-				project, err := fw.CreateProject("p", team)
-				if err != nil {
-					b.Fatal(err)
-				}
-				vt, err := fw.CreateViewType("schematic")
-				if err != nil {
-					b.Fatal(err)
-				}
-				users := make([]string, n)
-				variants := make([]oms.OID, n)
-				for d := 0; d < n; d++ {
-					users[d] = fmt.Sprintf("u%d", d)
-					uid, err := fw.CreateUser(users[d])
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := fw.AddMember(team, uid); err != nil {
-						b.Fatal(err)
-					}
-					cell, err := fw.CreateCell(project, fmt.Sprintf("c%d", d))
-					if err != nil {
-						b.Fatal(err)
-					}
-					cv, err := fw.CreateCellVersion(cell, "bench-flow", team)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := fw.Reserve(users[d], cv); err != nil {
-						b.Fatal(err)
-					}
-					variants[d] = fw.Variants(cv)[0]
-				}
-				src := filepath.Join(b.TempDir(), "design.dat")
-				payload := make([]byte, 256)
-				for i := range payload {
-					payload[i] = byte(i)
-				}
-				if err := os.WriteFile(src, payload, 0o644); err != nil {
-					b.Fatal(err)
-				}
-				checkin := fw.CheckInData
-				if mode == "op-by-op" {
-					checkin = fw.CheckInDataOpByOp
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					for d := 0; d < n; d++ {
-						wg.Add(1)
-						go func(d int) {
-							defer wg.Done()
-							do, err := fw.CreateDesignObject(variants[d], fmt.Sprintf("do-%d-%d", d, i), vt)
-							if err != nil {
-								b.Errorf("create design object: %v", err)
-								return
-							}
-							for s := 0; s < checkinsPerOp; s++ {
-								if _, err := checkin(users[d], do, src); err != nil {
-									b.Errorf("checkin: %v", err)
-									return
-								}
-							}
-						}(d)
-					}
-					wg.Wait()
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkE39DifferentialSave measures Framework.SaveTo on the segment
-// backend at growing store sizes, full-snapshot vs differential
-// (BENCH_4.json; the PR 4 change-feed ablation):
-//
-//   - full: SetDifferentialSave(false) — every save re-encodes and
-//     re-appends the entire store, so cost grows with store size.
-//   - differential: each save writes only the change-feed suffix since
-//     the previous commit (here: `churn` checkins), so cost tracks the
-//     churn, not the store. Every 64th save compacts back to a full
-//     base (the chain bound) and is included in the timing — the
-//     amortized honest number.
-//
-// The two modes do identical designer work per iteration. The crossover
-// is immediate and widens with store size: at equal churn, differential
-// cost is flat while full cost is linear in accumulated design data.
-// Regenerate with `make bench-feed`.
-func BenchmarkE39DifferentialSave(b *testing.B) {
-	const churn = 8 // checkins between saves
-	for _, objects := range []int{500, 2000, 8000} {
-		for _, mode := range []string{"full", "differential"} {
-			b.Run(fmt.Sprintf("objects=%d/mode=%s", objects, mode), func(b *testing.B) {
-				fw, err := jcf.New(jcf.Release30)
-				if err != nil {
-					b.Fatal(err)
-				}
-				team, err := fw.CreateTeam("bench")
-				if err != nil {
-					b.Fatal(err)
-				}
-				uid, err := fw.CreateUser("u")
+		b.Run(fmt.Sprintf("mode=batched/designers=%d", n), func(b *testing.B) {
+			fw, err := jcf.New(jcf.Release30)
+			if err != nil {
+				b.Fatal(err)
+			}
+			team, err := fw.CreateTeam("bench")
+			if err != nil {
+				b.Fatal(err)
+			}
+			f := flow.New("bench-flow")
+			if err := f.AddActivity(flow.Activity{Name: "edit"}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := fw.RegisterFlow(f); err != nil {
+				b.Fatal(err)
+			}
+			project, err := fw.CreateProject("p", team)
+			if err != nil {
+				b.Fatal(err)
+			}
+			vt, err := fw.CreateViewType("schematic")
+			if err != nil {
+				b.Fatal(err)
+			}
+			users := make([]string, n)
+			variants := make([]oms.OID, n)
+			for d := 0; d < n; d++ {
+				users[d] = fmt.Sprintf("u%d", d)
+				uid, err := fw.CreateUser(users[d])
 				if err != nil {
 					b.Fatal(err)
 				}
 				if err := fw.AddMember(team, uid); err != nil {
 					b.Fatal(err)
 				}
-				f := flow.New("bench-flow")
-				if err := f.AddActivity(flow.Activity{Name: "edit"}); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := fw.RegisterFlow(f); err != nil {
-					b.Fatal(err)
-				}
-				project, err := fw.CreateProject("p", team)
-				if err != nil {
-					b.Fatal(err)
-				}
-				vt, err := fw.CreateViewType("schematic")
-				if err != nil {
-					b.Fatal(err)
-				}
-				cell, err := fw.CreateCell(project, "c")
+				cell, err := fw.CreateCell(project, fmt.Sprintf("c%d", d))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -873,58 +753,145 @@ func BenchmarkE39DifferentialSave(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := fw.Reserve("u", cv); err != nil {
+				if err := fw.Reserve(users[d], cv); err != nil {
 					b.Fatal(err)
 				}
-				variant := fw.Variants(cv)[0]
-				src := filepath.Join(b.TempDir(), "design.dat")
-				payload := make([]byte, 512)
-				for i := range payload {
-					payload[i] = byte(i)
+				variants[d] = fw.Variants(cv)[0]
+			}
+			src := filepath.Join(b.TempDir(), "design.dat")
+			payload := make([]byte, 256)
+			for i := range payload {
+				payload[i] = byte(i)
+			}
+			if err := os.WriteFile(src, payload, 0o644); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for d := 0; d < n; d++ {
+					wg.Add(1)
+					go func(d int) {
+						defer wg.Done()
+						do, err := fw.CreateDesignObject(variants[d], fmt.Sprintf("do-%d-%d", d, i), vt)
+						if err != nil {
+							b.Errorf("create design object: %v", err)
+							return
+						}
+						for s := 0; s < checkinsPerOp; s++ {
+							if _, err := fw.CheckInData(users[d], do, src); err != nil {
+								b.Errorf("checkin: %v", err)
+								return
+							}
+						}
+					}(d)
 				}
-				if err := os.WriteFile(src, payload, 0o644); err != nil {
-					b.Fatal(err)
-				}
-				checkin := func(tag string) {
-					do, err := fw.CreateDesignObject(variant, tag, vt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := fw.CheckInData("u", do, src); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for i := 0; i < objects; i++ {
-					checkin(fmt.Sprintf("seed-%d", i))
-				}
-				fw.SetDifferentialSave(mode == "differential")
-				dir := b.TempDir()
-				if fi, err := os.Stat("/dev/shm"); err == nil && fi.IsDir() {
-					if d, err := os.MkdirTemp("/dev/shm", "omsfeed"); err == nil {
-						dir = d
-						b.Cleanup(func() { os.RemoveAll(d) })
-					}
-				}
-				seg, err := backend.OpenSegment(dir)
+				wg.Wait()
+			}
+		})
+	}
+}
+
+// BenchmarkE39DifferentialSave measures Framework.SaveTo on the segment
+// backend at growing store sizes. Each save writes only the change-feed
+// suffix since the previous commit (here: `churn` checkins), so cost
+// tracks the churn, not the store. Every 64th save compacts back to a
+// full base (the chain bound) and is included in the timing — the
+// amortized honest number. BENCH_4.json records the ablation against
+// full saves, whose cost grew linearly with accumulated design data.
+// Regenerate with `make bench-feed`.
+func BenchmarkE39DifferentialSave(b *testing.B) {
+	const churn = 8 // checkins between saves
+	for _, objects := range []int{500, 2000, 8000} {
+		b.Run(fmt.Sprintf("objects=%d/mode=differential", objects), func(b *testing.B) {
+			fw, err := jcf.New(jcf.Release30)
+			if err != nil {
+				b.Fatal(err)
+			}
+			team, err := fw.CreateTeam("bench")
+			if err != nil {
+				b.Fatal(err)
+			}
+			uid, err := fw.CreateUser("u")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := fw.AddMember(team, uid); err != nil {
+				b.Fatal(err)
+			}
+			f := flow.New("bench-flow")
+			if err := f.AddActivity(flow.Activity{Name: "edit"}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := fw.RegisterFlow(f); err != nil {
+				b.Fatal(err)
+			}
+			project, err := fw.CreateProject("p", team)
+			if err != nil {
+				b.Fatal(err)
+			}
+			vt, err := fw.CreateViewType("schematic")
+			if err != nil {
+				b.Fatal(err)
+			}
+			cell, err := fw.CreateCell(project, "c")
+			if err != nil {
+				b.Fatal(err)
+			}
+			cv, err := fw.CreateCellVersion(cell, "bench-flow", team)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := fw.Reserve("u", cv); err != nil {
+				b.Fatal(err)
+			}
+			variant := fw.Variants(cv)[0]
+			src := filepath.Join(b.TempDir(), "design.dat")
+			payload := make([]byte, 512)
+			for i := range payload {
+				payload[i] = byte(i)
+			}
+			if err := os.WriteFile(src, payload, 0o644); err != nil {
+				b.Fatal(err)
+			}
+			checkin := func(tag string) {
+				do, err := fw.CreateDesignObject(variant, tag, vt)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := fw.SaveTo(seg); err != nil { // the base epoch
+				if _, err := fw.CheckInData("u", do, src); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					for c := 0; c < churn; c++ {
-						checkin(fmt.Sprintf("churn-%d-%d", i, c))
-					}
-					b.StartTimer()
-					if err := fw.SaveTo(seg); err != nil {
-						b.Fatal(err)
-					}
+			}
+			for i := 0; i < objects; i++ {
+				checkin(fmt.Sprintf("seed-%d", i))
+			}
+			dir := b.TempDir()
+			if fi, err := os.Stat("/dev/shm"); err == nil && fi.IsDir() {
+				if d, err := os.MkdirTemp("/dev/shm", "omsfeed"); err == nil {
+					dir = d
+					b.Cleanup(func() { os.RemoveAll(d) })
 				}
-			})
-		}
+			}
+			seg, err := backend.OpenSegment(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := fw.SaveTo(seg); err != nil { // the base epoch
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for c := 0; c < churn; c++ {
+					checkin(fmt.Sprintf("churn-%d-%d", i, c))
+				}
+				b.StartTimer()
+				if err := fw.SaveTo(seg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 // applyatomic machine-checks PR 3's atomicity convention: an exported
 // jcf.Framework method whose call tree performs two or more store
 // mutations must funnel them through ONE atomic group — a Batch handed
-// to Store.Apply (or an explicit Begin/Commit transaction, which the
-// batch layer applies as one group). Sequential Create/Set/Link calls
+// to Store.Apply. Sequential Create/Set/Link calls
 // from a desktop entry point reintroduce exactly the check-then-act
 // windows PR 3 closed: a concurrent designer can observe (or collide
 // with) the state between step one and step two.
@@ -20,7 +19,7 @@ import (
 // The count runs over the shared cross-package call graph, so mutations
 // buried in helpers — in jcf or out of it — are charged to the exported
 // method that reaches them. A call inside a loop counts twice (it can
-// execute twice), a call to Apply/Commit counts as one group however
+// execute twice), a call to Apply counts as one group however
 // many ops the batch carries.
 var ApplyAtomicAnalyzer = &Analyzer{
 	Name:      "applyatomic",
@@ -31,20 +30,18 @@ var ApplyAtomicAnalyzer = &Analyzer{
 // singleOpMutators are the one-op oms.Store write entry points: each
 // call is its own commit, invisible to batching.
 var singleOpMutators = map[string]bool{
-	"Create":      true,
-	"Set":         true,
-	"CopyIn":      true,
-	"CopyInBytes": true,
-	"Link":        true,
-	"Unlink":      true,
-	"Delete":      true,
+	"Create": true,
+	"Set":    true,
+	"CopyIn": true,
+	"Link":   true,
+	"Unlink": true,
+	"Delete": true,
 }
 
 // groupMutators apply one atomic group per call, however many ops it
-// holds. Begin is deliberately absent: the mutation happens at Commit.
+// holds.
 var groupMutators = map[string]bool{
 	"Apply":             true,
-	"Commit":            true,
 	"ApplyReplicated":   true,
 	"ResetFromSnapshot": true,
 	"ReplayChanges":     true,

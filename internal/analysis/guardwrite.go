@@ -29,20 +29,14 @@ var GuardWriteAnalyzer = &Analyzer{
 }
 
 // storeMutators are the oms.Store methods that mutate the database.
-// Begin/Commit/Rollback count: opening or closing a transaction on a
-// replica's store would corrupt replicated apply.
 var storeMutators = map[string]bool{
 	"Apply":             true,
 	"Create":            true,
 	"Set":               true,
 	"CopyIn":            true,
-	"CopyInBytes":       true,
 	"Link":              true,
 	"Unlink":            true,
 	"Delete":            true,
-	"Begin":             true,
-	"Commit":            true,
-	"Rollback":          true,
 	"ApplyReplicated":   true,
 	"ResetFromSnapshot": true,
 	"ReplayChanges":     true,

@@ -264,10 +264,9 @@ func (h *Hybrid) SyncLibrary() (int, error) {
 			continue
 		}
 		if !h.JCF.VersionExists(j.p.dov) {
-			// The version vanished after its checkin hit the feed
-			// (deleted, or retracted by a rollback's compensation):
-			// nothing to import, and retrying forever would wedge the
-			// queue behind it.
+			// The version was deleted after its checkin hit the
+			// feed: nothing to import, and retrying forever would
+			// wedge the queue behind it.
 			continue
 		}
 		done, retryable, err := h.importVersion(j.cell, j.view, j.p.dov)

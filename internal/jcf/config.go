@@ -210,8 +210,7 @@ func (fw *Framework) consistencyRelevant(recs []oms.Change) bool {
 			}
 		case oms.ChangeSet:
 			// "published" drives the stale-hierarchy check, "num" the
-			// newest-version ordering. (c.Cleared sets ride the same
-			// attrs.)
+			// newest-version ordering.
 			if c.Attr == "published" || c.Attr == "num" {
 				return true
 			}

@@ -123,8 +123,7 @@ type Framework struct {
 	lastSaveTo    backend.Backend
 	lastSaveEpoch int64
 	lastSaveLSN   uint64
-	maxDeltaChain int  // 0 means defaultMaxDeltaChain
-	fullSaveOnly  bool // SetDifferentialSave(false): ablation/benchmark knob
+	maxDeltaChain int // 0 means defaultMaxDeltaChain
 
 	// batchPool recycles oms.Batch builders for the hot grouped paths
 	// (CheckInData, CreateDesignObject): one checkin = one small batch,

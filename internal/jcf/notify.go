@@ -189,9 +189,6 @@ func (n *Notifier) notifyGroup(group []oms.Change) {
 					}})
 				}
 			case "reservedBy":
-				if c.Cleared {
-					continue // rollback compensation of a first-time reserve
-				}
 				action := "reserved"
 				if c.Value.Str == "" {
 					action = "released"

@@ -34,9 +34,7 @@ import (
 //	oms@<epoch>        the object database snapshot payload
 //	framework@<epoch>  release, flows, reservations, 4.0 extension state
 //
-// Older epochs are garbage-collected after a successful commit. Legacy
-// state directories (oms.json + framework.json, written before the
-// manifest scheme) still load via a fallback.
+// Older epochs are garbage-collected after a successful commit.
 //
 // Flow enactments are not persisted: like the original, activity
 // execution state lives with the session, while all design data and
@@ -66,8 +64,6 @@ type persistedState struct {
 // can ship the same commit stream this layer writes.
 
 const (
-	legacyOMS   = "oms.json"
-	legacyFW    = "framework.json"
 	omsPrefix   = "oms@"
 	fwPrefix    = "framework@"
 	deltaPrefix = "delta@"
@@ -89,16 +85,6 @@ func (fw *Framework) Save(dir string) error {
 		return fmt.Errorf("jcf: save: %w", err)
 	}
 	return fw.SaveTo(b)
-}
-
-// SetDifferentialSave toggles differential saves (on by default). With
-// differential saves off — or on a backend that is not DeltaCapable —
-// every SaveTo writes a full base snapshot. The knob exists for the
-// full-vs-differential ablation (`make bench-feed`).
-func (fw *Framework) SetDifferentialSave(enabled bool) {
-	fw.saveMu.Lock()
-	defer fw.saveMu.Unlock()
-	fw.fullSaveOnly = !enabled
 }
 
 // SaveTo persists the framework through an arbitrary storage backend.
@@ -145,8 +131,7 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 		maxChain = defaultMaxDeltaChain
 	}
 	dc, deltaCapable := b.(backend.DeltaCapable)
-	wantDelta := !fw.fullSaveOnly &&
-		deltaCapable && dc.SupportsDeltas() &&
+	wantDelta := deltaCapable && dc.SupportsDeltas() &&
 		havePrev && fw.lastSaveTo == b && fw.lastSaveEpoch == prev.Epoch &&
 		prev.FeedLSN == fw.lastSaveLSN &&
 		len(prev.Deltas) < maxChain
@@ -362,13 +347,10 @@ func Load(dir string) (*Framework, error) {
 // replaying the manifest's delta chain in order; every payload is
 // checksum-verified and the chain's LSN ranges must be contiguous.
 //
-// Backends without a CURRENT manifest fall back to the legacy layout
-// (framework.json + oms.json as two independent files).
+// A backend without a CURRENT manifest holds no committed state; the
+// error wraps backend.ErrNotFound.
 func LoadFrom(b backend.Backend) (*Framework, error) {
 	manifest, err := backend.LoadManifest(b)
-	if errors.Is(err, backend.ErrNotFound) {
-		return loadLegacy(b)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("jcf: load: %w", err)
 	}
@@ -414,29 +396,6 @@ func LoadFrom(b backend.Backend) (*Framework, error) {
 			return nil, fmt.Errorf("jcf: load: %s: %w", d.Name, err)
 		}
 		prevTo = d.ToLSN
-	}
-	return decodeFramework(fwPayload, store)
-}
-
-// loadLegacy reads the pre-manifest two-file layout.
-func loadLegacy(b backend.Backend) (*Framework, error) {
-	fwPayload, err := b.Get(legacyFW)
-	if err != nil {
-		return nil, fmt.Errorf("jcf: load: %w", err)
-	}
-	omsPayload, err := b.Get(legacyOMS)
-	if err != nil {
-		return nil, fmt.Errorf("jcf: load: %w", err)
-	}
-	return decodePair(fwPayload, omsPayload)
-}
-
-// decodePair rebuilds a framework from the two snapshot payloads and
-// validates their mutual consistency (the legacy non-differential path).
-func decodePair(fwPayload, omsPayload []byte) (*Framework, error) {
-	store, err := decodeStore(omsPayload)
-	if err != nil {
-		return nil, err
 	}
 	return decodeFramework(fwPayload, store)
 }

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"repro/internal/oms"
 	"repro/internal/oms/backend"
 )
 
@@ -145,27 +145,76 @@ func TestSaveLoadRelease40State(t *testing.T) {
 	}
 }
 
+// commitPair commits a hand-built (framework, oms) payload pair through
+// a real CURRENT manifest with correct checksums, so Load gets past the
+// manifest and checksum checks and must judge the payloads themselves.
+// A nil omsPayload leaves the named oms payload unwritten.
+func commitPair(t *testing.T, dir string, fwPayload, omsPayload []byte) {
+	t.Helper()
+	b, err := backend.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put("framework@1", fwPayload); err != nil {
+		t.Fatal(err)
+	}
+	if omsPayload != nil {
+		if err := b.Put("oms@1", omsPayload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := backend.Manifest{
+		Epoch:        1,
+		OMS:          "oms@1",
+		Framework:    "framework@1",
+		OMSSum:       backend.SHA256Hex(omsPayload),
+		FrameworkSum: backend.SHA256Hex(fwPayload),
+		BaseEpoch:    1,
+	}
+	if err := backend.PutManifest(b, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("load of missing dir")
+	// No CURRENT manifest means no committed state: the error says so
+	// with backend.ErrNotFound, missing directory or empty one alike.
+	for _, dir := range []string{filepath.Join(t.TempDir(), "missing"), t.TempDir()} {
+		if _, err := Load(dir); !errors.Is(err, backend.ErrNotFound) {
+			t.Fatalf("Load(%s) without a manifest = %v, want ErrNotFound", dir, err)
+		}
 	}
+
+	empty, err := New(Release30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyDir := t.TempDir()
+	if err := empty.Save(emptyDir); err != nil {
+		t.Fatal(err)
+	}
+	_, omsPayload := readCommitted(t, emptyDir)
+
+	// A corrupt framework payload under a valid manifest and checksums
+	// is rejected by the framework decode itself.
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "framework.json"), []byte("{bad"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	commitPair(t, dir, []byte("{bad"), omsPayload)
 	if _, err := Load(dir); err == nil {
-		t.Fatal("corrupt framework.json accepted")
+		t.Fatal("corrupt framework payload accepted")
 	}
-	// Valid framework.json but missing oms.json.
-	if err := os.WriteFile(filepath.Join(dir, "framework.json"), []byte(`{"release":30}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// A manifest naming an oms payload that was never written.
+	dir = t.TempDir()
+	commitPair(t, dir, []byte(`{"release":30}`), nil)
 	if _, err := Load(dir); err == nil {
-		t.Fatal("missing oms.json accepted")
+		t.Fatal("missing oms payload accepted")
 	}
-	_ = oms.InvalidOID
-	var errSentinel = errors.New("x")
-	_ = errSentinel
+	// The same pieces, well-formed, load: the two rejections above are
+	// about the payloads, not about the hand-built commit.
+	dir = t.TempDir()
+	commitPair(t, dir, []byte(`{"release":30}`), omsPayload)
+	if _, err := Load(dir); err != nil {
+		t.Fatalf("hand-committed well-formed pair rejected: %v", err)
+	}
 }
 
 // readCommitted resolves the committed payload pair of a state dir
@@ -250,10 +299,10 @@ func TestSaveCommitIsAtomic(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsTornPair builds, by hand, the exact artifact the old
-// two-cut Save could produce — a framework payload whose reservation
-// names a cell version absent from the oms payload — and expects Load to
-// refuse it.
+// TestLoadRejectsTornPair builds, by hand, the exact artifact a two-cut
+// save could produce — a framework payload whose reservation names a
+// cell version absent from the oms payload — commits it through a valid
+// manifest, and expects Load's cross-validation to refuse it.
 func TestLoadRejectsTornPair(t *testing.T) {
 	w := newWorld(t, Release30)
 	if err := w.fw.Reserve("anna", w.cv); err != nil {
@@ -277,18 +326,13 @@ func TestLoadRejectsTornPair(t *testing.T) {
 	_, emptyOMS := readCommitted(t, emptyDir)
 
 	torn := t.TempDir()
-	b, err := backend.OpenFile(torn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put("framework.json", fwPayload); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put("oms.json", emptyOMS); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(torn); err == nil {
+	commitPair(t, torn, fwPayload, emptyOMS)
+	_, err = Load(torn)
+	if err == nil {
 		t.Fatal("torn (framework, oms) pair accepted")
+	}
+	if !strings.Contains(err.Error(), "torn snapshot pair") {
+		t.Fatalf("torn pair rejected for the wrong reason: %v", err)
 	}
 }
 

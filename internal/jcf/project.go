@@ -460,51 +460,6 @@ func (fw *Framework) CheckInData(user string, do oms.OID, srcPath string) (oms.O
 	return created[0], nil
 }
 
-// CheckInDataOpByOp is the pre-batch checkin retained as the ablation
-// baseline for BenchmarkE38BatchCheckin (BENCH_3.json), exactly like
-// SaveStopTheWorld documents the pre-snapshot persistence path. It pays
-// one lock round-trip per op and reproduces the two bugs the batched
-// path closes: a failing CopyIn or derivation link strands a linked,
-// dataless DesignObjectVersion, and the reservation can be released
-// between the requireReservation check and the blob write. New code must
-// use CheckInData.
-//
-//lint:allow applyatomic deliberate op-by-op ablation baseline for BENCH_3; the batched path is CheckInData
-func (fw *Framework) CheckInDataOpByOp(user string, do oms.OID, srcPath string) (oms.OID, error) {
-	if err := fw.guardWrite(); err != nil {
-		return oms.InvalidOID, err
-	}
-	cv, err := fw.cellVersionOfDesignObject(do)
-	if err != nil {
-		return oms.InvalidOID, err
-	}
-	if err := fw.requireReservation(user, cv); err != nil {
-		return oms.InvalidOID, err
-	}
-	fw.numMu.Lock()
-	prev := fw.LatestVersion(do)
-	num := int64(len(fw.DesignObjectVersions(do)) + 1)
-	dov, err := fw.store.Create("DesignObjectVersion", map[string]oms.Value{"num": oms.I(num)})
-	if err != nil {
-		fw.numMu.Unlock()
-		return oms.InvalidOID, err
-	}
-	if err := fw.store.Link(fw.rel.doHasVersion, do, dov); err != nil {
-		fw.numMu.Unlock()
-		return oms.InvalidOID, err
-	}
-	fw.numMu.Unlock()
-	if _, err := fw.store.CopyIn(dov, "data", srcPath); err != nil {
-		return oms.InvalidOID, err
-	}
-	if prev != oms.InvalidOID {
-		if err := fw.store.Link(fw.rel.derived, prev, dov); err != nil {
-			return oms.InvalidOID, err
-		}
-	}
-	return dov, nil
-}
-
 // CheckOutData copies a design object version's data out of the database
 // to dstPath. Reading requires that the user holds the reservation or the
 // owning cell version is published — and it always pays the full copy,

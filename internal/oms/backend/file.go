@@ -33,15 +33,14 @@ func (f *File) Put(name string, payload []byte) error {
 	if err := checkName(name); err != nil {
 		return err
 	}
-	if err := AtomicWriteFile(f.dir, name, payload); err != nil {
+	if err := atomicWriteFile(f.dir, name, payload); err != nil {
 		return fmt.Errorf("backend: put %s: %w", name, err)
 	}
 	return nil
 }
 
-// AtomicWriteFile writes payload to dir/name with the full
-// crash-and-concurrency discipline the Backend contract demands
-// (exported so the oms snapshot writer commits with the same rigor):
+// atomicWriteFile writes payload to dir/name with the full
+// crash-and-concurrency discipline the Backend contract demands:
 //
 //   - the temp file is created with a unique dot-prefixed name
 //     (checkName rejects leading dots, so it can never collide with a
@@ -50,7 +49,7 @@ func (f *File) Put(name string, payload []byte) error {
 //     never install a file whose bytes are still in flight, and
 //   - the directory is fsynced after the rename, so the commit itself
 //     survives a power loss.
-func AtomicWriteFile(dir, name string, payload []byte) error {
+func atomicWriteFile(dir, name string, payload []byte) error {
 	tmp, err := os.CreateTemp(dir, "."+name+".*.tmp")
 	if err != nil {
 		return err

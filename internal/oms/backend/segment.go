@@ -185,7 +185,7 @@ func (s *Segment) commitManifest() error {
 	if err != nil {
 		return err
 	}
-	return AtomicWriteFile(s.dir, manifestName, data)
+	return atomicWriteFile(s.dir, manifestName, data)
 }
 
 // invalidateActive drops the active segment handle after a failed

@@ -12,10 +12,10 @@ import (
 // A Batch stages N mutations and Store.Apply executes them as one atomic
 // group: the touched stripe set is computed up front, those stripe locks
 // are acquired once in ascending order (the same order lockPair and
-// lockAll use, so batches, single ops and transactions can never
-// deadlock), every op runs under that one hold, and the first failing op
-// rolls back everything the batch already applied. Callers therefore get
-// two properties the single-op API cannot give them:
+// lockAll use, so batches and single ops can never deadlock), every op
+// runs under that one hold, and the first failing op rolls back
+// everything the batch already applied. Callers therefore get two
+// properties the single-op API cannot give them:
 //
 //   - all-or-nothing: a multi-step sequence (version create + link +
 //     data blob + derivation link, the section 3.6 checkin shape) either
@@ -29,12 +29,6 @@ import (
 // placeholder OIDs: Batch.Create returns a negative OID (-1 for the first
 // staged create, -2 for the second, ...) which Apply resolves to the real
 // allocation. Real OIDs are always positive, so the two can never collide.
-//
-// Batches compose with transactions: ops applied while a Begin/Commit/
-// Rollback transaction is open hand their undo entries to that
-// transaction's log after the batch succeeds (a failed batch contributes
-// nothing — it already undid itself), so Rollback reverts applied batches
-// exactly like single ops.
 
 // batchKind enumerates the stageable operations.
 type batchKind int
@@ -176,9 +170,6 @@ func (b *Batch) CopyInBytes(oid OID, attr string, data []byte) {
 // designers can never observe a partially-applied batch — and since the
 // locks are held from first op to last, they never observe an
 // intermediate state of a successful batch either.
-//
-// While a transaction is open, a successful batch registers its undo
-// entries with the transaction, so Rollback reverts it as a unit.
 func (st *Store) Apply(b *Batch) ([]OID, error) {
 	if b == nil || len(b.ops) == 0 {
 		return nil, nil
@@ -336,12 +327,6 @@ func (st *Store) Apply(b *Batch) ([]OID, error) {
 		}
 	}
 
-	// The transaction generation is sampled once, while the stripe locks
-	// are held — the same discipline record() uses, so Begin's drain
-	// barrier orders whole batches before or after a transaction, never
-	// astride it.
-	gen := st.txOpen.Load()
-
 	// Phase 4 — execute. The first error rolls back every applied op (in
 	// reverse) before the locks drop: all-or-nothing. Nothing is
 	// published to the change feed until the whole batch has succeeded,
@@ -381,24 +366,13 @@ func (st *Store) Apply(b *Batch) ([]OID, error) {
 	}
 
 	// Phase 5 — the batch is now permanent: publish every effect to the
-	// change feed as ONE contiguous group (still under the stripe locks,
-	// so no subscriber can ever observe a torn batch), then hand the undo
-	// entries to the transaction we observed open, if it still is
-	// (record()'s generation check, amortized over the whole batch).
+	// change feed as ONE contiguous group, still under the stripe locks,
+	// so no subscriber can ever observe a torn batch.
 	group := make([]Change, 0, len(applieds))
 	for _, a := range applieds {
 		group = append(group, a.change)
 	}
 	st.feed.publish(group)
-	if gen != 0 {
-		st.logMu.Lock()
-		if st.tx != nil && st.tx.gen == gen {
-			for _, a := range applieds {
-				st.tx.undo = append(st.tx.undo, txEntry{fn: a.undo, comp: a.comp})
-			}
-		}
-		st.logMu.Unlock()
-	}
 	unlock()
 	return created, nil
 }

@@ -197,73 +197,6 @@ func TestBatchDeleteAndRollback(t *testing.T) {
 	}
 }
 
-func TestBatchInsideTransaction(t *testing.T) {
-	st := NewStore(testSchema(t))
-	cell := mustCreate(t, st, "Cell", map[string]Value{"name": S("alu"), "rev": I(1)})
-	base := storeFingerprint(st)
-
-	// A batch applied inside a transaction is reverted by Rollback.
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatch()
-	v := b.Create("Version", map[string]Value{"num": I(1)})
-	b.Link("hasVersion", cell, v)
-	b.Set(cell, "rev", I(5))
-	if _, err := st.Apply(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.GetInt(cell, "rev"); got != 5 {
-		t.Fatalf("rev inside tx = %d, want 5", got)
-	}
-	if err := st.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if after := storeFingerprint(st); after != base {
-		t.Fatalf("rollback did not revert the batch:\nbefore:\n%s\nafter:\n%s", base, after)
-	}
-
-	// A batch that fails inside a transaction undoes itself; the
-	// transaction's other work survives until Commit.
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Set(cell, "rev", I(2)); err != nil {
-		t.Fatal(err)
-	}
-	fb := NewBatch()
-	fb.Set(cell, "rev", I(42))
-	fb.Link("hasVersion", cell, OID(777777))
-	if _, err := st.Apply(fb); err == nil {
-		t.Fatal("failing batch applied")
-	}
-	if got := st.GetInt(cell, "rev"); got != 2 {
-		t.Fatalf("rev after failed batch = %d, want 2 (the tx's own set)", got)
-	}
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.GetInt(cell, "rev"); got != 2 {
-		t.Fatalf("rev after commit = %d, want 2", got)
-	}
-
-	// A batch applied then committed persists past a later transaction.
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	gb := NewBatch()
-	gb.Set(cell, "rev", I(9))
-	if _, err := st.Apply(gb); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.GetInt(cell, "rev"); got != 9 {
-		t.Fatalf("rev after committed batch = %d, want 9", got)
-	}
-}
-
 func TestBatchCopyIn(t *testing.T) {
 	st := NewStore(testSchema(t))
 	src := filepath.Join(t.TempDir(), "design.dat")

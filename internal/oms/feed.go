@@ -19,10 +19,9 @@ var ErrFeedGap = errors.New("oms: change sequence does not attach to the feed po
 
 // The sequenced change feed.
 //
-// Every committed mutation of the store — single ops, whole Apply
-// batches, and the compensating effects of a transaction rollback —
-// emits Change records into an in-store ring log, stamped with a
-// monotonic commit LSN. The LSN is assigned while the mutation still
+// Every committed mutation of the store — single ops and whole Apply
+// batches — emits Change records into an in-store ring log, stamped
+// with a monotonic commit LSN. The LSN is assigned while the mutation still
 // holds its stripe write locks, so the feed order is a valid
 // serialization of the store's history: two conflicting operations
 // serialize on a shared stripe and publish in that order, and
@@ -31,19 +30,14 @@ var ErrFeedGap = errors.New("oms: change sequence does not attach to the feed po
 // the property the differential persistence layer (internal/jcf) and the
 // coupling layer (internal/core) are built on.
 //
-// Groups: a batch (Store.Apply), a Delete (object removal plus every
-// link detach), and a rollback's compensation commit as ONE contiguous
-// group of records — published under a single feed-mutex hold, with the
-// committed LSN advanced once, after the whole group is in the ring. A
+// Groups: a batch (Store.Apply) and a Delete (object removal plus every
+// link detach) commit as ONE contiguous group of records — published
+// under a single feed-mutex hold, with the committed LSN advanced once,
+// after the whole group is in the ring. A
 // reader can therefore never observe a torn group: Changes and Watch
 // only ever see group-complete prefixes, and Watch delivers each group
-// as one message.
-//
-// Rollback does not rewrite history: the records a transaction published
-// stay in the feed, and Rollback appends compensating records (delete
-// for create, the old value for set, unlink for link, ...) in replay
-// order. Consumers that replay the feed need no special rollback
-// handling — the compensations are ordinary records.
+// as one message. A failed batch publishes nothing, so the feed never
+// carries an effect the store does not have.
 //
 // The ring is bounded (growing geometrically up to feedMaxRecords), so
 // the feed pins at most that many records — including any blob Values
@@ -56,8 +50,7 @@ var ErrFeedGap = errors.New("oms: change sequence does not attach to the feed po
 // ChangeKind enumerates the feed record types.
 type ChangeKind int
 
-// Change kinds. ChangeSet with Cleared reports an attribute removal
-// (only rollback compensation produces it — the public API has no unset).
+// Change kinds.
 const (
 	ChangeCreate ChangeKind = iota
 	ChangeSet
@@ -91,8 +84,8 @@ type Change struct {
 	// contiguous, never reused).
 	LSN uint64
 	// Group is the LSN of the first record of the record's commit group.
-	// Single ops form a group of one (Group == LSN); a batch, a Delete's
-	// cascade and a rollback's compensation share one Group.
+	// Single ops form a group of one (Group == LSN); a batch and a
+	// Delete's cascade share one Group.
 	Group uint64
 
 	Kind ChangeKind
@@ -104,10 +97,9 @@ type Change struct {
 	// Attrs carries the initial attribute values of a Create.
 	Attrs map[string]Value
 
-	// Attr/Value carry a Set. Cleared means the attribute was removed.
-	Attr    string
-	Value   Value
-	Cleared bool
+	// Attr/Value carry a Set.
+	Attr  string
+	Value Value
 
 	// Rel/From/To carry a Link or Unlink.
 	Rel      string
@@ -145,7 +137,7 @@ func changeBlobBytes(c Change) int {
 	return n
 }
 
-// feed is the in-store ring log. Its mutex is a leaf lock like logMu:
+// feed is the in-store ring log. Its mutex is a leaf lock:
 // publish() is called while stripe write locks are held, and readers
 // (Changes, Watch goroutines) take only feedMu.
 type feed struct {
@@ -488,18 +480,17 @@ func (s *Subscription) run() {
 // wireChange is the JSON form of a Change — the payload of the
 // differential snapshot deltas the jcf persistence layer writes.
 type wireChange struct {
-	LSN     uint64               `json:"lsn"`
-	Group   uint64               `json:"group"`
-	Kind    ChangeKind           `json:"kind"`
-	OID     OID                  `json:"oid,omitempty"`
-	Class   string               `json:"class,omitempty"`
-	Attrs   map[string]snapValue `json:"attrs,omitempty"`
-	Attr    string               `json:"attr,omitempty"`
-	Value   *snapValue           `json:"value,omitempty"`
-	Cleared bool                 `json:"cleared,omitempty"`
-	Rel     string               `json:"rel,omitempty"`
-	From    OID                  `json:"from,omitempty"`
-	To      OID                  `json:"to,omitempty"`
+	LSN   uint64               `json:"lsn"`
+	Group uint64               `json:"group"`
+	Kind  ChangeKind           `json:"kind"`
+	OID   OID                  `json:"oid,omitempty"`
+	Class string               `json:"class,omitempty"`
+	Attrs map[string]snapValue `json:"attrs,omitempty"`
+	Attr  string               `json:"attr,omitempty"`
+	Value *snapValue           `json:"value,omitempty"`
+	Rel   string               `json:"rel,omitempty"`
+	From  OID                  `json:"from,omitempty"`
+	To    OID                  `json:"to,omitempty"`
 }
 
 func toSnapValue(v Value) snapValue {
@@ -518,10 +509,9 @@ func EncodeChanges(recs []Change) ([]byte, error) {
 		w := wireChange{
 			LSN: c.LSN, Group: c.Group, Kind: c.Kind,
 			OID: c.OID, Class: c.Class,
-			Attr: c.Attr, Cleared: c.Cleared,
-			Rel: c.Rel, From: c.From, To: c.To,
+			Attr: c.Attr, Rel: c.Rel, From: c.From, To: c.To,
 		}
-		if c.Kind == ChangeSet && !c.Cleared {
+		if c.Kind == ChangeSet {
 			sv := toSnapValue(c.Value)
 			w.Value = &sv
 		}
@@ -540,7 +530,10 @@ func EncodeChanges(recs []Change) ([]byte, error) {
 	return data, nil
 }
 
-// DecodeChanges parses a delta payload written by EncodeChanges.
+// DecodeChanges parses a delta payload written by EncodeChanges. A set
+// record without a value is rejected: EncodeChanges always writes one,
+// and decoding it as the zero Value would silently blank a string
+// attribute on replay or on a replica.
 func DecodeChanges(data []byte) ([]Change, error) {
 	var in []wireChange
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -551,8 +544,10 @@ func DecodeChanges(data []byte) ([]Change, error) {
 		c := Change{
 			LSN: w.LSN, Group: w.Group, Kind: w.Kind,
 			OID: w.OID, Class: w.Class,
-			Attr: w.Attr, Cleared: w.Cleared,
-			Rel: w.Rel, From: w.From, To: w.To,
+			Attr: w.Attr, Rel: w.Rel, From: w.From, To: w.To,
+		}
+		if w.Kind == ChangeSet && w.Value == nil {
+			return nil, fmt.Errorf("oms: decode changes: set record lsn %d carries no value", w.LSN)
 		}
 		if w.Value != nil {
 			c.Value = fromSnapValue(*w.Value)
@@ -616,10 +611,6 @@ func (st *Store) replayOneLocked(c Change) error {
 		obj, ok := st.stripeOf(c.OID).objects[c.OID]
 		if !ok {
 			return fmt.Errorf("no object %d", c.OID)
-		}
-		if c.Cleared {
-			delete(obj.attrs, c.Attr)
-			return nil
 		}
 		def, ok := st.schema.class(obj.class).attr(c.Attr)
 		if !ok {

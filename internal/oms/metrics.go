@@ -70,8 +70,6 @@ func (st *Store) FeedStats() FeedStats {
 // gauge functions read only atomics, so a scrape never blocks a writer.
 func (st *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("oms_ops_total", &st.statOps)
-	reg.RegisterCounter("oms_tx_commits_total", &st.statCommits)
-	reg.RegisterCounter("oms_tx_rollbacks_total", &st.statRollback)
 	reg.RegisterCounter("oms_blob_logical_in_bytes_total", &st.statBlobIn)
 	reg.RegisterCounter("oms_blob_logical_out_bytes_total", &st.statBlobOut)
 	reg.RegisterCounter("oms_blob_inline_bytes_total", &st.statBlobPhys)

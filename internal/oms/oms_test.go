@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -231,86 +230,60 @@ func TestDeleteDetaches(t *testing.T) {
 	}
 }
 
-func TestTransactionRollback(t *testing.T) {
+// TestFailedBatchUndoesEveryKind: a batch that fails on its last op
+// reverts every op it applied, one of each undo kind — create, link
+// (between new and between live objects), set of a present attribute,
+// set of an absent one, unlink and a delete with its link cascade.
+func TestFailedBatchUndoesEveryKind(t *testing.T) {
 	st := NewStore(testSchema(t))
 	base := mustCreate(t, st, "Cell", map[string]Value{"name": S("keep"), "rev": I(1)})
+	kept := mustCreate(t, st, "Version", map[string]Value{"num": I(1)})
+	doomed := mustCreate(t, st, "Version", map[string]Value{"num": I(2)})
+	for _, v := range []OID{kept, doomed} {
+		if err := st.Link("hasVersion", base, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := storeFingerprint(st)
 
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
+	b := NewBatch()
+	tmp := b.Create("Cell", map[string]Value{"name": S("temp")})
+	v := b.Create("Version", map[string]Value{"num": I(9)})
+	b.Link("hasVersion", tmp, v)
+	b.Link("master", base, kept)
+	b.Set(base, "rev", I(99))
+	b.Set(base, "published", B(true))
+	b.Unlink("hasVersion", base, kept)
+	b.Delete(doomed)
+	b.Set(OID(777777), "rev", I(1)) // no such object: the batch dies here
+	created, err := st.Apply(b)
+	if err == nil {
+		t.Fatal("batch with a dangling set applied")
 	}
-	if err := st.Begin(); err == nil {
-		t.Fatal("nested Begin accepted")
-	}
-	tmp := mustCreate(t, st, "Cell", map[string]Value{"name": S("temp")})
-	v := mustCreate(t, st, "Version", map[string]Value{"num": I(9)})
-	if err := st.Link("hasVersion", tmp, v); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Set(base, "rev", I(99)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Set(base, "published", B(true)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Rollback(); err != nil {
-		t.Fatal(err)
+	if created != nil {
+		t.Fatalf("failed batch returned OIDs %v", created)
 	}
 
-	if st.Exists(tmp) || st.Exists(v) {
-		t.Fatal("rollback left created objects")
+	if got := st.Count(""); got != 3 {
+		t.Fatalf("objects after failed batch = %d, want 3", got)
 	}
 	if got := st.GetInt(base, "rev"); got != 1 {
-		t.Fatalf("rev after rollback = %d, want 1", got)
+		t.Fatalf("rev after failed batch = %d, want 1", got)
 	}
-	if _, ok, _ := st.Get(base, "published"); ok {
-		t.Fatal("rollback left newly set attribute")
+	if _, ok, err := st.Get(base, "published"); err != nil || ok {
+		t.Fatalf("attribute absent before the batch is present after it failed (ok=%t, err=%v)", ok, err)
 	}
-	if st.InTx() {
-		t.Fatal("transaction still open after rollback")
+	if !st.Exists(doomed) {
+		t.Fatal("failed batch left its delete applied")
 	}
-	if err := st.Rollback(); err == nil {
-		t.Fatal("Rollback without Begin accepted")
+	if got := st.Targets("hasVersion", base); len(got) != 2 || got[0] != kept || got[1] != doomed {
+		t.Fatalf("links after failed batch = %v, want [%d %d]", got, kept, doomed)
 	}
-}
-
-func TestTransactionRollbackRestoresDeleted(t *testing.T) {
-	st := NewStore(testSchema(t))
-	c := mustCreate(t, st, "Cell", map[string]Value{"name": S("a")})
-	v := mustCreate(t, st, "Version", map[string]Value{"num": I(1)})
-	if err := st.Link("hasVersion", c, v); err != nil {
-		t.Fatal(err)
+	if got := st.Targets("master", base); len(got) != 0 {
+		t.Fatalf("link between live objects survived the failed batch: %v", got)
 	}
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Delete(v); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Exists(v) {
-		t.Fatal("rollback did not restore deleted object")
-	}
-	if got := st.Targets("hasVersion", c); len(got) != 1 || got[0] != v {
-		t.Fatalf("rollback did not restore links: %v", got)
-	}
-}
-
-func TestTransactionCommit(t *testing.T) {
-	st := NewStore(testSchema(t))
-	if err := st.Commit(); err == nil {
-		t.Fatal("Commit without Begin accepted")
-	}
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	oid := mustCreate(t, st, "Cell", map[string]Value{"name": S("a")})
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Exists(oid) {
-		t.Fatal("committed object lost")
+	if after := storeFingerprint(st); after != before {
+		t.Fatalf("failed batch left a trace:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }
 
@@ -352,11 +325,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "oms.json")
-	if err := st.Save(path); err != nil {
+	data, err := st.Snapshot().EncodeJSON()
+	if err != nil {
 		t.Fatal(err)
 	}
-	ld, err := Load(path, schema)
+	ld, err := DecodeSnapshot(data, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,23 +357,19 @@ func TestLoadRejectsUnknownClass(t *testing.T) {
 	schema := testSchema(t)
 	st := NewStore(schema)
 	mustCreate(t, st, "Cell", map[string]Value{"name": S("x")})
-	path := filepath.Join(t.TempDir(), "oms.json")
-	if err := st.Save(path); err != nil {
+	data, err := st.Snapshot().EncodeJSON()
+	if err != nil {
 		t.Fatal(err)
 	}
 	empty := NewSchema()
-	if _, err := Load(path, empty); err == nil {
-		t.Fatal("load against incompatible schema accepted")
+	if _, err := DecodeSnapshot(data, empty); err == nil || !strings.Contains(err.Error(), "unknown class") {
+		t.Fatalf("decode against incompatible schema: %v", err)
 	}
-	// Corrupt file.
-	if err := os.WriteFile(path, []byte("{nope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path, schema); err == nil {
+	if _, err := DecodeSnapshot([]byte("{nope"), schema); err == nil {
 		t.Fatal("corrupt snapshot accepted")
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json"), schema); err == nil {
-		t.Fatal("missing file accepted")
+	if _, err := DecodeSnapshot(nil, schema); err == nil {
+		t.Fatal("empty snapshot accepted")
 	}
 }
 
@@ -531,24 +500,21 @@ func TestPropertySetGetRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: a rollback always restores the observable object count.
+// Property: a batch of N creates whose last op fails leaves the
+// observable object count unchanged.
 func TestPropertyRollbackRestoresCount(t *testing.T) {
 	st := NewStore(testSchema(t))
 	f := func(creates uint8) bool {
 		before := st.Count("")
-		if err := st.Begin(); err != nil {
-			return false
-		}
+		b := NewBatch()
 		for i := 0; i < int(creates%16); i++ {
-			if _, err := st.Create("Version", map[string]Value{"num": I(int64(i))}); err != nil {
-				_ = st.Rollback()
-				return false
-			}
+			b.Create("Version", map[string]Value{"num": I(int64(i))})
 		}
-		if err := st.Rollback(); err != nil {
+		b.Delete(OID(777777)) // no such object: the batch dies here
+		if _, err := st.Apply(b); err == nil {
 			return false
 		}
-		return st.Count("") == before
+		return st.Count("") == before && st.Count("Version") == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -636,32 +602,32 @@ func TestClassIndexSurvivesDeleteAndRollback(t *testing.T) {
 	if st.Count("Cell") != 1 {
 		t.Fatalf("Count after delete = %d", st.Count("Cell"))
 	}
-	// Rollback of a delete must restore the index entry.
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Delete(b); err != nil {
-		t.Fatal(err)
-	}
-	if st.Count("Cell") != 0 {
-		t.Fatal("index not updated inside tx")
-	}
-	if err := st.Rollback(); err != nil {
-		t.Fatal(err)
+	// A failed batch's delete must restore the index entry.
+	db := NewBatch()
+	db.Delete(b)
+	db.Set(OID(777777), "rev", I(1)) // no such object: the batch dies here
+	if _, err := st.Apply(db); err == nil {
+		t.Fatal("failing delete batch applied")
 	}
 	if got := st.All("Cell"); len(got) != 1 || got[0] != b {
-		t.Fatalf("All after rollback = %v", got)
+		t.Fatalf("All after failed delete batch = %v", got)
 	}
-	// Rollback of creates must remove index entries.
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
+	if got := st.FindByAttr("Cell", "name", S("b")); len(got) != 1 || got[0] != b {
+		t.Fatalf("FindByAttr after failed delete batch = %v", got)
 	}
-	mustCreate(t, st, "Cell", map[string]Value{"name": S("tmp")})
-	if err := st.Rollback(); err != nil {
-		t.Fatal(err)
+	// A failed batch's creates must leave no index entries.
+	cb := NewBatch()
+	cb.Create("Cell", map[string]Value{"name": S("tmp")})
+	cb.Create("Cell", map[string]Value{"name": S("tmp2")})
+	cb.Set(OID(777777), "rev", I(1))
+	if _, err := st.Apply(cb); err == nil {
+		t.Fatal("failing create batch applied")
 	}
 	if st.Count("Cell") != 1 {
-		t.Fatalf("Count after create-rollback = %d", st.Count("Cell"))
+		t.Fatalf("Count after failed create batch = %d", st.Count("Cell"))
+	}
+	if got := st.All("Cell"); len(got) != 1 || got[0] != b {
+		t.Fatalf("All after failed create batch = %v", got)
 	}
 }
 
@@ -806,86 +772,6 @@ func TestStressParallelMixedOps(t *testing.T) {
 	}
 }
 
-// TestStressConcurrentTransactions drives transactions from many
-// goroutines: whoever wins Begin does work and rolls back while everyone
-// else performs plain operations. The store must stay race-free and every
-// winner's rollback must restore its own object count.
-func TestStressConcurrentTransactions(t *testing.T) {
-	st := NewStore(testSchema(t))
-	base := mustCreate(t, st, "Cell", map[string]Value{"name": S("base"), "rev": I(1)})
-	const workers = 8
-	const rounds = 50
-	var wg sync.WaitGroup
-	var rollbacks atomic.Int64
-	// txGate serializes the goroutines that do transactional writes so the
-	// winner's count assertion cannot race a successor's creates; everyone
-	// else still hammers Begin/Rollback and reads concurrently.
-	var txGate sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				if txGate.TryLock() {
-					if err := st.Begin(); err != nil {
-						// A contender holds a read-only tx; retry later.
-						txGate.Unlock()
-						continue
-					}
-					before := st.Count("Version")
-					a, err := st.Create("Version", map[string]Value{"num": I(int64(i))})
-					if err != nil {
-						t.Errorf("tx Create: %v", err)
-						txGate.Unlock()
-						return
-					}
-					b, err := st.Create("Version", map[string]Value{"num": I(int64(i + 1))})
-					if err != nil {
-						t.Errorf("tx Create: %v", err)
-						txGate.Unlock()
-						return
-					}
-					_ = a
-					if err := st.Delete(b); err != nil {
-						t.Errorf("tx Delete: %v", err)
-						txGate.Unlock()
-						return
-					}
-					if err := st.Rollback(); err != nil {
-						t.Errorf("Rollback: %v", err)
-						txGate.Unlock()
-						return
-					}
-					if after := st.Count("Version"); after != before {
-						t.Errorf("rollback leaked: %d -> %d versions", before, after)
-						txGate.Unlock()
-						return
-					}
-					rollbacks.Add(1)
-					txGate.Unlock()
-				} else {
-					// Contenders: exercise the Begin/Rollback rejection
-					// paths and concurrent reads, never writes — so the
-					// gate holder's undo log stays entirely its own.
-					if err := st.Begin(); err == nil {
-						_ = st.Rollback()
-					}
-					_ = st.GetInt(base, "rev")
-					_ = st.Exists(base)
-					_ = st.Count("Cell")
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if rollbacks.Load() == 0 {
-		t.Fatal("no goroutine ever won a transaction")
-	}
-	if !st.Exists(base) {
-		t.Fatal("base object lost")
-	}
-}
-
 // TestStripeDistribution guards the stripe hash: sequential OIDs must
 // spread across many stripes, not cluster in one.
 func TestStripeDistribution(t *testing.T) {
@@ -906,11 +792,7 @@ func TestLoadRejectsCorruptAttributes(t *testing.T) {
 	schema := testSchema(t)
 	st := NewStore(schema)
 	mustCreate(t, st, "Cell", map[string]Value{"name": S("x"), "rev": I(1)})
-	path := filepath.Join(t.TempDir(), "oms.json")
-	if err := st.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	orig, err := os.ReadFile(path)
+	orig, err := st.Snapshot().EncodeJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -919,10 +801,7 @@ func TestLoadRejectsCorruptAttributes(t *testing.T) {
 	if bad == string(orig) {
 		bad = strings.Replace(string(orig), `"kind":1`, `"kind":0`, 1)
 	}
-	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path, schema); err == nil {
+	if _, err := DecodeSnapshot([]byte(bad), schema); err == nil {
 		t.Fatal("kind-mismatched snapshot accepted")
 	}
 	// Missing required attribute: delete "name" from the object entirely
@@ -937,10 +816,7 @@ func TestLoadRejectsCorruptAttributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, missing, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path, schema); err == nil {
+	if _, err := DecodeSnapshot(missing, schema); err == nil {
 		t.Fatal("snapshot missing a required attribute accepted")
 	}
 }

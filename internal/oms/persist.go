@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-
-	"repro/internal/oms/backend"
 )
 
 // snapshot is the on-disk form of a Store. It intentionally contains only
@@ -38,105 +35,8 @@ type snapshotLink struct {
 	To   OID    `json:"to"`
 }
 
-// Save writes the full store content to path as JSON. The write is atomic
-// (temporary file + rename) and the content is a consistent cut taken via
-// Snapshot: writers stall only for the brief header copy, never for the
-// encode or the disk write.
-func (st *Store) Save(path string) error {
-	data, err := st.Snapshot().EncodeJSON()
-	if err != nil {
-		return fmt.Errorf("oms: save: %w", err)
-	}
-	if err := writeFileAtomic(path, data); err != nil {
-		return fmt.Errorf("oms: save: %w", err)
-	}
-	return nil
-}
-
-// writeFileAtomic writes data to path via the backend layer's fsynced
-// temp-file + atomic-rename helper, so a snapshot file is never torn
-// and survives a power loss once Save returns.
-func writeFileAtomic(path string, data []byte) error {
-	return backend.AtomicWriteFile(filepath.Dir(path), filepath.Base(path), data)
-}
-
-// SnapshotStopTheWorld is the pre-PR-2 capture strategy, retained only
-// as the ablation baseline for the writer-stall benchmark
-// (BenchmarkE37SnapshotWriterStall / BENCH_2.json): every stripe is
-// read-locked while the full content — blob bytes included — is deep-
-// copied out, so writers stall for O(total blob bytes) instead of
-// Snapshot's O(object headers). New code must use Snapshot.
-//
-// It also reproduces the allocation-window bug Snapshot fixes: nextOID
-// is read before the stripe locks, so an object created in the gap can
-// be captured with OID >= NextOID.
-func (st *Store) SnapshotStopTheWorld() *Snapshot {
-	st.allocMu.Lock()
-	sn := &Snapshot{nextOID: st.nextOID}
-	st.allocMu.Unlock()
-
-	st.rlockAll()
-	for i := range st.stripes {
-		for _, obj := range st.stripes[i].objects {
-			h := snapObjHdr{
-				oid:   obj.oid,
-				class: obj.class,
-				attrs: make(map[string]Value, len(obj.attrs)),
-			}
-			for name, v := range obj.attrs {
-				// The stop-the-world property: blob bytes are copied
-				// while every stripe lock is held.
-				h.attrs[name] = v.clone()
-			}
-			if len(obj.links) > 0 {
-				h.links = make(map[string][]OID, len(obj.links))
-				for rel, targets := range obj.links {
-					ts := make([]OID, 0, len(targets))
-					for to := range targets {
-						ts = append(ts, to)
-					}
-					h.links[rel] = ts
-				}
-			}
-			sn.objs = append(sn.objs, h)
-		}
-	}
-	st.runlockAll()
-	sort.Slice(sn.objs, func(i, j int) bool { return sn.objs[i].oid < sn.objs[j].oid })
-	return sn
-}
-
-// SaveStopTheWorld is Save with the stop-the-world capture — the full
-// pre-PR-2 persistence path, kept for the same ablation purpose as
-// SnapshotStopTheWorld.
-func (st *Store) SaveStopTheWorld(path string) error {
-	data, err := st.SnapshotStopTheWorld().EncodeJSON()
-	if err != nil {
-		return fmt.Errorf("oms: save: %w", err)
-	}
-	if err := writeFileAtomic(path, data); err != nil {
-		return fmt.Errorf("oms: save: %w", err)
-	}
-	return nil
-}
-
-// Load reads a snapshot written by Save into a fresh store enforcing schema.
-// The snapshot is validated against the schema; unknown classes, attributes
-// or relationships fail the load.
-func Load(path string, schema *Schema) (*Store, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("oms: load: %w", err)
-	}
-	st, err := DecodeSnapshot(data, schema)
-	if err != nil {
-		return nil, fmt.Errorf("oms: load %s: %w", path, err)
-	}
-	return st, nil
-}
-
 // DecodeSnapshot rebuilds a store from an encoded snapshot payload (the
-// bytes Snapshot.EncodeJSON or Save produced), regardless of which
+// bytes Snapshot.EncodeJSON produced), regardless of which
 // storage backend held them. The payload is validated against the schema;
 // unknown classes, attributes or relationships fail the decode.
 func DecodeSnapshot(data []byte, schema *Schema) (*Store, error) {

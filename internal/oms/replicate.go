@@ -27,23 +27,16 @@ import (
 // fresh history — exactly what Load wants and replication does not.
 
 // ResetFromSnapshot atomically replaces the store's entire content with a
-// base snapshot payload (the bytes Snapshot.EncodeJSON or Save produced)
+// base snapshot payload (the bytes Snapshot.EncodeJSON produced)
 // cut at feed position lsn. The swap happens with every stripe
 // write-locked, so concurrent readers observe either the old state or the
 // new one, never a mixture; the decode runs before any lock is taken.
 // The store's feed is rebased to lsn: subscriptions whose cursor no
 // longer attaches close with Lagged() true and resynchronize.
-//
-// It must not be called while a transaction is open (followers do not run
-// transactions); that is rejected rather than silently corrupting the
-// undo log.
 func (st *Store) ResetFromSnapshot(data []byte, lsn uint64) error {
 	tmp, err := DecodeSnapshot(data, st.schema)
 	if err != nil {
 		return fmt.Errorf("oms: reset from snapshot: %w", err)
-	}
-	if st.txOpen.Load() != 0 {
-		return fmt.Errorf("oms: reset from snapshot: transaction open")
 	}
 	st.lockAll()
 	for i := range st.stripes {

