@@ -1,15 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet lint fuzz-seed test race stress-persist stress-atomic stress-feed stress-repl stress-blob stress-fmcad bench bench-contention bench-feed bench-repl bench-blob bench-obs clean
+.PHONY: check build vet lint fuzz-seed test race stress-persist stress-atomic stress-feed stress-repl stress-blob stress-fmcad crash-segment bench bench-contention bench-feed bench-repl bench-blob bench-obs clean
 
 ## check is the CI gate: a fresh checkout must build, vet (go vet ./...),
 ## pass jcflint with zero unsuppressed findings, replay the decoder fuzz
 ## seed corpus, and pass the full test suite under the race detector,
 ## plus an extra multi-count run of the persistence crash-consistency
-## stress test. This is what keeps the missing-go.mod regression, data
-## races in the sharded OMS kernel, torn (oms, framework) snapshot
-## pairs, diverging replicas, and unguarded replica writes from ever
-## landing again.
+## stress test. The race run includes the full crash-state enumeration
+## of the segment log (TestSegmentCrashStates). This is what keeps the
+## missing-go.mod regression, data races in the sharded OMS kernel, torn
+## (oms, framework) snapshot pairs, segment log states that lose an
+## acknowledged Put or Delete, diverging replicas, and unguarded replica
+## writes from ever landing again.
 check: build vet lint fuzz-seed race stress-persist stress-atomic stress-feed stress-repl stress-blob stress-fmcad bench-obs
 
 build:
@@ -101,6 +103,16 @@ stress-blob:
 ## exactly one must win (internal/fmcad/snapshot_test.go).
 stress-fmcad:
 	$(GO) test -race -count=3 -run 'TestSessionsReadWhileLibraryMutates|TestConcurrentCreateOneWins|TestPublishedMetaNeverChanges' ./internal/fmcad/
+
+## crash-segment enumerates the crash states of the segment log's commit
+## protocol (internal/oms/backend/crash_test.go) over a seeded script in
+## short mode: every byte prefix of each operation's frame, zero-filled
+## tails, and a kept or lost checkpoint rename at rotation must reopen to
+## the state before or after the operation and accept one more Put. A
+## quick standalone run; `make check` runs the full enumeration through
+## `race`.
+crash-segment:
+	$(GO) test -short -count=1 -run 'TestSegmentCrashStates' -v ./internal/oms/backend/
 
 ## bench regenerates every paper table/figure benchmark.
 bench:

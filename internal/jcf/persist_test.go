@@ -397,3 +397,143 @@ func TestSaveLoadThroughSegmentBackend(t *testing.T) {
 		t.Fatalf("after full save over differential chain want %v, got %v", want, names)
 	}
 }
+
+// copyFixture copies the state directory testdata/name into a fresh
+// temporary directory and returns it.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	dir := t.TempDir()
+	src := filepath.Join("testdata", name)
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// loadSegmentDir opens dir with the segment backend and loads it, with
+// CheckConsistency empty.
+func loadSegmentDir(t *testing.T, dir string) (*Framework, backend.Backend) {
+	t.Helper()
+	seg, err := backend.OpenSegment(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := LoadFrom(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := fw.CheckConsistency(); len(bad) != 0 {
+		t.Fatalf("CheckConsistency after load: %v", bad)
+	}
+	return fw, seg
+}
+
+// TestLoadsSegmentStateFromPreviousFormat opens testdata/segment-parent,
+// a state directory written through SaveTo (one full save, two
+// differential saves) by the segment backend that rewrote MANIFEST on
+// every Put and Delete and checksummed record payloads only. The current
+// backend must load it as it stands, save over it, and load again.
+func TestLoadsSegmentStateFromPreviousFormat(t *testing.T) {
+	dir := copyFixture(t, "segment-parent")
+	fw, seg := loadSegmentDir(t, dir)
+	// Exactly the names the fixture's MANIFEST holds: the old records of
+	// names it deleted must not come back.
+	names, err := seg.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"CURRENT", "delta@2", "delta@3", "framework@2", "framework@3", "oms@1"}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("fixture names = %v, want %v", names, want)
+	}
+	project, err := fw.Project("chip1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, err := fw.Cell(project, "alu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cv := fw.CellVersions(cell)[0]
+	if holder, held := fw.ReservedBy(cv); !held || holder != "anna" {
+		t.Fatalf("reservation = %q,%t, want anna", holder, held)
+	}
+	before := len(fw.DesignObjects(fw.Variants(cv)[0]))
+	if before != 8 {
+		t.Fatalf("%d design objects loaded, want 8", before)
+	}
+	if err := fw.SaveTo(seg); err != nil {
+		t.Fatal(err)
+	}
+	again, _ := loadSegmentDir(t, dir)
+	if got := len(again.DesignObjects(again.Variants(cv)[0])); got != before {
+		t.Fatalf("%d design objects after save and reload, want %d", got, before)
+	}
+}
+
+// TestLoadsTornSegmentStateFromPreviousFormat opens
+// testdata/segment-parent-torn, written through SaveTo by the same
+// earlier segment backend: one full save, then a torn record at the
+// segment's tail (a crash mid-append), then, after a restart, a full and
+// a differential save that the earlier backend appended behind the torn
+// record and committed through MANIFEST. The current backend must keep
+// those records: every name still reads after one more save, on the
+// saving instance and after a reopen.
+func TestLoadsTornSegmentStateFromPreviousFormat(t *testing.T) {
+	dir := copyFixture(t, "segment-parent-torn")
+	fw, seg := loadSegmentDir(t, dir)
+	names, err := seg.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"CURRENT", "delta@3", "framework@2", "framework@3", "oms@2"}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("fixture names = %v, want %v", names, want)
+	}
+	project, err := fw.Project("chip1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, err := fw.Cell(project, "alu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cv := fw.CellVersions(cell)[0]
+	if holder, held := fw.ReservedBy(cv); !held || holder != "anna" {
+		t.Fatalf("reservation = %q,%t, want anna", holder, held)
+	}
+	if got := len(fw.DesignObjects(fw.Variants(cv)[0])); got != 6 {
+		t.Fatalf("%d design objects loaded, want 6", got)
+	}
+	if err := fw.SaveTo(seg); err != nil {
+		t.Fatal(err)
+	}
+	getAll := func(b backend.Backend) {
+		t.Helper()
+		names, err := b.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range names {
+			if _, err := b.Get(n); err != nil {
+				t.Fatalf("Get(%s) after a save over the torn segment: %v", n, err)
+			}
+		}
+	}
+	getAll(seg)
+	again, reopened := loadSegmentDir(t, dir)
+	getAll(reopened)
+	if got := len(again.DesignObjects(again.Variants(cv)[0])); got != 6 {
+		t.Fatalf("%d design objects after save and reload, want 6", got)
+	}
+}

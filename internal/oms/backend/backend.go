@@ -17,10 +17,11 @@
 //
 //   - File: one file per name, written via temp file + atomic rename —
 //     the classic UNIX snapshot layout.
-//   - Segment: an append-only segment (write-ahead) log with a manifest;
-//     Put appends a checksummed record and atomically renames a manifest
-//     pointing at the latest record of every name. Torn tail appends are
-//     simply never referenced by the manifest.
+//   - Segment: an append-only segment (write-ahead) log. Put appends a
+//     framed, checksummed record and Delete a tombstone frame; the
+//     frame's fsync is the commit. A MANIFEST checkpoint of the name
+//     index is written only when a segment rotates, and opening replays
+//     the frames after it up to the first short or bad one.
 //
 // Both pass the same conformance suite (see Conformance).
 package backend

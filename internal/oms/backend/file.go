@@ -50,6 +50,16 @@ func (f *File) Put(name string, payload []byte) error {
 //   - the directory is fsynced after the rename, so the commit itself
 //     survives a power loss.
 func atomicWriteFile(dir, name string, payload []byte) error {
+	if err := renameIntoPlace(dir, name, payload); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// renameIntoPlace is atomicWriteFile without the final directory fsync:
+// the new file is complete and renamed over name, but the rename may
+// still be lost on a power failure until the caller syncs dir.
+func renameIntoPlace(dir, name string, payload []byte) error {
 	tmp, err := os.CreateTemp(dir, "."+name+".*.tmp")
 	if err != nil {
 		return err
@@ -68,10 +78,7 @@ func atomicWriteFile(dir, name string, payload []byte) error {
 	if err := os.Chmod(tmpName, 0o644); err != nil {
 		return err
 	}
-	if err := os.Rename(tmpName, filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return os.Rename(tmpName, filepath.Join(dir, name))
 }
 
 // syncDir fsyncs a directory so a just-committed rename is durable.

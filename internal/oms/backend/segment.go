@@ -1,41 +1,70 @@
 package backend
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 )
 
 // Segment is the append-only segment (write-ahead log) backend.
 //
-// Payloads are appended as checksummed records to numbered segment files;
-// a small JSON manifest, replaced by atomic rename on every Put/Delete,
-// maps each live name to the segment, offset and checksum of its latest
-// record. The manifest rename is the commit point: a crash mid-append
-// leaves a torn tail that no manifest references, and a crash mid-commit
-// leaves the previous manifest — either way every name still reads as a
-// complete, checksum-verified payload. Segments that no longer hold any
-// live record are deleted once they are not the active tail.
+// Every Put appends one framed record to the active segment file and
+// fsyncs it; every Delete appends a tombstone frame and fsyncs it. The
+// fsynced frame is the commit point: nothing else is written per
+// operation. A frame's CRC covers its kind, its lengths and its name as
+// well as the payload, so a torn or zero-filled tail can never register
+// a name, live or deleted.
+//
+// MANIFEST is a checkpoint, written by atomic rename only when the
+// active segment rotates: it maps every live name to the segment,
+// offset and checksum of its latest record as of the end of the
+// segment it closes, and names the first segment it does not cover.
+// OpenSegment loads the checkpoint and replays the segments from that
+// one on, stopping at the first short or bad frame. Opening never
+// writes: the instance's first append cuts any torn tail back to the
+// last good frame, so a reader opening the directory cannot cut off a
+// frame a live writer has in flight.
+//
+// At rotation, once the new checkpoint is durable, segment files it
+// covers that hold no live record are removed; segments the checkpoint
+// does not cover are kept for replay.
+//
+// A directory written before frames existed has a MANIFEST that was
+// rewritten on every operation and whose refs may point into its
+// active segment past a torn record. Such a segment cannot be cut back,
+// so the first append moves on to a fresh segment behind a checkpoint.
 //
 // Layout under the backend directory:
 //
-//	MANIFEST        name -> record location map (atomic rename)
-//	seg-%08d.wal    append-only record segments
+//	MANIFEST        checkpoint: name -> record location map (atomic rename at rotation)
+//	seg-%08d.wal    append-only frame segments
 type Segment struct {
-	mu          sync.Mutex
-	dir         string
-	refs        map[string]segRef
-	nextSeg     int
-	active      *os.File
-	activeName  string
-	activeSize  int64
+	mu         sync.Mutex
+	dir        string
+	refs       map[string]segRef
+	ckptSeg    int  // first segment the durable checkpoint does not cover
+	moveOn     bool // the index references bytes past the active segment's last good frame
+	activeSeg  int  // number of the segment appends go to
+	activeName string
+	active     *os.File // nil until the next append opens (and trims) it
+	activeSize int64    // end of the last good frame in the active segment
+	hdr        []byte   // frame header + name scratch, reused under mu
+
 	maxSegBytes int64 // rotation threshold; var for tests
+	// crashPoint, when set (tests only), runs just before each fsync that
+	// makes a step durable: the frame fsync, with the frame's segment and
+	// offset, and the checkpoint's directory fsync, with seg == "".
+	crashPoint func(seg string, off int64)
 }
 
 // segRef locates the latest record of one name.
@@ -43,26 +72,53 @@ type segRef struct {
 	Segment string `json:"segment"`
 	Offset  int64  `json:"offset"`
 	Length  int64  `json:"length"` // payload length
-	CRC     uint32 `json:"crc"`    // crc32 (IEEE) of the payload
+	CRC     uint32 `json:"crc"`    // the frame's CRC (the payload's, for a JWAL record)
 }
 
-// segManifest is the MANIFEST file content.
+// segManifest is the MANIFEST checkpoint content.
 type segManifest struct {
 	NextSeg int               `json:"next_seg"`
 	Refs    map[string]segRef `json:"refs"`
 }
 
+// Frame layout, little endian:
+//
+//	magic "JSG1" | kind u8 | nameLen u16 | payloadLen u64 | crc u32 | name | payload
+//
+// crc is crc32 (IEEE) over the 15 header bytes before it, the name and
+// the payload. Segments written before frames existed hold JWAL records
+// (magic | nameLen u32 | payloadLen u64 | crc u32 of the payload | name
+// | payload), committed by a MANIFEST rewrite per operation; they stay
+// readable through the refs of that MANIFEST.
 const (
-	segMagic          = "JWAL"
-	segHeaderLen      = 4 + 4 + 8 + 4 // magic, nameLen, payloadLen, crc
+	frameMagic        = "JSG1"
+	frameHeaderLen    = 4 + 1 + 2 + 8 + 4
+	frameCRCOff       = frameHeaderLen - 4
+	framePut          = 1
+	frameTombstone    = 2
+	maxFrameName      = 1<<16 - 1
+	jwalMagic         = "JWAL"
+	jwalHeaderLen     = 4 + 4 + 8 + 4
 	defaultMaxSegSize = 8 << 20
 	manifestName      = "MANIFEST"
 )
 
+// segName returns the file name of segment n.
+func segName(n int) string { return fmt.Sprintf("seg-%08d.wal", n) }
+
+// segNum parses a segment file name; ok is false for anything else.
+func segNum(name string) (int, bool) {
+	if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".wal") {
+		return 0, false
+	}
+	n, err := strconv.Atoi(name[4 : len(name)-4])
+	return n, err == nil && n > 0
+}
+
 // OpenSegment opens (creating if needed) a segment backend rooted at dir.
-// Reopening a directory after a crash recovers to the last committed
-// manifest; unreferenced tail bytes are ignored and overwritten space is
-// reclaimed as segments rotate.
+// It loads the MANIFEST checkpoint and replays every frame appended
+// since, up to the first short or bad one. It writes nothing: a torn
+// tail is cut back by this instance's first append.
 func OpenSegment(dir string) (*Segment, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("backend: open segment backend: %w", err)
@@ -70,7 +126,7 @@ func OpenSegment(dir string) (*Segment, error) {
 	s := &Segment{
 		dir:         dir,
 		refs:        map[string]segRef{},
-		nextSeg:     1,
+		ckptSeg:     1,
 		maxSegBytes: defaultMaxSegSize,
 	}
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
@@ -84,14 +140,208 @@ func OpenSegment(dir string) (*Segment, error) {
 			s.refs = m.Refs
 		}
 		if m.NextSeg > 0 {
-			s.nextSeg = m.NextSeg
+			s.ckptSeg = m.NextSeg
 		}
 	case os.IsNotExist(err):
-		// Fresh directory (or crash before the very first commit).
+		// Fresh directory, or no rotation yet: replay from segment 1.
 	default:
 		return nil, fmt.Errorf("backend: open segment backend: %w", err)
 	}
+	if err := s.replay(); err != nil {
+		return nil, err
+	}
+	for _, ref := range s.refs {
+		if ref.Segment == s.activeName && ref.Offset >= s.activeSize {
+			s.moveOn = true // a JWAL record committed behind a torn one
+		}
+	}
 	return s, nil
+}
+
+// replay applies the frames of the segments from ckptSeg on, in order,
+// and points the active segment at the end of the last good frame.
+func (s *Segment) replay() error {
+	s.activeSeg = s.ckptSeg
+	for n := s.ckptSeg; ; n++ {
+		end, clean, err := s.replaySegment(segName(n))
+		if os.IsNotExist(err) {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("backend: open segment backend: %w", err)
+		}
+		s.activeSeg, s.activeSize = n, end
+		if !clean {
+			break // the log ends at the first short or bad frame
+		}
+	}
+	s.activeName = segName(s.activeSeg)
+	return nil
+}
+
+// replaySegment applies one segment's frames. It returns the end of the
+// last good frame and whether the whole file was good frames.
+func (s *Segment) replaySegment(name string) (end int64, clean bool, err error) {
+	f, err := os.Open(s.segPath(name))
+	if err != nil {
+		return 0, false, err
+	}
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 64<<10)
+	var buf []byte
+	for {
+		fr, err := readFrame(r, &buf)
+		switch {
+		case errors.Is(err, io.EOF):
+			return end, true, nil
+		case errors.Is(err, errBadFrame), errors.Is(err, io.ErrUnexpectedEOF):
+			return end, false, nil
+		case err != nil:
+			return end, false, err
+		}
+		switch fr.kind {
+		case framePut:
+			s.refs[fr.name] = segRef{Segment: name, Offset: end, Length: fr.plen, CRC: fr.crc}
+		case frameTombstone:
+			delete(s.refs, fr.name)
+		}
+		end += fr.size
+	}
+}
+
+// recHeader is a decoded record header, of either format.
+type recHeader struct {
+	kind    byte // framePut, frameTombstone, or 0 for a JWAL record
+	hlen    int  // header bytes
+	nameLen int
+	plen    int64  // payload length
+	crc     uint32 // the stored checksum
+	sum     uint32 // checksum of the header bytes crc covers (none for JWAL)
+}
+
+// headerLen returns the header length of the record format whose magic
+// starts b, or 0 if b starts neither.
+func headerLen(b []byte) int {
+	switch string(b[:4]) {
+	case frameMagic:
+		return frameHeaderLen
+	case jwalMagic:
+		return jwalHeaderLen
+	}
+	return 0
+}
+
+// decodeHeader decodes the record header h, exactly headerLen(h) bytes.
+func decodeHeader(h []byte) (recHeader, error) {
+	var rh recHeader
+	rh.hlen = len(h)
+	if rh.hlen == jwalHeaderLen {
+		rh.nameLen = int(binary.LittleEndian.Uint32(h[4:]))
+		rh.plen = int64(binary.LittleEndian.Uint64(h[8:]))
+		rh.crc = binary.LittleEndian.Uint32(h[16:])
+		if rh.nameLen > maxFrameName {
+			return rh, errBadFrame
+		}
+	} else {
+		rh.kind = h[4]
+		rh.nameLen = int(binary.LittleEndian.Uint16(h[5:]))
+		rh.plen = int64(binary.LittleEndian.Uint64(h[7:]))
+		rh.crc = binary.LittleEndian.Uint32(h[frameCRCOff:])
+		rh.sum = crc32.ChecksumIEEE(h[:frameCRCOff])
+		if rh.kind != framePut && rh.kind != frameTombstone {
+			return rh, errBadFrame
+		}
+	}
+	if rh.plen < 0 {
+		return rh, errBadFrame
+	}
+	return rh, nil
+}
+
+// addName adds name to sum if the record's checksum covers it.
+func (rh recHeader) addName(sum uint32, name []byte) uint32 {
+	if rh.kind == 0 {
+		return sum
+	}
+	return crc32.Update(sum, crc32.IEEETable, name)
+}
+
+// frame is one verified log record.
+type frame struct {
+	recHeader
+	name string
+	size int64 // bytes on disk, header included
+}
+
+// errBadFrame marks a frame whose magic, kind or checksum is wrong.
+var errBadFrame = errors.New("backend: bad frame")
+
+// readFrame reads and verifies the next frame from r, streaming the
+// payload through the checksum. A JWAL record comes back with kind 0:
+// replay steps over it, since the MANIFEST that committed it already
+// holds its effect (and that protocol logged no deletes). io.EOF means
+// a clean end; a short frame is io.ErrUnexpectedEOF and a corrupt one
+// errBadFrame. buf is scratch.
+func readFrame(r *bufio.Reader, buf *[]byte) (frame, error) {
+	var fr frame
+	magic, err := r.Peek(4)
+	if len(magic) == 0 && errors.Is(err, io.EOF) {
+		return fr, io.EOF
+	}
+	if err != nil {
+		return fr, io.ErrUnexpectedEOF
+	}
+	hlen := headerLen(magic)
+	if hlen == 0 {
+		return fr, errBadFrame
+	}
+	h, err := readN(r, buf, hlen)
+	if err != nil {
+		return fr, err
+	}
+	if fr.recHeader, err = decodeHeader(h); err != nil {
+		return fr, err
+	}
+	name, err := readN(r, buf, fr.nameLen)
+	if err != nil {
+		return fr, err
+	}
+	fr.name = string(name)
+	sum := fr.addName(fr.sum, name)
+	for left := fr.plen; left > 0; {
+		chunk, err := r.Peek(int(min(left, int64(r.Size()))))
+		if len(chunk) == 0 {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return fr, err
+		}
+		sum = crc32.Update(sum, crc32.IEEETable, chunk)
+		left -= int64(len(chunk))
+		if _, err := r.Discard(len(chunk)); err != nil {
+			return fr, err
+		}
+	}
+	if sum != fr.crc {
+		return fr, errBadFrame
+	}
+	fr.size = int64(hlen+fr.nameLen) + fr.plen
+	return fr, nil
+}
+
+// readN reads exactly n bytes into the scratch buffer.
+func readN(r io.Reader, buf *[]byte, n int) ([]byte, error) {
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	b := (*buf)[:n]
+	if _, err := io.ReadFull(r, b); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return b, nil
 }
 
 // Dir returns the backend's root directory.
@@ -106,124 +356,171 @@ func (s *Segment) SupportsDeltas() bool { return true }
 // segPath returns the path of a segment file name.
 func (s *Segment) segPath(name string) string { return filepath.Join(s.dir, name) }
 
-// ensureActive opens (appending) the active segment; caller holds s.mu.
+// ensureActive opens the active segment for appending and cuts anything
+// past the last good frame, so a new frame never lands behind garbage.
+// If the index references records past that point (moveOn), the segment
+// is left whole and appends move to the next one, behind a checkpoint
+// that makes replay start there. A new segment's directory entry is
+// fsynced before any frame in it can be acknowledged. Caller holds s.mu.
 func (s *Segment) ensureActive() error {
 	if s.active != nil {
 		return nil
 	}
-	name := fmt.Sprintf("seg-%08d.wal", s.nextSeg)
-	f, err := os.OpenFile(s.segPath(name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if s.moveOn {
+		if err := s.checkpoint(s.activeSeg + 1); err != nil {
+			return fmt.Errorf("backend: open segment: checkpoint: %w", err)
+		}
+		s.activeSeg++
+		s.activeName, s.activeSize = segName(s.activeSeg), 0
+		s.ckptSeg, s.moveOn = s.activeSeg, false
+	}
+	f, err := os.OpenFile(s.segPath(s.activeName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("backend: open segment: %w", err)
 	}
 	fi, err := f.Stat()
+	if err == nil && fi.Size() != s.activeSize {
+		if fi.Size() < s.activeSize {
+			err = fmt.Errorf("%s is %d bytes, shorter than its last good frame end %d", s.activeName, fi.Size(), s.activeSize)
+		} else {
+			err = f.Truncate(s.activeSize)
+		}
+	}
+	if err == nil && s.activeSize == 0 {
+		err = syncDir(s.dir)
+	}
 	if err != nil {
 		return errors.Join(fmt.Errorf("backend: open segment: %w", err), f.Close())
 	}
-	s.active, s.activeName, s.activeSize = f, name, fi.Size()
+	s.active = f
 	return nil
 }
 
-// Put appends a record for name and commits it via a manifest rename.
+// appendFrame writes one frame to the active segment and fsyncs it; on
+// success the frame is committed and its ref is returned. On failure
+// the tail is cut back to the previous end before the handle is
+// dropped. Caller holds s.mu.
+func (s *Segment) appendFrame(kind byte, name string, payload []byte) (segRef, error) {
+	if len(name) > maxFrameName {
+		return segRef{}, fmt.Errorf("backend: name of %d bytes exceeds %d", len(name), maxFrameName)
+	}
+	if err := s.ensureActive(); err != nil {
+		return segRef{}, err
+	}
+	h := append(s.hdr[:0], frameMagic...)
+	h = append(h, kind)
+	h = binary.LittleEndian.AppendUint16(h, uint16(len(name)))
+	h = binary.LittleEndian.AppendUint64(h, uint64(len(payload)))
+	h = append(h, 0, 0, 0, 0) // crc, filled in below
+	h = append(h, name...)
+	crc := crc32.ChecksumIEEE(h[:frameCRCOff])
+	crc = crc32.Update(crc, crc32.IEEETable, h[frameHeaderLen:])
+	crc = crc32.Update(crc, crc32.IEEETable, payload)
+	binary.LittleEndian.PutUint32(h[frameCRCOff:], crc)
+	s.hdr = h
+	off := s.activeSize
+	_, err := s.active.Write(h)
+	if err == nil && len(payload) > 0 {
+		_, err = s.active.Write(payload)
+	}
+	if err == nil && s.crashPoint != nil {
+		s.crashPoint(s.activeName, off)
+	}
+	if err == nil {
+		err = s.active.Sync()
+	}
+	if err != nil {
+		return segRef{}, s.dropActive(err)
+	}
+	s.activeSize = off + int64(len(h)+len(payload))
+	return segRef{Segment: s.activeName, Offset: off, Length: int64(len(payload)), CRC: crc}, nil
+}
+
+// dropActive handles a failed append: it cuts the active segment back to
+// the end of the last good frame and drops the handle, so the next
+// append reopens it and trims again should this cut fail too. Caller
+// holds s.mu.
+func (s *Segment) dropActive(cause error) error {
+	err := errors.Join(cause, s.active.Truncate(s.activeSize), s.active.Close())
+	s.active = nil
+	return err
+}
+
+// Put appends a framed record for name; its fsync is the commit.
 func (s *Segment) Put(name string, payload []byte) error {
 	if err := checkName(name); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.ensureActive(); err != nil {
-		return err
-	}
-	rec := make([]byte, segHeaderLen+len(name)+len(payload))
-	copy(rec, segMagic)
-	binary.LittleEndian.PutUint32(rec[4:], uint32(len(name)))
-	binary.LittleEndian.PutUint64(rec[8:], uint64(len(payload)))
-	crc := crc32.ChecksumIEEE(payload)
-	binary.LittleEndian.PutUint32(rec[16:], crc)
-	copy(rec[segHeaderLen:], name)
-	copy(rec[segHeaderLen+len(name):], payload)
-	offset := s.activeSize
-	if _, err := s.active.Write(rec); err != nil {
-		// The tail may now hold a partial record and s.activeSize no
-		// longer matches the file: drop the handle so the next Put
-		// re-Stats the true end of file. The garbage tail itself is
-		// harmless — nothing committed references it.
-		s.invalidateActive()
+	ref, err := s.appendFrame(framePut, name, payload)
+	if err != nil {
 		return fmt.Errorf("backend: put %s: %w", name, err)
 	}
-	if err := s.active.Sync(); err != nil {
-		s.invalidateActive()
-		return fmt.Errorf("backend: put %s: %w", name, err)
-	}
-	s.activeSize += int64(len(rec))
-	prev, hadPrev := s.refs[name]
-	s.refs[name] = segRef{Segment: s.activeName, Offset: offset, Length: int64(len(payload)), CRC: crc}
-	if err := s.commitManifest(); err != nil {
-		// The appended record is unreachable without a manifest; roll the
-		// in-memory index back to the last committed ref so state keeps
-		// matching the on-disk manifest.
-		if hadPrev {
-			s.refs[name] = prev
-		} else {
-			delete(s.refs, name)
-		}
-		return fmt.Errorf("backend: put %s: %w", name, err)
-	}
-	if s.activeSize >= s.maxSegBytes {
-		s.rotate()
-	}
-	s.collectGarbage()
+	s.refs[name] = ref
+	s.maybeRotate()
 	return nil
 }
 
-// commitManifest atomically replaces MANIFEST with the in-memory index;
-// caller holds s.mu. This is the durability point of every mutation:
-// the temp file is fsynced before the rename and the directory after
-// it, so a power loss can never install a torn or unreachable manifest.
-func (s *Segment) commitManifest() error {
-	data, err := json.Marshal(&segManifest{NextSeg: s.nextSeg, Refs: s.refs})
+// maybeRotate closes the active segment once it reaches maxSegBytes,
+// writes a checkpoint covering it and collects the segments that
+// checkpoint frees. Appends move to the next segment even when the
+// checkpoint fails: the frame that triggered the rotation is already
+// committed, replay from the older checkpoint still reaches the new
+// segment, and the next rotation writes the checkpoint again. Caller
+// holds s.mu.
+func (s *Segment) maybeRotate() {
+	if s.activeSize < s.maxSegBytes {
+		return
+	}
+	if s.active != nil {
+		s.active.Close() //lint:allow noerrdrop every frame in it is fsynced; a close error loses nothing
+		s.active = nil
+	}
+	s.activeSeg++
+	s.activeName, s.activeSize = segName(s.activeSeg), 0
+	if err := s.checkpoint(s.activeSeg); err != nil {
+		return // GC stays bounded by the old checkpoint until one succeeds
+	}
+	s.ckptSeg = s.activeSeg
+	s.collectGarbage()
+}
+
+// checkpoint atomically replaces MANIFEST with the index, naming next as
+// the first segment it does not cover. Caller holds s.mu.
+func (s *Segment) checkpoint(next int) error {
+	data, err := json.Marshal(&segManifest{NextSeg: next, Refs: s.refs})
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(s.dir, manifestName, data)
-}
-
-// invalidateActive drops the active segment handle after a failed
-// append so ensureActive reopens it and re-Stats the true size; caller
-// holds s.mu.
-func (s *Segment) invalidateActive() {
-	if s.active != nil {
-		s.active.Close() //lint:allow noerrdrop the handle is being discarded after a failed append; ensureActive re-Stats the truth
-		s.active = nil
+	if err := renameIntoPlace(s.dir, manifestName, data); err != nil {
+		return err
 	}
-	s.activeName, s.activeSize = "", 0
+	if s.crashPoint != nil {
+		s.crashPoint("", 0)
+	}
+	return syncDir(s.dir)
 }
 
-// rotate closes the active segment and points at a fresh one; caller
-// holds s.mu. The new nextSeg lands in the manifest on the next commit.
-func (s *Segment) rotate() {
-	s.invalidateActive()
-	s.nextSeg++
-}
-
-// collectGarbage removes segment files that hold no live record and are
-// not the active tail; caller holds s.mu.
+// collectGarbage removes the segment files the durable checkpoint covers
+// that hold no live record: their puts were superseded and their
+// tombstones are folded into the checkpoint. It also removes orphans a
+// crash left behind. Caller holds s.mu, after the checkpoint is durable.
 func (s *Segment) collectGarbage() {
-	live := map[string]bool{s.activeName: true}
+	live := make(map[string]bool)
 	for _, ref := range s.refs {
 		live[ref.Segment] = true
 	}
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return // best effort; unreferenced segments are harmless
+		return // best effort; the next rotation scans again
 	}
-	current := fmt.Sprintf("seg-%08d.wal", s.nextSeg)
 	for _, e := range entries {
-		n := e.Name()
-		if e.IsDir() || len(n) < 4 || n[:4] != "seg-" || live[n] || n == current {
+		n, ok := segNum(e.Name())
+		if e.IsDir() || !ok || n >= s.ckptSeg || live[e.Name()] {
 			continue
 		}
-		os.Remove(s.segPath(n)) //lint:allow noerrdrop best-effort GC; an unreferenced segment left behind is harmless
+		os.Remove(s.segPath(e.Name())) //lint:allow noerrdrop best-effort GC; an unreferenced segment left behind is harmless
 	}
 }
 
@@ -233,8 +530,8 @@ func (s *Segment) collectGarbage() {
 // across the I/O, so a concurrent Put of the same name can supersede
 // the record and segment GC can then delete the file between the lookup
 // and the open. That window only ever produces ENOENT (GC removes a
-// segment strictly after the manifest stopped referencing it), so on
-// ENOENT the lookup is simply retried against the newer manifest state.
+// segment strictly after the index stopped referencing it), so on
+// ENOENT the lookup is simply retried against the newer index.
 func (s *Segment) Get(name string) ([]byte, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
@@ -264,7 +561,8 @@ func (s *Segment) Get(name string) ([]byte, error) {
 	}
 }
 
-// readRecord reads and verifies one record; no locks held.
+// readRecord reads and verifies one frame (or JWAL record); no locks
+// held.
 func (s *Segment) readRecord(name string, ref segRef) ([]byte, error) {
 	f, err := os.Open(s.segPath(ref.Segment))
 	if err != nil {
@@ -274,24 +572,34 @@ func (s *Segment) readRecord(name string, ref segRef) ([]byte, error) {
 		return nil, fmt.Errorf("backend: get %s: %w", name, err)
 	}
 	defer f.Close()
-	rec := make([]byte, segHeaderLen+int64(len(name))+ref.Length)
+	var magic [4]byte
+	if _, err := f.ReadAt(magic[:], ref.Offset); err != nil {
+		return nil, fmt.Errorf("backend: get %s: %w", name, err)
+	}
+	hlen := headerLen(magic[:])
+	if hlen == 0 {
+		return nil, fmt.Errorf("backend: get %s: bad record magic", name)
+	}
+	rec := make([]byte, int64(hlen+len(name))+ref.Length)
 	if _, err := f.ReadAt(rec, ref.Offset); err != nil {
 		return nil, fmt.Errorf("backend: get %s: %w", name, err)
 	}
-	if string(rec[:4]) != segMagic {
-		return nil, fmt.Errorf("backend: get %s: bad record magic", name)
+	rh, err := decodeHeader(rec[:hlen])
+	if err != nil {
+		return nil, fmt.Errorf("backend: get %s: bad record header", name)
 	}
-	nameLen := binary.LittleEndian.Uint32(rec[4:])
-	payloadLen := binary.LittleEndian.Uint64(rec[8:])
-	crc := binary.LittleEndian.Uint32(rec[16:])
-	if int(nameLen) != len(name) || string(rec[segHeaderLen:segHeaderLen+len(name)]) != name {
+	if rh.kind == frameTombstone {
+		return nil, fmt.Errorf("backend: get %s: record is not a put", name)
+	}
+	recName := rec[hlen : hlen+len(name)]
+	if rh.nameLen != len(name) || string(recName) != name {
 		return nil, fmt.Errorf("backend: get %s: record names a different payload", name)
 	}
-	if int64(payloadLen) != ref.Length || crc != ref.CRC {
-		return nil, fmt.Errorf("backend: get %s: record/manifest mismatch", name)
+	if rh.plen != ref.Length || rh.crc != ref.CRC {
+		return nil, fmt.Errorf("backend: get %s: record/index mismatch", name)
 	}
-	payload := rec[segHeaderLen+len(name):]
-	if crc32.ChecksumIEEE(payload) != crc {
+	payload := rec[hlen+len(name):]
+	if crc32.Update(rh.addName(rh.sum, recName), crc32.IEEETable, payload) != rh.crc {
 		return nil, fmt.Errorf("backend: get %s: checksum mismatch", name)
 	}
 	return payload, nil
@@ -309,23 +617,21 @@ func (s *Segment) List() ([]string, error) {
 	return out, nil
 }
 
-// Delete removes a name and commits the removal; absent names are a
-// no-op.
+// Delete appends a tombstone for name; its fsync is the commit. Absent
+// names are a no-op.
 func (s *Segment) Delete(name string) error {
 	if err := checkName(name); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ref, ok := s.refs[name]
-	if !ok {
+	if _, ok := s.refs[name]; !ok {
 		return nil
 	}
-	delete(s.refs, name)
-	if err := s.commitManifest(); err != nil {
-		s.refs[name] = ref
+	if _, err := s.appendFrame(frameTombstone, name, nil); err != nil {
 		return fmt.Errorf("backend: delete %s: %w", name, err)
 	}
-	s.collectGarbage()
+	delete(s.refs, name)
+	s.maybeRotate()
 	return nil
 }
