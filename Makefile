@@ -8,10 +8,10 @@ GO ?= go
 ## plus an extra multi-count run of the persistence crash-consistency
 ## stress test. The race run includes the full crash-state enumeration
 ## of the segment log (TestSegmentCrashStates). This is what keeps the
-## missing-go.mod regression, data races in the sharded OMS kernel, torn
-## (oms, framework) snapshot pairs, segment log states that lose an
-## acknowledged Put or Delete, diverging replicas, and unguarded replica
-## writes from ever landing again.
+## missing-go.mod regression, data races in the sharded OMS kernel, saves
+## that do not load, segment log states that lose an acknowledged Put or
+## Delete, diverging replicas (framework metadata included), and
+## unguarded replica writes from ever landing again.
 check: build vet lint fuzz-seed race stress-persist stress-atomic stress-feed stress-repl stress-blob stress-fmcad bench-obs
 
 build:
@@ -30,8 +30,8 @@ vet:
 ## requires gofmt-clean sources. The module is loaded once and the 11
 ## analyzers run concurrently; -time prints the per-analyzer wall time.
 ## Suppressions take //lint:allow <analyzer> <reason>; the reason is
-## mandatory, and known-deliberate sites are pinned loud by
-## TestDeliberateBlockingStaysLoud.
+## mandatory, and TestDeliberateBlockingStaysLoud pins that an annotated
+## site stays detected while its directive silences it.
 lint:
 	$(GO) run ./cmd/jcflint -time ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
@@ -55,8 +55,8 @@ race:
 	$(GO) test -race ./...
 
 ## stress-persist hammers Framework.Save against concurrent designers
-## under the race detector: every saved pair must Load and stay mutually
-## consistent (see internal/jcf/stress_test.go).
+## under the race detector: every save must Load, with every reservation
+## naming a registered user (see internal/jcf/stress_test.go).
 stress-persist:
 	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent' ./internal/jcf/
 
@@ -71,7 +71,7 @@ stress-atomic:
 ## committed op must reach a Watch subscriber exactly once in LSN order
 ## with batch groups delivered whole (internal/oms/feed_test.go), and
 ## differential saves looping against concurrent designers must always
-## load into a consistent pair (internal/jcf/feed_test.go).
+## load (internal/jcf/feed_test.go).
 stress-feed:
 	$(GO) test -race -count=3 -run 'TestFeedConformanceStress|TestDifferentialSaveCrashConsistencyUnderLoad|TestNotifierPublishesFrameworkEvents' ./internal/oms/ ./internal/jcf/
 
@@ -81,10 +81,12 @@ stress-feed:
 ## snapshot, the transport is killed and reconnected twice, corrupt and
 ## gapped streams are injected — final replica fingerprints must equal
 ## the primary's and WaitFor barriers must observe the writes they cover
-## (internal/repl/repl_test.go, internal/jcf/replica_test.go). Runs over
-## both the in-process pipe and real TCP.
+## (internal/repl/repl_test.go, internal/jcf/replica_test.go); flows,
+## reservations, typed hierarchies and shares must read the same on a
+## replica view, after promotion and after a reload. Runs over both the
+## in-process pipe and real TCP.
 stress-repl:
-	$(GO) test -race -count=3 -run 'TestReplicationConvergenceUnderLoad|TestReplicaStreamRobustness|TestReplicaReadOnlyView|TestReplicaViewPromote' ./internal/repl/ ./internal/jcf/
+	$(GO) test -race -count=3 -run 'TestReplicationConvergenceUnderLoad|TestReplicaStreamRobustness|TestReplicaReadOnlyView|TestReplicaViewPromote|TestReplicaAnswersFrameworkMetadata' ./internal/repl/ ./internal/jcf/
 
 ## stress-blob hammers the content-addressed checkin pipeline under the
 ## race detector: concurrent identical-content checkins must dedup to

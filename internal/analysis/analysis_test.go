@@ -233,31 +233,37 @@ func TestGuardWriteClassification(t *testing.T) {
 }
 
 // TestDeliberateBlockingStaysLoud is the loudness test for the
-// suppression protocol: the deliberate Snapshot-under-fw.mu in
-// jcf.Framework.SaveTo must still be DETECTED by holdblock (RunRaw,
-// which skips suppression filtering), and silenced only by its
-// //lint:allow annotation (Run). If the raw finding disappears, the
-// analyzer has gone blind and the annotation is dead weight; if the
-// filtered run reports it, the annotation drifted off its line.
+// suppression protocol: the annotated sleep under repl.Publisher.mu in
+// the holdblock fixture (AnnotatedSleep) must still be DETECTED by
+// holdblock (RunRaw, which skips suppression filtering), and silenced
+// only by its //lint:allow annotation (Run). If the raw finding
+// disappears, the analyzer has gone blind to annotated sites; if the
+// filtered run reports it, the directive no longer covers its line.
+// The real tree must carry no unsuppressed holdblock finding.
 func TestDeliberateBlockingStaysLoud(t *testing.T) {
+	fixture := loadFixtureTree(t)
+	annotated := func(diags []Diagnostic) bool {
+		for _, d := range diags {
+			if filepath.Base(d.Pos.Filename) == "holdblock.go" &&
+				strings.Contains(d.Message, "time.Sleep") &&
+				strings.Contains(d.Message, "AnnotatedSleep") {
+				return true
+			}
+		}
+		return false
+	}
+	if !annotated(RunRaw(fixture, []*Analyzer{HoldBlockAnalyzer})) {
+		t.Fatal("holdblock no longer detects the annotated sleep in the fixture's AnnotatedSleep; " +
+			"a //lint:allow there would be suppressing nothing — the analyzer went blind")
+	}
+	if annotated(Run(fixture, []*Analyzer{HoldBlockAnalyzer})) {
+		t.Fatal("the //lint:allow directive in AnnotatedSleep no longer suppresses its finding")
+	}
+
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	snap := loadRepoTree(t)
-	raw := RunRaw(snap, []*Analyzer{HoldBlockAnalyzer})
-	found := false
-	for _, d := range raw {
-		if filepath.Base(d.Pos.Filename) == "persist.go" &&
-			strings.Contains(d.Message, "oms.Store.Snapshot") &&
-			strings.Contains(d.Message, "jcf.Framework.SaveTo") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("holdblock no longer detects the deliberate Snapshot-under-fw.mu in SaveTo; " +
-			"the //lint:allow there is suppressing nothing — the analyzer went blind")
-	}
-	for _, d := range Run(snap, []*Analyzer{HoldBlockAnalyzer}) {
+	for _, d := range Run(loadRepoTree(t), []*Analyzer{HoldBlockAnalyzer}) {
 		t.Errorf("unsuppressed holdblock finding on clean tree: %s", d)
 	}
 }

@@ -227,7 +227,7 @@ func isFrameworkMapWrite(pkg *Package, lhs ast.Expr) bool {
 }
 
 // isFrameworkMapExpr reports whether e is a map-typed expression rooted
-// in a *Framework value (fw.reservations, fw.typedHier[cv], ...).
+// in a *Framework value (fw.enactments, fw.enactments[cv], ...).
 func isFrameworkMapExpr(pkg *Package, e ast.Expr) bool {
 	tv, ok := pkg.Info.Types[e]
 	if !ok {

@@ -1,7 +1,7 @@
 // Package repl seeds the holdblock analyzer's shapes: direct blocking
 // under a named lock, blocking reached transitively through a helper,
-// channel operations under a deferred unlock, the non-blocking
-// select-with-default idiom (clean), and an allowlisted lock (the
+// channel operations under a deferred unlock, a suppressed site, the
+// non-blocking select-with-default idiom (clean), and an allowlisted lock (the
 // fixture hierarchy doc allows time.Sleep under repl.Replica.mu).
 package repl
 
@@ -54,6 +54,16 @@ func (p *Publisher) NonBlockingSend() {
 	case p.ch <- 1:
 	default:
 	}
+}
+
+// AnnotatedSleep blocks under the lock on purpose and says why: the
+// directive silences Run, while RunRaw still reports the finding
+// (TestDeliberateBlockingStaysLoud).
+func (p *Publisher) AnnotatedSleep() {
+	p.mu.Lock()
+	//lint:allow holdblock fixture: a deliberate, annotated block that must stay detectable
+	time.Sleep(time.Millisecond)
+	p.mu.Unlock()
 }
 
 // SleepOutsideLock blocks only after the unlock — clean.

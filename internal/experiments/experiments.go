@@ -2,7 +2,11 @@
 // evaluation (section 3 plus Table 1 and Figures 1-2). Each experiment is
 // a function writing a human-readable report and returning structured
 // results so both the fwbench CLI and the root benchmark suite can drive
-// it. EXPERIMENTS.md records paper-claim vs. measured-shape for each.
+// it. The paper-claim vs. measured-shape comparison lives in the
+// experiments themselves: each Experiment's Paper field names where the
+// paper makes its claim, and each Run checks the measured shape against
+// it, returning a "shape violated" error (fwbench exits non-zero) when
+// the claim does not hold.
 package experiments
 
 import (

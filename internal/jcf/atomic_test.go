@@ -244,3 +244,52 @@ func TestDeriveVariantConcurrent(t *testing.T) {
 		t.Fatalf("v1 has %d successors, want %d", len(succ), derives)
 	}
 }
+
+// TestNamedResourceConcurrentSameName: goroutines racing to create one
+// user, one project and one flow by the same name leave exactly one
+// object of each; every other call fails with ErrExists. named() holds
+// numMu across its duplicate check and its Apply, so two callers can no
+// longer both pass the check.
+func TestNamedResourceConcurrentSameName(t *testing.T) {
+	const goroutines, rounds = 8, 100
+	for round := 0; round < rounds; round++ {
+		fw, err := New(Release30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		team, err := fw.CreateTeam("vlsi")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			class, name string
+			create      func() error
+		}{
+			{"User", "anna", func() error { _, err := fw.CreateUser("anna"); return err }},
+			{"Project", "chip1", func() error { _, err := fw.CreateProject("chip1", team); return err }},
+			{"Flow", "asic", func() error { _, err := fw.RegisterFlow(testFlow(t)); return err }},
+		} {
+			start := make(chan struct{})
+			var wins atomic.Int32
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					switch err := c.create(); {
+					case err == nil:
+						wins.Add(1)
+					case !errors.Is(err, ErrExists):
+						t.Errorf("%s: %v", c.class, err)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if got := len(fw.store.FindByAttr(c.class, "name", oms.S(c.name))); wins.Load() != 1 || got != 1 {
+				t.Fatalf("round %d: %d %s creations succeeded, %d objects exist; want 1 and 1", round, wins.Load(), c.class, got)
+			}
+		}
+	}
+}

@@ -21,8 +21,13 @@ func otodRel(name, from, to string) otod.Relationship {
 // prescribed and ﬁxed for the designer" (section 3.5).
 
 // enactment returns (creating lazily) the flow enactment of a cell
-// version.
+// version. Enactments are per-process session state, so a replica view,
+// which must not grow state of its own, refuses with ErrReadOnlyReplica
+// before the cache is touched.
 func (fw *Framework) enactment(cv oms.OID) (*flow.Enactment, error) {
+	if err := fw.guardWrite(); err != nil {
+		return nil, err
+	}
 	fw.mu.RLock()
 	if e, ok := fw.enactments[cv]; ok {
 		fw.mu.RUnlock()
@@ -161,14 +166,8 @@ func (fw *Framework) ExecutionHistory(cv oms.OID) []string {
 }
 
 // ActivityState returns the state of a flow activity on a cell version.
-//
-// The four flow-state queries below are read entry points that touch the
-// lazily built enactment cache. On a replica view they can never reach
-// the cache write: flows are session metadata of the primary, so
-// enactment() fails with ErrNotFound at the Flow lookup first — the
-// documented replica behaviour for the activity APIs.
-//
-//lint:allow guardwrite read path; enactment() returns ErrNotFound on replicas before its cache write (flows are not replicated)
+// This and the three flow-state queries below build the enactment cache
+// lazily, so on a replica view they fail with ErrReadOnlyReplica.
 func (fw *Framework) ActivityState(cv oms.OID, activity string) (flow.State, error) {
 	e, err := fw.enactment(cv)
 	if err != nil {
@@ -178,8 +177,6 @@ func (fw *Framework) ActivityState(cv oms.OID, activity string) (flow.State, err
 }
 
 // StartableActivities returns which activities the flow permits next.
-//
-//lint:allow guardwrite read path; enactment() returns ErrNotFound on replicas before its cache write (flows are not replicated)
 func (fw *Framework) StartableActivities(cv oms.OID) ([]string, error) {
 	e, err := fw.enactment(cv)
 	if err != nil {
@@ -190,8 +187,6 @@ func (fw *Framework) StartableActivities(cv oms.OID) ([]string, error) {
 
 // FlowComplete reports whether every activity of the cell version's flow
 // is done.
-//
-//lint:allow guardwrite read path; enactment() returns ErrNotFound on replicas before its cache write (flows are not replicated)
 func (fw *Framework) FlowComplete(cv oms.OID) (bool, error) {
 	e, err := fw.enactment(cv)
 	if err != nil {
@@ -202,8 +197,6 @@ func (fw *Framework) FlowComplete(cv oms.OID) (bool, error) {
 
 // FlowRejections returns how many out-of-order Start attempts the flow
 // enforcement refused on this cell version.
-//
-//lint:allow guardwrite read path; enactment() returns ErrNotFound on replicas before its cache write (flows are not replicated)
 func (fw *Framework) FlowRejections(cv oms.OID) (int, error) {
 	e, err := fw.enactment(cv)
 	if err != nil {

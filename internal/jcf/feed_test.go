@@ -425,7 +425,7 @@ func TestDifferentialSaveIgnoredOnFileBackend(t *testing.T) {
 // TestDifferentialSaveCrashConsistencyUnderLoad is the segment-backend
 // sibling of TestSaveCrashConsistencyUnderLoad: differential saves loop
 // against concurrent designers, and every committed manifest must load
-// into a mutually consistent (framework, oms) pair. Run under -race by
+// with every reservation naming a registered user. Run under -race by
 // `make stress-feed`.
 func TestDifferentialSaveCrashConsistencyUnderLoad(t *testing.T) {
 	w := newWorld(t, Release30)
@@ -489,16 +489,11 @@ func TestDifferentialSaveCrashConsistencyUnderLoad(t *testing.T) {
 			wg.Wait()
 			t.Fatalf("load of save %d: %v", i, err)
 		}
-		ld.mu.RLock()
-		for cv, user := range ld.reservations {
-			if !ld.store.Exists(cv) {
-				ld.mu.RUnlock()
-				stopFlag.stop()
-				wg.Wait()
-				t.Fatalf("save %d: reservation by %q names missing cell version %d", i, user, cv)
-			}
+		if err := checkReservations(ld); err != nil {
+			stopFlag.stop()
+			wg.Wait()
+			t.Fatalf("save %d: %v", i, err)
 		}
-		ld.mu.RUnlock()
 	}
 	m, err := backend.LoadManifest(seg)
 	if err == nil && len(m.Deltas) == 0 && m.Epoch > 1 {

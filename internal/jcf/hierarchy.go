@@ -13,9 +13,9 @@ import (
 // hierarchy per cell version — not one per view type — non-isomorphic
 // hierarchies (schematic differing from layout) cannot be represented and
 // are rejected. Release 4.0 lifts both restrictions: SubmitHierarchyTyped
-// stores per-view-type hierarchies, and the procedural interface lets
-// tools pass hierarchy information programmatically instead of through the
-// desktop.
+// stores per-view-type hierarchies as HierEdge objects in the database,
+// and the procedural interface lets tools pass hierarchy information
+// programmatically instead of through the desktop.
 
 // SubmitHierarchy records, via the desktop, that parent (a cell version)
 // is composed of child. Cycles are rejected: a cell version cannot
@@ -93,31 +93,46 @@ func (fw *Framework) SubmitHierarchyTyped(parent, child oms.OID, viewType string
 	if parent == child {
 		return fmt.Errorf("jcf: cell version cannot contain itself")
 	}
+	// The cycle check, the idempotence check and the edge create run
+	// under one write lock, so two concurrent submissions cannot each
+	// pass the check and close a cycle together.
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	if fw.typedReachableLocked(child, parent, viewType) {
+	if fw.typedReachable(child, parent, viewType) {
 		return fmt.Errorf("jcf: hierarchy cycle in view type %q", viewType)
 	}
-	m := fw.typedHier[parent]
-	if m == nil {
-		m = map[string][]oms.OID{}
-		fw.typedHier[parent] = m
-	}
-	for _, c := range m[viewType] {
+	for _, c := range fw.typedChildren(parent, viewType) {
 		if c == child {
 			return nil // idempotent
 		}
 	}
-	m[viewType] = append(m[viewType], child)
-	return nil
+	b := fw.getBatch()
+	defer fw.putBatch(b)
+	edge := b.CreateOwned("HierEdge", map[string]oms.Value{"viewType": oms.S(viewType)})
+	b.Link(fw.rel.edgeParent, edge, parent)
+	b.Link(fw.rel.edgeChild, edge, child)
+	_, err := fw.store.Apply(b)
+	return err
 }
 
-func (fw *Framework) typedReachableLocked(from, to oms.OID, viewType string) bool {
+// typedChildren walks the HierEdge objects of parent, in creation order,
+// and returns the children of those typed viewType.
+func (fw *Framework) typedChildren(parent oms.OID, viewType string) []oms.OID {
+	var out []oms.OID
+	for _, e := range fw.store.Sources(fw.rel.edgeParent, parent) {
+		if fw.store.GetString(e, "viewType") == viewType {
+			out = append(out, fw.store.Target(fw.rel.edgeChild, e))
+		}
+	}
+	return out
+}
+
+func (fw *Framework) typedReachable(from, to oms.OID, viewType string) bool {
 	if from == to {
 		return true
 	}
-	for _, c := range fw.typedHier[from][viewType] {
-		if fw.typedReachableLocked(c, to, viewType) {
+	for _, c := range fw.typedChildren(from, viewType) {
+		if fw.typedReachable(c, to, viewType) {
 			return true
 		}
 	}
@@ -130,9 +145,7 @@ func (fw *Framework) TypedChildren(parent oms.OID, viewType string) ([]oms.OID, 
 	if fw.release < Release40 {
 		return nil, fmt.Errorf("%w: typed hierarchies need release 4.0", ErrUnsupported)
 	}
-	fw.mu.RLock()
-	defer fw.mu.RUnlock()
-	return append([]oms.OID(nil), fw.typedHier[parent][viewType]...), nil
+	return fw.typedChildren(parent, viewType), nil
 }
 
 // ProceduralHierarchyInterface reports whether tools may submit hierarchy
@@ -172,23 +185,14 @@ func (fw *Framework) ShareCell(cell, toProject oms.OID) error {
 	if owner[0] == toProject {
 		return fmt.Errorf("jcf: cell already belongs to that project")
 	}
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	for _, c := range fw.shares[toProject] {
-		if c == cell {
-			return nil // idempotent
-		}
-	}
-	fw.shares[toProject] = append(fw.shares[toProject], cell)
-	return nil
+	return fw.store.Link(fw.rel.shares, toProject, cell) // idempotent
 }
 
-// SharedCells returns the cells shared into a project (Release 4.0).
+// SharedCells returns the cells shared into a project, in OID order
+// (Release 4.0).
 func (fw *Framework) SharedCells(project oms.OID) ([]oms.OID, error) {
 	if fw.release < Release40 {
 		return nil, fmt.Errorf("%w: inter-project data sharing needs release 4.0", ErrUnsupported)
 	}
-	fw.mu.RLock()
-	defer fw.mu.RUnlock()
-	return append([]oms.OID(nil), fw.shares[project]...), nil
+	return fw.store.Targets(fw.rel.shares, project), nil
 }

@@ -29,6 +29,7 @@
 package jcf
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -87,6 +88,10 @@ type relNames struct {
 	equivalent, derived         string
 	cfgHasVersion, cfgPrecedes  string
 	hasEntry, configures        string
+	edgeParent, edgeChild       string
+	shares                      string
+	contains, proxies           string
+	performedBy                 string
 }
 
 // Framework is one live JCF instance. All methods are safe for concurrent
@@ -104,12 +109,12 @@ type Framework struct {
 
 	// numMu serializes count-then-create version/variant numbering
 	// (CreateCellVersion, CreateVariant, DeriveVariant, CheckInData,
-	// DeriveConfigVersion) so concurrent designers on the same cell
-	// never allocate duplicate numbers. Lock order: fw.mu may be held
-	// when numMu is taken (CheckInData holds fw.mu for reading across
-	// its whole batch so the reservation check stays true until the
-	// commit); never the reverse. Store stripe locks are always the
-	// innermost.
+	// DeriveConfigVersion) and the check-then-create of named resources
+	// (named), so concurrent callers never allocate duplicate numbers or
+	// register one name twice. Lock order: fw.mu may be held when numMu
+	// is taken (CheckInData holds fw.mu for reading across its whole
+	// batch so the reservation check stays true until the commit); never
+	// the reverse. Store stripe locks are always the innermost.
 	numMu sync.Mutex
 
 	// saveMu serializes Save/SaveTo: the commit epoch is a
@@ -141,28 +146,24 @@ type Framework struct {
 		cache []Inconsistency
 	}
 
-	// mu guards the framework-level maps below. Reads vastly outnumber
-	// writes on the designers' hot path (reservation checks, flow lookups),
-	// so readers share the lock; the OMS store underneath does its own
-	// finer-grained striping.
+	// mu serializes the framework's check-then-act sequences against the
+	// store: Reserve, ReleaseReservation and Publish hold it for writing
+	// around their reservation check and commit, CheckInData holds it for
+	// reading from its reservation check until its batch has committed,
+	// and SubmitHierarchyTyped holds it across its cycle check and edge
+	// create. The store stays the only record of what those sequences
+	// decide; mu itself guards only the enactment cache below.
 	mu sync.RWMutex
-	// flows registered as resources, by name. Entries appear only once a
-	// flow is fully materialized; in-flight registrations live in
-	// flowsPending so readers never observe a half-registered flow.
-	flows map[string]*flow.Flow
-	// flowsPending reserves flow names during RegisterFlow.
-	flowsPending map[string]bool
-	// flowOIDs maps flow name -> OMS Flow object.
-	flowOIDs map[string]oms.OID
-	// reservations: cell version OID -> user name holding the workspace.
-	reservations map[oms.OID]string
-	// enactments: cell version OID -> flow enactment.
+	// enactments: cell version OID -> flow enactment. Activity execution
+	// state is per-process session state, never persisted or replicated.
 	enactments map[oms.OID]*flow.Enactment
-	// typedHier (Release 4.0 only): per-viewtype hierarchies, allowing
-	// non-isomorphic designs: parent CV -> viewtype name -> children.
-	typedHier map[oms.OID]map[string][]oms.OID
-	// shares (Release 4.0 only): project OID -> cells shared into it.
-	shares map[oms.OID][]oms.OID
+
+	// flowMemo caches decoded flows by Flow object OID (*flow.Flow), so
+	// every enactment of a flow shares one frozen instance. It is filled
+	// only from the store, and a Flow object's spec never changes once
+	// committed, so an entry can never go stale — which is also why a
+	// replica view may fill it.
+	flowMemo sync.Map
 
 	rel relNames
 
@@ -202,17 +203,11 @@ func New(release Release) (*Framework, error) {
 		return nil, fmt.Errorf("jcf: building schema: %w", err)
 	}
 	fw := &Framework{
-		release:      release,
-		model:        model,
-		store:        oms.NewStore(schema),
-		flows:        map[string]*flow.Flow{},
-		flowsPending: map[string]bool{},
-		flowOIDs:     map[string]oms.OID{},
-		reservations: map[oms.OID]string{},
-		enactments:   map[oms.OID]*flow.Enactment{},
-		typedHier:    map[oms.OID]map[string][]oms.OID{},
-		shares:       map[oms.OID][]oms.OID{},
-		uploads:      map[oms.OID]*cvUploads{},
+		release:    release,
+		model:      model,
+		store:      oms.NewStore(schema),
+		enactments: map[oms.OID]*flow.Enactment{},
+		uploads:    map[oms.OID]*cvUploads{},
 	}
 	fw.upCond = sync.NewCond(&fw.upMu)
 	r := func(name, from, to string) string {
@@ -237,6 +232,12 @@ func New(release Release) (*Framework, error) {
 		cfgPrecedes:     r("precedes", "ConfigVersion", "ConfigVersion"),
 		hasEntry:        r("hasEntry", "ConfigVersion", "DesignObjectVersion"),
 		configures:      r("configures", "Configuration", "CellVersion"),
+		edgeParent:      r("edgeParent", "HierEdge", "CellVersion"),
+		edgeChild:       r("edgeChild", "HierEdge", "CellVersion"),
+		shares:          r("shares", "Project", "Cell"),
+		contains:        r("contains", "Flow", "ActivityProxy"),
+		proxies:         r("proxies", "ActivityProxy", "Activity"),
+		performedBy:     r("performedBy", "Activity", "Tool"),
 	}
 	return fw, nil
 }
@@ -289,7 +290,8 @@ func (fw *Framework) ReserveConflicts() int64 {
 // When stage is non-nil it adds further ops to the same batch, keyed to
 // the new object's placeholder OID, so the creation and its wiring
 // commit as ONE atomic group — no reader ever observes the object
-// half-linked.
+// half-linked. numMu spans the duplicate check and the Apply, so two
+// concurrent creations of one name cannot both pass the check.
 func (fw *Framework) named(class, name string, stage func(b *oms.Batch, oid oms.OID)) (oms.OID, error) {
 	if err := fw.guardWrite(); err != nil {
 		return oms.InvalidOID, err
@@ -297,6 +299,8 @@ func (fw *Framework) named(class, name string, stage func(b *oms.Batch, oid oms.
 	if name == "" {
 		return oms.InvalidOID, fmt.Errorf("jcf: empty %s name", class)
 	}
+	fw.numMu.Lock()
+	defer fw.numMu.Unlock()
 	if hits := fw.store.FindByAttr(class, "name", oms.S(name)); len(hits) > 0 {
 		return oms.InvalidOID, fmt.Errorf("%w: %s %q", ErrExists, class, name)
 	}
@@ -382,8 +386,9 @@ func (fw *Framework) Members(team oms.OID) []string {
 
 // RegisterFlow freezes the given flow and registers it as a framework
 // resource. Flows become metadata fully under framework control; they are
-// fixed and cannot be modified afterwards (section 2.1). The flow's
-// activities and their tools are materialized as OMS objects.
+// fixed and cannot be modified afterwards (section 2.1). The flow object
+// (carrying the frozen flow as its spec), its activities and their tools
+// are materialized as OMS objects.
 func (fw *Framework) RegisterFlow(f *flow.Flow) (oms.OID, error) {
 	if err := fw.guardWrite(); err != nil {
 		return oms.InvalidOID, err
@@ -391,96 +396,115 @@ func (fw *Framework) RegisterFlow(f *flow.Flow) (oms.OID, error) {
 	if err := f.Freeze(); err != nil {
 		return oms.InvalidOID, fmt.Errorf("jcf: registering flow: %w", err)
 	}
-	// Reserve the name under the write lock so two concurrent
-	// registrations of the same flow cannot both pass a read-locked
-	// duplicate check and materialize twice. The reservation lives in
-	// flowsPending, not flows, so Flow/Flows/Save never see the flow
-	// until it is fully materialized.
-	fw.mu.Lock()
-	if fw.flowsPending[f.Name] {
-		fw.mu.Unlock()
-		return oms.InvalidOID, fmt.Errorf("%w: flow %q", ErrExists, f.Name)
-	}
-	if _, dup := fw.flows[f.Name]; dup {
-		fw.mu.Unlock()
-		return oms.InvalidOID, fmt.Errorf("%w: flow %q", ErrExists, f.Name)
-	}
-	fw.flowsPending[f.Name] = true
-	fw.mu.Unlock()
-	// The deferred guard retracts the reservation on any error return;
-	// the success path below clears it itself.
-	registered := false
-	defer func() {
-		if !registered {
-			fw.mu.Lock()
-			delete(fw.flowsPending, f.Name)
-			fw.mu.Unlock()
-		}
-	}()
-
-	if f.Name == "" {
-		return oms.InvalidOID, fmt.Errorf("jcf: empty Flow name")
-	}
-	if hits := fw.store.FindByAttr("Flow", "name", oms.S(f.Name)); len(hits) > 0 {
-		return oms.InvalidOID, fmt.Errorf("%w: Flow %q", ErrExists, f.Name)
-	}
-	// Materialize the flow object, its activities and their proxies as ONE
-	// batch so the queryable metadata appears atomically: no concurrent
-	// reader (or crash-consistent snapshot) ever sees a Flow object whose
-	// activities are still being wired up, and any failure leaves no
-	// half-materialized flow to collide with a retry.
-	proxyRel := fw.model.SchemaRelName(otod.Relationship{Name: "proxies", From: "ActivityProxy", To: "Activity"})
-	containsRel := fw.model.SchemaRelName(otod.Relationship{Name: "contains", From: "Flow", To: "ActivityProxy"})
-	performedBy := fw.model.SchemaRelName(otod.Relationship{Name: "performedBy", From: "Activity", To: "Tool"})
-	b := oms.NewBatch()
-	flowPH := b.CreateOwned("Flow", map[string]oms.Value{"name": oms.S(f.Name)})
-	for _, name := range f.Activities() {
-		a, err := f.Activity(name)
-		if err != nil {
-			return oms.InvalidOID, err
-		}
-		actPH := b.CreateOwned("Activity", map[string]oms.Value{"name": oms.S(f.Name + "/" + name)})
-		proxyPH := b.CreateOwned("ActivityProxy", map[string]oms.Value{"name": oms.S(f.Name + "/" + name + "#proxy")})
-		b.Link(containsRel, flowPH, proxyPH)
-		b.Link(proxyRel, proxyPH, actPH)
-		if a.Tool != "" {
-			if toolOID, err := fw.lookupNamed("Tool", a.Tool); err == nil {
-				b.Link(performedBy, actPH, toolOID)
-			}
-		}
-	}
-	created, err := fw.store.Apply(b)
+	spec, err := specOf(f)
 	if err != nil {
 		return oms.InvalidOID, err
 	}
-	oid := created[0]
-	fw.mu.Lock()
-	fw.flows[f.Name] = f
-	fw.flowOIDs[f.Name] = oid
-	delete(fw.flowsPending, f.Name)
-	registered = true
-	fw.mu.Unlock()
-	return oid, nil
+	encoded, err := json.Marshal(spec)
+	if err != nil {
+		return oms.InvalidOID, fmt.Errorf("jcf: registering flow: %w", err)
+	}
+	// The flow object, its spec, its activities and their proxies commit
+	// as ONE batch, so the queryable metadata appears atomically: no
+	// concurrent reader, snapshot or replica ever sees a Flow object
+	// whose spec or activities are still being wired up, and any failure
+	// leaves no half-materialized flow to collide with a retry.
+	return fw.named("Flow", f.Name, func(b *oms.Batch, flowPH oms.OID) {
+		b.Set(flowPH, "spec", oms.S(string(encoded)))
+		for _, a := range spec.Activities {
+			actPH := b.CreateOwned("Activity", map[string]oms.Value{"name": oms.S(f.Name + "/" + a.Name)})
+			proxyPH := b.CreateOwned("ActivityProxy", map[string]oms.Value{"name": oms.S(f.Name + "/" + a.Name + "#proxy")})
+			b.Link(fw.rel.contains, flowPH, proxyPH)
+			b.Link(fw.rel.proxies, proxyPH, actPH)
+			if a.Tool != "" {
+				if toolOID, err := fw.lookupNamed("Tool", a.Tool); err == nil {
+					b.Link(fw.rel.performedBy, actPH, toolOID)
+				}
+			}
+		}
+	})
 }
 
-// Flow returns a registered flow by name.
-func (fw *Framework) Flow(name string) (*flow.Flow, error) {
-	fw.mu.RLock()
-	defer fw.mu.RUnlock()
-	f, ok := fw.flows[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: flow %q", ErrNotFound, name)
+// flowSpec is the JSON shape of a frozen flow: the Flow object's spec
+// attribute, and one entry of the flow list an older framework payload
+// carried (which also named the Flow object's OID).
+type flowSpec struct {
+	Name       string              `json:"name"`
+	Activities []flow.Activity     `json:"activities"`
+	Precedes   map[string][]string `json:"precedes"`
+	OID        oms.OID             `json:"oid,omitempty"`
+}
+
+// specOf captures a frozen flow's activities and precedence.
+func specOf(f *flow.Flow) (flowSpec, error) {
+	spec := flowSpec{Name: f.Name, Precedes: map[string][]string{}}
+	for _, name := range f.Activities() {
+		a, err := f.Activity(name)
+		if err != nil {
+			return flowSpec{}, err
+		}
+		spec.Activities = append(spec.Activities, a)
+		if succ := f.Successors(name); len(succ) > 0 {
+			spec.Precedes[name] = succ
+		}
+	}
+	return spec, nil
+}
+
+// build rebuilds the frozen flow a spec describes.
+func (s flowSpec) build() (*flow.Flow, error) {
+	f := flow.New(s.Name)
+	for _, a := range s.Activities {
+		if err := f.AddActivity(a); err != nil {
+			return nil, fmt.Errorf("jcf: flow %q: %w", s.Name, err)
+		}
+	}
+	for before, afters := range s.Precedes {
+		for _, after := range afters {
+			if err := f.AddPrecedes(before, after); err != nil {
+				return nil, fmt.Errorf("jcf: flow %q: %w", s.Name, err)
+			}
+		}
+	}
+	if err := f.Freeze(); err != nil {
+		return nil, fmt.Errorf("jcf: flow %q: %w", s.Name, err)
 	}
 	return f, nil
 }
 
+// Flow returns a registered flow by name, decoded from the spec its Flow
+// object carries.
+func (fw *Framework) Flow(name string) (*flow.Flow, error) {
+	oid, err := fw.lookupNamed("Flow", name)
+	if err != nil {
+		return nil, err
+	}
+	if f, ok := fw.flowMemo.Load(oid); ok {
+		return f.(*flow.Flow), nil
+	}
+	encoded := fw.store.GetString(oid, "spec")
+	if encoded == "" {
+		return nil, fmt.Errorf("%w: flow %q has no spec", ErrNotFound, name)
+	}
+	var spec flowSpec
+	if err := json.Unmarshal([]byte(encoded), &spec); err != nil {
+		return nil, fmt.Errorf("jcf: flow %q: %w", name, err)
+	}
+	f, err := spec.build()
+	if err != nil {
+		return nil, err
+	}
+	memo, _ := fw.flowMemo.LoadOrStore(oid, f)
+	return memo.(*flow.Flow), nil
+}
+
 // Flows returns the registered flow names, sorted.
 func (fw *Framework) Flows() []string {
-	fw.mu.RLock()
-	defer fw.mu.RUnlock()
-	out := make([]string, 0, len(fw.flows))
-	for n := range fw.flows {
-		out = append(out, n)
+	var out []string
+	for _, oid := range fw.store.All("Flow") {
+		if fw.store.GetString(oid, "spec") != "" {
+			out = append(out, fw.store.GetString(oid, "name"))
+		}
 	}
 	sort.Strings(out)
 	return out

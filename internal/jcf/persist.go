@@ -8,58 +8,63 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/flow"
 	"repro/internal/oms"
 	"repro/internal/oms/backend"
 	"repro/internal/otod"
 )
 
-// Framework persistence: one crash-consistent cut over the OMS database
-// and the framework metadata around it — registered flows, workspace
-// reservations, typed hierarchies and shares — committed through a
-// pluggable storage backend.
-//
-// The failure this design removes: the old Save wrote oms.json, *then*
-// captured framework state, so a designer reserving or linking in the
-// gap produced a framework.json referencing OIDs absent from oms.json.
-// Now both halves are captured under a single cut (fw.mu held across the
-// store's stripe-locked Snapshot) and committed by ONE atomic manifest
-// Put; Load refuses any pair that is not mutually consistent.
+// Framework persistence: one crash-consistent cut over the OMS
+// database, committed through a pluggable storage backend. The database
+// is the framework's only record — registered flows, workspace
+// reservations, typed hierarchies and shares included — so the cut is
+// the store's own: a stripe-consistent Snapshot for a full commit, or
+// the change-feed suffix since the previous commit for a differential
+// one. No framework lock is taken, and a load has nothing to
+// cross-validate.
 //
 // Layout through the backend (file backend shown; the segment backend
-// stores the same names in its write-ahead log):
+// stores the same names in its log):
 //
-//	CURRENT          commit manifest: epoch, payload names, checksums.
-//	                 Its atomic replacement is the commit point.
-//	oms@<epoch>        the object database snapshot payload
-//	framework@<epoch>  release, flows, reservations, 4.0 extension state
+//	CURRENT            commit manifest: epoch, payload names, checksums.
+//	                   Its atomic replacement is the commit point.
+//	oms@<epoch>        the object database snapshot payload (the base)
+//	delta@<epoch>      the change-feed suffix a differential commit adds
+//	framework@<epoch>  the release header: the framework's release level
 //
 // Older epochs are garbage-collected after a successful commit.
+//
+// State dirs written before the database held flows, typed hierarchies
+// and shares carry them in framework@<epoch>; LoadFrom imports them into
+// the store (see legacyState).
 //
 // Flow enactments are not persisted: like the original, activity
 // execution state lives with the session, while all design data and
 // metadata live in the database.
 
-// persistedFlow serializes one registered flow.
-type persistedFlow struct {
-	Name       string              `json:"name"`
-	Activities []flow.Activity     `json:"activities"`
-	Precedes   map[string][]string `json:"precedes"`
-	OID        oms.OID             `json:"oid"`
+// persistedState is the framework@<epoch> release header.
+type persistedState struct {
+	Release Release `json:"release"`
 }
 
-// persistedState is the framework payload content.
-type persistedState struct {
-	Release      Release                          `json:"release"`
-	Flows        []persistedFlow                  `json:"flows"`
+// legacyState is a framework@<epoch> payload written before the
+// database held the framework's metadata: its flows, reservations,
+// typed hierarchies and shares. LoadFrom imports what it names.
+type legacyState struct {
+	persistedState
+	Flows        []flowSpec                       `json:"flows"`
 	Reservations map[oms.OID]string               `json:"reservations"`
-	TypedHier    map[oms.OID]map[string][]oms.OID `json:"typed_hier,omitempty"`
-	Shares       map[oms.OID][]oms.OID            `json:"shares,omitempty"`
+	TypedHier    map[oms.OID]map[string][]oms.OID `json:"typed_hier"`
+	Shares       map[oms.OID][]oms.OID            `json:"shares"`
 }
+
+// ErrTornPair is returned by LoadFrom when an older framework payload
+// names an object its committed store payload does not hold — a pair
+// that was never written by one consistent save.
+var ErrTornPair = errors.New("jcf: load: torn snapshot pair")
 
 // The CURRENT commit manifest — the one object whose atomic replacement
-// commits a (framework, oms) snapshot pair, with the base + delta-chain
-// bookkeeping of differential commits — is a shared format now: it lives
+// commits an epoch's payloads, with the base + delta-chain bookkeeping of
+// differential commits — is a shared format: it lives
 // in the backend package (backend.Manifest) so the replication publisher
 // can ship the same commit stream this layer writes.
 
@@ -89,23 +94,22 @@ func (fw *Framework) Save(dir string) error {
 
 // SaveTo persists the framework through an arbitrary storage backend.
 //
-// The capture is one consistent cut: the framework maps are copied and
-// the store snapshot is taken while fw.mu is held, so every OID the
-// framework state references exists in the store payload. Designers are
-// stalled only for that capture — encoding and the backend writes run
-// outside all locks. The pair becomes visible atomically when the
-// CURRENT manifest is Put; a crash at any earlier point leaves the
-// previous epoch fully intact.
+// The cut is the store's: a stripe-consistent snapshot, or the
+// change-feed suffix since the previous commit. Designers are stalled
+// only for the snapshot capture, never for encoding or backend writes.
+// The commit becomes visible atomically when the CURRENT manifest is
+// Put; a crash at any earlier point leaves the previous epoch fully
+// intact.
 //
 // On a DeltaCapable backend (the segment/WAL backend), a SaveTo that
 // follows a commit this same framework instance made writes only the
 // change-feed suffix since that commit — a delta payload of O(what
 // changed), not O(store) — and the manifest binds base epoch + delta
-// chain. The framework metadata payload is always written in full (it
-// is small). Save falls back to a full base snapshot whenever the
-// anchor is missing (first save, a different backend, a freshly loaded
-// framework), the feed ring has evicted part of the needed suffix, or
-// the chain has reached its compaction bound.
+// chain. The release header is written with every commit. Save falls
+// back to a full base snapshot whenever the anchor is missing (first
+// save, a different backend, a freshly loaded framework), the feed ring
+// has evicted part of the needed suffix, or the chain has reached its
+// compaction bound.
 func (fw *Framework) SaveTo(b backend.Backend) error {
 	if err := fw.guardWrite(); err != nil {
 		return err
@@ -136,41 +140,6 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 		prev.FeedLSN == fw.lastSaveLSN &&
 		len(prev.Deltas) < maxChain
 
-	// --- the consistent cut -------------------------------------------
-	fw.mu.RLock()
-	state := persistedState{
-		Release:      fw.release,
-		Reservations: map[oms.OID]string{},
-		TypedHier:    map[oms.OID]map[string][]oms.OID{},
-		Shares:       map[oms.OID][]oms.OID{},
-	}
-	for cv, user := range fw.reservations {
-		state.Reservations[cv] = user
-	}
-	for p, m := range fw.typedHier {
-		cp := map[string][]oms.OID{}
-		for vt, kids := range m {
-			cp[vt] = append([]oms.OID(nil), kids...)
-		}
-		state.TypedHier[p] = cp
-	}
-	for p, cells := range fw.shares {
-		state.Shares[p] = append([]oms.OID(nil), cells...)
-	}
-	flows := make(map[string]*flow.Flow, len(fw.flows))
-	flowOIDs := make(map[string]oms.OID, len(fw.flowOIDs))
-	for n, f := range fw.flows {
-		flows[n] = f
-		flowOIDs[n] = fw.flowOIDs[n]
-	}
-	// The store cut is taken while fw.mu is still held: anything the
-	// captured framework state references was created strictly before
-	// this point, so it is inside the cut. Lock order fw.mu -> stripes is
-	// the one Publish already uses. The differential cut reads the
-	// change-feed suffix instead of snapshotting — same ordering
-	// argument: every OID the captured maps reference committed (and
-	// published) before this read, so the suffix up to the current feed
-	// watermark covers it.
 	var snap *oms.Snapshot
 	var delta []oms.Change
 	var deltaTo uint64
@@ -188,30 +157,9 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 		}
 	}
 	if !wantDelta {
-		// The RLock-spanning Snapshot is the point of SaveTo: the cut
-		// must be consistent with the flow/config tables read above.
-		//lint:allow holdblock SaveTo needs a store cut consistent with the framework tables it read under the same RLock
 		snap = fw.store.Snapshot()
 	}
-	fw.mu.RUnlock()
-	// --- everything below runs outside all framework/store locks ------
-
-	for _, name := range sortedFlowNames(flows) {
-		f := flows[name]
-		pf := persistedFlow{Name: name, Precedes: map[string][]string{}, OID: flowOIDs[name]}
-		for _, an := range f.Activities() {
-			a, err := f.Activity(an)
-			if err != nil {
-				return err
-			}
-			pf.Activities = append(pf.Activities, a)
-			if succ := f.Successors(an); len(succ) > 0 {
-				pf.Precedes[an] = succ
-			}
-		}
-		state.Flows = append(state.Flows, pf)
-	}
-	fwPayload, err := json.MarshalIndent(&state, "", " ")
+	fwPayload, err := json.MarshalIndent(persistedState{Release: fw.release}, "", " ")
 	if err != nil {
 		return fmt.Errorf("jcf: save: %w", err)
 	}
@@ -319,16 +267,6 @@ func gcOldEpochs(b backend.Backend, committed, prev *backend.Manifest) {
 	}
 }
 
-func sortedFlowNames(m map[string]*flow.Flow) []string {
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	// Insertion-order independence: sort for deterministic files.
-	sort.Strings(out)
-	return out
-}
-
 // Load restores a framework saved by Save from a state directory.
 func Load(dir string) (*Framework, error) {
 	b, err := backend.OpenFile(dir)
@@ -339,9 +277,9 @@ func Load(dir string) (*Framework, error) {
 }
 
 // LoadFrom restores a framework from a storage backend. The manifest's
-// checksums are verified and the (framework, oms) pair is validated for
-// mutual consistency — a torn pair (one that references objects the
-// store payload does not contain) is rejected rather than resurrected.
+// checksums are verified; an older framework payload's metadata is
+// imported into the store, and one that names objects the store payload
+// does not contain is refused with ErrTornPair.
 //
 // A differential commit is restored by decoding the base snapshot and
 // replaying the manifest's delta chain in order; every payload is
@@ -373,8 +311,7 @@ func LoadFrom(b backend.Backend) (*Framework, error) {
 		return nil, err
 	}
 	// The chain must attach to the base's cut and stay contiguous — a
-	// gap replays incomplete history, which is refused as loudly as a
-	// torn pair.
+	// gap replays incomplete history, which is refused.
 	prevTo := manifest.BaseLSN
 	for _, d := range manifest.Deltas {
 		payload, err := b.Get(d.Name)
@@ -413,10 +350,10 @@ func decodeStore(omsPayload []byte) (*oms.Store, error) {
 	return store, nil
 }
 
-// decodeFramework rebuilds the framework metadata around a restored
-// store and validates their mutual consistency.
+// decodeFramework rebuilds the framework around a restored store,
+// importing an older payload's metadata into it first.
 func decodeFramework(fwPayload []byte, store *oms.Store) (*Framework, error) {
-	var state persistedState
+	var state legacyState
 	if err := json.Unmarshal(fwPayload, &state); err != nil {
 		return nil, fmt.Errorf("jcf: load: %w", err)
 	}
@@ -425,86 +362,71 @@ func decodeFramework(fwPayload []byte, store *oms.Store) (*Framework, error) {
 		return nil, err
 	}
 	fw.store = store
-
-	for _, pf := range state.Flows {
-		f := flow.New(pf.Name)
-		for _, a := range pf.Activities {
-			if err := f.AddActivity(a); err != nil {
-				return nil, fmt.Errorf("jcf: load flow %q: %w", pf.Name, err)
-			}
-		}
-		for before, afters := range pf.Precedes {
-			for _, after := range afters {
-				if err := f.AddPrecedes(before, after); err != nil {
-					return nil, fmt.Errorf("jcf: load flow %q: %w", pf.Name, err)
-				}
-			}
-		}
-		if err := f.Freeze(); err != nil {
-			return nil, fmt.Errorf("jcf: load flow %q: %w", pf.Name, err)
-		}
-		fw.mu.Lock()
-		fw.flows[pf.Name] = f
-		fw.flowOIDs[pf.Name] = pf.OID
-		fw.mu.Unlock()
-	}
-	fw.mu.Lock()
-	for cv, user := range state.Reservations {
-		fw.reservations[cv] = user
-	}
-	if state.TypedHier != nil {
-		fw.typedHier = state.TypedHier
-	}
-	if state.Shares != nil {
-		fw.shares = state.Shares
-	}
-	fw.mu.Unlock()
-	if err := fw.validateLoadedState(); err != nil {
+	if err := fw.importLegacy(&state); err != nil {
 		return nil, err
 	}
 	return fw, nil
 }
 
-// validateLoadedState cross-checks the restored framework metadata
-// against the restored store: every OID the framework half references
-// must resolve. A failure means the pair was written by something other
-// than a single-cut Save (e.g. hand-edited or mixed epochs) — exactly
-// the torn snapshot Load must refuse to resurrect.
-func (fw *Framework) validateLoadedState() error {
-	torn := func(format string, args ...any) error {
-		return fmt.Errorf("jcf: load: torn snapshot pair: %s", fmt.Sprintf(format, args...))
-	}
-	for cv, user := range fw.reservations {
-		if !fw.store.Exists(cv) {
-			return torn("reservation by %q names missing cell version %d", user, cv)
+// importLegacy moves what an older framework payload names into the
+// store as one Apply batch: each flow's spec onto its Flow object, each
+// reservation onto its cell version's reservedBy (which already mirrors
+// it), each typed edge as a HierEdge object and each share as a link.
+// Apply refuses an op on a missing object and rolls the batch back, so
+// a payload naming an OID the store lacks is refused whole.
+func (fw *Framework) importLegacy(st *legacyState) error {
+	b := oms.NewBatch()
+	for _, spec := range st.Flows {
+		if _, err := spec.build(); err != nil {
+			return fmt.Errorf("jcf: load: %w", err)
 		}
-	}
-	for name, oid := range fw.flowOIDs {
-		if oid != oms.InvalidOID && !fw.store.Exists(oid) {
-			return torn("flow %q names missing object %d", name, oid)
+		oid := spec.OID
+		spec.OID = oms.InvalidOID
+		encoded, err := json.Marshal(spec)
+		if err != nil {
+			return fmt.Errorf("jcf: load: %w", err)
 		}
+		b.Set(oid, "spec", oms.S(string(encoded)))
 	}
-	for p, m := range fw.typedHier {
-		if !fw.store.Exists(p) {
-			return torn("typed hierarchy names missing parent %d", p)
+	for _, cv := range sortedOIDKeys(st.Reservations) {
+		b.Set(cv, "reservedBy", oms.S(st.Reservations[cv]))
+	}
+	for _, parent := range sortedOIDKeys(st.TypedHier) {
+		byView := st.TypedHier[parent]
+		views := make([]string, 0, len(byView))
+		for vt := range byView {
+			views = append(views, vt)
 		}
-		for vt, kids := range m {
-			for _, k := range kids {
-				if !fw.store.Exists(k) {
-					return torn("typed hierarchy %d/%s names missing child %d", p, vt, k)
-				}
+		sort.Strings(views)
+		for _, vt := range views {
+			for _, child := range byView[vt] {
+				edge := b.CreateOwned("HierEdge", map[string]oms.Value{"viewType": oms.S(vt)})
+				b.Link(fw.rel.edgeParent, edge, parent)
+				b.Link(fw.rel.edgeChild, edge, child)
 			}
 		}
 	}
-	for p, cells := range fw.shares {
-		if !fw.store.Exists(p) {
-			return torn("share names missing project %d", p)
+	for _, project := range sortedOIDKeys(st.Shares) {
+		for _, cell := range st.Shares[project] {
+			b.Link(fw.rel.shares, project, cell)
 		}
-		for _, c := range cells {
-			if !fw.store.Exists(c) {
-				return torn("project %d shares missing cell %d", p, c)
-			}
-		}
+	}
+	if b.Len() == 0 {
+		return nil
+	}
+	if _, err := fw.store.Apply(b); err != nil {
+		return fmt.Errorf("%w: %w", ErrTornPair, err)
 	}
 	return nil
+}
+
+// sortedOIDKeys returns a map's OID keys in ascending order, so an
+// import is deterministic.
+func sortedOIDKeys[V any](m map[oms.OID]V) []oms.OID {
+	out := make([]oms.OID, 0, len(m))
+	for oid := range m {
+		out = append(out, oid)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

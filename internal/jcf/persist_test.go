@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/oms/backend"
@@ -299,22 +298,15 @@ func TestSaveCommitIsAtomic(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsTornPair builds, by hand, the exact artifact a two-cut
-// save could produce — a framework payload whose reservation names a
-// cell version absent from the oms payload — commits it through a valid
-// manifest, and expects Load's cross-validation to refuse it.
+// TestLoadRejectsTornPair commits, by hand, the artifact a two-cut save
+// of the older format could produce — a framework payload whose
+// reservation, flow, typed edge and share name objects absent from the
+// oms payload — and expects LoadFrom's import to refuse it with
+// ErrTornPair. Each field is tried on its own, so none is dropped
+// silently (TestLoadsSegmentStateFromPreviousFormat loads a consistent
+// payload of the same format).
 func TestLoadRejectsTornPair(t *testing.T) {
-	w := newWorld(t, Release30)
-	if err := w.fw.Reserve("anna", w.cv); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := w.fw.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	// Pair the committed framework payload (reservation included) with
-	// the oms payload of an EMPTY framework — mixed cuts.
-	empty, err := New(Release30)
+	empty, err := New(Release40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,17 +314,21 @@ func TestLoadRejectsTornPair(t *testing.T) {
 	if err := empty.Save(emptyDir); err != nil {
 		t.Fatal(err)
 	}
-	fwPayload, _ := readCommitted(t, dir)
 	_, emptyOMS := readCommitted(t, emptyDir)
 
-	torn := t.TempDir()
-	commitPair(t, torn, fwPayload, emptyOMS)
-	_, err = Load(torn)
-	if err == nil {
-		t.Fatal("torn (framework, oms) pair accepted")
-	}
-	if !strings.Contains(err.Error(), "torn snapshot pair") {
-		t.Fatalf("torn pair rejected for the wrong reason: %v", err)
+	const missing = 4242
+	for _, field := range []string{
+		`"reservations":{"4242":"anna"}`,
+		`"flows":[{"name":"asic","activities":[{"Name":"a"}],"precedes":{},"oid":4242}]`,
+		`"typed_hier":{"4242":{"layout":[4243]}}`,
+		`"shares":{"4242":[4243]}`,
+	} {
+		dir := t.TempDir()
+		commitPair(t, dir, []byte(`{"release":40,`+field+`}`), emptyOMS)
+		_, err := Load(dir)
+		if !errors.Is(err, ErrTornPair) {
+			t.Fatalf("payload naming missing object %d (%s): err = %v, want ErrTornPair", missing, field, err)
+		}
 	}
 }
 
@@ -468,6 +464,7 @@ func TestLoadsSegmentStateFromPreviousFormat(t *testing.T) {
 	if holder, held := fw.ReservedBy(cv); !held || holder != "anna" {
 		t.Fatalf("reservation = %q,%t, want anna", holder, held)
 	}
+	assertFixtureFlow(t, fw)
 	before := len(fw.DesignObjects(fw.Variants(cv)[0]))
 	if before != 8 {
 		t.Fatalf("%d design objects loaded, want 8", before)
@@ -478,6 +475,33 @@ func TestLoadsSegmentStateFromPreviousFormat(t *testing.T) {
 	again, _ := loadSegmentDir(t, dir)
 	if got := len(again.DesignObjects(again.Variants(cv)[0])); got != before {
 		t.Fatalf("%d design objects after save and reload, want %d", got, before)
+	}
+	assertFixtureFlow(t, again)
+}
+
+// assertFixtureFlow checks the flow the segment-parent fixture's
+// framework payload names: asic, schematic-entry -> simulate ->
+// layout-entry, imported into the store by the load.
+func assertFixtureFlow(t *testing.T, fw *Framework) {
+	t.Helper()
+	if got := fw.Flows(); fmt.Sprint(got) != "[asic]" {
+		t.Fatalf("flows = %v, want [asic]", got)
+	}
+	f, err := fw.Flow("asic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(f.Activities()); got != "[schematic-entry simulate layout-entry]" {
+		t.Fatalf("asic activities = %s", got)
+	}
+	for before, after := range map[string]string{"schematic-entry": "[simulate]", "simulate": "[layout-entry]", "layout-entry": "[]"} {
+		if got := fmt.Sprint(f.Successors(before)); got != after {
+			t.Fatalf("asic successors of %s = %s, want %s", before, got, after)
+		}
+	}
+	a, err := f.Activity("layout-entry")
+	if err != nil || a.Tool != "fmcad-layout" || fmt.Sprint(a.Needs) != "[schematic]" || fmt.Sprint(a.Creates) != "[layout]" {
+		t.Fatalf("asic layout-entry = %+v, %v", a, err)
 	}
 }
 

@@ -101,11 +101,9 @@ func (fw *Framework) CreateCellVersion(cell oms.OID, flowName string, team oms.O
 	if err := fw.guardWrite(); err != nil {
 		return oms.InvalidOID, err
 	}
-	fw.mu.RLock()
-	flowOID, ok := fw.flowOIDs[flowName]
-	fw.mu.RUnlock()
-	if !ok {
-		return oms.InvalidOID, fmt.Errorf("%w: flow %q", ErrNotFound, flowName)
+	flowOID, err := fw.lookupNamed("Flow", flowName)
+	if err != nil {
+		return oms.InvalidOID, err
 	}
 	fw.numMu.Lock()
 	defer fw.numMu.Unlock()
@@ -423,7 +421,7 @@ func (fw *Framework) CheckInData(user string, do oms.OID, srcPath string) (oms.O
 	}
 	fw.mu.RLock()
 	defer fw.mu.RUnlock()
-	if err := fw.requireReservationLocked(user, cv); err != nil {
+	if err := fw.requireReservation(user, cv); err != nil {
 		if up != nil {
 			fw.abandonUpload(cv, up)
 		}

@@ -18,24 +18,20 @@ import (
 // read-mostly tool population across machines without ever forking the
 // design history.
 //
-// What a replica view can and cannot answer:
-//
-//   - Everything stored in the database — cells, versions, variants,
-//     design data, configurations, hierarchies, derivations — is served
-//     from the replicated store, as of the replica's applied LSN. Pair
-//     queries with repl.Replica.WaitFor for read-your-writes.
-//   - Workspace reservations are answered from the database's mirrored
-//     reservedBy attribute (the feed carries reservation traffic since
-//     PR 4), not from the in-memory map a primary maintains.
-//   - Registered flow *structures* (and therefore enactment state) are
-//     session metadata of the primary and are not replicated; Flow()
-//     and the activity APIs report ErrNotFound on a replica view. Flow
-//     objects themselves are queryable like any other metadata.
+// A replica view answers everything the framework knows, because the
+// database is the framework's only record: cells, versions, variants,
+// design data, configurations, hierarchies (typed ones included),
+// derivations, shares, registered flows and workspace reservations (the
+// reservedBy attribute) are all served from the replicated store, as of
+// the replica's applied LSN. Pair queries with repl.Replica.WaitFor for
+// read-your-writes. Only flow enactment state — per-process session
+// state — is not answered: the activity-state queries report
+// ErrReadOnlyReplica.
 //
 // Failover: after repl.Replica.Promote detaches the follower store,
-// PromoteToPrimary flips the view writable and rebuilds the reservation
-// map from the mirrored attributes, so held workspaces survive the
-// switch.
+// PromoteToPrimary flips the view writable. Reservations, flows, typed
+// hierarchies and shares held at the old primary are already in the
+// store, so nothing is rebuilt or re-registered.
 
 // ErrReadOnlyReplica is returned by every mutating Framework method
 // invoked on a replica view.
@@ -59,8 +55,8 @@ func NewReplicaView(st *oms.Store, release Release) (*Framework, error) {
 func (fw *Framework) IsReplicaView() bool { return fw.replica.Load() }
 
 // guardWrite is the gate every mutating entry point passes: replicas
-// reject the mutation before any state — framework maps or store — is
-// touched.
+// reject the mutation before any state — the store or the enactment
+// cache — is touched.
 func (fw *Framework) guardWrite() error {
 	if fw.replica.Load() {
 		return ErrReadOnlyReplica
@@ -69,25 +65,13 @@ func (fw *Framework) guardWrite() error {
 }
 
 // PromoteToPrimary flips a replica view writable — the failover step
-// after repl.Replica.Promote has detached the underlying store. The
-// workspace reservation map is rebuilt from the database's mirrored
-// reservedBy attributes, so reservations held at the old primary remain
-// held. Flow structures are not replicated; re-register flows before
-// relying on flow enforcement on the new primary.
-//
-//lint:allow guardwrite the failover entry point must mutate while the view is still a replica; it flips the flag itself
+// after repl.Replica.Promote has detached the underlying store. Every
+// reservation, flow, typed hierarchy and share of the old primary is
+// already in that store.
 func (fw *Framework) PromoteToPrimary() error {
-	if !fw.replica.Load() {
+	if !fw.replica.CompareAndSwap(true, false) {
 		return fmt.Errorf("jcf: promote: framework is not a replica view")
 	}
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	for _, cv := range fw.store.All("CellVersion") {
-		if user := fw.store.GetString(cv, "reservedBy"); user != "" {
-			fw.reservations[cv] = user
-		}
-	}
-	fw.replica.Store(false)
 	return nil
 }
 

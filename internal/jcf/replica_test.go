@@ -2,12 +2,17 @@ package jcf
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/flow"
 	"repro/internal/itc"
+	"repro/internal/oms"
+	"repro/internal/oms/backend"
 	"repro/internal/otod"
 	"repro/internal/repl"
 )
@@ -221,5 +226,152 @@ func TestReplicaNotifier(t *testing.T) {
 	}
 	if s := n.Stats(); s.Published == 0 {
 		t.Fatalf("notifier stats: %+v", s)
+	}
+}
+
+// metadataAnswers renders what a framework answers about the four kinds
+// of framework metadata: a registered flow, a reservation, a typed
+// hierarchy and a share.
+func metadataAnswers(t *testing.T, fw *Framework, flowName string, cv oms.OID, project oms.OID) string {
+	t.Helper()
+	f, err := fw.Flow(flowName)
+	if err != nil {
+		t.Fatalf("Flow(%q): %v", flowName, err)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "flows %v; flow %s:", fw.Flows(), f.Name)
+	for _, name := range f.Activities() {
+		a, err := f.Activity(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, " %+v->%v", a, f.Successors(name))
+	}
+	holder, held := fw.ReservedBy(cv)
+	kids, err := fw.TypedChildren(cv, "layout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := fw.SharedCells(project)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "; reserved %q %t; layout children %v; shared %v", holder, held, kids, shared)
+	return b.String()
+}
+
+// TestReplicaAnswersFrameworkMetadata: on a Release 4.0 primary, a flow
+// registered, a reservation taken, a typed edge and a share added after
+// a replica attached reach the replica view through the feed, and the
+// view answers Flow, ReservedBy, TypedChildren and SharedCells as the
+// primary does — and still does after failover, with no
+// re-registration. The same answers survive a differential and a full
+// save.
+func TestReplicaAnswersFrameworkMetadata(t *testing.T) {
+	w := newWorld(t, Release40)
+	fw := w.fw
+	cell2, err := fw.CreateCell(w.project, "reg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cv2, err := fw.CreateCellVersion(cell2, "asic", w.team)
+	if err != nil {
+		t.Fatal(err)
+	}
+	team2, err := fw.CreateTeam("io-team")
+	if err != nil {
+		t.Fatal(err)
+	}
+	project2, err := fw.CreateProject("chip2", team2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := backend.OpenSegment(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.SaveTo(seg); err != nil { // the base the delta below extends
+		t.Fatal(err)
+	}
+	rep, view := startReplicaOf(t, fw)
+	catchUp(t, rep, fw)
+
+	late := flow.New("late")
+	for _, a := range []flow.Activity{
+		{Name: "sketch", Tool: "fmcad-schematic", Creates: []string{"schematic"}},
+		{Name: "check", Tool: "fmcad-dsim", Needs: []string{"schematic"}},
+	} {
+		if err := late.AddActivity(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := late.AddPrecedes("sketch", "check"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.RegisterFlow(late); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Reserve("anna", w.cv); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.SubmitHierarchyTyped(w.cv, cv2, "layout"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.ShareCell(w.cell, project2); err != nil {
+		t.Fatal(err)
+	}
+	want := metadataAnswers(t, fw, "late", w.cv, project2)
+
+	catchUp(t, rep, fw)
+	if got := metadataAnswers(t, view, "late", w.cv, project2); got != want {
+		t.Fatalf("replica view answers\n%s\nprimary answers\n%s", got, want)
+	}
+	// Enactments are per-process session state: a replica refuses them
+	// with the typed error, not a lookup miss.
+	if _, err := view.ActivityState(w.cv, "schematic-entry"); !errors.Is(err, ErrReadOnlyReplica) {
+		t.Fatalf("ActivityState on replica: %v, want ErrReadOnlyReplica", err)
+	}
+
+	// Differential save (the segment backend continues from the base),
+	// then a full one through the file backend.
+	if err := fw.SaveTo(seg); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := backend.LoadManifest(seg); err != nil || len(m.Deltas) == 0 {
+		t.Fatalf("second segment save was not differential: %+v, %v", m, err)
+	}
+	fromDelta, err := LoadFrom(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metadataAnswers(t, fromDelta, "late", w.cv, project2); got != want {
+		t.Fatalf("after differential save answers\n%s\nwant\n%s", got, want)
+	}
+	dir := t.TempDir()
+	if err := fw.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	fromFull, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metadataAnswers(t, fromFull, "late", w.cv, project2); got != want {
+		t.Fatalf("after full save answers\n%s\nwant\n%s", got, want)
+	}
+
+	// Failover: nothing is rebuilt or re-registered.
+	_ = rep.Promote()
+	if err := view.PromoteToPrimary(); err != nil {
+		t.Fatal(err)
+	}
+	if got := metadataAnswers(t, view, "late", w.cv, project2); got != want {
+		t.Fatalf("promoted view answers\n%s\nwant\n%s", got, want)
+	}
+	// The promoted primary enforces the replicated flow.
+	if err := view.StartActivity("anna", w.cv, "simulate"); err == nil {
+		t.Fatal("promoted primary started simulate before schematic-entry")
+	}
+	if err := view.StartActivity("anna", w.cv, "schematic-entry"); err != nil {
+		t.Fatal(err)
 	}
 }

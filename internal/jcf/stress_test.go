@@ -11,14 +11,12 @@ import (
 	"repro/internal/oms"
 )
 
-// TestSaveCrashConsistencyUnderLoad is the regression test for the torn
-// framework snapshot: Framework.Save runs in a loop while designer
-// goroutines create cells, derive versions, reserve workspaces and link
-// hierarchies against the same framework. Every saved pair must Load
-// successfully and every reservation in the framework half must resolve
-// to a live object in the store half. Before the single-cut Save, a
-// reservation landing between the two writes produced exactly the torn
-// pair this test asserts can no longer exist. Run under -race by the
+// TestSaveCrashConsistencyUnderLoad: Framework.Save runs in a loop while
+// designer goroutines create cells, derive versions, reserve workspaces
+// and link hierarchies against the same framework. Every save must Load,
+// and every reservation it holds must name a registered user. A
+// reservation names a cell version of the loaded store by construction:
+// it is that cell version's reservedBy attribute. Run under -race by the
 // `make check` gate.
 func TestSaveCrashConsistencyUnderLoad(t *testing.T) {
 	w := newWorld(t, Release30)
@@ -81,24 +79,17 @@ func TestSaveCrashConsistencyUnderLoad(t *testing.T) {
 			wg.Wait()
 			t.Fatalf("save %d: %v", i, err)
 		}
-		// Load already rejects torn pairs (checksums + mutual
-		// consistency); assert the reservation property explicitly too.
 		ld, err := Load(dir)
 		if err != nil {
 			stop.Store(true)
 			wg.Wait()
 			t.Fatalf("load of save %d: %v", i, err)
 		}
-		ld.mu.RLock()
-		for cv, user := range ld.reservations {
-			if !ld.store.Exists(cv) {
-				ld.mu.RUnlock()
-				stop.Store(true)
-				wg.Wait()
-				t.Fatalf("save %d: reservation by %q names cell version %d absent from oms snapshot", i, user, cv)
-			}
+		if err := checkReservations(ld); err != nil {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("save %d: %v", i, err)
 		}
-		ld.mu.RUnlock()
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -157,4 +148,18 @@ func TestDeriveConfigVersionConcurrent(t *testing.T) {
 	if got := fw.store.GetInt(v3, "num"); got != tipNum+1 {
 		t.Fatalf("next derived num = %d, want %d", got, tipNum+1)
 	}
+}
+
+// checkReservations reads every reservation of a loaded framework through
+// ReservedBy over its store's cell versions. Each names a cell version of
+// that store by construction; its holder must be a user of the same cut.
+func checkReservations(ld *Framework) error {
+	for _, cv := range ld.store.All("CellVersion") {
+		if user, held := ld.ReservedBy(cv); held {
+			if _, err := ld.User(user); err != nil {
+				return fmt.Errorf("reservation of cell version %d by %q: %w", cv, user, err)
+			}
+		}
+	}
+	return nil
 }

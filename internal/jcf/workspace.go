@@ -37,22 +37,18 @@ func (fw *Framework) Reserve(user string, cv oms.OID) error {
 	}
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	if holder, held := fw.reservations[cv]; held {
+	if holder, held := fw.ReservedBy(cv); held {
 		fw.statReserveConflicts.Inc()
 		if holder == user {
 			return fmt.Errorf("%w (already in your workspace)", ErrReserved)
 		}
 		return fmt.Errorf("%w (held by %s, wanted by %s)", ErrReserved, holder, user)
 	}
-	// Mirror the reservation into the database: the Set rides the change
-	// feed, which is how tools learn about workspace traffic (the
-	// feed-driven notification bridge) and how a second machine replays
-	// it. The in-memory map stays authoritative for access checks.
-	if err := fw.store.Set(cv, "reservedBy", oms.S(user)); err != nil {
-		return err
-	}
-	fw.reservations[cv] = user
-	return nil
+	// The reservedBy attribute is the reservation: the Set rides the
+	// change feed, which is how tools learn about workspace traffic (the
+	// feed-driven notification bridge), how a replica answers ReservedBy
+	// and how a saved state dir restores it.
+	return fw.store.Set(cv, "reservedBy", oms.S(user))
 }
 
 // ReleaseReservation drops the user's reservation without publishing.
@@ -62,14 +58,10 @@ func (fw *Framework) ReleaseReservation(user string, cv oms.OID) error {
 	}
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	if fw.reservations[cv] != user {
-		return fmt.Errorf("%w (user %s)", ErrNotReserved, user)
-	}
-	if err := fw.store.Set(cv, "reservedBy", oms.S("")); err != nil {
+	if err := fw.requireReservation(user, cv); err != nil {
 		return err
 	}
-	delete(fw.reservations, cv)
-	return nil
+	return fw.store.Set(cv, "reservedBy", oms.S(""))
 }
 
 // Publish marks the cell version's design data as published and releases
@@ -116,8 +108,8 @@ func (fw *Framework) Publish(user string, cv oms.OID) error {
 	// calls back into the framework, so the lock order fw.mu -> stripe
 	// is acyclic).
 	defer fw.mu.Unlock()
-	if fw.reservations[cv] != user {
-		return fmt.Errorf("%w (user %s)", ErrNotReserved, user)
+	if err := fw.requireReservation(user, cv); err != nil {
+		return err
 	}
 	// Publish and reservation release commit as ONE batch — one feed
 	// group — so no feed consumer ever observes a published version whose
@@ -126,27 +118,17 @@ func (fw *Framework) Publish(user string, cv oms.OID) error {
 	defer fw.putBatch(b)
 	b.Set(cv, "published", oms.B(true))
 	b.Set(cv, "reservedBy", oms.S(""))
-	if _, err := fw.store.Apply(b); err != nil {
-		return err
-	}
-	delete(fw.reservations, cv)
-	return nil
+	_, err := fw.store.Apply(b)
+	return err
 }
 
 // ReservedBy returns the user holding the workspace reservation on a cell
-// version, and whether it is held at all. A replica view answers from the
-// database's mirrored reservedBy attribute (the feed replicates
-// reservation traffic); a primary answers from its authoritative
-// in-memory map.
+// version, and whether it is held at all, from the cell version's
+// reservedBy attribute — the same answer on a primary, a replica view
+// and a reloaded state dir.
 func (fw *Framework) ReservedBy(cv oms.OID) (string, bool) {
-	if fw.replica.Load() {
-		u := fw.store.GetString(cv, "reservedBy")
-		return u, u != ""
-	}
-	fw.mu.RLock()
-	defer fw.mu.RUnlock()
-	u, ok := fw.reservations[cv]
-	return u, ok
+	u := fw.store.GetString(cv, "reservedBy")
+	return u, u != ""
 }
 
 // Published reports whether a cell version has been published.
@@ -170,23 +152,14 @@ func (fw *Framework) CanWrite(user string, cv oms.OID) bool {
 	return held && holder == user
 }
 
-// requireReservation is the write guard used by CheckInData and the
-// activity API.
+// requireReservation is the write guard used by CheckInData, the
+// activity API, ReleaseReservation and Publish. It reads the store only,
+// so callers may hold fw.mu: CheckInData re-checks under fw.mu held for
+// reading until its batch has committed, so a concurrent Publish or
+// ReleaseReservation — both need fw.mu for writing — cannot drop the
+// reservation between the check and the blob landing.
 func (fw *Framework) requireReservation(user string, cv oms.OID) error {
 	if !fw.CanWrite(user, cv) {
-		return fmt.Errorf("%w (user %s)", ErrNotReserved, user)
-	}
-	return nil
-}
-
-// requireReservationLocked is requireReservation for callers already
-// holding fw.mu (fw.mu is not reentrant, so they must not detour through
-// CanWrite/ReservedBy). CheckInData holds fw.mu for reading from this
-// check until its batch has committed, so a concurrent Publish or
-// ReleaseReservation — both need fw.mu for writing — can no longer drop
-// the reservation between the check and the blob landing.
-func (fw *Framework) requireReservationLocked(user string, cv oms.OID) error {
-	if holder, held := fw.reservations[cv]; !held || holder != user {
 		return fmt.Errorf("%w (user %s)", ErrNotReserved, user)
 	}
 	return nil

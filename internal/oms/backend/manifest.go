@@ -23,11 +23,11 @@ import (
 const ManifestKey = "CURRENT"
 
 // Manifest names the payloads of one committed save epoch: the database
-// snapshot, the framework metadata, and (for differential commits) the
-// base epoch whose full snapshot the delta chain replays over. FeedLSN
-// is the database's change-feed position as of this epoch — where the
-// next differential save, or a replica bootstrapped from this manifest,
-// continues from.
+// snapshot, the framework's release header, and (for differential
+// commits) the base epoch whose full snapshot the delta chain replays
+// over. FeedLSN is the database's change-feed position as of this epoch
+// — where the next differential save, or a replica bootstrapped from
+// this manifest, continues from.
 type Manifest struct {
 	Epoch        int64      `json:"epoch"`
 	OMS          string     `json:"oms"`

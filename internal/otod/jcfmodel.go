@@ -27,8 +27,13 @@ func JCFModel() *Model {
 	must(m.AddEntity(Entity{Name: "User", Region: "Team", Attrs: []oms.AttrDef{name}}))
 	must(m.AddEntity(Entity{Name: "Team", Region: "Team", Attrs: []oms.AttrDef{name}}))
 
-	// Flows region (resources / metadata).
-	must(m.AddEntity(Entity{Name: "Flow", Region: "Flows", Attrs: []oms.AttrDef{name}}))
+	// Flows region (resources / metadata). spec holds the frozen flow
+	// (activities and precedence) as JSON, so the flow structure itself
+	// is database content like every other resource.
+	must(m.AddEntity(Entity{Name: "Flow", Region: "Flows", Attrs: []oms.AttrDef{
+		name,
+		{Name: "spec", Kind: oms.KindString},
+	}}))
 
 	// Activities region (resources / metadata).
 	must(m.AddEntity(Entity{Name: "Activity", Region: "Activities", Attrs: []oms.AttrDef{name}}))
@@ -48,6 +53,12 @@ func JCFModel() *Model {
 		{Name: "reservedBy", Kind: oms.KindString},
 	}}))
 	must(m.AddEntity(Entity{Name: "Part", Region: "Project structure", Attrs: []oms.AttrDef{name}}))
+	// HierEdge is one per-view-type hierarchy edge (the non-isomorphic
+	// hierarchies of Release 4.0): a relationship cannot carry the view
+	// type, so the edge is an object linked to its parent and child.
+	must(m.AddEntity(Entity{Name: "HierEdge", Region: "Project structure", Attrs: []oms.AttrDef{
+		{Name: "viewType", Kind: oms.KindString, Required: true},
+	}}))
 
 	// Variants region.
 	must(m.AddEntity(Entity{Name: "Variant", Region: "Variants", Attrs: []oms.AttrDef{
@@ -83,6 +94,11 @@ func JCFModel() *Model {
 	must(m.AddRel(Relationship{Name: "hasVersion", From: "Cell", To: "CellVersion", FromCard: oms.One, ToCard: oms.Many}))
 	must(m.AddRel(Relationship{Name: "compOf", From: "CellVersion", To: "CellVersion", FromCard: oms.Many, ToCard: oms.Many}))
 	must(m.AddRel(Relationship{Name: "partOf", From: "Part", To: "CellVersion", FromCard: oms.Many, ToCard: oms.One}))
+	must(m.AddRel(Relationship{Name: "edgeParent", From: "HierEdge", To: "CellVersion", FromCard: oms.Many, ToCard: oms.One}))
+	must(m.AddRel(Relationship{Name: "edgeChild", From: "HierEdge", To: "CellVersion", FromCard: oms.Many, ToCard: oms.One}))
+	// Release 4.0 inter-project sharing: cells readable from projects
+	// other than the one that has them.
+	must(m.AddRel(Relationship{Name: "shares", From: "Project", To: "Cell", FromCard: oms.Many, ToCard: oms.Many}))
 
 	// Each cell version carries its (possibly modified) flow and team.
 	must(m.AddRel(Relationship{Name: "attachedFlow", From: "CellVersion", To: "Flow", FromCard: oms.Many, ToCard: oms.One}))
