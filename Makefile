@@ -39,11 +39,14 @@ lint:
 
 ## fuzz-seed replays the fuzz seed corpora deterministically (no fuzzing
 ## engine): every seed the wire-format and frame-codec fuzzers ever
-## minimized must keep decoding without panics or round-trip drift, and
-## the hand-written FMCAD .meta encoder, cold and with a warm per-cell
-## cache, must match encoding/json.
+## minimized must keep decoding without panics or round-trip drift; a
+## base snapshot (binary, or a legacy JSON one) that decodes must
+## re-encode to bytes that decode to the same store; and the hand-written
+## FMCAD .meta encoder, cold and with a warm per-cell cache, must match
+## encoding/json.
 fuzz-seed:
 	$(GO) test -run FuzzDecodeChanges ./internal/oms/
+	$(GO) test -run FuzzDecodeSnapshot ./internal/oms/
 	$(GO) test -run FuzzReadFrame ./internal/repl/
 	$(GO) test -run FuzzDecodeBlobRef ./internal/oms/blobstore/
 	$(GO) test -run FuzzAppendMeta ./internal/fmcad/

@@ -549,7 +549,7 @@ func BenchmarkE36DesignDataWriteHybrid(b *testing.B) {
 // dwarfs metadata) while a save loop runs concurrently. Each save takes
 // a consistent-cut Snapshot — stripes are held only for the O(headers)
 // cut; blob bytes are shared (immutable, CoW) — then encodes it with
-// Snapshot.EncodeJSON and writes it atomically, outside all locks. The
+// Snapshot.Encode and writes it atomically, outside all locks. The
 // headline metric is the p99 of Sets that overlap a capture
 // (p99-during-snap-ns): capture is the only phase that holds locks, and
 // gating to it keeps single-core scheduler noise from the lock-free
@@ -605,7 +605,7 @@ func BenchmarkE37SnapshotWriterStall(b *testing.B) {
 				b.Cleanup(func() { os.RemoveAll(d) })
 			}
 		}
-		path := filepath.Join(dir, "oms.json")
+		path := filepath.Join(dir, "oms.snap")
 		var stop, inCapture atomic.Bool
 		var saves atomic.Int64
 		var captureNS []time.Duration // saver-owned; read after wg.Wait
@@ -619,11 +619,7 @@ func BenchmarkE37SnapshotWriterStall(b *testing.B) {
 				snap := st.Snapshot()
 				inCapture.Store(false)
 				captureNS = append(captureNS, time.Since(c0))
-				data, err := snap.EncodeJSON()
-				if err != nil {
-					b.Error(err)
-					return
-				}
+				data := snap.Encode()
 				tmp := path + ".tmp"
 				if err := os.WriteFile(tmp, data, 0o644); err != nil {
 					b.Error(err)

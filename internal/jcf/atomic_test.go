@@ -246,10 +246,11 @@ func TestDeriveVariantConcurrent(t *testing.T) {
 }
 
 // TestNamedResourceConcurrentSameName: goroutines racing to create one
-// user, one project and one flow by the same name leave exactly one
-// object of each; every other call fails with ErrExists. named() holds
-// numMu across its duplicate check and its Apply, so two callers can no
-// longer both pass the check.
+// user, one project, one flow and one cell of a project by the same name
+// leave exactly one object of each; every other call fails with
+// ErrExists. named() and CreateCell hold numMu across their duplicate
+// check and their Apply, so two callers can no longer both pass the
+// check.
 func TestNamedResourceConcurrentSameName(t *testing.T) {
 	const goroutines, rounds = 8, 100
 	for round := 0; round < rounds; round++ {
@@ -261,6 +262,10 @@ func TestNamedResourceConcurrentSameName(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		core, err := fw.CreateProject("core", team)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, c := range []struct {
 			class, name string
 			create      func() error
@@ -268,6 +273,7 @@ func TestNamedResourceConcurrentSameName(t *testing.T) {
 			{"User", "anna", func() error { _, err := fw.CreateUser("anna"); return err }},
 			{"Project", "chip1", func() error { _, err := fw.CreateProject("chip1", team); return err }},
 			{"Flow", "asic", func() error { _, err := fw.RegisterFlow(testFlow(t)); return err }},
+			{"Cell", "alu", func() error { _, err := fw.CreateCell(core, "alu"); return err }},
 		} {
 			start := make(chan struct{})
 			var wins atomic.Int32

@@ -334,14 +334,8 @@ func TestDifferentialSaveRoundTrip(t *testing.T) {
 		t.Fatalf("restored %d versions, want %d", got, want)
 	}
 	// Byte-level equivalence of the restored database.
-	liveSnap, err := fw.store.Snapshot().EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadedSnap, err := ld.store.Snapshot().EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	liveSnap := fw.store.Snapshot().Encode()
+	loadedSnap := ld.store.Snapshot().Encode()
 	if string(liveSnap) != string(loadedSnap) {
 		t.Fatal("differential load diverges from live store")
 	}

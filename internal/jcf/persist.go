@@ -27,7 +27,10 @@ import (
 //
 //	CURRENT            commit manifest: epoch, payload names, checksums.
 //	                   Its atomic replacement is the commit point.
-//	oms@<epoch>        the object database snapshot payload (the base)
+//	oms@<epoch>        the object database snapshot payload (the base),
+//	                   in oms's binary snapshot format; state dirs
+//	                   written earlier hold a JSON base, which still
+//	                   loads until the next full save replaces it
 //	delta@<epoch>      the change-feed suffix a differential commit adds
 //	framework@<epoch>  the release header: the framework's release level
 //
@@ -199,10 +202,7 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 		}
 	default:
 		// Full commit: a fresh base snapshot, empty delta chain.
-		omsPayload, err := snap.EncodeJSON()
-		if err != nil {
-			return fmt.Errorf("jcf: save: %w", err)
-		}
+		omsPayload := snap.Encode()
 		omsName := fmt.Sprintf("%s%d", omsPrefix, epoch)
 		if err := b.Put(omsName, omsPayload); err != nil {
 			return fmt.Errorf("jcf: save: %w", err)

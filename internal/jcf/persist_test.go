@@ -1,11 +1,13 @@
 package jcf
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/oms/backend"
@@ -469,14 +471,39 @@ func TestLoadsSegmentStateFromPreviousFormat(t *testing.T) {
 	if before != 8 {
 		t.Fatalf("%d design objects loaded, want 8", before)
 	}
+	if base := committedBase(t, seg); !strings.HasPrefix(string(base), "{") {
+		t.Fatalf("fixture base starts %q, want a JSON snapshot", base[:min(len(base), 8)])
+	}
+	// The first save after a load is a full one; its base is binary.
 	if err := fw.SaveTo(seg); err != nil {
 		t.Fatal(err)
+	}
+	if base := committedBase(t, seg); !strings.HasPrefix(string(base), "\x00OMS") {
+		t.Fatalf("base written over the fixture starts %q, want the binary snapshot magic", base[:min(len(base), 8)])
 	}
 	again, _ := loadSegmentDir(t, dir)
 	if got := len(again.DesignObjects(again.Variants(cv)[0])); got != before {
 		t.Fatalf("%d design objects after save and reload, want %d", got, before)
 	}
+	if !bytes.Equal(again.store.Snapshot().Encode(), fw.store.Snapshot().Encode()) {
+		t.Fatal("store reloaded from the binary base differs from the saved one")
+	}
 	assertFixtureFlow(t, again)
+}
+
+// committedBase returns the base snapshot payload the backend's CURRENT
+// manifest names.
+func committedBase(t *testing.T, b backend.Backend) []byte {
+	t.Helper()
+	m, err := backend.LoadManifest(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := b.Get(m.OMS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base
 }
 
 // assertFixtureFlow checks the flow the segment-parent fixture's

@@ -34,7 +34,8 @@ func (fw *Framework) Project(name string) (oms.OID, error) {
 }
 
 // CreateCell creates a cell within a project. Cell names are unique per
-// project.
+// project: numMu spans the duplicate check and the Apply, as in named(),
+// so two callers cannot both pass the check.
 func (fw *Framework) CreateCell(project oms.OID, name string) (oms.OID, error) {
 	if err := fw.guardWrite(); err != nil {
 		return oms.InvalidOID, err
@@ -42,6 +43,8 @@ func (fw *Framework) CreateCell(project oms.OID, name string) (oms.OID, error) {
 	if name == "" {
 		return oms.InvalidOID, fmt.Errorf("jcf: empty cell name")
 	}
+	fw.numMu.Lock()
+	defer fw.numMu.Unlock()
 	for _, c := range fw.store.Targets(fw.rel.has, project) {
 		if fw.store.GetString(c, "name") == name {
 			return oms.InvalidOID, fmt.Errorf("%w: cell %q in project", ErrExists, name)

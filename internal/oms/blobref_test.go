@@ -154,10 +154,7 @@ func TestSnapshotCarriesRefs(t *testing.T) {
 	if _, err := st.Apply(b); err != nil {
 		t.Fatal(err)
 	}
-	enc, err := st.Snapshot().EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := st.Snapshot().Encode()
 	if len(enc) > 4096 {
 		t.Fatalf("snapshot is %d bytes — it shipped the blob, not the ref", len(enc))
 	}

@@ -1,9 +1,9 @@
 package oms
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +11,7 @@ import (
 )
 
 // testSchema builds a small schema used throughout the tests.
-func testSchema(t *testing.T) *Schema {
+func testSchema(t testing.TB) *Schema {
 	t.Helper()
 	s := NewSchema()
 	if err := s.AddClass("Cell",
@@ -36,7 +36,7 @@ func testSchema(t *testing.T) *Schema {
 	return s
 }
 
-func mustCreate(t *testing.T, st *Store, class string, attrs map[string]Value) OID {
+func mustCreate(t testing.TB, st *Store, class string, attrs map[string]Value) OID {
 	t.Helper()
 	oid, err := st.Create(class, attrs)
 	if err != nil {
@@ -325,10 +325,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, err := st.Snapshot().EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := st.Snapshot().Encode()
 	ld, err := DecodeSnapshot(data, schema)
 	if err != nil {
 		t.Fatal(err)
@@ -353,18 +350,18 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsUnknownClass: a snapshot naming a class, attribute or
+// relationship the decoding schema lacks is refused, in the binary form
+// and in the legacy JSON one.
 func TestLoadRejectsUnknownClass(t *testing.T) {
+	cellAttrs := testSchema(t).Class("Cell").Attrs
+	withoutRev := slices.DeleteFunc(slices.Clone(cellAttrs), func(a AttrDef) bool { return a.Name == "rev" })
+	assertSnapshotRefused(t, []schemaCase{
+		{"unknown class", NewSchema(), "unknown class"},
+		{"unknown attribute", variantSchema(t, withoutRev, true), `has no attribute "rev"`},
+		{"unknown relationship", variantSchema(t, cellAttrs, false), "unknown relationship"},
+	})
 	schema := testSchema(t)
-	st := NewStore(schema)
-	mustCreate(t, st, "Cell", map[string]Value{"name": S("x")})
-	data, err := st.Snapshot().EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty := NewSchema()
-	if _, err := DecodeSnapshot(data, empty); err == nil || !strings.Contains(err.Error(), "unknown class") {
-		t.Fatalf("decode against incompatible schema: %v", err)
-	}
 	if _, err := DecodeSnapshot([]byte("{nope"), schema); err == nil {
 		t.Fatal("corrupt snapshot accepted")
 	}
@@ -788,35 +785,20 @@ func TestStripeDistribution(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsCorruptAttributes: an attribute of a kind the schema
+// does not declare, or a missing required attribute, fails the decode,
+// in the binary form and in the legacy JSON one.
 func TestLoadRejectsCorruptAttributes(t *testing.T) {
-	schema := testSchema(t)
-	st := NewStore(schema)
-	mustCreate(t, st, "Cell", map[string]Value{"name": S("x"), "rev": I(1)})
-	orig, err := st.Snapshot().EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
+	cellAttrs := testSchema(t).Class("Cell").Attrs
+	revAsString := slices.Clone(cellAttrs)
+	for i := range revAsString {
+		if revAsString[i].Name == "rev" {
+			revAsString[i].Kind = KindString
+		}
 	}
-	// Kind mismatch: rev declared int, snapshot says string.
-	bad := strings.Replace(string(orig), `"rev":{"kind":1`, `"rev":{"kind":0`, 1)
-	if bad == string(orig) {
-		bad = strings.Replace(string(orig), `"kind":1`, `"kind":0`, 1)
-	}
-	if _, err := DecodeSnapshot([]byte(bad), schema); err == nil {
-		t.Fatal("kind-mismatched snapshot accepted")
-	}
-	// Missing required attribute: delete "name" from the object entirely
-	// (renaming it would trip the unknown-attribute check instead).
-	var snap map[string]any
-	if err := json.Unmarshal(orig, &snap); err != nil {
-		t.Fatal(err)
-	}
-	attrs := snap["objects"].([]any)[0].(map[string]any)["attrs"].(map[string]any)
-	delete(attrs, "name")
-	missing, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeSnapshot(missing, schema); err == nil {
-		t.Fatal("snapshot missing a required attribute accepted")
-	}
+	withOwner := append(slices.Clone(cellAttrs), AttrDef{Name: "owner", Kind: KindString, Required: true})
+	assertSnapshotRefused(t, []schemaCase{
+		{"kind mismatch", variantSchema(t, revAsString, true), "wants string, got int"},
+		{"missing required attribute", variantSchema(t, withOwner, true), `requires attribute "owner"`},
+	})
 }

@@ -1,14 +1,17 @@
 package oms
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 )
 
-// snapshot is the on-disk form of a Store. It intentionally contains only
-// plain data so the JSON round-trip is exact.
+// snapshot is the legacy JSON form of a Store, which base snapshots used
+// before the binary format (snapcodec.go). It is only decoded now, so
+// older state directories and their bases shipped to replicas still
+// load; snapValue is also the value shape of the change-feed wire format.
 type snapshot struct {
 	NextOID OID            `json:"next_oid"`
 	Objects []snapshotObj  `json:"objects"`
@@ -36,10 +39,19 @@ type snapshotLink struct {
 }
 
 // DecodeSnapshot rebuilds a store from an encoded snapshot payload (the
-// bytes Snapshot.EncodeJSON produced), regardless of which
-// storage backend held them. The payload is validated against the schema;
-// unknown classes, attributes or relationships fail the decode.
+// bytes Snapshot.Encode produced, or a legacy JSON snapshot), regardless
+// of which storage backend held them. The payload is validated against
+// the schema; unknown classes, attributes or relationships fail the
+// decode.
 func DecodeSnapshot(data []byte, schema *Schema) (*Store, error) {
+	if bytes.HasPrefix(data, []byte(snapMagic)) {
+		return decodeBinarySnapshot(data, schema)
+	}
+	return decodeJSONSnapshot(data, schema)
+}
+
+// decodeJSONSnapshot decodes the legacy JSON format.
+func decodeJSONSnapshot(data []byte, schema *Schema) (*Store, error) {
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("decode snapshot: %w", err)

@@ -27,10 +27,11 @@ import (
 // fresh history — exactly what Load wants and replication does not.
 
 // ResetFromSnapshot atomically replaces the store's entire content with a
-// base snapshot payload (the bytes Snapshot.EncodeJSON produced)
-// cut at feed position lsn. The swap happens with every stripe
-// write-locked, so concurrent readers observe either the old state or the
-// new one, never a mixture; the decode runs before any lock is taken.
+// base snapshot payload cut at feed position lsn: the bytes
+// Snapshot.Encode produced, or a legacy JSON base (see DecodeSnapshot).
+// The swap happens with every stripe write-locked, so concurrent readers
+// observe either the old state or the new one, never a mixture; the
+// decode runs before any lock is taken.
 // The store's feed is rebased to lsn: subscriptions whose cursor no
 // longer attaches close with Lagged() true and resynchronize.
 func (st *Store) ResetFromSnapshot(data []byte, lsn uint64) error {

@@ -1,0 +1,368 @@
+package oms
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"slices"
+)
+
+// Binary snapshot format.
+//
+// A base snapshot is mostly design bytes, so its encoding copies blob
+// contents verbatim (no base64) and needs no reflection. Every length is
+// a uvarint and every OID or int a zigzag varint:
+//
+//	magic "\x00OMS", version byte 1
+//	nextOID                    varint
+//	objects                    uvarint count, then per object in
+//	                           strictly ascending OID order:
+//	  oid                      varint
+//	  class                    string
+//	  attributes               uvarint count, then per attribute in
+//	                           strictly ascending name order:
+//	    name                   string
+//	    kind                   uvarint
+//	    str                    string
+//	    int                    varint
+//	    bool                   one byte, 0 or 1
+//	    blob                   bytes
+//	  relationships            uvarint count, then per relationship in
+//	                           strictly ascending name order:
+//	    name                   string
+//	    targets                uvarint count, then strictly ascending
+//	                           varint OIDs
+//
+// A string or bytes field is a uvarint length and that many raw bytes.
+// The encoding is deterministic, so equal stores encode to equal bytes.
+// The leading NUL can never start a JSON document, which is how
+// DecodeSnapshot tells this format from the legacy JSON one.
+
+const (
+	snapMagic   = "\x00OMS"
+	snapVersion = 1
+)
+
+// Encode renders the snapshot in the binary snapshot format that
+// DecodeSnapshot accepts. A sizing pass computes the exact output
+// length first, so the result is one allocation with cap == len.
+func (sn *Snapshot) Encode() []byte {
+	size := len(snapMagic) + 1 + varintLen(int64(sn.nextOID)) + uvarintLen(uint64(len(sn.objs)))
+	for i := range sn.objs {
+		size += sn.objs[i].encodedLen()
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, snapMagic...)
+	buf = append(buf, snapVersion)
+	buf = binary.AppendVarint(buf, int64(sn.nextOID))
+	buf = binary.AppendUvarint(buf, uint64(len(sn.objs)))
+	var names []string // reused across objects for the sorted key order
+	for i := range sn.objs {
+		h := &sn.objs[i]
+		buf = binary.AppendVarint(buf, int64(h.oid))
+		buf = appendString(buf, h.class)
+		names = sortedKeys(names, h.attrs)
+		buf = binary.AppendUvarint(buf, uint64(len(names)))
+		for _, name := range names {
+			v := h.attrs[name]
+			buf = appendString(buf, name)
+			buf = binary.AppendUvarint(buf, uint64(v.Kind))
+			buf = appendString(buf, v.Str)
+			buf = binary.AppendVarint(buf, v.Int)
+			buf = append(buf, boolByte(v.Bool))
+			buf = binary.AppendUvarint(buf, uint64(len(v.Blob)))
+			buf = append(buf, v.Blob...)
+		}
+		names = sortedKeys(names, h.links)
+		buf = binary.AppendUvarint(buf, uint64(len(names)))
+		for _, rel := range names {
+			targets := h.links[rel] // sorted by Store.Snapshot
+			buf = appendString(buf, rel)
+			buf = binary.AppendUvarint(buf, uint64(len(targets)))
+			for _, to := range targets {
+				buf = binary.AppendVarint(buf, int64(to))
+			}
+		}
+	}
+	if len(buf) != size {
+		panic(fmt.Sprintf("oms: snapshot encode wrote %d bytes, sized %d", len(buf), size))
+	}
+	return buf
+}
+
+// encodedLen is the exact number of bytes Encode writes for h. Field
+// order does not change a length, so no sorting is needed here.
+func (h *snapObjHdr) encodedLen() int {
+	n := varintLen(int64(h.oid)) + stringLen(h.class) + uvarintLen(uint64(len(h.attrs)))
+	for name, v := range h.attrs {
+		n += stringLen(name) + uvarintLen(uint64(v.Kind)) + stringLen(v.Str) +
+			varintLen(v.Int) + 1 + uvarintLen(uint64(len(v.Blob))) + len(v.Blob)
+	}
+	n += uvarintLen(uint64(len(h.links)))
+	for rel, targets := range h.links {
+		n += stringLen(rel) + uvarintLen(uint64(len(targets)))
+		for _, to := range targets {
+			n += varintLen(int64(to))
+		}
+	}
+	return n
+}
+
+// sortedKeys refills dst with m's keys in ascending order.
+func sortedKeys[V any](dst []string, m map[string]V) []string {
+	dst = dst[:0]
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func uvarintLen(x uint64) int {
+	n := 1
+	for x >= 0x80 {
+		x >>= 7
+		n++
+	}
+	return n
+}
+
+// varintLen matches binary.AppendVarint's zigzag encoding.
+func varintLen(x int64) int {
+	ux := uint64(x) << 1
+	if x < 0 {
+		ux = ^ux
+	}
+	return uvarintLen(ux)
+}
+
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// snapDecoder reads the binary format. The first error sticks: later
+// reads return zero values, so the decode loop checks d.err once per
+// field group instead of after every read.
+type snapDecoder struct {
+	buf   []byte
+	err   error
+	links []snapLink // applied once every object exists
+}
+
+func (d *snapDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("decode snapshot: "+format, args...)
+	}
+}
+
+func (d *snapDecoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 {
+		d.fail("truncated or overflowing varint")
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+func (d *snapDecoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.buf)
+	if n <= 0 {
+		d.fail("truncated or overflowing varint")
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+// count reads a count or length. Every counted item takes at least one
+// byte, so a value beyond the remaining input is corrupt — refused
+// before anything is sized by it.
+func (d *snapDecoder) count() int {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.buf)) {
+		d.fail("length %d exceeds the %d bytes left", n, len(d.buf))
+		return 0
+	}
+	return int(n)
+}
+
+// bytes returns the next length-prefixed field. It aliases the input;
+// the caller copies whatever it keeps.
+func (d *snapDecoder) bytes() []byte {
+	n := d.count()
+	b := d.buf[:n]
+	d.buf = d.buf[n:]
+	return b
+}
+
+func (d *snapDecoder) bool() bool {
+	if d.err != nil {
+		return false
+	}
+	if len(d.buf) == 0 {
+		d.fail("truncated bool")
+		return false
+	}
+	b := d.buf[0]
+	d.buf = d.buf[1:]
+	if b > 1 {
+		d.fail("bool byte %d", b)
+	}
+	return b == 1
+}
+
+// snapLink is one decoded link.
+type snapLink struct {
+	rel      string
+	from, to OID
+}
+
+// decodeBinarySnapshot rebuilds a store from the binary format with the
+// same schema checks as the JSON decoder, and rejects any input Encode
+// could not have produced: truncation, trailing bytes, a length past
+// the end, out-of-order objects, attributes, relationships or targets,
+// and a bool byte other than 0 or 1.
+func decodeBinarySnapshot(data []byte, schema *Schema) (*Store, error) {
+	if len(data) <= len(snapMagic) || data[len(snapMagic)] != snapVersion {
+		return nil, fmt.Errorf("decode snapshot: unsupported binary snapshot version")
+	}
+	d := &snapDecoder{buf: data[len(snapMagic)+1:]}
+	st := NewStore(schema)
+	st.nextOID = OID(d.varint())
+	nobj := d.count()
+	var prev OID
+	for i := 0; i < nobj && d.err == nil; i++ {
+		oid := OID(d.varint())
+		if i > 0 && oid <= prev {
+			d.fail("object %d follows %d: OIDs out of order", oid, prev)
+		}
+		prev = oid
+		obj := d.object(oid, schema)
+		if d.err != nil {
+			break
+		}
+		s := st.stripeOf(oid)
+		s.objects[oid] = obj
+		s.addClass(obj.class, oid)
+		if oid >= st.nextOID {
+			st.nextOID = oid + 1
+		}
+	}
+	if d.err == nil && len(d.buf) != 0 {
+		d.fail("%d trailing bytes", len(d.buf))
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	for _, l := range d.links {
+		if err := st.Link(l.rel, l.from, l.to); err != nil {
+			return nil, fmt.Errorf("decode snapshot: %w", err)
+		}
+	}
+	return st, nil
+}
+
+// object reads one object's class, attributes and outgoing links (the
+// links are appended to d.links). Names are interned from the schema, so
+// decoding allocates no string per class, attribute or relationship.
+func (d *snapDecoder) object(oid OID, schema *Schema) *object {
+	className := d.bytes()
+	if d.err != nil {
+		return nil
+	}
+	cls := schema.class(string(className))
+	if cls == nil {
+		d.fail("unknown class %q", className)
+		return nil
+	}
+	obj := newObject(oid, cls.Name)
+	var prevName []byte
+	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
+		name := d.bytes()
+		if i > 0 && bytes.Compare(name, prevName) <= 0 {
+			d.fail("object %d: attribute %q follows %q: out of order", oid, name, prevName)
+		}
+		prevName = name
+		kind := d.uvarint()
+		str := d.bytes()
+		iv := d.varint()
+		bv := d.bool()
+		blob := d.bytes()
+		if d.err != nil {
+			return nil
+		}
+		def, ok := classAttr(cls, name)
+		if !ok {
+			d.fail("class %q has no attribute %q", cls.Name, name)
+			return nil
+		}
+		if !kindCompatible(def.Kind, Kind(kind)) {
+			d.fail("attribute %s.%s wants %s, got %s", cls.Name, def.Name, def.Kind, Kind(kind))
+			return nil
+		}
+		v := Value{Kind: Kind(kind), Str: string(str), Int: iv, Bool: bv}
+		if len(blob) > 0 {
+			v.Blob = bytes.Clone(blob)
+		}
+		obj.attrs[def.Name] = v
+	}
+	for _, def := range cls.Attrs {
+		if _, ok := obj.attrs[def.Name]; def.Required && !ok {
+			d.fail("class %q requires attribute %q", cls.Name, def.Name)
+		}
+	}
+	prevName = nil
+	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
+		name := d.bytes()
+		if i > 0 && bytes.Compare(name, prevName) <= 0 {
+			d.fail("object %d: relationship %q follows %q: out of order", oid, name, prevName)
+		}
+		prevName = name
+		if d.err != nil {
+			return nil
+		}
+		rel := schema.rel(string(name))
+		if rel == nil {
+			d.fail("unknown relationship %q", name)
+			return nil
+		}
+		var prevTo OID
+		for j, nt := 0, d.count(); j < nt && d.err == nil; j++ {
+			to := OID(d.varint())
+			if j > 0 && to <= prevTo {
+				d.fail("object %d: %s target %d follows %d: out of order", oid, rel.Name, to, prevTo)
+			}
+			prevTo = to
+			d.links = append(d.links, snapLink{rel: rel.Name, from: oid, to: to})
+		}
+	}
+	return obj
+}
+
+// classAttr is Class.attr for a name still in the input buffer; the
+// comparison converts without allocating.
+func classAttr(c *Class, name []byte) (AttrDef, bool) {
+	for _, a := range c.Attrs {
+		if a.Name == string(name) {
+			return a, true
+		}
+	}
+	return AttrDef{}, false
+}

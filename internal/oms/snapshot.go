@@ -1,8 +1,7 @@
 package oms
 
 import (
-	"encoding/json"
-	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -20,13 +19,14 @@ import (
 // private clone (copy-on-write) and Get hands out clones, so the bytes a
 // snapshot references can never change underneath it.
 //
-// Encoding and writing the snapshot happen entirely outside the locks, so
-// concurrent designers stall only for the header copy — never for the
-// JSON encode or the disk write.
+// Sorting, encoding and writing the snapshot happen entirely outside the
+// locks, so concurrent designers stall only for the header copy — never
+// for the binary encode (snapcodec.go) or the disk write.
 
 // snapObjHdr is one captured object header. attrs shares Value contents
 // (including blob backing arrays) with the live store; links is a
-// flattened, unsorted copy of the outgoing link sets.
+// flattened copy of the outgoing link sets, each sorted by target after
+// the cut is released.
 type snapObjHdr struct {
 	oid   OID
 	class string
@@ -93,6 +93,11 @@ func (st *Store) Snapshot() *Snapshot {
 	// Deterministic order is established outside the cut — sorting is not
 	// the writers' problem.
 	sort.Slice(sn.objs, func(i, j int) bool { return sn.objs[i].oid < sn.objs[j].oid })
+	for i := range sn.objs {
+		for _, ts := range sn.objs[i].links {
+			slices.Sort(ts)
+		}
+	}
 	return sn
 }
 
@@ -107,35 +112,3 @@ func (sn *Snapshot) LSN() uint64 { return sn.lsn }
 
 // Objects returns the number of objects in the cut.
 func (sn *Snapshot) Objects() int { return len(sn.objs) }
-
-// EncodeJSON renders the snapshot in the Store wire format (the same
-// format DecodeSnapshot accepts). Deterministic: objects are ordered by OID,
-// relationship names and targets are sorted, and JSON object keys are
-// marshalled in sorted order.
-func (sn *Snapshot) EncodeJSON() ([]byte, error) {
-	snap := snapshot{NextOID: sn.nextOID}
-	for _, h := range sn.objs {
-		so := snapshotObj{OID: h.oid, Class: h.class, Attrs: make(map[string]snapValue, len(h.attrs))}
-		for name, v := range h.attrs {
-			so.Attrs[name] = snapValue{Kind: v.Kind, Str: v.Str, Int: v.Int, Bool: v.Bool, Blob: v.Blob}
-		}
-		snap.Objects = append(snap.Objects, so)
-		rels := make([]string, 0, len(h.links))
-		for rel := range h.links {
-			rels = append(rels, rel)
-		}
-		sort.Strings(rels)
-		for _, rel := range rels {
-			ts := append([]OID(nil), h.links[rel]...)
-			sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-			for _, to := range ts {
-				snap.Links = append(snap.Links, snapshotLink{Rel: rel, From: h.oid, To: to})
-			}
-		}
-	}
-	data, err := json.Marshal(&snap)
-	if err != nil {
-		return nil, fmt.Errorf("oms: encode snapshot: %w", err)
-	}
-	return data, nil
-}

@@ -175,10 +175,7 @@ func TestResetFromSnapshot(t *testing.T) {
 		}
 	}
 	snap := primary.Snapshot()
-	data, err := snap.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := snap.Encode()
 
 	follower := NewStore(schema)
 	if _, err := follower.Create("Cell", map[string]Value{"name": S("stale")}); err != nil {

@@ -317,10 +317,7 @@ func (p *Publisher) attach(resume uint64, needSnap bool) (*oms.Subscription, []F
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		snap := p.st.Snapshot()
-		data, err := snap.EncodeJSON()
-		if err != nil {
-			return nil, nil, err
-		}
+		data := snap.Encode()
 		sub, err := p.st.Watch(snap.LSN(), p.buf)
 		if err != nil {
 			lastErr = err

@@ -2,11 +2,11 @@ package repl
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,20 +41,30 @@ func testSchema(t testing.TB) *oms.Schema {
 // position masked (failed ops burn OIDs without leaving records).
 func fingerprint(t testing.TB, st *oms.Store) string {
 	t.Helper()
-	data, err := st.Snapshot().EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
+	var b strings.Builder
+	for _, oid := range st.All("") {
+		class, err := st.ClassOf(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "obj %d %s", oid, class)
+		for _, def := range st.Schema().Class(class).Attrs {
+			v, ok, err := st.Get(oid, def.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				fmt.Fprintf(&b, " %s=%s%x", def.Name, v, v.Blob)
+			}
+		}
+		b.WriteByte('\n')
 	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
+	for _, rel := range st.Schema().Rels() {
+		for _, p := range st.Related(rel) {
+			fmt.Fprintf(&b, "link %s %d->%d\n", rel, p.From, p.To)
+		}
 	}
-	delete(m, "next_oid")
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
+	return b.String()
 }
 
 func waitConverged(t testing.TB, r *Replica, st *oms.Store, timeout time.Duration) {
@@ -291,10 +301,7 @@ func TestReplicaChainBootstrap(t *testing.T) {
 	// Mimic the persistence layer's periodic differential saves: a full
 	// base commit, then delta commits captured while the suffix is still
 	// retained, while the feed ring churns far past its window.
-	base, err := st.Snapshot().EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := st.Snapshot().Encode()
 	if err := seed.Put("oms@1", base); err != nil {
 		t.Fatal(err)
 	}
@@ -367,10 +374,7 @@ func TestReplicaLocalSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := st.Snapshot().EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := st.Snapshot().Encode()
 	if err := seed.Put("oms@1", base); err != nil {
 		t.Fatal(err)
 	}

@@ -51,8 +51,10 @@ const (
 	// replica's applied position — the publisher resumes after it — and
 	// Payload is one flags byte.
 	FrameHello FrameType = 1 + iota
-	// FrameSnapshot carries a full base snapshot (a Store EncodeJSON
-	// payload); LSN is the snapshot's change-feed position. The replica
+	// FrameSnapshot carries a full base snapshot (an oms
+	// Snapshot.Encode payload, or a legacy JSON base that a chain
+	// bootstrap ships from an older state dir; oms.DecodeSnapshot reads
+	// both); LSN is the snapshot's change-feed position. The replica
 	// replaces its whole store with it.
 	FrameSnapshot
 	// FrameChanges carries an oms.EncodeChanges payload of one or more
