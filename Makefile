@@ -86,10 +86,12 @@ stress-feed:
 ## the primary's and WaitFor barriers must observe the writes they cover
 ## (internal/repl/repl_test.go, internal/jcf/replica_test.go); flows,
 ## reservations, typed hierarchies and shares must read the same on a
-## replica view, after promotion and after a reload. Runs over both the
+## replica view, after promotion and after a reload; and a fresh replica
+## of a primary restored by LoadFrom (full, differential, older-format and
+## LSN-0 state dirs) must converge in one session. Runs over both the
 ## in-process pipe and real TCP.
 stress-repl:
-	$(GO) test -race -count=3 -run 'TestReplicationConvergenceUnderLoad|TestReplicaStreamRobustness|TestReplicaReadOnlyView|TestReplicaViewPromote|TestReplicaAnswersFrameworkMetadata' ./internal/repl/ ./internal/jcf/
+	$(GO) test -race -count=3 -run 'TestReplicationConvergenceUnderLoad|TestReplicaStreamRobustness|TestReplicaReadOnlyView|TestReplicaViewPromote|TestReplicaAnswersFrameworkMetadata|TestRestoredPrimaryServesFreshReplica' ./internal/repl/ ./internal/jcf/
 
 ## stress-blob hammers the content-addressed checkin pipeline under the
 ## race detector: concurrent identical-content checkins must dedup to

@@ -32,7 +32,6 @@ var ApplyAtomicAnalyzer = &Analyzer{
 var singleOpMutators = map[string]bool{
 	"Create": true,
 	"Set":    true,
-	"CopyIn": true,
 	"Link":   true,
 	"Unlink": true,
 	"Delete": true,
@@ -44,7 +43,6 @@ var groupMutators = map[string]bool{
 	"Apply":             true,
 	"ApplyReplicated":   true,
 	"ResetFromSnapshot": true,
-	"ReplayChanges":     true,
 }
 
 // mutWitness is one concrete mutation group a call tree reaches.

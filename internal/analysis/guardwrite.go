@@ -33,13 +33,11 @@ var storeMutators = map[string]bool{
 	"Apply":             true,
 	"Create":            true,
 	"Set":               true,
-	"CopyIn":            true,
 	"Link":              true,
 	"Unlink":            true,
 	"Delete":            true,
 	"ApplyReplicated":   true,
 	"ResetFromSnapshot": true,
-	"ReplayChanges":     true,
 }
 
 // guardFacts is what the analyzer knows about one module function.

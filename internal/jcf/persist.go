@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/oms"
 	"repro/internal/oms/backend"
-	"repro/internal/otod"
 )
 
 // Framework persistence: one crash-consistent cut over the OMS
@@ -25,8 +24,9 @@ import (
 // Layout through the backend (file backend shown; the segment backend
 // stores the same names in its log):
 //
-//	CURRENT            commit manifest: epoch, payload names, checksums.
-//	                   Its atomic replacement is the commit point.
+//	CURRENT            commit manifest: epoch, payload names, checksums,
+//	                   the base's cut LSN and the feed LSN the epoch ends
+//	                   at. Its atomic replacement is the commit point.
 //	oms@<epoch>        the object database snapshot payload (the base),
 //	                   in oms's binary snapshot format; state dirs
 //	                   written earlier hold a JSON base, which still
@@ -34,7 +34,9 @@ import (
 //	delta@<epoch>      the change-feed suffix a differential commit adds
 //	framework@<epoch>  the release header: the framework's release level
 //
-// Older epochs are garbage-collected after a successful commit.
+// Older epochs are garbage-collected after a successful commit. LSNs
+// survive a restart: a loaded store's feed continues at the manifest's
+// FeedLSN (see LoadFrom).
 //
 // State dirs written before the database held flows, typed hierarchies
 // and shares carry them in framework@<epoch>; LoadFrom imports them into
@@ -276,92 +278,51 @@ func Load(dir string) (*Framework, error) {
 	return LoadFrom(b)
 }
 
-// LoadFrom restores a framework from a storage backend. The manifest's
-// checksums are verified; an older framework payload's metadata is
-// imported into the store, and one that names objects the store payload
-// does not contain is refused with ErrTornPair.
+// LoadFrom restores a framework from a storage backend. The committed
+// chain is read through backend.ReadChain, which verifies every
+// checksum and the delta chain's LSN contiguity; an older framework
+// payload's metadata is imported into the store, and one that names
+// objects the store payload does not contain is refused with
+// ErrTornPair.
 //
-// A differential commit is restored by decoding the base snapshot and
-// replaying the manifest's delta chain in order; every payload is
-// checksum-verified and the chain's LSN ranges must be contiguous.
+// The store is restored the way a replica installs a bootstrap: the
+// base snapshot at its cut (ResetFromSnapshot), then each delta
+// republished at its own LSNs (ApplyReplicated). The loaded feed so
+// sits at the manifest's FeedLSN, and new commits continue the saved
+// LSN sequence — differential saves, Watch consumers and replicas of
+// the loaded store line up with what was saved.
 //
 // A backend without a CURRENT manifest holds no committed state; the
 // error wraps backend.ErrNotFound.
 func LoadFrom(b backend.Backend) (*Framework, error) {
-	manifest, err := backend.LoadManifest(b)
+	c, err := backend.ReadChain(b)
 	if err != nil {
 		return nil, fmt.Errorf("jcf: load: %w", err)
 	}
-	fwPayload, err := b.Get(manifest.Framework)
-	if err != nil {
-		return nil, fmt.Errorf("jcf: load: manifest epoch %d: %w", manifest.Epoch, err)
-	}
-	omsPayload, err := b.Get(manifest.OMS)
-	if err != nil {
-		return nil, fmt.Errorf("jcf: load: manifest epoch %d: %w", manifest.Epoch, err)
-	}
-	if got := backend.SHA256Hex(fwPayload); got != manifest.FrameworkSum {
-		return nil, fmt.Errorf("jcf: load: %s checksum mismatch (corrupt payload)", manifest.Framework)
-	}
-	if got := backend.SHA256Hex(omsPayload); got != manifest.OMSSum {
-		return nil, fmt.Errorf("jcf: load: %s checksum mismatch (corrupt payload)", manifest.OMS)
-	}
-	store, err := decodeStore(omsPayload)
-	if err != nil {
-		return nil, err
-	}
-	// The chain must attach to the base's cut and stay contiguous — a
-	// gap replays incomplete history, which is refused.
-	prevTo := manifest.BaseLSN
-	for _, d := range manifest.Deltas {
-		payload, err := b.Get(d.Name)
-		if err != nil {
-			return nil, fmt.Errorf("jcf: load: manifest epoch %d: %w", manifest.Epoch, err)
-		}
-		if got := backend.SHA256Hex(payload); got != d.Sum {
-			return nil, fmt.Errorf("jcf: load: %s checksum mismatch (corrupt delta)", d.Name)
-		}
-		if d.FromLSN != prevTo {
-			return nil, fmt.Errorf("jcf: load: delta chain broken at %s: starts at %d, expected %d",
-				d.Name, d.FromLSN, prevTo)
-		}
-		recs, err := oms.DecodeChanges(payload)
-		if err != nil {
-			return nil, fmt.Errorf("jcf: load: %s: %w", d.Name, err)
-		}
-		if err := store.ReplayChanges(recs); err != nil {
-			return nil, fmt.Errorf("jcf: load: %s: %w", d.Name, err)
-		}
-		prevTo = d.ToLSN
-	}
-	return decodeFramework(fwPayload, store)
-}
-
-// decodeStore rebuilds the OMS store from a base snapshot payload.
-func decodeStore(omsPayload []byte) (*oms.Store, error) {
-	schema, err := otod.JCFModel().Schema()
-	if err != nil {
-		return nil, err
-	}
-	store, err := oms.DecodeSnapshot(omsPayload, schema)
-	if err != nil {
-		return nil, fmt.Errorf("jcf: load: %w", err)
-	}
-	return store, nil
-}
-
-// decodeFramework rebuilds the framework around a restored store,
-// importing an older payload's metadata into it first.
-func decodeFramework(fwPayload []byte, store *oms.Store) (*Framework, error) {
 	var state legacyState
-	if err := json.Unmarshal(fwPayload, &state); err != nil {
+	if err := json.Unmarshal(c.Framework, &state); err != nil {
 		return nil, fmt.Errorf("jcf: load: %w", err)
 	}
 	fw, err := New(state.Release)
 	if err != nil {
 		return nil, err
 	}
-	fw.store = store
+	if err := fw.store.ResetFromSnapshot(c.Base, c.Manifest.BaseLSN); err != nil {
+		return nil, fmt.Errorf("jcf: load: %w", err)
+	}
+	for i, payload := range c.Deltas {
+		name := c.Manifest.Deltas[i].Name
+		recs, err := oms.DecodeChanges(payload)
+		if err != nil {
+			return nil, fmt.Errorf("jcf: load: %s: %w", name, err)
+		}
+		if err := fw.store.ApplyReplicated(recs); err != nil {
+			return nil, fmt.Errorf("jcf: load: %s: %w", name, err)
+		}
+	}
+	if got := fw.store.FeedLSN(); got != c.Manifest.FeedLSN {
+		return nil, fmt.Errorf("jcf: load: delta records end at %d, manifest feed at %d", got, c.Manifest.FeedLSN)
+	}
 	if err := fw.importLegacy(&state); err != nil {
 		return nil, err
 	}

@@ -588,3 +588,133 @@ func TestLoadsTornSegmentStateFromPreviousFormat(t *testing.T) {
 		t.Fatalf("%d design objects after save and reload, want 6", got)
 	}
 }
+
+// TestLoadContinuesSavedLSNs: a loaded store's feed sits at the
+// manifest's FeedLSN, plus the one group that imports an older
+// framework payload's metadata when the payload carries some, and its
+// ring does not claim the history before the base's cut. Covered: a
+// full save through the file backend, differential saves through the
+// segment backend, and both fixtures written by the earlier backend.
+func TestLoadContinuesSavedLSNs(t *testing.T) {
+	saved := func(t *testing.T, delta bool) backend.Backend {
+		w := newWorld(t, Release40)
+		if !delta {
+			dir := t.TempDir()
+			if err := w.fw.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			b, err := backend.OpenFile(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		seg, err := backend.OpenSegment(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, holder := range []string{"", "anna", "bert"} {
+			if holder != "" {
+				if err := w.fw.Reserve(holder, w.cv); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.fw.ReleaseReservation(holder, w.cv); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.fw.SaveTo(seg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return seg
+	}
+	fixture := func(name string) func(t *testing.T) backend.Backend {
+		return func(t *testing.T) backend.Backend {
+			seg, err := backend.OpenSegment(copyFixture(t, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return seg
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		build     func(t *testing.T) backend.Backend
+		deltas    int
+		importing bool
+	}{
+		{"file-full-save", func(t *testing.T) backend.Backend { return saved(t, false) }, 0, false},
+		{"segment-differential-saves", func(t *testing.T) backend.Backend { return saved(t, true) }, 2, false},
+		{"segment-parent", fixture("segment-parent"), 2, true},
+		{"segment-parent-torn", fixture("segment-parent-torn"), 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := tc.build(t)
+			m, err := backend.LoadManifest(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m.Deltas) != tc.deltas || m.BaseLSN == 0 {
+				t.Fatalf("test premise broken: %d deltas over a base at LSN %d, want %d over a base past 0",
+					len(m.Deltas), m.BaseLSN, tc.deltas)
+			}
+			fw, err := LoadFrom(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			imported, ok := fw.store.Changes(m.FeedLSN)
+			if !ok {
+				t.Fatalf("feed does not hold the records after the manifest's FeedLSN %d", m.FeedLSN)
+			}
+			if tc.importing != (len(imported) > 0) {
+				t.Fatalf("%d records after the manifest's FeedLSN, want an import group: %t", len(imported), tc.importing)
+			}
+			for _, c := range imported {
+				if c.Group != m.FeedLSN+1 {
+					t.Fatalf("record %d in group %d, want the one import group %d", c.LSN, c.Group, m.FeedLSN+1)
+				}
+			}
+			if got, want := fw.FeedLSN(), m.FeedLSN+uint64(len(imported)); got != want {
+				t.Fatalf("loaded feed at %d, want %d (manifest %d + %d imported)", got, want, m.FeedLSN, len(imported))
+			}
+			if _, complete := fw.store.Changes(0); complete {
+				t.Fatal("loaded feed claims the history before the base's cut")
+			}
+		})
+	}
+}
+
+// TestLoadRefusesDeltaEndingShort: a manifest whose last delta claims
+// records its payload does not hold is refused — the loaded feed would
+// otherwise sit below the manifest's FeedLSN.
+func TestLoadRefusesDeltaEndingShort(t *testing.T) {
+	w := newWorld(t, Release40)
+	seg, err := backend.OpenSegment(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.fw.SaveTo(seg); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.fw.Reserve("anna", w.cv); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.fw.SaveTo(seg); err != nil {
+		t.Fatal(err)
+	}
+	m, err := backend.LoadManifest(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Deltas) != 1 {
+		t.Fatalf("test premise broken: %d deltas, want 1", len(m.Deltas))
+	}
+	m.Deltas[0].ToLSN++
+	m.FeedLSN++
+	if err := backend.PutManifest(seg, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFrom(seg); err == nil {
+		t.Fatal("a delta ending short of its manifest range loaded")
+	}
+}

@@ -13,10 +13,11 @@ import (
 //
 // The format used to be private to the persistence layer (internal/jcf).
 // It lives here, next to the Backend contract it depends on, because two
-// layers now consume the commit stream: the persistence layer writes and
-// replays it locally, and the replication publisher (internal/repl)
-// ships it — base snapshot plus encoded delta chain — to bootstrap
-// remote follower stores without re-encoding the live database.
+// layers consume the commit stream: the persistence layer writes and
+// loads it, and the replication publisher (internal/repl) ships it —
+// base snapshot plus encoded delta chain — to bootstrap remote follower
+// stores without re-encoding the live database. Both read it through
+// ReadChain, so they accept and refuse the same chains.
 
 // ManifestKey is the reserved backend name of the commit manifest; its
 // atomic Put is the commit point of every save epoch.
@@ -26,8 +27,8 @@ const ManifestKey = "CURRENT"
 // snapshot, the framework's release header, and (for differential
 // commits) the base epoch whose full snapshot the delta chain replays
 // over. FeedLSN is the database's change-feed position as of this epoch
-// — where the next differential save, or a replica bootstrapped from
-// this manifest, continues from.
+// — where the next differential save, a store loaded from this
+// manifest, or a replica bootstrapped from it, continues from.
 type Manifest struct {
 	Epoch        int64      `json:"epoch"`
 	OMS          string     `json:"oms"`
@@ -84,6 +85,66 @@ func PutManifest(b Backend, m Manifest) error {
 		return fmt.Errorf("backend: encode manifest: %w", err)
 	}
 	return b.Put(ManifestKey, data)
+}
+
+// Chain is one committed epoch read back whole: its manifest and every
+// payload the manifest names, each checksum-verified.
+type Chain struct {
+	Manifest Manifest
+	// Framework is the release header payload.
+	Framework []byte
+	// Base is the base snapshot, cut at Manifest.BaseLSN.
+	Base []byte
+	// Deltas are the delta payloads in chain order (Manifest.Deltas[i]
+	// names Deltas[i]).
+	Deltas [][]byte
+}
+
+// ReadChain reads the committed epoch of a backend: the CURRENT
+// manifest, the framework payload, the base and each delta. Every
+// payload's SHA-256 must match the manifest, the first delta must start
+// at the base's cut, each later one where the previous one ended, and
+// the chain must end at the manifest's FeedLSN — a chain with a gap
+// would rebuild incomplete history. A backend that has never committed
+// returns ErrNotFound (wrapped).
+func ReadChain(b Backend) (Chain, error) {
+	m, err := LoadManifest(b)
+	if err != nil {
+		return Chain{}, err
+	}
+	get := func(name, sum string) ([]byte, error) {
+		p, err := b.Get(name)
+		if err != nil {
+			return nil, fmt.Errorf("backend: manifest epoch %d: %w", m.Epoch, err)
+		}
+		if SHA256Hex(p) != sum {
+			return nil, fmt.Errorf("backend: %s checksum mismatch (corrupt payload)", name)
+		}
+		return p, nil
+	}
+	c := Chain{Manifest: m}
+	if c.Framework, err = get(m.Framework, m.FrameworkSum); err != nil {
+		return Chain{}, err
+	}
+	if c.Base, err = get(m.OMS, m.OMSSum); err != nil {
+		return Chain{}, err
+	}
+	at := m.BaseLSN
+	for _, d := range m.Deltas {
+		if d.FromLSN != at {
+			return Chain{}, fmt.Errorf("backend: delta chain broken at %s: starts at %d, expected %d", d.Name, d.FromLSN, at)
+		}
+		p, err := get(d.Name, d.Sum)
+		if err != nil {
+			return Chain{}, err
+		}
+		c.Deltas = append(c.Deltas, p)
+		at = d.ToLSN
+	}
+	if at != m.FeedLSN {
+		return Chain{}, fmt.Errorf("backend: delta chain ends at %d, manifest feed at %d", at, m.FeedLSN)
+	}
+	return c, nil
 }
 
 // SHA256Hex returns the hex-encoded SHA-256 of a payload — the checksum

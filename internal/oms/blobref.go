@@ -8,10 +8,10 @@ import (
 
 // Content-addressed blob spilling (ISSUE 9). With a blobstore attached,
 // blob values at or above the spill threshold are stored once in the CAS
-// during Apply's lock-free staging phase (or CopyIn, for the single-op
-// path) and only a ~40-byte KindBlobRef rides through stripes, snapshots,
-// deltas, the change feed and replication. Reads resolve the ref back to
-// verified bytes transparently in CopyOut/BlobBytes.
+// during Apply's lock-free staging phase, and only a ~40-byte
+// KindBlobRef rides through stripes, snapshots, deltas, the change feed
+// and replication. Reads resolve the ref back to verified bytes
+// transparently in CopyOut/BlobBytes.
 
 // AttachBlobs wires a content-addressed blob store into the store and
 // sets the spill threshold in bytes (0 disables spilling — useful on

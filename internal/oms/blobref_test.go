@@ -29,8 +29,8 @@ func blobStore(t *testing.T) (*Store, *blobstore.Store) {
 func bigBlob() []byte  { return bytes.Repeat([]byte("macro-cell "), 100) }
 func tinyBlob() []byte { return []byte("tiny") }
 
-// TestSpillOnCopyIn: the single-op CopyIn path spills at-threshold data
-// to the CAS, stores only a ref, and resolves it back on CopyOut.
+// TestSpillOnCopyIn: a batched file copy-in spills at-threshold data to
+// the CAS, stores only a ref, and resolves it back on CopyOut.
 func TestSpillOnCopyIn(t *testing.T) {
 	st, bs := blobStore(t)
 	cell := mustCreate(t, st, "Cell", map[string]Value{"name": S("alu")})
@@ -39,12 +39,10 @@ func TestSpillOnCopyIn(t *testing.T) {
 	if err := os.WriteFile(src, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n, err := st.CopyIn(cell, "data", src)
-	if err != nil {
+	b := NewBatch()
+	b.CopyIn(cell, "data", src)
+	if _, err := st.Apply(b); err != nil {
 		t.Fatal(err)
-	}
-	if n != int64(len(data)) {
-		t.Fatalf("CopyIn reported %d bytes, want %d", n, len(data))
 	}
 	v, ok, err := st.Get(cell, "data")
 	if err != nil || !ok {

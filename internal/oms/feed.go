@@ -25,10 +25,12 @@ var ErrFeedGap = errors.New("oms: change sequence does not attach to the feed po
 // holds its stripe write locks, so the feed order is a valid
 // serialization of the store's history: two conflicting operations
 // serialize on a shared stripe and publish in that order, and
-// non-conflicting operations commute. Replaying a feed suffix over a
-// Snapshot of matching LSN therefore reproduces the live store exactly —
-// the property the differential persistence layer (internal/jcf) and the
-// coupling layer (internal/core) are built on.
+// non-conflicting operations commute. Applying a feed suffix
+// (ApplyReplicated) over a snapshot installed at its LSN
+// (ResetFromSnapshot) therefore reproduces the live store exactly, at
+// the same LSNs — the property replication (internal/repl), the
+// differential persistence layer's load (internal/jcf) and the coupling
+// layer (internal/core) are built on.
 //
 // Groups: a batch (Store.Apply) and a Delete (object removal plus every
 // link detach) commit as ONE contiguous group of records — published
@@ -163,6 +165,11 @@ type feed struct {
 	subsA     atomic.Int64
 	evictions obs.Counter
 	lagTrips  obs.Counter
+
+	// seededAtZero is set by a rebase to LSN 0 over non-empty content:
+	// the records after 0 then do not rebuild the store from empty (see
+	// Store.ReplaysFromZero).
+	seededAtZero atomic.Bool
 }
 
 func newFeed() *feed {
@@ -258,10 +265,12 @@ func (f *feed) publishAt(group []Change) error {
 
 // rebase empties the ring and repositions the committed watermark at
 // lsn — the feed of a store whose whole content was just replaced by a
-// base snapshot cut at that LSN. Live subscriptions wake: ones whose
-// cursor no longer attaches (the usual case after a re-bootstrap) close
-// with Lagged() true and their consumers resynchronize.
-func (f *feed) rebase(lsn uint64) {
+// base snapshot cut at that LSN (nonEmpty: the snapshot holds objects).
+// Live subscriptions wake: ones whose cursor no longer attaches (the
+// usual case after a re-bootstrap) close with Lagged() true and their
+// consumers resynchronize.
+func (f *feed) rebase(lsn uint64, nonEmpty bool) {
+	f.seededAtZero.Store(lsn == 0 && nonEmpty)
 	f.mu.Lock()
 	for i := range f.buf {
 		f.buf[i] = Change{} // unpin retained blobs
@@ -478,7 +487,8 @@ func (s *Subscription) run() {
 // --- wire encoding ----------------------------------------------------
 
 // wireChange is the JSON form of a Change — the payload of the
-// differential snapshot deltas the jcf persistence layer writes.
+// differential snapshot deltas the jcf persistence layer writes and of
+// the replication stream's change frames.
 type wireChange struct {
 	LSN   uint64               `json:"lsn"`
 	Group uint64               `json:"group"`
@@ -533,7 +543,7 @@ func EncodeChanges(recs []Change) ([]byte, error) {
 // DecodeChanges parses a delta payload written by EncodeChanges. A set
 // record without a value is rejected: EncodeChanges always writes one,
 // and decoding it as the zero Value would silently blank a string
-// attribute on replay or on a replica.
+// attribute on a load or on a replica.
 func DecodeChanges(data []byte) ([]Change, error) {
 	var in []wireChange
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -563,24 +573,12 @@ func DecodeChanges(data []byte) ([]Change, error) {
 	return out, nil
 }
 
-// ReplayChanges applies a decoded change sequence to the store — the
-// load half of differential persistence: decode the base snapshot, then
-// replay each delta in chain order. Records are applied raw (no
-// cardinality re-checking, no undo, no feed re-publication — the feed
-// of a replayed store restarts at zero) but are validated against the
-// schema like DecodeSnapshot, so a delta written against a different
-// schema fails loudly instead of corrupting the store.
-func (st *Store) ReplayChanges(recs []Change) error {
-	st.lockAll()
-	defer st.unlockAll()
-	for _, c := range recs {
-		if err := st.replayOneLocked(c); err != nil {
-			return fmt.Errorf("oms: replay lsn %d: %w", c.LSN, err)
-		}
-	}
-	return nil
-}
-
+// replayOneLocked applies one decoded record — ApplyReplicated's body.
+// Records are applied raw (no cardinality re-checking, no undo) but are
+// validated against the schema, so a record written against a different
+// schema, or one that disagrees with the store's state, fails loudly
+// instead of corrupting the store. The caller holds every stripe's
+// write lock.
 func (st *Store) replayOneLocked(c Change) error {
 	switch c.Kind {
 	case ChangeCreate:

@@ -57,7 +57,8 @@ func fingerprint(t testing.TB, st *Store) string {
 	return b.String()
 }
 
-// replayed rebuilds a store from a change sequence via the wire format.
+// replayed rebuilds a store from a change sequence starting at LSN 1
+// via the wire format, applied the way a replica applies it.
 func replayed(t *testing.T, schema *Schema, recs []Change) *Store {
 	t.Helper()
 	payload, err := EncodeChanges(recs)
@@ -69,8 +70,11 @@ func replayed(t *testing.T, schema *Schema, recs []Change) *Store {
 		t.Fatal(err)
 	}
 	st := NewStore(schema)
-	if err := st.ReplayChanges(decoded); err != nil {
+	if err := st.ApplyReplicated(decoded); err != nil {
 		t.Fatal(err)
+	}
+	if got, want := st.FeedLSN(), uint64(len(recs)); got != want {
+		t.Fatalf("replayed store at LSN %d, want %d", got, want)
 	}
 	return st
 }
@@ -232,9 +236,8 @@ func TestSnapshotLSNAnchorsDelta(t *testing.T) {
 	if err := st.Set(cell, "data", Bytes([]byte("netlist"))); err != nil {
 		t.Fatal(err)
 	}
-	base := snap.Encode()
-	restored, err := DecodeSnapshot(base, schema)
-	if err != nil {
+	restored := NewStore(schema)
+	if err := restored.ResetFromSnapshot(snap.Encode(), snap.LSN()); err != nil {
 		t.Fatal(err)
 	}
 	delta, ok := st.Changes(snap.LSN())
@@ -249,11 +252,14 @@ func TestSnapshotLSNAnchorsDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.ReplayChanges(decoded); err != nil {
+	if err := restored.ApplyReplicated(decoded); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := fingerprint(t, restored), fingerprint(t, st); got != want {
 		t.Fatalf("base+delta diverges from live store:\n got %s\nwant %s", got, want)
+	}
+	if got, want := restored.FeedLSN(), st.FeedLSN(); got != want {
+		t.Fatalf("base+delta store at LSN %d, want %d", got, want)
 	}
 }
 

@@ -11,10 +11,11 @@
 //   - binary relationships between objects with cardinality checking,
 //   - atomic batches (Apply): a group of mutations lands whole or not at
 //     all,
-//   - consistent-cut snapshots of the whole store, encoded as JSON, and
-//   - blob storage with file-system staging (CopyIn/CopyOut), mirroring the
-//     JCF behaviour that encapsulated tools never touch database internals
-//     but exchange design data through the UNIX file system.
+//   - consistent-cut snapshots of the whole store, and
+//   - blob storage with file-system staging (Batch.CopyIn/CopyOut),
+//     mirroring the JCF behaviour that encapsulated tools never touch
+//     database internals but exchange design data through the UNIX file
+//     system.
 //
 // The paper (section 2.1) stresses two properties this package reproduces
 // faithfully: metadata and design data live in one common database, and
@@ -782,17 +783,10 @@ func (st *Store) ClassOf(oid OID) (string, error) {
 
 // Set assigns an attribute value, checked against the schema.
 func (st *Store) Set(oid OID, name string, v Value) error {
-	return st.setOwned(oid, name, v.clone())
-}
-
-// setOwned assigns an attribute value whose ownership transfers to the
-// store (the caller must not retain or mutate v's backing storage). It is
-// what lets CopyIn install freshly-read file bytes with a single copy.
-func (st *Store) setOwned(oid OID, name string, v Value) error {
 	s := st.stripeOf(oid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	a, err := st.setLockedU(oid, name, v)
+	a, err := st.setLockedU(oid, name, v.clone())
 	if err != nil {
 		return err
 	}

@@ -379,13 +379,12 @@ func TestCopyInOut(t *testing.T) {
 	if err := os.WriteFile(src, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n, err := st.CopyIn(oid, "data", src)
-	if err != nil {
+	b := NewBatch()
+	b.CopyIn(oid, "data", src)
+	if _, err := st.Apply(b); err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(len(content)) {
-		t.Fatalf("CopyIn = %d bytes, want %d", n, len(content))
-	}
+	n := int64(len(content))
 	dst := filepath.Join(dir, "out", "design.txt")
 	m, err := st.CopyOut(oid, "data", dst)
 	if err != nil {
@@ -407,8 +406,13 @@ func TestCopyInOut(t *testing.T) {
 		t.Fatalf("Stats blobIn=%d blobOut=%d, want >= %d each", in, out, n)
 	}
 	// Errors.
-	if _, err := st.CopyIn(oid, "data", filepath.Join(dir, "missing")); err == nil {
+	b = NewBatch()
+	b.CopyIn(oid, "data", filepath.Join(dir, "missing"))
+	if _, err := st.Apply(b); err == nil {
 		t.Fatal("CopyIn of missing file accepted")
+	}
+	if got, _ := st.BlobBytes(oid, "data"); string(got) != content {
+		t.Fatal("failed CopyIn changed the stored blob")
 	}
 	if _, err := st.CopyOut(oid, "rev", dst); err == nil {
 		t.Fatal("CopyOut of non-blob accepted")

@@ -88,11 +88,9 @@ func decodeJSONSnapshot(data []byte, schema *Schema) (*Store, error) {
 			st.nextOID = so.OID + 1
 		}
 	}
+	// As in the binary decoder: checked links, nothing published.
 	for _, l := range snap.Links {
-		if schema.rel(l.Rel) == nil {
-			return nil, fmt.Errorf("decode snapshot: unknown relationship %q", l.Rel)
-		}
-		if err := st.Link(l.Rel, l.From, l.To); err != nil {
+		if _, err := st.linkLockedU(l.Rel, l.From, l.To); err != nil {
 			return nil, fmt.Errorf("decode snapshot: %w", err)
 		}
 	}
@@ -103,32 +101,8 @@ func decodeJSONSnapshot(data []byte, schema *Schema) (*Store, error) {
 //
 // JCF encapsulation copies design data between the database and the UNIX
 // file system ("the required data are copied to and from the database via
-// the UNIX file system", section 2.1). CopyIn/CopyOut are that interface:
-// an encapsulated tool only ever sees plain files.
-
-// CopyIn reads the file at srcPath and stores its content as the named blob
-// attribute of object oid. It returns the number of bytes copied. The
-// freshly-read bytes are installed directly (setOwned) — one copy from the
-// file system into the database, not two.
-func (st *Store) CopyIn(oid OID, attr, srcPath string) (int64, error) {
-	data, err := os.ReadFile(srcPath)
-	if err != nil {
-		return 0, fmt.Errorf("oms: copy-in: %w", err)
-	}
-	v := Value{Kind: KindBlob, Blob: data}
-	if st.shouldSpill(v) {
-		ref, unpin, err := st.spill(v)
-		if err != nil {
-			return 0, err
-		}
-		defer unpin()
-		v = ref
-	}
-	if err := st.setOwned(oid, attr, v); err != nil {
-		return 0, err
-	}
-	return int64(len(data)), nil
-}
+// the UNIX file system", section 2.1). Batch.CopyIn and CopyOut are that
+// interface: an encapsulated tool only ever sees plain files.
 
 // CopyOut writes the named blob attribute of object oid to dstPath, creating
 // parent directories as needed. It returns the number of bytes copied.

@@ -22,9 +22,9 @@ import (
 // saves anchor correctly, and a promoted follower continues the LSN
 // sequence instead of restarting it.
 //
-// Contrast ReplayChanges (feed.go), the *persistence* replay: it applies
-// records without republishing, so a store restored from disk starts a
-// fresh history — exactly what Load wants and replication does not.
+// The pair is also the only way a store is restored from disk: jcf's
+// LoadFrom installs the committed base and applies the delta chain
+// through it, so a loaded store's feed continues at the saved LSN.
 
 // ResetFromSnapshot atomically replaces the store's entire content with a
 // base snapshot payload cut at feed position lsn: the bytes
@@ -39,6 +39,7 @@ func (st *Store) ResetFromSnapshot(data []byte, lsn uint64) error {
 	if err != nil {
 		return fmt.Errorf("oms: reset from snapshot: %w", err)
 	}
+	nonEmpty := tmp.Count("") > 0
 	st.lockAll()
 	for i := range st.stripes {
 		st.stripes[i].objects = tmp.stripes[i].objects
@@ -48,10 +49,18 @@ func (st *Store) ResetFromSnapshot(data []byte, lsn uint64) error {
 	st.allocMu.Lock()
 	st.nextOID = tmp.nextOID
 	st.allocMu.Unlock()
-	st.feed.rebase(lsn)
+	st.feed.rebase(lsn, nonEmpty)
 	st.unlockAll()
 	return nil
 }
+
+// ReplaysFromZero reports whether the feed from LSN 0 rebuilds this
+// store from the empty store, which is what a follower at LSN 0 holds.
+// It is false only while the store's base is a non-empty snapshot
+// installed at LSN 0 — a state directory saved before LSNs survived a
+// restart can hold one — and then a follower at 0 must bootstrap
+// instead of resuming from the feed.
+func (st *Store) ReplaysFromZero() bool { return !st.feed.seededAtZero.Load() }
 
 // ApplyReplicated applies a decoded change suffix (whole commit groups,
 // as a primary's feed delivered them) and republishes the records into

@@ -271,8 +271,13 @@ func decodeBinarySnapshot(data []byte, schema *Schema) (*Store, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	// Links go in with Link's class, cardinality and relationship checks
+	// but publish nothing: a decoded store's feed stays at 0 with an
+	// empty ring, and its installer (ResetFromSnapshot) sets the LSN the
+	// content was cut at. The store is still private, so no stripe lock
+	// is taken.
 	for _, l := range d.links {
-		if err := st.Link(l.rel, l.from, l.to); err != nil {
+		if _, err := st.linkLockedU(l.rel, l.from, l.to); err != nil {
 			return nil, fmt.Errorf("decode snapshot: %w", err)
 		}
 	}

@@ -98,6 +98,44 @@ func TestDecodeSnapshotReadsLegacyJSON(t *testing.T) {
 	}
 }
 
+// TestDecodedStorePublishesNothing: decoding installs a snapshot's links
+// without publishing them, in both formats, so a decoded store sits at
+// LSN 0 with an empty ring. Installed at LSN 0, a non-empty base marks
+// the store as one the feed from 0 does not rebuild.
+func TestDecodedStorePublishesNothing(t *testing.T) {
+	payloads := map[string][]byte{
+		"binary": legacyStore(t).Snapshot().Encode(),
+		"JSON":   []byte(legacySnapshotJSON),
+	}
+	for format, data := range payloads {
+		st, err := DecodeSnapshot(data, testSchema(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Related("hasVersion")) != 1 {
+			t.Fatalf("%s: decoded store lost its link", format)
+		}
+		if recs, ok := st.Changes(0); st.FeedLSN() != 0 || len(recs) != 0 || !ok {
+			t.Fatalf("%s: decoded store at LSN %d with %d records (complete %t), want 0, 0, true",
+				format, st.FeedLSN(), len(recs), ok)
+		}
+		for _, tc := range []struct {
+			data []byte
+			lsn  uint64
+			want bool
+		}{{data, 0, false}, {data, 5, true}, {NewStore(testSchema(t)).Snapshot().Encode(), 0, true}} {
+			st := NewStore(testSchema(t))
+			if err := st.ResetFromSnapshot(tc.data, tc.lsn); err != nil {
+				t.Fatal(err)
+			}
+			if got := st.ReplaysFromZero(); got != tc.want || st.FeedLSN() != tc.lsn {
+				t.Fatalf("%s: reset at %d: ReplaysFromZero %t at LSN %d, want %t at %d",
+					format, tc.lsn, got, st.FeedLSN(), tc.want, tc.lsn)
+			}
+		}
+	}
+}
+
 // TestSnapshotEncodeOneAllocation: the sizing pass is exact, so the
 // result is the single buffer Encode allocated, with nothing spare.
 func TestSnapshotEncodeOneAllocation(t *testing.T) {
@@ -248,6 +286,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		st, err := DecodeSnapshot(data, schema)
 		if err != nil {
 			return
+		}
+		if st.FeedLSN() != 0 {
+			t.Fatalf("decoded store published up to LSN %d", st.FeedLSN())
 		}
 		enc := st.Snapshot().Encode()
 		again, err := DecodeSnapshot(enc, schema)

@@ -1,6 +1,9 @@
 package oms
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // Wire robustness: DecodeChanges is the entry point for bytes that
 // crossed a disk (delta payloads) or a network (replication frames).
@@ -89,8 +92,10 @@ func TestDecodeChangesRobustness(t *testing.T) {
 		t.Fatalf("empty-string set decoded as %+v", got)
 	}
 
-	// Structurally valid JSON with semantic nonsense decodes, but neither
-	// replay path may panic or accept it silently.
+	// Structurally valid JSON with semantic nonsense decodes, but
+	// ApplyReplicated must neither panic nor accept it. Each record sits
+	// at LSN 1, where a fresh store attaches, so the gap check passes and
+	// the schema check is what refuses it.
 	semantic := [][]byte{
 		[]byte(`[{"lsn":1,"group":1,"kind":99,"oid":5,"class":"Cell"}]`),                             // unknown kind
 		[]byte(`[{"lsn":1,"group":1,"kind":0,"oid":5,"class":"NoSuchClass"}]`),                       // unknown class
@@ -104,11 +109,12 @@ func TestDecodeChangesRobustness(t *testing.T) {
 		if err != nil {
 			continue // also acceptable
 		}
-		if err := NewStore(schema).ReplayChanges(recs); err == nil {
-			t.Fatalf("ReplayChanges accepted %s", payload)
-		}
-		if err := NewStore(schema).ApplyReplicated(recs); err == nil {
+		err = NewStore(schema).ApplyReplicated(recs)
+		if err == nil {
 			t.Fatalf("ApplyReplicated accepted %s", payload)
+		}
+		if errors.Is(err, ErrFeedGap) {
+			t.Fatalf("ApplyReplicated refused %s on the gap check, not the schema: %v", payload, err)
 		}
 	}
 }
@@ -218,8 +224,10 @@ func TestResetFromSnapshot(t *testing.T) {
 	}
 }
 
-// FuzzDecodeChanges: decode arbitrary bytes; whatever decodes must
-// replay (or be rejected) without panicking on a fresh store.
+// FuzzDecodeChanges: decode arbitrary bytes; whatever decodes must apply
+// (or be rejected) without panicking on a fresh store: as decoded, and
+// renumbered from LSN 1, so every input also reaches the per-record
+// apply instead of stopping at the gap check.
 func FuzzDecodeChanges(f *testing.F) {
 	valid := wirePayload(f)
 	f.Add(valid)
@@ -236,7 +244,10 @@ func FuzzDecodeChanges(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = NewStore(schema).ReplayChanges(recs)
+		_ = NewStore(schema).ApplyReplicated(recs)
+		for i := range recs {
+			recs[i].LSN = uint64(i) + 1
+		}
 		_ = NewStore(schema).ApplyReplicated(recs)
 	})
 }

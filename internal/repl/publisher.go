@@ -302,7 +302,9 @@ func (p *Publisher) send(c Conn, f Frame) bool {
 // by manifest chain when available, else by live snapshot — and returns
 // the live subscription plus the bootstrap frames to send first.
 func (p *Publisher) attach(resume uint64, needSnap bool) (*oms.Subscription, []Frame, error) {
-	if !needSnap && resume <= p.st.FeedLSN() {
+	// A follower at 0 holds the empty store; the feed from 0 rebuilds the
+	// primary from that unless the primary's base at LSN 0 is not empty.
+	if !needSnap && resume <= p.st.FeedLSN() && (resume > 0 || p.st.ReplaysFromZero()) {
 		if sub, err := p.st.Watch(resume, p.buf); err == nil {
 			return sub, nil, nil
 		}
@@ -329,36 +331,29 @@ func (p *Publisher) attach(resume uint64, needSnap bool) (*oms.Subscription, []F
 	return nil, nil, lastErr
 }
 
-// chainBootstrap builds bootstrap frames from the seed backend's commit
-// manifest: the base snapshot payload plus each delta payload, exactly
-// as the persistence layer wrote them. Usable only while the feed still
-// retains the manifest's FeedLSN (the chain must hand over to the live
-// stream without a gap); any missing or corrupt payload disqualifies the
-// chain and the caller falls back to a live snapshot.
+// chainBootstrap builds bootstrap frames from the seed backend's
+// committed chain: the base snapshot payload plus each delta payload,
+// exactly as the persistence layer wrote them and read through the same
+// backend.ReadChain that jcf.LoadFrom uses, so a chain LoadFrom would
+// refuse (a bad checksum, a gap in the LSN ranges) is never shipped.
+// Usable only while the feed still retains the manifest's FeedLSN (the
+// chain must hand over to the live stream without a gap); otherwise the
+// caller falls back to a live snapshot.
 func (p *Publisher) chainBootstrap() (*oms.Subscription, []Frame, bool) {
 	if p.seed == nil {
 		return nil, nil, false
 	}
-	m, err := backend.LoadManifest(p.seed)
+	c, err := backend.ReadChain(p.seed)
 	if err != nil {
 		return nil, nil, false
 	}
+	m := c.Manifest
 	sub, err := p.st.Watch(m.FeedLSN, p.buf)
 	if err != nil {
 		return nil, nil, false
 	}
-	base, err := p.seed.Get(m.OMS)
-	if err != nil || backend.SHA256Hex(base) != m.OMSSum {
-		sub.Close()
-		return nil, nil, false
-	}
-	frames := []Frame{{Type: FrameSnapshot, LSN: m.BaseLSN, Payload: base}}
-	for _, d := range m.Deltas {
-		payload, err := p.seed.Get(d.Name)
-		if err != nil || backend.SHA256Hex(payload) != d.Sum {
-			sub.Close()
-			return nil, nil, false
-		}
+	frames := []Frame{{Type: FrameSnapshot, LSN: m.BaseLSN, Payload: c.Base}}
+	for _, payload := range c.Deltas {
 		frames = append(frames, Frame{Type: FrameChanges, LSN: m.FeedLSN, Payload: payload})
 	}
 	return sub, frames, true

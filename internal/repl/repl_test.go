@@ -360,51 +360,6 @@ func TestReplicaChainBootstrap(t *testing.T) {
 	}
 }
 
-// TestReplicaLocalSeed: a replica colocated with a saved state directory
-// starts from the local chain and only streams the suffix.
-func TestReplicaLocalSeed(t *testing.T) {
-	schema := testSchema(t)
-	st := oms.NewStore(schema)
-	cell, err := st.Create("Cell", map[string]oms.Value{"name": oms.S("alu")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn(t, st, cell, 100)
-	seed, err := backend.OpenFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := st.Snapshot().Encode()
-	if err := seed.Put("oms@1", base); err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.Put("framework@1", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := backend.PutManifest(seed, backend.Manifest{
-		Epoch: 1, OMS: "oms@1", Framework: "framework@1",
-		OMSSum:       backend.SHA256Hex(base),
-		FrameworkSum: backend.SHA256Hex(nil),
-		BaseEpoch:    1, BaseLSN: st.FeedLSN(), FeedLSN: st.FeedLSN(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	churn(t, st, cell, 50) // the suffix the publisher must stream
-
-	p, d := startPipePublisher(t, st)
-	rep := NewReplica(testSchema(t), d, WithLocalSeed(seed))
-	rep.Start()
-	defer rep.Close()
-	waitConverged(t, rep, st, 5*time.Second)
-	if got, want := fingerprint(t, rep.Store()), fingerprint(t, st); got != want {
-		t.Fatal("fingerprint mismatch after local seed")
-	}
-	// The publisher served the suffix from its ring — no remote bootstrap.
-	if p.Stats().SnapshotBootstraps != 0 || p.Stats().ChainBootstraps != 0 {
-		t.Fatalf("unexpected remote bootstrap: %+v", p.Stats())
-	}
-}
-
 // TestPromoteContinuesLSNSequence: a promoted replica is writable, its
 // feed continues the primary's LSN sequence, and a second replica can
 // follow the promoted store — failover chaining.

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/oms"
-	"repro/internal/oms/backend"
 	"repro/internal/oms/blobstore"
 )
 
@@ -29,7 +28,6 @@ import (
 type Replica struct {
 	st      *oms.Store
 	dial    Dialer
-	seed    backend.Backend // optional: local manifest chain for first boot
 	backoff time.Duration
 
 	mu        sync.Mutex
@@ -102,14 +100,6 @@ func (r *Replica) noteCloseErr(c Conn) {
 
 // ReplicaOption configures NewReplica.
 type ReplicaOption func(*Replica)
-
-// WithLocalSeed seeds the first bootstrap from a local backend's commit
-// manifest (base + delta chain) before dialing — a replica colocated
-// with a state directory starts warm and asks the publisher only for the
-// suffix.
-func WithLocalSeed(b backend.Backend) ReplicaOption {
-	return func(r *Replica) { r.seed = b }
-}
 
 // WithReconnectBackoff sets the delay between failed sessions (default
 // 50ms). Dial errors and dropped connections both wait this long.
@@ -280,9 +270,6 @@ func (r *Replica) Promote() *oms.Store {
 // run is the follow loop: dial, follow, back off, repeat.
 func (r *Replica) run() {
 	defer r.wg.Done()
-	if r.seed != nil {
-		r.seedLocal()
-	}
 	first := true
 	for {
 		if r.isClosed() {
@@ -339,15 +326,17 @@ func (r *Replica) follow(c Conn) error {
 		r.metrics.bytesIn.Add(int64(len(f.Payload)))
 		switch f.Type {
 		case FrameSnapshot:
-			// A healthy replica at or past the bootstrap base skips the
+			// A healthy replica past the bootstrap base skips the
 			// install: rewinding the store below its applied LSN would
 			// transiently un-happen writes that WaitFor barriers already
 			// acknowledged. The frames that follow overlap-trim against
-			// the applied position and continue from there. A poisoned
-			// store takes the snapshot unconditionally — that is the
-			// point of demanding it.
+			// the applied position and continue from there. A base at
+			// the applied LSN is installed: it rewinds nothing, and a
+			// fresh replica needs it when the primary's base sits at LSN
+			// 0. A poisoned store takes the snapshot unconditionally —
+			// that is the point of demanding it.
 			r.mu.Lock()
-			skip := !r.poisoned && f.LSN <= r.applied.Load()
+			skip := !r.poisoned && f.LSN < r.applied.Load()
 			r.mu.Unlock()
 			if skip {
 				continue
@@ -536,41 +525,6 @@ func (r *Replica) advanceLocked(applied, watermark uint64) {
 		r.watermark.Store(watermark)
 	}
 	r.cond.Broadcast()
-}
-
-// seedLocal installs the local backend's committed base + delta chain
-// before the first dial, so the publisher only streams the suffix. Best
-// effort: any failure leaves the store empty and the publisher
-// bootstraps as usual.
-func (r *Replica) seedLocal() {
-	m, err := backend.LoadManifest(r.seed)
-	if err != nil {
-		return
-	}
-	base, err := r.seed.Get(m.OMS)
-	if err != nil || backend.SHA256Hex(base) != m.OMSSum {
-		return
-	}
-	if err := r.st.ResetFromSnapshot(base, m.BaseLSN); err != nil {
-		return
-	}
-	for _, d := range m.Deltas {
-		payload, err := r.seed.Get(d.Name)
-		if err != nil || backend.SHA256Hex(payload) != d.Sum {
-			break
-		}
-		recs, err := oms.DecodeChanges(payload)
-		if err != nil {
-			break
-		}
-		if err := r.st.ApplyReplicated(recs); err != nil {
-			break
-		}
-	}
-	r.metrics.bootstraps.Inc()
-	r.mu.Lock()
-	r.advanceLocked(r.st.FeedLSN(), r.st.FeedLSN())
-	r.mu.Unlock()
 }
 
 func (r *Replica) isClosed() bool {
