@@ -41,12 +41,14 @@ lint:
 ## engine): every seed the wire-format and frame-codec fuzzers ever
 ## minimized must keep decoding without panics or round-trip drift; a
 ## base snapshot (binary, or a legacy JSON one) that decodes must
-## re-encode to bytes that decode to the same store; and the hand-written
-## FMCAD .meta encoder, cold and with a warm per-cell cache, must match
-## encoding/json.
+## re-encode to bytes that decode to the same store; a base folded with
+## an overlay checkpoint must match a full snapshot and a plain-map
+## model; and the hand-written FMCAD .meta encoder, cold and with a warm
+## per-cell cache, must match encoding/json.
 fuzz-seed:
 	$(GO) test -run FuzzDecodeChanges ./internal/oms/
 	$(GO) test -run FuzzDecodeSnapshot ./internal/oms/
+	$(GO) test -run FuzzMergeCheckpoint ./internal/oms/
 	$(GO) test -run FuzzReadFrame ./internal/repl/
 	$(GO) test -run FuzzDecodeBlobRef ./internal/oms/blobstore/
 	$(GO) test -run FuzzAppendMeta ./internal/fmcad/
@@ -59,9 +61,13 @@ race:
 
 ## stress-persist hammers Framework.Save against concurrent designers
 ## under the race detector: every save must Load, with every reservation
-## naming a registered user (see internal/jcf/stress_test.go).
+## naming a registered user (see internal/jcf/stress_test.go); and
+## seeded random histories saved as delta, overlay and full epochs must
+## each load back byte-equal at the same feed position, also from the
+## disk a crash before any backend Put or Delete leaves behind (see
+## internal/jcf/checkpoint_test.go).
 stress-persist:
-	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent' ./internal/jcf/
+	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent|TestReloadEquivalenceModel|TestCheckpointCrashStates' ./internal/jcf/
 
 ## stress-atomic hammers the grouped-operation paths under the race
 ## detector: batches must stay all-or-nothing against concurrent readers

@@ -791,8 +791,9 @@ func BenchmarkE38BatchCheckin(b *testing.B) {
 // BenchmarkE39DifferentialSave measures Framework.SaveTo on the segment
 // backend at growing store sizes. Each save writes only the change-feed
 // suffix since the previous commit (here: `churn` checkins), so cost
-// tracks the churn, not the store. Every 64th save compacts back to a
-// full base (the chain bound) and is included in the timing — the
+// tracks the churn, not the store. Every 64th save compacts the chain
+// (the chain bound) into an overlay or, once the overlays would reach
+// the base's size, a full base, and is included in the timing — the
 // amortized honest number. BENCH_4.json records the ablation against
 // full saves, whose cost grew linearly with accumulated design data.
 // Regenerate with `make bench-feed`.

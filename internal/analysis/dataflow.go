@@ -178,7 +178,7 @@ func classifyModuleBlocking(callee *types.Func, callerPkg string) (string, bool)
 	switch {
 	case pkg == "oms" && recvName == "Store" && callerPkg != "oms":
 		switch name {
-		case "Apply", "ApplyReplicated", "Snapshot", "ResetFromSnapshot":
+		case "Apply", "ApplyReplicated", "Snapshot", "Overlay", "ResetFromSnapshot":
 			return "oms.Store." + name, true
 		}
 	case pkg == "repl" && recvName == "Replica" && callerPkg != "repl" && name == "WaitFor":

@@ -341,9 +341,11 @@ func TestDifferentialSaveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDifferentialSaveCompaction: the chain folds back into a full base
-// once it reaches the compaction bound, and a loaded framework (no
-// anchor) always starts with a full base.
+// TestDifferentialSaveCompaction: once the chain reaches the compaction
+// bound, the save writes an overlay over the full base and empties the
+// chain; a new full base comes once the overlays would reach the base's
+// size, and a loaded framework (no anchor) always starts with a full
+// base.
 func TestDifferentialSaveCompaction(t *testing.T) {
 	w := newWorld(t, Release30)
 	fw := w.fw
@@ -355,19 +357,34 @@ func TestDifferentialSaveCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		populate(t, fw, w, fmt.Sprintf("e%d", i), 1)
+	save := func(tag string, n int) backend.Manifest {
+		t.Helper()
+		populate(t, fw, w, tag, n)
 		if err := fw.SaveTo(seg); err != nil {
 			t.Fatal(err)
 		}
+		m, err := backend.LoadManifest(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	m, err := backend.LoadManifest(seg)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		save(fmt.Sprintf("e%d", i), 1)
 	}
-	// Epochs: 1 full, 2 delta, 3 delta (chain=2), 4 full again.
-	if m.Epoch != 4 || m.BaseEpoch != 4 || len(m.Deltas) != 0 {
-		t.Fatalf("no compaction after chain bound: %+v", m)
+	// Epochs: 1 full, 2 delta, 3 delta (chain=2), 4 an overlay on 1.
+	m := save("e3", 1)
+	if m.Epoch != 4 || m.BaseEpoch != 1 || m.Overlay != "oms@4" || m.OverlayLSN != m.FeedLSN || len(m.Deltas) != 0 {
+		t.Fatalf("no overlay after chain bound: %+v", m)
+	}
+	// Epochs 5 and 6 are deltas from the overlay's cut; epoch 7's
+	// overlay would hold far more than the base, so it is a full base.
+	if m = save("e4", 1); len(m.Deltas) != 1 || m.Deltas[0].FromLSN != m.OverlayLSN {
+		t.Fatalf("delta does not start at the overlay's cut: %+v", m)
+	}
+	save("e5", 1)
+	if m = save("big", 40); m.Epoch != 7 || m.BaseEpoch != 7 || m.Overlay != "" || len(m.Deltas) != 0 {
+		t.Fatalf("overlay budget did not force a full base: %+v", m)
 	}
 	ld, err := LoadFrom(seg)
 	if err != nil {
@@ -376,12 +393,12 @@ func TestDifferentialSaveCompaction(t *testing.T) {
 	if err := ld.SaveTo(seg); err != nil {
 		t.Fatal(err)
 	}
-	m5, err := backend.LoadManifest(seg)
+	m8, err := backend.LoadManifest(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m5.BaseEpoch != 5 || len(m5.Deltas) != 0 {
-		t.Fatalf("loaded framework did not fall back to a full base: %+v", m5)
+	if m8.BaseEpoch != 8 || m8.Overlay != "" || len(m8.Deltas) != 0 {
+		t.Fatalf("loaded framework did not fall back to a full base: %+v", m8)
 	}
 	if _, err := LoadFrom(seg); err != nil {
 		t.Fatal(err)
@@ -418,12 +435,14 @@ func TestDifferentialSaveIgnoredOnFileBackend(t *testing.T) {
 
 // TestDifferentialSaveCrashConsistencyUnderLoad is the segment-backend
 // sibling of TestSaveCrashConsistencyUnderLoad: differential saves loop
-// against concurrent designers, and every committed manifest must load
-// with every reservation naming a registered user. Run under -race by
-// `make stress-feed`.
+// against concurrent designers, with a chain bound of 2 so that overlays
+// are cut while designers commit too, and every committed manifest must
+// load with every reservation naming a registered user. Run under -race
+// by `make stress-feed`.
 func TestDifferentialSaveCrashConsistencyUnderLoad(t *testing.T) {
 	w := newWorld(t, Release30)
 	fw := w.fw
+	fw.maxDeltaChain = 2
 	const designers = 4
 	for d := 0; d < designers; d++ {
 		name := fmt.Sprintf("designer%d", d)

@@ -123,11 +123,16 @@ type Framework struct {
 	// saves: a delta continues from the previous commit only when this
 	// framework instance wrote that commit to the same backend — any
 	// mismatch (first save, different backend, loaded framework) falls
-	// back to a full base snapshot.
+	// back to a full base snapshot. baseBytes is the size of the last
+	// full base this instance wrote and overlayBytes what its overlays
+	// over that base have written since: SaveTo's budget for choosing
+	// an overlay over a new base.
 	saveMu        sync.Mutex
 	lastSaveTo    backend.Backend
 	lastSaveEpoch int64
 	lastSaveLSN   uint64
+	baseBytes     int
+	overlayBytes  int
 	maxDeltaChain int // 0 means defaultMaxDeltaChain
 
 	// batchPool recycles oms.Batch builders for the hot grouped paths

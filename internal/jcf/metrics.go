@@ -24,6 +24,14 @@ type fwMetrics struct {
 	// ledgerDepth counts uploads pending across all cell-version
 	// ledgers (Publish's durability gate size).
 	ledgerDepth obs.Gauge
+	// save times a successful SaveTo end to end, saveMu wait excluded.
+	save obs.Histogram
+	// checkpointFull and checkpointOverlay count the saves that wrote a
+	// full base and an overlay; checkpointBytes sums both kinds' payload
+	// bytes.
+	checkpointFull    obs.Counter
+	checkpointOverlay obs.Counter
+	checkpointBytes   obs.Counter
 }
 
 // RegisterMetrics exposes the framework's instrument cells in reg,
@@ -37,5 +45,9 @@ func (fw *Framework) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterHistogram("jcf_publish_gate_ns", &fw.metrics.publishGate)
 	reg.RegisterGauge("jcf_upload_ledger_depth", &fw.metrics.ledgerDepth)
 	reg.RegisterCounter("jcf_reserve_conflicts_total", &fw.statReserveConflicts)
+	reg.RegisterHistogram("jcf_save_ns", &fw.metrics.save)
+	reg.RegisterCounter("jcf_checkpoint_full_total", &fw.metrics.checkpointFull)
+	reg.RegisterCounter("jcf_checkpoint_overlay_total", &fw.metrics.checkpointOverlay)
+	reg.RegisterCounter("jcf_checkpoint_bytes_total", &fw.metrics.checkpointBytes)
 	fw.store.RegisterMetrics(reg)
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/oms"
 	"repro/internal/oms/backend"
 )
@@ -16,23 +17,32 @@ import (
 // database, committed through a pluggable storage backend. The database
 // is the framework's only record — registered flows, workspace
 // reservations, typed hierarchies and shares included — so the cut is
-// the store's own: a stripe-consistent Snapshot for a full commit, or
-// the change-feed suffix since the previous commit for a differential
-// one. No framework lock is taken, and a load has nothing to
-// cross-validate.
+// the store's own: a stripe-consistent Snapshot for a full commit, an
+// Overlay of the objects changed since the full base for a compacting
+// one, or the change-feed suffix since the previous commit for a
+// differential one. No framework lock is taken, and a load has nothing
+// to cross-validate.
 //
 // Layout through the backend (file backend shown; the segment backend
 // stores the same names in its log):
 //
 //	CURRENT            commit manifest: epoch, payload names, checksums,
-//	                   the base's cut LSN and the feed LSN the epoch ends
-//	                   at. Its atomic replacement is the commit point.
-//	oms@<epoch>        the object database snapshot payload (the base),
-//	                   in oms's binary snapshot format; state dirs
-//	                   written earlier hold a JSON base, which still
-//	                   loads until the next full save replaces it
+//	                   the base's and the overlay's cut LSNs and the feed
+//	                   LSN the epoch ends at. Its atomic replacement is
+//	                   the commit point.
+//	oms@<epoch>        a full base snapshot payload in oms's binary
+//	                   snapshot format (state dirs written earlier hold a
+//	                   JSON base, which still loads until the next full
+//	                   save replaces it), or an overlay over the current
+//	                   base in oms's binary overlay format; the manifest
+//	                   names which is which
 //	delta@<epoch>      the change-feed suffix a differential commit adds
 //	framework@<epoch>  the release header: the framework's release level
+//
+// A committed epoch is so a full base, at most one overlay over it, and
+// a chain of deltas from the overlay's cut (or the base's, without
+// one). Every save writes framework@<epoch>, CURRENT and exactly one of
+// a delta, an overlay or a base.
 //
 // Older epochs are garbage-collected after a successful commit. LSNs
 // survive a restart: a loaded store's feed continues at the manifest's
@@ -79,8 +89,9 @@ const (
 	deltaPrefix = "delta@"
 
 	// defaultMaxDeltaChain bounds how many deltas may accumulate before
-	// Save compacts back to a full base snapshot: load time and GC reach
-	// grow with the chain, so it is periodically reset.
+	// Save compacts them into a checkpoint (an overlay or a full base
+	// snapshot): every save's manifest and GC work, and load time, grow
+	// with the chain, so it is periodically reset.
 	defaultMaxDeltaChain = 64
 )
 
@@ -99,9 +110,9 @@ func (fw *Framework) Save(dir string) error {
 
 // SaveTo persists the framework through an arbitrary storage backend.
 //
-// The cut is the store's: a stripe-consistent snapshot, or the
-// change-feed suffix since the previous commit. Designers are stalled
-// only for the snapshot capture, never for encoding or backend writes.
+// The cut is the store's: a stripe-consistent snapshot or overlay, or
+// the change-feed suffix since the previous commit. Designers are
+// stalled only for the capture, never for encoding or backend writes.
 // The commit becomes visible atomically when the CURRENT manifest is
 // Put; a crash at any earlier point leaves the previous epoch fully
 // intact.
@@ -109,12 +120,18 @@ func (fw *Framework) Save(dir string) error {
 // On a DeltaCapable backend (the segment/WAL backend), a SaveTo that
 // follows a commit this same framework instance made writes only the
 // change-feed suffix since that commit — a delta payload of O(what
-// changed), not O(store) — and the manifest binds base epoch + delta
-// chain. The release header is written with every commit. Save falls
-// back to a full base snapshot whenever the anchor is missing (first
-// save, a different backend, a freshly loaded framework), the feed ring
-// has evicted part of the needed suffix, or the chain has reached its
-// compaction bound.
+// changed), not O(store) — and the manifest binds the checkpoint and
+// the delta chain. The release header is written with every commit.
+//
+// When the chain reaches its compaction bound, the save writes a
+// checkpoint instead and empties the chain. The checkpoint is an
+// overlay — the objects changed since the full base's cut — while the
+// overlays written over that base, this one included, stay smaller
+// than the base itself; once they would not, or the feed ring no longer
+// holds every record since the base's cut, it is a new full base. A
+// full base is also written whenever the anchor is missing (first save,
+// a different backend, a freshly loaded framework) or the ring has
+// evicted part of the delta's suffix.
 func (fw *Framework) SaveTo(b backend.Backend) error {
 	if err := fw.guardWrite(); err != nil {
 		return err
@@ -124,6 +141,7 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 	// Designers never take saveMu, so they are unaffected.
 	fw.saveMu.Lock()
 	defer fw.saveMu.Unlock()
+	start := obs.Now()
 
 	epoch := int64(1)
 	var prev backend.Manifest
@@ -140,12 +158,11 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 		maxChain = defaultMaxDeltaChain
 	}
 	dc, deltaCapable := b.(backend.DeltaCapable)
-	wantDelta := deltaCapable && dc.SupportsDeltas() &&
+	anchored := deltaCapable && dc.SupportsDeltas() &&
 		havePrev && fw.lastSaveTo == b && fw.lastSaveEpoch == prev.Epoch &&
-		prev.FeedLSN == fw.lastSaveLSN &&
-		len(prev.Deltas) < maxChain
+		prev.FeedLSN == fw.lastSaveLSN
+	wantDelta := anchored && len(prev.Deltas) < maxChain
 
-	var snap *oms.Snapshot
 	var delta []oms.Change
 	var deltaTo uint64
 	if wantDelta {
@@ -158,11 +175,8 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 		} else {
 			// The ring evicted part of the suffix (the framework fell
 			// more than the retention window behind): full snapshot.
-			wantDelta = false
+			wantDelta, anchored = false, false
 		}
-	}
-	if !wantDelta {
-		snap = fw.store.Snapshot()
 	}
 	fwPayload, err := json.MarshalIndent(persistedState{Release: fw.release}, "", " ")
 	if err != nil {
@@ -171,21 +185,13 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 
 	fwName := fmt.Sprintf("%s%d", fwPrefix, epoch)
 	var manifest backend.Manifest
-	switch {
-	case wantDelta:
-		// Differential commit: the base payload and earlier deltas are
+	var ckpt checkpoint
+	if wantDelta {
+		// Differential commit: the checkpoint and earlier deltas are
 		// already durable; only the new suffix (if any) is written.
-		manifest = backend.Manifest{
-			Epoch:        epoch,
-			OMS:          prev.OMS,
-			Framework:    fwName,
-			OMSSum:       prev.OMSSum,
-			FrameworkSum: backend.SHA256Hex(fwPayload),
-			BaseEpoch:    prev.BaseEpoch,
-			BaseLSN:      prev.BaseLSN,
-			Deltas:       append([]backend.DeltaRef(nil), prev.Deltas...),
-			FeedLSN:      deltaTo,
-		}
+		manifest = prev
+		manifest.Deltas = append([]backend.DeltaRef(nil), prev.Deltas...)
+		manifest.FeedLSN = deltaTo
 		if len(delta) > 0 {
 			deltaPayload, err := oms.EncodeChanges(delta)
 			if err != nil {
@@ -202,24 +208,26 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 				ToLSN:   deltaTo,
 			})
 		}
-	default:
-		// Full commit: a fresh base snapshot, empty delta chain.
-		omsPayload := snap.Encode()
-		omsName := fmt.Sprintf("%s%d", omsPrefix, epoch)
-		if err := b.Put(omsName, omsPayload); err != nil {
+	} else {
+		ckpt = fw.captureCheckpoint(anchored, prev.BaseLSN)
+		name := fmt.Sprintf("%s%d", omsPrefix, epoch)
+		if err := b.Put(name, ckpt.payload); err != nil {
 			return fmt.Errorf("jcf: save: %w", err)
 		}
-		manifest = backend.Manifest{
-			Epoch:        epoch,
-			OMS:          omsName,
-			Framework:    fwName,
-			OMSSum:       backend.SHA256Hex(omsPayload),
-			FrameworkSum: backend.SHA256Hex(fwPayload),
-			BaseEpoch:    epoch,
-			BaseLSN:      snap.LSN(),
-			FeedLSN:      snap.LSN(),
+		sum := backend.SHA256Hex(ckpt.payload)
+		if ckpt.overlay {
+			// Overlay commit: the full base stays, the chain restarts at
+			// the overlay's cut.
+			manifest = prev
+			manifest.Overlay, manifest.OverlaySum, manifest.OverlayLSN = name, sum, ckpt.lsn
+		} else {
+			manifest = backend.Manifest{OMS: name, OMSSum: sum, BaseEpoch: epoch, BaseLSN: ckpt.lsn}
 		}
+		manifest.Deltas = nil
+		manifest.FeedLSN = ckpt.lsn
 	}
+	manifest.Epoch = epoch
+	manifest.Framework, manifest.FrameworkSum = fwName, backend.SHA256Hex(fwPayload)
 	if err := b.Put(fwName, fwPayload); err != nil {
 		return fmt.Errorf("jcf: save: %w", err)
 	}
@@ -228,19 +236,58 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 		return fmt.Errorf("jcf: save: %w", err)
 	}
 	fw.lastSaveTo, fw.lastSaveEpoch, fw.lastSaveLSN = b, epoch, manifest.FeedLSN
+	if ckpt.payload != nil {
+		if ckpt.overlay {
+			fw.overlayBytes += len(ckpt.payload)
+			fw.metrics.checkpointOverlay.Inc()
+		} else {
+			fw.baseBytes, fw.overlayBytes = len(ckpt.payload), 0
+			fw.metrics.checkpointFull.Inc()
+		}
+		fw.metrics.checkpointBytes.Add(int64(len(ckpt.payload)))
+	}
 	var prevRef *backend.Manifest
 	if havePrev {
 		prevRef = &prev
 	}
 	gcOldEpochs(b, &manifest, prevRef)
+	fw.metrics.save.Since(start)
 	return nil
 }
 
+// checkpoint is an encoded base or overlay and the LSN it is cut at.
+type checkpoint struct {
+	payload []byte
+	lsn     uint64
+	overlay bool
+}
+
+// captureCheckpoint takes the checkpoint a compacting save writes. When
+// the save is anchored on this framework's previous commit, it is an
+// overlay on that commit's full base, cut at baseLSN, as long as the
+// overlays written over the base, this one included, stay smaller than
+// the base: past that point rewriting the base costs less than carrying
+// the overlay on, the ski-rental rule, so the budget needs no tuning
+// constant. Otherwise, and when the ring no longer holds every record
+// since the base's cut, it is a full base snapshot.
+func (fw *Framework) captureCheckpoint(anchored bool, baseLSN uint64) checkpoint {
+	if anchored {
+		if ov, ok := fw.store.Overlay(baseLSN); ok {
+			if p := ov.Encode(); fw.overlayBytes+len(p) < fw.baseBytes {
+				return checkpoint{payload: p, lsn: ov.LSN(), overlay: true}
+			}
+		}
+	}
+	snap := fw.store.Snapshot()
+	return checkpoint{payload: snap.Encode(), lsn: snap.LSN()}
+}
+
 // gcOldEpochs drops superseded snapshot payloads. Everything the new
-// manifest references (base snapshot, delta chain, framework payload)
-// is retained, and so is everything the immediately preceding manifest
-// referenced: a concurrent LoadFrom that read the previous CURRENT
-// moments before this commit must still find the payloads it names.
+// manifest references (base snapshot, overlay, delta chain, framework
+// payload) is retained, and so is everything the immediately preceding
+// manifest referenced: a concurrent LoadFrom that read the previous
+// CURRENT moments before this commit must still find the payloads it
+// names.
 // Best effort: a failure leaves stale-but-unreferenced names behind,
 // never a broken commit.
 func gcOldEpochs(b backend.Backend, committed, prev *backend.Manifest) {
@@ -286,7 +333,8 @@ func Load(dir string) (*Framework, error) {
 // ErrTornPair.
 //
 // The store is restored the way a replica installs a bootstrap: the
-// base snapshot at its cut (ResetFromSnapshot), then each delta
+// base snapshot, folded with its overlay (oms.MergeCheckpoint), at its
+// cut (ResetFromSnapshot), then each delta
 // republished at its own LSNs (ApplyReplicated). The loaded feed so
 // sits at the manifest's FeedLSN, and new commits continue the saved
 // LSN sequence — differential saves, Watch consumers and replicas of
@@ -307,7 +355,11 @@ func LoadFrom(b backend.Backend) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fw.store.ResetFromSnapshot(c.Base, c.Manifest.BaseLSN); err != nil {
+	base, err := oms.MergeCheckpoint(c.Base, c.Overlay)
+	if err != nil {
+		return nil, fmt.Errorf("jcf: load: %w", err)
+	}
+	if err := fw.store.ResetFromSnapshot(base, c.Manifest.CutLSN()); err != nil {
 		return nil, fmt.Errorf("jcf: load: %w", err)
 	}
 	for i, payload := range c.Deltas {

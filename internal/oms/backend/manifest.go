@@ -23,12 +23,19 @@ import (
 // atomic Put is the commit point of every save epoch.
 const ManifestKey = "CURRENT"
 
-// Manifest names the payloads of one committed save epoch: the database
-// snapshot, the framework's release header, and (for differential
-// commits) the base epoch whose full snapshot the delta chain replays
-// over. FeedLSN is the database's change-feed position as of this epoch
-// — where the next differential save, a store loaded from this
+// Manifest names the payloads of one committed save epoch: the full base
+// snapshot (OMS, cut at BaseLSN, written at BaseEpoch), an optional
+// overlay checkpoint over it (Overlay, cut at OverlayLSN: the objects
+// changed since BaseLSN, see oms.Overlay), the delta chain that replays
+// from the checkpoint's cut (CutLSN), and the framework's release
+// header. FeedLSN is the database's change-feed position as of this
+// epoch — where the next differential save, a store loaded from this
 // manifest, or a replica bootstrapped from it, continues from.
+//
+// A manifest with an overlay has deltas starting at OverlayLSN, not
+// BaseLSN, so a reader that ignores the overlay fields refuses the
+// chain (ReadChain's contiguity check) instead of loading the base
+// without the overlay.
 type Manifest struct {
 	Epoch        int64      `json:"epoch"`
 	OMS          string     `json:"oms"`
@@ -37,8 +44,21 @@ type Manifest struct {
 	FrameworkSum string     `json:"framework_sha256"`
 	BaseEpoch    int64      `json:"base_epoch,omitempty"`
 	BaseLSN      uint64     `json:"base_lsn,omitempty"`
+	Overlay      string     `json:"overlay,omitempty"`
+	OverlaySum   string     `json:"overlay_sha256,omitempty"`
+	OverlayLSN   uint64     `json:"overlay_lsn,omitempty"`
 	Deltas       []DeltaRef `json:"deltas,omitempty"`
 	FeedLSN      uint64     `json:"feed_lsn,omitempty"`
+}
+
+// CutLSN is the feed position of the manifest's checkpoint — the base,
+// folded with its overlay when there is one — and so where the delta
+// chain starts.
+func (m *Manifest) CutLSN() uint64 {
+	if m.Overlay != "" {
+		return m.OverlayLSN
+	}
+	return m.BaseLSN
 }
 
 // DeltaRef names one delta payload in a manifest's chain: the encoded
@@ -55,6 +75,9 @@ type DeltaRef struct {
 // a garbage collector must retain and a mirror must copy.
 func (m *Manifest) PayloadNames() []string {
 	out := []string{m.OMS, m.Framework}
+	if m.Overlay != "" {
+		out = append(out, m.Overlay)
+	}
 	for _, d := range m.Deltas {
 		out = append(out, d.Name)
 	}
@@ -75,6 +98,9 @@ func LoadManifest(b Backend) (Manifest, error) {
 	if m.OMS == "" || m.Framework == "" {
 		return m, fmt.Errorf("backend: corrupt manifest: missing payload names")
 	}
+	if m.Overlay == "" && (m.OverlaySum != "" || m.OverlayLSN != 0) {
+		return m, fmt.Errorf("backend: corrupt manifest: overlay fields without an overlay name")
+	}
 	return m, nil
 }
 
@@ -93,20 +119,25 @@ type Chain struct {
 	Manifest Manifest
 	// Framework is the release header payload.
 	Framework []byte
-	// Base is the base snapshot, cut at Manifest.BaseLSN.
+	// Base is the full base snapshot, cut at Manifest.BaseLSN.
 	Base []byte
+	// Overlay is the overlay checkpoint over Base, cut at
+	// Manifest.OverlayLSN, or nil when the manifest has none.
+	// oms.MergeCheckpoint folds the two into the base at CutLSN.
+	Overlay []byte
 	// Deltas are the delta payloads in chain order (Manifest.Deltas[i]
 	// names Deltas[i]).
 	Deltas [][]byte
 }
 
 // ReadChain reads the committed epoch of a backend: the CURRENT
-// manifest, the framework payload, the base and each delta. Every
-// payload's SHA-256 must match the manifest, the first delta must start
-// at the base's cut, each later one where the previous one ended, and
-// the chain must end at the manifest's FeedLSN — a chain with a gap
-// would rebuild incomplete history. A backend that has never committed
-// returns ErrNotFound (wrapped).
+// manifest, the framework payload, the base, the overlay if any and
+// each delta. Every payload's SHA-256 must match the manifest, an
+// overlay must not be cut before its base, the first delta must start
+// at the checkpoint's cut (CutLSN), each later one where the previous
+// one ended, and the chain must end at the manifest's FeedLSN — a chain
+// with a gap would rebuild incomplete history. A backend that has never
+// committed returns ErrNotFound (wrapped).
 func ReadChain(b Backend) (Chain, error) {
 	m, err := LoadManifest(b)
 	if err != nil {
@@ -129,7 +160,15 @@ func ReadChain(b Backend) (Chain, error) {
 	if c.Base, err = get(m.OMS, m.OMSSum); err != nil {
 		return Chain{}, err
 	}
-	at := m.BaseLSN
+	if m.Overlay != "" {
+		if m.OverlayLSN < m.BaseLSN {
+			return Chain{}, fmt.Errorf("backend: overlay %s cut at %d, before its base at %d", m.Overlay, m.OverlayLSN, m.BaseLSN)
+		}
+		if c.Overlay, err = get(m.Overlay, m.OverlaySum); err != nil {
+			return Chain{}, err
+		}
+	}
+	at := m.CutLSN()
 	for _, d := range m.Deltas {
 		if d.FromLSN != at {
 			return Chain{}, fmt.Errorf("backend: delta chain broken at %s: starts at %d, expected %d", d.Name, d.FromLSN, at)

@@ -273,12 +273,16 @@ func (st *Store) Apply(b *Batch) ([]OID, error) {
 		}
 	}
 
-	// Phase 2 — allocate the real OIDs for every staged create (allocMu is
-	// never held together with a stripe lock). A failed batch leaves an
-	// allocation gap; OIDs are never reused, so gaps are harmless.
+	// Phase 2 — allocate the real OIDs for every staged create, one
+	// consecutive range (allocMu is never held together with a stripe
+	// lock). A failed batch hands the range back unless a later
+	// allocation followed it; then it leaves a gap, which is harmless.
 	created := make([]OID, 0, b.creates)
-	for i := 0; i < b.creates; i++ {
-		created = append(created, st.allocOID())
+	if b.creates > 0 {
+		first := st.allocOIDs(b.creates)
+		for i := 0; i < b.creates; i++ {
+			created = append(created, first+OID(i))
+		}
 	}
 	res := func(oid OID) OID {
 		if oid < 0 {
@@ -358,6 +362,9 @@ func (st *Store) Apply(b *Batch) ([]OID, error) {
 				applieds[j].undo(st)
 			}
 			unlock()
+			if len(created) > 0 {
+				st.releaseOIDs(created[0], len(created))
+			}
 			return nil, fmt.Errorf("oms: apply op %d: %w", i, err)
 		}
 		if a.undo != nil {

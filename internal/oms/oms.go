@@ -631,14 +631,28 @@ func (st *Store) validateCreate(class string, attrs map[string]Value) error {
 	return nil
 }
 
-// allocOID hands out the next OID. Never called with a stripe lock held,
-// keeping the stripes → allocMu order (Snapshot's cut) acyclic.
-func (st *Store) allocOID() OID {
+// allocOIDs hands out n consecutive OIDs and returns the first. Never
+// called with a stripe lock held, keeping the stripes → allocMu order
+// (Snapshot's cut) acyclic.
+func (st *Store) allocOIDs(n int) OID {
 	st.allocMu.Lock()
-	oid := st.nextOID
-	st.nextOID++
+	first := st.nextOID
+	st.nextOID += OID(n)
 	st.allocMu.Unlock()
-	return oid
+	return first
+}
+
+// releaseOIDs hands back the n OIDs from first that a failed batch
+// allocated, if nothing was allocated after them. No record ever named
+// them, so a store rebuilt from the feed — a replica, or one loaded from
+// a delta chain — allocates from the same position. Same locking rule
+// as allocOIDs.
+func (st *Store) releaseOIDs(first OID, n int) {
+	st.allocMu.Lock()
+	if st.nextOID == first+OID(n) {
+		st.nextOID = first
+	}
+	st.allocMu.Unlock()
 }
 
 // insertLocked installs a validated object. The caller holds oid's stripe
@@ -675,7 +689,7 @@ func (st *Store) Create(class string, attrs map[string]Value) (OID, error) {
 	if err := st.validateCreate(class, attrs); err != nil {
 		return InvalidOID, err
 	}
-	oid := st.allocOID()
+	oid := st.allocOIDs(1)
 	cp := make(map[string]Value, len(attrs))
 	for name, v := range attrs {
 		cp[name] = v.clone()

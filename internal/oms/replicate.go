@@ -23,12 +23,14 @@ import (
 // sequence instead of restarting it.
 //
 // The pair is also the only way a store is restored from disk: jcf's
-// LoadFrom installs the committed base and applies the delta chain
-// through it, so a loaded store's feed continues at the saved LSN.
+// LoadFrom installs the committed base (folded with its overlay by
+// MergeCheckpoint) and applies the delta chain through it, so a loaded
+// store's feed continues at the saved LSN.
 
 // ResetFromSnapshot atomically replaces the store's entire content with a
 // base snapshot payload cut at feed position lsn: the bytes
-// Snapshot.Encode produced, or a legacy JSON base (see DecodeSnapshot).
+// Snapshot.Encode or MergeCheckpoint produced, or a legacy JSON base
+// (see DecodeSnapshot).
 // The swap happens with every stripe write-locked, so concurrent readers
 // observe either the old state or the new one, never a mixture; the
 // decode runs before any lock is taken.

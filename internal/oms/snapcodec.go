@@ -47,18 +47,35 @@ const (
 // DecodeSnapshot accepts. A sizing pass computes the exact output
 // length first, so the result is one allocation with cap == len.
 func (sn *Snapshot) Encode() []byte {
-	size := len(snapMagic) + 1 + varintLen(int64(sn.nextOID)) + uvarintLen(uint64(len(sn.objs)))
-	for i := range sn.objs {
-		size += sn.objs[i].encodedLen()
-	}
+	size := len(snapMagic) + 1 + varintLen(int64(sn.nextOID)) + objsLen(sn.objs)
 	buf := make([]byte, 0, size)
 	buf = append(buf, snapMagic...)
 	buf = append(buf, snapVersion)
 	buf = binary.AppendVarint(buf, int64(sn.nextOID))
-	buf = binary.AppendUvarint(buf, uint64(len(sn.objs)))
+	buf = appendObjs(buf, sn.objs)
+	if len(buf) != size {
+		panic(fmt.Sprintf("oms: snapshot encode wrote %d bytes, sized %d", len(buf), size))
+	}
+	return buf
+}
+
+// objsLen is the exact number of bytes appendObjs writes for hs.
+func objsLen(hs []snapObjHdr) int {
+	n := uvarintLen(uint64(len(hs)))
+	for i := range hs {
+		n += hs[i].encodedLen()
+	}
+	return n
+}
+
+// appendObjs appends the object section of the format: the count, then
+// each header, which must be in ascending OID order with sorted link
+// targets (sortHdrs).
+func appendObjs(buf []byte, hs []snapObjHdr) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(hs)))
 	var names []string // reused across objects for the sorted key order
-	for i := range sn.objs {
-		h := &sn.objs[i]
+	for i := range hs {
+		h := &hs[i]
 		buf = binary.AppendVarint(buf, int64(h.oid))
 		buf = appendString(buf, h.class)
 		names = sortedKeys(names, h.attrs)
@@ -76,16 +93,13 @@ func (sn *Snapshot) Encode() []byte {
 		names = sortedKeys(names, h.links)
 		buf = binary.AppendUvarint(buf, uint64(len(names)))
 		for _, rel := range names {
-			targets := h.links[rel] // sorted by Store.Snapshot
+			targets := h.links[rel] // sorted by sortHdrs
 			buf = appendString(buf, rel)
 			buf = binary.AppendUvarint(buf, uint64(len(targets)))
 			for _, to := range targets {
 				buf = binary.AppendVarint(buf, int64(to))
 			}
 		}
-	}
-	if len(buf) != size {
-		panic(fmt.Sprintf("oms: snapshot encode wrote %d bytes, sized %d", len(buf), size))
 	}
 	return buf
 }

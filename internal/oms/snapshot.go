@@ -67,38 +67,49 @@ func (st *Store) Snapshot() *Snapshot {
 	sn.lsn = st.feed.lsn()
 	for i := range st.stripes {
 		for _, obj := range st.stripes[i].objects {
-			h := snapObjHdr{
-				oid:   obj.oid,
-				class: obj.class,
-				attrs: make(map[string]Value, len(obj.attrs)),
-			}
-			for name, v := range obj.attrs {
-				h.attrs[name] = v // blob bytes shared; immutable once stored
-			}
-			if len(obj.links) > 0 {
-				h.links = make(map[string][]OID, len(obj.links))
-				for rel, targets := range obj.links {
-					ts := make([]OID, 0, len(targets))
-					for to := range targets {
-						ts = append(ts, to)
-					}
-					h.links[rel] = ts
-				}
-			}
-			sn.objs = append(sn.objs, h)
+			sn.objs = append(sn.objs, captureHdr(obj))
 		}
 	}
 	st.runlockAll()
 	st.metrics.snapshotHold.Since(hold)
-	// Deterministic order is established outside the cut — sorting is not
-	// the writers' problem.
-	sort.Slice(sn.objs, func(i, j int) bool { return sn.objs[i].oid < sn.objs[j].oid })
-	for i := range sn.objs {
-		for _, ts := range sn.objs[i].links {
+	sortHdrs(sn.objs)
+	return sn
+}
+
+// captureHdr copies one object's header; the caller holds its stripe's
+// read lock.
+func captureHdr(obj *object) snapObjHdr {
+	h := snapObjHdr{
+		oid:   obj.oid,
+		class: obj.class,
+		attrs: make(map[string]Value, len(obj.attrs)),
+	}
+	for name, v := range obj.attrs {
+		h.attrs[name] = v // blob bytes shared; immutable once stored
+	}
+	if len(obj.links) > 0 {
+		h.links = make(map[string][]OID, len(obj.links))
+		for rel, targets := range obj.links {
+			ts := make([]OID, 0, len(targets))
+			for to := range targets {
+				ts = append(ts, to)
+			}
+			h.links[rel] = ts
+		}
+	}
+	return h
+}
+
+// sortHdrs puts captured headers in OID order and sorts each link
+// target list. It runs after the cut is released — deterministic order
+// is not the writers' problem.
+func sortHdrs(hs []snapObjHdr) {
+	sort.Slice(hs, func(i, j int) bool { return hs[i].oid < hs[j].oid })
+	for i := range hs {
+		for _, ts := range hs[i].links {
 			slices.Sort(ts)
 		}
 	}
-	return sn
 }
 
 // NextOID returns the allocator position captured by the cut.

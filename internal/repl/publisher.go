@@ -332,10 +332,12 @@ func (p *Publisher) attach(resume uint64, needSnap bool) (*oms.Subscription, []F
 }
 
 // chainBootstrap builds bootstrap frames from the seed backend's
-// committed chain: the base snapshot payload plus each delta payload,
-// exactly as the persistence layer wrote them and read through the same
-// backend.ReadChain that jcf.LoadFrom uses, so a chain LoadFrom would
-// refuse (a bad checksum, a gap in the LSN ranges) is never shipped.
+// committed chain: the base snapshot payload, folded with its overlay
+// by the same oms.MergeCheckpoint jcf.LoadFrom installs through, plus
+// each delta payload as the persistence layer wrote it. The chain is
+// read through the same backend.ReadChain that jcf.LoadFrom uses, so a
+// chain LoadFrom would refuse (a bad checksum, a gap in the LSN ranges)
+// is never shipped.
 // Usable only while the feed still retains the manifest's FeedLSN (the
 // chain must hand over to the live stream without a gap); otherwise the
 // caller falls back to a live snapshot.
@@ -347,12 +349,16 @@ func (p *Publisher) chainBootstrap() (*oms.Subscription, []Frame, bool) {
 	if err != nil {
 		return nil, nil, false
 	}
+	base, err := oms.MergeCheckpoint(c.Base, c.Overlay)
+	if err != nil {
+		return nil, nil, false
+	}
 	m := c.Manifest
 	sub, err := p.st.Watch(m.FeedLSN, p.buf)
 	if err != nil {
 		return nil, nil, false
 	}
-	frames := []Frame{{Type: FrameSnapshot, LSN: m.BaseLSN, Payload: c.Base}}
+	frames := []Frame{{Type: FrameSnapshot, LSN: m.CutLSN(), Payload: base}}
 	for _, payload := range c.Deltas {
 		frames = append(frames, Frame{Type: FrameChanges, LSN: m.FeedLSN, Payload: payload})
 	}

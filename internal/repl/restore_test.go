@@ -101,6 +101,35 @@ func restoredCases() []restoredCase {
 			}
 			return seg
 		}},
+		{"segment-overlay-save", func(t *testing.T) backend.Backend {
+			// A full base, a chain of deltas up to the compaction bound,
+			// an overlay that empties it, and two deltas after that.
+			seg, err := backend.OpenSegment(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fw := smallFramework(t)
+			for i := 0; ; i++ {
+				if i > 0 {
+					if _, err := fw.CreateTeam(fmt.Sprintf("save-%d", i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := fw.SaveTo(seg); err != nil {
+					t.Fatal(err)
+				}
+				m, err := backend.LoadManifest(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.Overlay != "" && len(m.Deltas) == 2 {
+					return seg
+				}
+				if i > 200 {
+					t.Fatalf("no overlay after %d saves: %+v", i, m)
+				}
+			}
+		}},
 		{"segment-parent-fixture", func(t *testing.T) backend.Backend {
 			seg, err := backend.OpenSegment(copyStateDir(t, filepath.Join("..", "jcf", "testdata", "segment-parent")))
 			if err != nil {
@@ -193,8 +222,9 @@ func assertOneSession(t *testing.T, rep *Replica) {
 
 // TestChainBootstrapRefusesBrokenChain: the publisher ships a committed
 // chain only if jcf.LoadFrom would load it. A chain whose second delta
-// skips an LSN, one with a corrupt delta, and one that ends before the
-// manifest's FeedLSN are refused by backend.ReadChain, and the
+// skips an LSN, one with a corrupt delta, one that ends before the
+// manifest's FeedLSN and one whose overlay fails its checksum are
+// refused by backend.ReadChain, and the
 // publisher bootstraps a fresh replica from a live snapshot instead.
 func TestChainBootstrapRefusesBrokenChain(t *testing.T) {
 	for _, tc := range []struct {
@@ -212,6 +242,38 @@ func TestChainBootstrapRefusesBrokenChain(t *testing.T) {
 		}},
 		{"chain-ends-before-feed-lsn", func(m *backend.Manifest, seed backend.Backend, deltas [][]oms.Change) {
 			m.Deltas = m.Deltas[:1]
+		}},
+		{"bad-overlay-sum", func(m *backend.Manifest, seed backend.Backend, deltas [][]oms.Change) {
+			// Fold the first delta into an overlay over the base, then
+			// commit it with a checksum that does not match.
+			base, err := seed.Get(m.OMS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := oms.NewStore(testSchema(t))
+			if err := st.ResetFromSnapshot(base, m.BaseLSN); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.ApplyReplicated(deltas[0]); err != nil {
+				t.Fatal(err)
+			}
+			ov, ok := st.Overlay(m.BaseLSN)
+			if !ok {
+				t.Fatal("overlay since the base's cut not available")
+			}
+			payload := ov.Encode()
+			if err := seed.Put("oms@3", payload); err != nil {
+				t.Fatal(err)
+			}
+			m.Overlay, m.OverlaySum, m.OverlayLSN = "oms@3", backend.SHA256Hex(payload), ov.LSN()
+			m.Deltas = m.Deltas[1:]
+			if err := backend.PutManifest(seed, *m); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := backend.ReadChain(seed); err != nil {
+				t.Fatalf("test premise broken: the overlay chain with its real sum: %v", err)
+			}
+			m.OverlaySum = m.OMSSum
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
