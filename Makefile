@@ -65,9 +65,12 @@ race:
 ## seeded random histories saved as delta, overlay and full epochs must
 ## each load back byte-equal at the same feed position, also from the
 ## disk a crash before any backend Put or Delete leaves behind (see
-## internal/jcf/checkpoint_test.go).
+## internal/jcf/checkpoint_test.go); and a hybrid whose master is
+## committed after each step of NewCellVersion must reload with every
+## binding whole and every bound cell version in the index (see
+## internal/core/persist_test.go).
 stress-persist:
-	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent|TestReloadEquivalenceModel|TestCheckpointCrashStates' ./internal/jcf/
+	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent|TestReloadEquivalenceModel|TestCheckpointCrashStates|TestBindingCrashStates' ./internal/jcf/ ./internal/core/
 
 ## stress-atomic hammers the grouped-operation paths under the race
 ## detector: batches must stay all-or-nothing against concurrent readers
@@ -92,12 +95,15 @@ stress-feed:
 ## the primary's and WaitFor barriers must observe the writes they cover
 ## (internal/repl/repl_test.go, internal/jcf/replica_test.go); flows,
 ## reservations, typed hierarchies and shares must read the same on a
-## replica view, after promotion and after a reload; and a fresh replica
-## of a primary restored by LoadFrom (full, differential, older-format and
-## LSN-0 state dirs) must converge in one session. Runs over both the
-## in-process pipe and real TCP.
+## replica view, after promotion and after a reload; a hybrid attached
+## to a replica view must answer the Table 1 mapping as the primary does,
+## for bindings committed after it attached and after promotion
+## (internal/core/replica_test.go); and a fresh replica of a primary
+## restored by LoadFrom (full, differential, older-format and LSN-0 state
+## dirs) must converge in one session. Runs over both the in-process pipe
+## and real TCP.
 stress-repl:
-	$(GO) test -race -count=3 -run 'TestReplicationConvergenceUnderLoad|TestReplicaStreamRobustness|TestReplicaReadOnlyView|TestReplicaViewPromote|TestReplicaAnswersFrameworkMetadata|TestRestoredPrimaryServesFreshReplica' ./internal/repl/ ./internal/jcf/
+	$(GO) test -race -count=3 -run 'TestReplicationConvergenceUnderLoad|TestReplicaStreamRobustness|TestReplicaReadOnlyView|TestReplicaViewPromote|TestReplicaAnswersFrameworkMetadata|TestRestoredPrimaryServesFreshReplica|TestReplicaAnswersMapping' ./internal/repl/ ./internal/jcf/ ./internal/core/
 
 ## stress-blob hammers the content-addressed checkin pipeline under the
 ## race detector: concurrent identical-content checkins must dedup to

@@ -79,9 +79,7 @@ func (h *Hybrid) beginActivity(user string, cv oms.OID, activity string, opts Ru
 		if werr := h.Hooks.Fire("consistency-window", fml.Str(activity)); werr != nil {
 			return false, fmt.Errorf("core: consistency window veto: %w", werr)
 		}
-		h.mu.Lock()
-		h.overrides++
-		h.mu.Unlock()
+		h.overrides.Add(1)
 		return true, nil
 	}
 	return false, err

@@ -62,7 +62,7 @@ type feedSyncState struct {
 }
 
 // initFeedSync wires the cursor to the master's current feed position;
-// bindings registered afterwards mark their own dirt.
+// bindings registered afterwards mark their own dirt. Caller holds h.mu.
 func (h *Hybrid) initFeedSync() {
 	r := func(name, from, to string) string {
 		return h.JCF.Model().SchemaRelName(otod.Relationship{Name: name, From: from, To: to})
@@ -80,17 +80,8 @@ func (h *Hybrid) initFeedSync() {
 	}
 }
 
-// registerBindingLocked indexes a fresh binding for feed classification;
-// caller holds h.mu.
-func (h *Hybrid) registerBindingLocked(b *cellBinding) {
-	for _, do := range b.designObjects {
-		h.sync.doToCV[do] = b.cellVersion
-	}
-	h.sync.dirty[b.cellVersion] = true
-}
-
-// pumpFeedLocked folds every new master change into the dirty set and
-// the pending-import list; caller holds h.mu.
+// pumpFeedLocked folds every new master change into the binding index,
+// the dirty set and the pending-import list; caller holds h.mu.
 func (h *Hybrid) pumpFeedLocked() {
 	h.pruneCapturedLocked()
 	recs, ok := h.JCF.Changes(h.sync.lsn)
@@ -104,6 +95,7 @@ func (h *Hybrid) pumpFeedLocked() {
 		}
 		h.sync.syncLost = true
 		h.sync.lsn = h.JCF.FeedLSN()
+		h.indexBindingsLocked(h.JCF.BoundCellVersions()...)
 		return
 	}
 	if len(recs) == 0 {
@@ -130,6 +122,9 @@ func (h *Hybrid) pumpFeedLocked() {
 				}
 			}
 		case oms.ChangeSet, oms.ChangeCreate, oms.ChangeDelete:
+			if c.Kind == oms.ChangeSet && c.Attr == jcf.AttrSlaveCell {
+				h.indexBindingsLocked(c.OID)
+			}
 			if _, bound := h.bindings[c.OID]; bound {
 				h.sync.dirty[c.OID] = true
 			}
@@ -216,7 +211,7 @@ func (h *Hybrid) SyncLibrary() (int, error) {
 	if h.sync.syncLost {
 		h.sync.pending = h.sync.pending[:0]
 		for _, b := range h.bindings {
-			for _, do := range b.designObjects {
+			for _, do := range b.DesignObjects {
 				for _, dov := range h.JCF.DesignObjectVersions(do) {
 					h.sync.pending = append(h.sync.pending, pendingCheckin{do: do, dov: dov})
 				}
@@ -239,7 +234,7 @@ func (h *Hybrid) SyncLibrary() (int, error) {
 		}
 		b := h.bindings[cv]
 		view := ""
-		for v, do := range b.designObjects {
+		for v, do := range b.DesignObjects {
 			if do == p.do {
 				view = v
 				break
@@ -248,7 +243,7 @@ func (h *Hybrid) SyncLibrary() (int, error) {
 		if view == "" {
 			continue
 		}
-		jobs = append(jobs, importJob{p: p, cell: b.fmcadCell, view: view})
+		jobs = append(jobs, importJob{p: p, cell: b.FMCADCell, view: view})
 	}
 	h.sync.pending = retained
 	h.mu.Unlock()
@@ -345,16 +340,9 @@ func (h *Hybrid) importVersion(cell, view string, dov oms.OID) (done, retryable 
 // last call (plus bindings never verified) are re-checked; everything
 // else answers from the per-binding cache. Slave-side drift without any
 // master-side traffic is invisible to the feed by construction; use
-// VerifyMappingFull (or SlaveSyncCheck, which audits the slave) when
-// the library is suspect.
+// SlaveSyncCheck, which audits the slave, when the library is suspect.
 func (h *Hybrid) VerifyMapping() []string {
 	return h.verify(false)
-}
-
-// VerifyMappingFull re-verifies every binding unconditionally,
-// refreshing the cache — the pre-feed behaviour, kept for audits.
-func (h *Hybrid) VerifyMappingFull() []string {
-	return h.verify(true)
 }
 
 // verify collects the re-check set under the lock, runs the actual
@@ -365,7 +353,7 @@ func (h *Hybrid) VerifyMappingFull() []string {
 // and is re-checked on the next call.
 func (h *Hybrid) verify(all bool) []string {
 	type job struct {
-		b         *cellBinding
+		b         Binding
 		inverseOK bool
 	}
 	h.mu.Lock()
@@ -374,7 +362,7 @@ func (h *Hybrid) verify(all bool) []string {
 	for cv, b := range h.bindings {
 		_, cached := h.sync.cache[cv]
 		if all || !cached || h.sync.dirty[cv] {
-			got, ok := h.byCell[b.fmcadCell]
+			got, ok := h.byCell[b.FMCADCell]
 			jobs = append(jobs, job{b: b, inverseOK: ok && got == cv})
 			delete(h.sync.dirty, cv)
 		}
@@ -383,9 +371,9 @@ func (h *Hybrid) verify(all bool) []string {
 
 	results := make(map[oms.OID][]string, len(jobs))
 	for _, j := range jobs {
-		// cellBinding contents are immutable after registration, so
-		// reading them without the lock is safe.
-		results[j.b.cellVersion] = h.verifyBinding(j.b, j.inverseOK)
+		// A binding's contents are immutable once indexed, so reading
+		// them without the lock is safe.
+		results[j.b.CellVersion] = h.verifyBinding(j.b, j.inverseOK)
 	}
 
 	h.mu.Lock()
@@ -405,22 +393,22 @@ func (h *Hybrid) verify(all bool) []string {
 // must round-trip (checked by the caller under the lock and passed in)
 // and the slave cell's cellviews must match the design objects' view
 // types. Runs without h.mu held.
-func (h *Hybrid) verifyBinding(b *cellBinding, inverseOK bool) []string {
+func (h *Hybrid) verifyBinding(b Binding, inverseOK bool) []string {
 	var problems []string
 	if !inverseOK {
-		problems = append(problems, fmt.Sprintf("inverse mapping broken for %s", b.fmcadCell))
+		problems = append(problems, fmt.Sprintf("inverse mapping broken for %s", b.FMCADCell))
 	}
-	views, err := h.Lib.Cellviews(b.fmcadCell)
+	views, err := h.Lib.Cellviews(b.FMCADCell)
 	if err != nil {
-		return append(problems, fmt.Sprintf("slave cell %s missing: %v", b.fmcadCell, err))
+		return append(problems, fmt.Sprintf("slave cell %s missing: %v", b.FMCADCell, err))
 	}
 	viewSet := map[string]bool{}
 	for _, v := range views {
 		viewSet[v] = true
 	}
-	for view, do := range b.designObjects {
+	for view, do := range b.DesignObjects {
 		if !viewSet[view] {
-			problems = append(problems, fmt.Sprintf("slave cell %s lacks cellview %s", b.fmcadCell, view))
+			problems = append(problems, fmt.Sprintf("slave cell %s lacks cellview %s", b.FMCADCell, view))
 		}
 		if got, err := h.JCF.ViewTypeOf(do); err != nil {
 			problems = append(problems, fmt.Sprintf("design object %d has no view type: %v", do, err))

@@ -12,11 +12,17 @@ import (
 // Tests for the feed-driven coupling sync: VerifyMapping's fast path
 // and SyncLibrary's import of master-side checkins. See ISSUE 4.
 
+// verifyMappingFull re-verifies every binding unconditionally, refreshing
+// the cache: the pre-feed behaviour, the oracle for the fast path.
+func (h *Hybrid) verifyMappingFull() []string {
+	return h.verify(true)
+}
+
 // TestVerifyMappingFastPathMatchesFull: under normal operation the fast
 // path and the full rescan agree, before and after master traffic.
 func TestVerifyMappingFastPathMatchesFull(t *testing.T) {
 	w := newHW(t, jcf.Release30)
-	if got, want := w.h.VerifyMapping(), w.h.VerifyMappingFull(); fmt.Sprint(got) != fmt.Sprint(want) {
+	if got, want := w.h.VerifyMapping(), w.h.verifyMappingFull(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("fast path %v != full %v", got, want)
 	}
 	if err := w.h.JCF.Reserve("anna", w.cv); err != nil {
@@ -30,7 +36,7 @@ func TestVerifyMappingFastPathMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	fast := w.h.VerifyMapping()
-	full := w.h.VerifyMappingFull()
+	full := w.h.verifyMappingFull()
 	if len(fast) != 0 || fmt.Sprint(fast) != fmt.Sprint(full) {
 		t.Fatalf("fast path %v != full %v", fast, full)
 	}
@@ -39,7 +45,7 @@ func TestVerifyMappingFastPathMatchesFull(t *testing.T) {
 // TestVerifyMappingFastPathCachesUntilDirty: a clean verification is
 // cached — breakage invisible to the feed is not rediscovered until
 // master-side traffic dirties the binding, at which point the fast path
-// re-verifies and reports it. (VerifyMappingFull always sees it.)
+// re-verifies and reports it. (verifyMappingFull always sees it.)
 func TestVerifyMappingFastPathCachesUntilDirty(t *testing.T) {
 	w := newHW(t, jcf.Release30)
 	if problems := w.h.VerifyMapping(); len(problems) != 0 {
@@ -52,7 +58,7 @@ func TestVerifyMappingFastPathCachesUntilDirty(t *testing.T) {
 	if problems := w.h.VerifyMapping(); len(problems) != 0 {
 		t.Fatalf("fast path rescanned without dirt: %v", problems)
 	}
-	if problems := w.h.VerifyMappingFull(); len(problems) != 1 {
+	if problems := w.h.verifyMappingFull(); len(problems) != 1 {
 		t.Fatalf("full rescan missed the breakage: %v", problems)
 	}
 	// The full pass refreshed the cache; repair and dirty via master

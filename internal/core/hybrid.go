@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/flow"
 	"repro/internal/fmcad"
@@ -52,11 +54,13 @@ type Hybrid struct {
 
 	stage string // staging directory for OMS <-> file-system copies
 
-	// mu guards the binding maps and the feed-sync state. The cross-probe
-	// and experiment hot paths only read them, so readers share the lock.
+	// mu guards the binding index and the feed-sync state. The hot paths
+	// only read them, so readers share the lock. The index caches the
+	// master's store: only indexBindingsLocked fills it, and an indexed
+	// binding never changes.
 	mu       sync.RWMutex
-	bindings map[oms.OID]*cellBinding // cell version -> slave binding
-	byCell   map[string]oms.OID       // fmcad cell name -> cell version
+	bindings map[oms.OID]Binding // cell version -> slave binding
+	byCell   map[string]oms.OID  // fmcad cell name -> cell version
 	// sync is the coupling's cursor into the master's change feed
 	// (dirty bindings, pending library imports; see feedsync.go).
 	sync feedSyncState
@@ -65,8 +69,9 @@ type Hybrid struct {
 	// itself runs outside h.mu (see SyncLibrary).
 	syncLibMu sync.Mutex
 	// overrides counts forced out-of-order activity executions that went
-	// through a consistency window.
-	overrides int64
+	// through a consistency window. Like the flow enactments and the FML
+	// counters it is session state, not saved.
+	overrides atomic.Int64
 }
 
 // DefaultFlow returns the three-activity encapsulation flow of section
@@ -88,6 +93,10 @@ func DefaultFlow() *flow.Flow {
 	return f
 }
 
+// boundViews are the views every bound cell version gets a design
+// object for in the master and a cellview for in the slave.
+var boundViews = []string{ViewSchematic, ViewLayout, ViewWaveform}
+
 // NewHybrid assembles the coupled framework in dir: a JCF instance of the
 // given release (master), an FMCAD library under dir/library (slave), the
 // ITC bus, and the FML interpreter with the encapsulation customization
@@ -101,34 +110,13 @@ func NewHybrid(release jcf.Release, dir string) (*Hybrid, error) {
 	if err != nil {
 		return nil, err
 	}
-	interp := fml.NewInterp()
-	hooks := fml.NewHooks(interp)
-	h := &Hybrid{
-		JCF:      fw,
-		Lib:      lib,
-		Bus:      itc.NewBus(),
-		Interp:   interp,
-		Hooks:    hooks,
-		stage:    filepath.Join(dir, "stage"),
-		bindings: map[oms.OID]*cellBinding{},
-		byCell:   map[string]oms.OID{},
-	}
-	h.initFeedSync()
-
-	// Slave-side views for the encapsulated tools.
-	for view, vt := range map[string]string{
-		ViewSchematic: "schematic",
-		ViewLayout:    "layout",
-		ViewSymbol:    "symbol",
-		ViewWaveform:  "waveform",
-	} {
-		if err := lib.DefineView(view, vt); err != nil {
+	// The views of the encapsulated tools, on both sides (Table 1:
+	// ViewType -> View), then the master's tools and default flow.
+	for _, view := range []string{ViewSchematic, ViewLayout, ViewSymbol, ViewWaveform} {
+		if err := lib.DefineView(view, view); err != nil {
 			return nil, err
 		}
-	}
-	// Master-side resources: view types, the three tools, the default flow.
-	for _, vt := range []string{ViewSchematic, ViewLayout, ViewSymbol, ViewWaveform} {
-		if _, err := fw.CreateViewType(vt); err != nil {
+		if _, err := fw.CreateViewType(view); err != nil {
 			return nil, err
 		}
 	}
@@ -140,7 +128,27 @@ func NewHybrid(release jcf.Release, dir string) (*Hybrid, error) {
 	if _, err := fw.RegisterFlow(DefaultFlow()); err != nil {
 		return nil, err
 	}
+	return attach(fw, lib, dir)
+}
 
+// attach couples master fw to slave lib, both already set up under dir;
+// NewHybrid and LoadHybrid share it. It installs the extension-language
+// customization, points the feed cursor at the master's position and
+// indexes every cell version the master's store marks as bound. Later
+// bindings enter the index through NewCellVersion or the feed pump, so
+// fw may also be a replica view.
+func attach(fw *jcf.Framework, lib *fmcad.Library, dir string) (*Hybrid, error) {
+	interp := fml.NewInterp()
+	h := &Hybrid{
+		JCF:      fw,
+		Lib:      lib,
+		Bus:      itc.NewBus(),
+		Interp:   interp,
+		Hooks:    fml.NewHooks(interp),
+		stage:    filepath.Join(dir, "stage"),
+		bindings: map[oms.OID]Binding{},
+		byCell:   map[string]oms.OID{},
+	}
 	// Extension-language customization (section 2.4): lock the
 	// FMCAD-native data-management menus and register the consistency
 	// window trigger. The script runs in the slave's own language, as the
@@ -157,6 +165,10 @@ func NewHybrid(release jcf.Release, dir string) (*Hybrid, error) {
 	if _, err := interp.Run(script); err != nil {
 		return nil, fmt.Errorf("core: installing FML customization: %w", err)
 	}
+	h.mu.Lock()
+	h.initFeedSync()
+	h.indexBindingsLocked(fw.BoundCellVersions()...)
+	h.mu.Unlock()
 	return h, nil
 }
 
@@ -167,12 +179,9 @@ func (h *Hybrid) DefaultFlowName() string { return "fmcad-encapsulation" }
 func (h *Hybrid) StageDir() string { return h.stage }
 
 // Overrides returns how many activities ran out of flow order through the
-// consistency-window escape hatch.
-func (h *Hybrid) Overrides() int64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.overrides
-}
+// consistency-window escape hatch in this session; like the FML counter
+// jcfConsistencyWindows, it starts at 0 in a reloaded hybrid.
+func (h *Hybrid) Overrides() int64 { return h.overrides.Load() }
 
 // MenuLocked reports whether the encapsulation locked an FMCAD menu point.
 func (h *Hybrid) MenuLocked(menu string) bool {
@@ -201,7 +210,9 @@ func (h *Hybrid) NewDesignCell(project oms.OID, cellName, flowName string, team 
 }
 
 // NewCellVersion instantiates another version of an existing JCF cell,
-// binding it to its own FMCAD cell (Table 1: CellVersion -> Cell).
+// binding it to its own FMCAD cell (Table 1: CellVersion -> Cell). The
+// slave cell and its cellviews are created before the master commits the
+// binding, so a bound version's slave side always exists.
 func (h *Hybrid) NewCellVersion(cell oms.OID, flowName string, team oms.OID) (oms.OID, error) {
 	cv, err := h.JCF.CreateCellVersion(cell, flowName, team)
 	if err != nil {
@@ -211,67 +222,83 @@ func (h *Hybrid) NewCellVersion(cell oms.OID, flowName string, team oms.OID) (om
 	if err := h.Lib.CreateCell(fmcadCell); err != nil {
 		return oms.InvalidOID, err
 	}
-	binding := &cellBinding{
-		cellVersion:   cv,
-		fmcadCell:     fmcadCell,
-		designObjects: map[string]oms.OID{},
-	}
-	variant := h.JCF.Variants(cv)[0]
-	for _, view := range []string{ViewSchematic, ViewLayout, ViewWaveform} {
+	for _, view := range boundViews {
 		if err := h.Lib.CreateCellview(fmcadCell, view); err != nil {
 			return oms.InvalidOID, err
 		}
-		vt, err := h.JCF.ViewType(view)
-		if err != nil {
-			return oms.InvalidOID, err
-		}
-		do, err := h.JCF.CreateDesignObject(variant, cellName(h, cell)+"-"+view, vt)
-		if err != nil {
-			return oms.InvalidOID, err
-		}
-		binding.designObjects[view] = do
+	}
+	if err := h.JCF.BindSlaveCell(cv, fmcadCell, boundViews); err != nil {
+		return oms.InvalidOID, err
 	}
 	h.mu.Lock()
-	h.bindings[cv] = binding
-	h.byCell[fmcadCell] = cv
-	h.registerBindingLocked(binding)
+	h.indexBindingsLocked(cv)
 	h.mu.Unlock()
 	return cv, nil
 }
 
-func cellName(h *Hybrid, cell oms.OID) string { return h.JCF.CellName(cell) }
+// indexBindingsLocked adds to the binding index each of the given cell
+// versions that the master's store marks as bound — the only way a
+// binding enters the index. Caller holds h.mu.
+func (h *Hybrid) indexBindingsLocked(cvs ...oms.OID) {
+	for _, cv := range cvs {
+		if _, done := h.bindings[cv]; done {
+			continue
+		}
+		fmcadCell, dos, ok := h.JCF.SlaveBinding(cv)
+		if !ok {
+			continue
+		}
+		h.bindings[cv] = Binding{CellVersion: cv, FMCADCell: fmcadCell, DesignObjects: dos}
+		h.byCell[fmcadCell] = cv
+		for _, do := range dos {
+			h.sync.doToCV[do] = cv
+		}
+		h.sync.dirty[cv] = true
+	}
+}
+
+// lookup reads key from a binding index under the read lock. On a miss
+// it folds the master's change feed into the index and reads once more:
+// on a replica view a binding reaches the index only through the feed.
+func lookup[K comparable, V any](h *Hybrid, index map[K]V, key K) (V, bool) {
+	h.mu.RLock()
+	v, ok := index[key]
+	h.mu.RUnlock()
+	if !ok {
+		h.mu.Lock()
+		h.pumpFeedLocked()
+		v, ok = index[key]
+		h.mu.Unlock()
+	}
+	return v, ok
+}
 
 // BindingFor returns the mapping state of a cell version.
 func (h *Hybrid) BindingFor(cv oms.OID) (Binding, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	b, ok := h.bindings[cv]
+	b, ok := lookup(h, h.bindings, cv)
 	if !ok {
 		return Binding{}, fmt.Errorf("core: cell version %d has no FMCAD binding", cv)
 	}
-	dos := make(map[string]oms.OID, len(b.designObjects))
-	for k, v := range b.designObjects {
-		dos[k] = v
-	}
-	return Binding{CellVersion: cv, FMCADCell: b.fmcadCell, DesignObjects: dos}, nil
+	b.DesignObjects = maps.Clone(b.DesignObjects)
+	return b, nil
 }
 
 // CellVersionFor resolves an FMCAD cell name back to its JCF cell version
 // — the inverse mapping, used by the cross-probe wrappers.
 func (h *Hybrid) CellVersionFor(fmcadCell string) (oms.OID, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	cv, ok := h.byCell[fmcadCell]
+	cv, ok := lookup(h, h.byCell, fmcadCell)
 	if !ok {
 		return oms.InvalidOID, fmt.Errorf("core: FMCAD cell %q has no JCF binding", fmcadCell)
 	}
 	return cv, nil
 }
 
-// Bindings lists all bound FMCAD cell names, sorted.
+// Bindings lists all bound FMCAD cell names, sorted, as of the master's
+// current feed position.
 func (h *Hybrid) Bindings() []string {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.pumpFeedLocked()
 	out := make([]string, 0, len(h.byCell))
 	for name := range h.byCell {
 		out = append(out, name)
@@ -282,4 +309,4 @@ func (h *Hybrid) Bindings() []string {
 
 // VerifyMapping lives in feedsync.go: the feed-driven fast path
 // re-verifies only bindings the master's change feed dirtied since the
-// last call; VerifyMappingFull keeps the unconditional rescan.
+// last call; the tests check it against a full rescan.

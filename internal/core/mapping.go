@@ -63,17 +63,9 @@ func FMCADCellName(cellName string, versionNum int64) string {
 	return fmt.Sprintf("%s_v%d", cellName, versionNum)
 }
 
-// cellBinding tracks one JCF cell version's slave-side identity.
-type cellBinding struct {
-	cellVersion oms.OID
-	fmcadCell   string
-	// designObjects maps a view type name to the JCF design object that
-	// Table 1 pairs with the FMCAD cellview of the same view.
-	designObjects map[string]oms.OID
-}
-
-// Binding describes the mapping state of one design cell as reported to
-// callers.
+// Binding describes the mapping state of one design cell. The master's
+// store is its only record (jcf.Framework.BindSlaveCell): it is saved with
+// the master and replicated with it.
 type Binding struct {
 	CellVersion oms.OID
 	FMCADCell   string

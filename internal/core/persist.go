@@ -1,99 +1,52 @@
 package core
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/fmcad"
-	"repro/internal/fml"
-	"repro/internal/itc"
 	"repro/internal/jcf"
-	"repro/internal/oms"
-	"repro/internal/oms/backend"
 )
 
 // Hybrid persistence: the slave library is inherently persistent (a
-// directory with .meta), the master saves itself via jcf.Framework.Save,
-// and the coupling's own state — the Table 1 bindings — is a small JSON
-// file. Save/LoadHybrid make the whole coupled environment restartable.
+// directory with .meta), and the master saves itself via
+// jcf.Framework.Save. The coupling's own state, the Table 1 bindings, is
+// part of the master's store (jcf.Framework.BindSlaveCell), so the
+// master's commit is the hybrid's only commit point. Save/LoadHybrid make
+// the whole coupled environment restartable.
 //
 // Layout under the hybrid directory (the same dir given to NewHybrid):
 //
 //	library/      the FMCAD slave (already on disk)
 //	stage/        staging area (transient, not preserved)
-//	master/       the JCF framework state
-//	hybrid.json   the bindings
+//	master/       the JCF framework state, bindings included
 //
 // FML customization (menu locks, triggers) is code, not data: LoadHybrid
 // reinstalls the standard script, and callers re-run their own policy
 // scripts, exactly as the original tools re-sourced their customization at
-// startup.
+// startup. Session state (flow enactments, FML counters, Overrides)
+// starts afresh.
 
-// persistedBinding serializes one cell binding.
-type persistedBinding struct {
-	CellVersion oms.OID            `json:"cell_version"`
-	FMCADCell   string             `json:"fmcad_cell"`
-	DesignObjs  map[string]oms.OID `json:"design_objects"`
-}
+// ErrOldHybridFormat is returned by LoadHybrid for a directory that holds
+// hybrid.json, the bindings file of an older format that kept the
+// bindings outside the master's store. This release does not read it.
+var ErrOldHybridFormat = errors.New("core: hybrid directory holds bindings in hybrid.json, an older format this release does not read")
 
-type persistedHybrid struct {
-	Bindings  []persistedBinding `json:"bindings"`
-	Overrides int64              `json:"overrides"`
-}
-
-// Save persists the master and the binding state into the hybrid's
-// directory, alongside the already-persistent slave library.
+// Save commits the hybrid into its directory: one master save, alongside
+// the already-persistent slave library.
 func (h *Hybrid) Save(dir string) error {
-	if err := h.JCF.Save(filepath.Join(dir, "master")); err != nil {
-		return err
-	}
-	h.mu.RLock()
-	state := persistedHybrid{Overrides: h.overrides}
-	for cv, b := range h.bindings {
-		dos := make(map[string]oms.OID, len(b.designObjects))
-		for k, v := range b.designObjects {
-			dos[k] = v
-		}
-		state.Bindings = append(state.Bindings, persistedBinding{
-			CellVersion: cv,
-			FMCADCell:   b.fmcadCell,
-			DesignObjs:  dos,
-		})
-	}
-	h.mu.RUnlock()
-	sort.Slice(state.Bindings, func(i, j int) bool {
-		return state.Bindings[i].CellVersion < state.Bindings[j].CellVersion
-	})
-	data, err := json.MarshalIndent(&state, "", " ")
-	if err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	// The bindings commit through the same atomic-rename backend the
-	// master's snapshot pairs use — one Put, never a torn hybrid.json.
-	b, err := backend.OpenFile(dir)
-	if err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	if err := b.Put("hybrid.json", data); err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	return nil
+	return h.JCF.Save(filepath.Join(dir, "master"))
 }
 
 // LoadHybrid restores a hybrid saved by Save from its directory: reopens
-// the slave library, reloads the master, rebuilds the bindings and
-// reinstalls the FML customization.
+// the slave library, reloads the master, rebuilds the binding index from
+// the master's store and reinstalls the FML customization.
 func LoadHybrid(dir string) (*Hybrid, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "hybrid.json"))
-	if err != nil {
-		return nil, fmt.Errorf("core: load: %w", err)
-	}
-	var state persistedHybrid
-	if err := json.Unmarshal(data, &state); err != nil {
-		return nil, fmt.Errorf("core: load: %w", err)
+	old := filepath.Join(dir, "hybrid.json")
+	if _, err := os.Stat(old); err == nil {
+		return nil, fmt.Errorf("%w: %s", ErrOldHybridFormat, old)
 	}
 	fw, err := jcf.Load(filepath.Join(dir, "master"))
 	if err != nil {
@@ -103,47 +56,5 @@ func LoadHybrid(dir string) (*Hybrid, error) {
 	if err != nil {
 		return nil, err
 	}
-	interp := fml.NewInterp()
-	hooks := fml.NewHooks(interp)
-	h := &Hybrid{
-		JCF:      fw,
-		Lib:      lib,
-		Bus:      itc.NewBus(),
-		Interp:   interp,
-		Hooks:    hooks,
-		stage:    filepath.Join(dir, "stage"),
-		bindings: map[oms.OID]*cellBinding{},
-		byCell:   map[string]oms.OID{},
-	}
-	h.initFeedSync()
-	h.overrides = state.Overrides
-	for _, pb := range state.Bindings {
-		dos := make(map[string]oms.OID, len(pb.DesignObjs))
-		for k, v := range pb.DesignObjs {
-			dos[k] = v
-		}
-		b := &cellBinding{
-			cellVersion:   pb.CellVersion,
-			fmcadCell:     pb.FMCADCell,
-			designObjects: dos,
-		}
-		h.bindings[pb.CellVersion] = b
-		h.byCell[pb.FMCADCell] = pb.CellVersion
-		h.registerBindingLocked(b)
-	}
-	// Reinstall the standard customization (menu locks + consistency
-	// window trigger).
-	script := ""
-	for _, menu := range lockedMenus {
-		script += fmt.Sprintf("(hiLockMenu %q %q)\n", menu, "data management is owned by JCF")
-	}
-	script += `
-(setq jcfConsistencyWindows 0)
-(hiRegTrigger "consistency-window"
-  (lambda (activity) (setq jcfConsistencyWindows (+ jcfConsistencyWindows 1))))
-`
-	if _, err := interp.Run(script); err != nil {
-		return nil, fmt.Errorf("core: reinstalling FML customization: %w", err)
-	}
-	return h, nil
+	return attach(fw, lib, dir)
 }

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/jcf"
+	"repro/internal/oms"
 	"repro/internal/tools/schematic"
 )
 
@@ -42,13 +47,33 @@ func TestHybridSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// More bindings: a second cell, and a second version of alu.
+	if _, err := h.NewDesignCell(project, "b", h.DefaultFlowName(), team); err != nil {
+		t.Fatal(err)
+	}
+	alu, err := h.JCF.CellOf(cv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.NewCellVersion(alu, h.DefaultFlowName(), team); err != nil {
+		t.Fatal(err)
+	}
+
 	if err := h.Save(dir); err != nil {
 		t.Fatal(err)
+	}
+	// The master is the only commit point: no side file of bindings.
+	if _, err := os.Stat(filepath.Join(dir, "hybrid.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("save wrote hybrid.json: %v", err)
 	}
 	// A whole new process: reload everything from disk.
 	ld, err := LoadHybrid(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	sameMapping(t, "after reload", h, ld)
+	if got := ld.Bindings(); fmt.Sprint(got) != "[alu_v1 alu_v2 b_v1]" {
+		t.Fatalf("bindings after reload = %v", got)
 	}
 	// Bindings restored both ways.
 	b, err := ld.BindingFor(cv)
@@ -108,59 +133,154 @@ func TestLoadHybridErrors(t *testing.T) {
 	if _, err := LoadHybrid(t.TempDir()); err == nil {
 		t.Fatal("load of empty dir")
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "hybrid.json"), []byte("{bad"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadHybrid(dir); err == nil {
-		t.Fatal("corrupt hybrid.json accepted")
-	}
-	// Valid bindings but no master directory.
-	if err := os.WriteFile(filepath.Join(dir, "hybrid.json"), []byte(`{"bindings":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// A library but no master directory.
+	w := newHW(t, jcf.Release30)
+	dir := filepath.Dir(w.h.StageDir())
 	if _, err := LoadHybrid(dir); err == nil {
 		t.Fatal("missing master accepted")
 	}
+	// A directory of the older format, whose bindings sit in hybrid.json
+	// beside the master, fails loudly instead of loading unbound.
+	if err := w.h.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(dir, "hybrid.json")
+	if err := os.WriteFile(old, []byte(`{"bindings":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadHybrid(dir)
+	if !errors.Is(err, ErrOldHybridFormat) || !strings.Contains(err.Error(), old) {
+		t.Fatalf("load of an older-format dir: %v", err)
+	}
 }
 
-func TestHybridSaveIsDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	h, err := NewHybrid(jcf.Release30, dir)
+// TestOverridesAreSessionState: forced runs are counted per session, like
+// the FML consistency-window counter they mirror, so a reloaded hybrid
+// reports the two alike.
+func TestOverridesAreSessionState(t *testing.T) {
+	w := newHW(t, jcf.Release30)
+	dir := filepath.Dir(w.h.StageDir())
+	if err := w.h.JCF.Reserve("anna", w.cv); err != nil {
+		t.Fatal(err)
+	}
+	// Layout before schematic entry, forced through a consistency window;
+	// the run itself fails for want of schematic data.
+	if _, err := w.h.RunLayoutEntry("anna", w.cv, nil, RunOpts{Force: true}); err == nil {
+		t.Fatal("forced layout without data succeeded")
+	}
+	if w.h.Overrides() != 1 {
+		t.Fatalf("Overrides = %d", w.h.Overrides())
+	}
+	if err := w.h.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	ld, err := LoadHybrid(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	team, err := h.JCF.CreateTeam("t")
+	v, ok := ld.Interp.Global.Lookup("jcfConsistencyWindows")
+	if !ok || fmlInt(v) != ld.Overrides() {
+		t.Fatalf("after reload Overrides = %d, jcfConsistencyWindows = %v", ld.Overrides(), v)
+	}
+}
+
+// TestBindingCrashStates commits the master, the hybrid's one commit
+// point, after each step of NewCellVersion and reloads from that state.
+// Every loaded binding must be whole, the mapping must verify, and the
+// new cell version must be bound exactly when its binding was committed.
+func TestBindingCrashStates(t *testing.T) {
+	w := newHW(t, jcf.Release30)
+	h := w.h
+	dir := filepath.Dir(h.StageDir())
+	cell, err := h.JCF.CreateCell(w.project, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	project, err := h.JCF.CreateProject("p", team)
-	if err != nil {
-		t.Fatal(err)
+	var cv oms.OID
+	fmcadCell := FMCADCellName("b", 1)
+	// The steps of NewCellVersion, one at a time.
+	steps := []struct {
+		name string
+		run  func() error
+	}{
+		{"CreateCellVersion", func() (err error) {
+			cv, err = h.JCF.CreateCellVersion(cell, h.DefaultFlowName(), w.team)
+			return err
+		}},
+		{"slave cell and cellviews", func() error {
+			if err := h.Lib.CreateCell(fmcadCell); err != nil {
+				return err
+			}
+			for _, view := range boundViews {
+				if err := h.Lib.CreateCellview(fmcadCell, view); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"BindSlaveCell", func() error { return h.JCF.BindSlaveCell(cv, fmcadCell, boundViews) }},
 	}
-	for _, n := range []string{"a", "b", "c"} {
-		if _, err := h.NewDesignCell(project, n, h.DefaultFlowName(), team); err != nil {
+	for i, step := range steps {
+		if err := step.run(); err != nil {
 			t.Fatal(err)
 		}
+		if err := h.JCF.Save(filepath.Join(dir, "master")); err != nil {
+			t.Fatal(err)
+		}
+		ld, err := LoadHybrid(dir)
+		if err != nil {
+			t.Fatalf("after %s: %v", step.name, err)
+		}
+		for _, name := range ld.Bindings() {
+			bcv, err := ld.CellVersionFor(name)
+			if err != nil {
+				t.Fatalf("after %s: %v", step.name, err)
+			}
+			b, err := ld.BindingFor(bcv)
+			if err != nil || len(b.DesignObjects) != len(boundViews) {
+				t.Fatalf("after %s: binding %s = %+v, %v", step.name, name, b, err)
+			}
+			for _, view := range boundViews {
+				if got, err := ld.JCF.ViewTypeOf(b.DesignObjects[view]); err != nil || got != view {
+					t.Fatalf("after %s: %s's %s design object has view type %q, %v", step.name, name, view, got, err)
+				}
+			}
+		}
+		if problems := ld.VerifyMapping(); len(problems) != 0 {
+			t.Fatalf("after %s: mapping problems %v", step.name, problems)
+		}
+		for _, marked := range ld.JCF.BoundCellVersions() {
+			if _, err := ld.BindingFor(marked); err != nil {
+				t.Fatalf("after %s: marked cell version unbound: %v", step.name, err)
+			}
+		}
+		if _, err := ld.BindingFor(cv); (err == nil) != (i == len(steps)-1) {
+			t.Fatalf("after %s: BindingFor(new version) = %v", step.name, err)
+		}
 	}
-	if err := h.Save(dir); err != nil {
-		t.Fatal(err)
+}
+
+// sameMapping fails unless got answers the mapping queries as want does.
+func sameMapping(t *testing.T, when string, want, got *Hybrid) {
+	t.Helper()
+	names := want.Bindings()
+	if fmt.Sprint(got.Bindings()) != fmt.Sprint(names) {
+		t.Fatalf("%s: Bindings() = %v, want %v", when, got.Bindings(), names)
 	}
-	first, err := os.ReadFile(filepath.Join(dir, "hybrid.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	second, err := os.ReadFile(filepath.Join(dir, "hybrid.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(first) != string(second) {
-		t.Fatal("hybrid.json not deterministic")
-	}
-	if !strings.Contains(string(first), "a_v1") {
-		t.Fatalf("bindings missing: %s", first)
+	for _, name := range names {
+		cv, err := want.CellVersionFor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gcv, err := got.CellVersionFor(name); err != nil || gcv != cv {
+			t.Fatalf("%s: CellVersionFor(%s) = %d, %v, want %d", when, name, gcv, err, cv)
+		}
+		wb, err := want.BindingFor(cv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gb, err := got.BindingFor(cv); err != nil || !reflect.DeepEqual(gb, wb) {
+			t.Fatalf("%s: BindingFor(%d) = %+v, %v, want %+v", when, cv, gb, err, wb)
+		}
 	}
 }

@@ -366,6 +366,82 @@ func (fw *Framework) LatestVersion(do oms.OID) oms.OID {
 // VersionNum returns a design object version's number.
 func (fw *Framework) VersionNum(dov oms.OID) int64 { return fw.store.GetInt(dov, "num") }
 
+// --- slave-cell bindings ----------------------------------------------------
+
+// AttrSlaveCell is the CellVersion attribute that binds a version to a
+// slave-framework cell. BindSlaveCell sets it as its batch's last op, so a
+// change-feed consumer that sees the Set can read the whole binding.
+const AttrSlaveCell = "slaveCell"
+
+// BindSlaveCell binds cell version cv to slaveCell in one batch: one
+// design object per view type in cv's first variant, named
+// <cell>-<view type>, then cv's AttrSlaveCell. A version that carries the
+// mark therefore has all its design objects in any cut of the store.
+func (fw *Framework) BindSlaveCell(cv oms.OID, slaveCell string, viewTypes []string) error {
+	if err := fw.guardWrite(); err != nil {
+		return err
+	}
+	variant, prefix := fw.bindingVariant(cv)
+	if variant == oms.InvalidOID {
+		return fmt.Errorf("%w: cell or first variant of cell version %d", ErrNotFound, cv)
+	}
+	b := fw.getBatch()
+	defer fw.putBatch(b)
+	for _, view := range viewTypes {
+		vt, err := fw.ViewType(view)
+		if err != nil {
+			return err
+		}
+		do := b.CreateOwned("DesignObject", map[string]oms.Value{"name": oms.S(prefix + view)})
+		b.Link(fw.rel.uses, variant, do)
+		b.Link(fw.rel.ofViewType, do, vt)
+	}
+	b.Set(cv, AttrSlaveCell, oms.S(slaveCell))
+	_, err := fw.store.Apply(b)
+	return err
+}
+
+// SlaveBinding reads cv's binding from the store: its slave cell and, by
+// view type, the design objects BindSlaveCell created. ok is false for an
+// unbound version.
+func (fw *Framework) SlaveBinding(cv oms.OID) (slaveCell string, designObjects map[string]oms.OID, ok bool) {
+	slaveCell = fw.store.GetString(cv, AttrSlaveCell)
+	if slaveCell == "" {
+		return "", nil, false
+	}
+	designObjects = map[string]oms.OID{}
+	variant, prefix := fw.bindingVariant(cv)
+	for _, do := range fw.store.Targets(fw.rel.uses, variant) {
+		if view, err := fw.ViewTypeOf(do); err == nil && fw.store.GetString(do, "name") == prefix+view {
+			designObjects[view] = do
+		}
+	}
+	return slaveCell, designObjects, true
+}
+
+// bindingVariant returns cv's first variant, which holds its bound design
+// objects, and their "<cell>-" name prefix; InvalidOID when cv has no
+// cell or no variant.
+func (fw *Framework) bindingVariant(cv oms.OID) (oms.OID, string) {
+	cells, variants := fw.store.Sources(fw.rel.cellHasVersion, cv), fw.Variants(cv)
+	if len(cells) == 0 || len(variants) == 0 {
+		return oms.InvalidOID, ""
+	}
+	return variants[0], fw.CellName(cells[0]) + "-"
+}
+
+// BoundCellVersions lists the cell versions bound to a slave cell, in OID
+// order.
+func (fw *Framework) BoundCellVersions() []oms.OID {
+	var out []oms.OID
+	for _, cv := range fw.store.All("CellVersion") {
+		if fw.store.GetString(cv, AttrSlaveCell) != "" {
+			out = append(out, cv)
+		}
+	}
+	return out
+}
+
 // --- design data (copy-in / copy-out) ---------------------------------------
 
 // CheckInData reads the design file at srcPath into the database as the

@@ -51,6 +51,9 @@ func JCFModel() *Model {
 		// ("" when free) so reservation traffic rides the change feed and
 		// reaches tools via the feed-driven notification bridge.
 		{Name: "reservedBy", Kind: oms.KindString},
+		// slaveCell names the slave-framework cell a coupling bound this
+		// version to (Table 1: CellVersion -> Cell); absent when unbound.
+		{Name: "slaveCell", Kind: oms.KindString},
 	}}))
 	must(m.AddEntity(Entity{Name: "Part", Region: "Project structure", Attrs: []oms.AttrDef{name}}))
 	// HierEdge is one per-view-type hierarchy edge (the non-isomorphic
