@@ -68,9 +68,13 @@ race:
 ## internal/jcf/checkpoint_test.go); and a hybrid whose master is
 ## committed after each step of NewCellVersion must reload with every
 ## binding whole and every bound cell version in the index (see
-## internal/core/persist_test.go).
+## internal/core/persist_test.go); and a differential save must continue
+## only from a CURRENT holding exactly the bytes this framework last
+## committed, so a rewritten or failed commit is followed by a save that
+## loads back whole (see internal/jcf/anchor_test.go); and loading a
+## state dir that does not exist must create nothing.
 stress-persist:
-	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent|TestReloadEquivalenceModel|TestCheckpointCrashStates|TestBindingCrashStates' ./internal/jcf/ ./internal/core/
+	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent|TestReloadEquivalenceModel|TestCheckpointCrashStates|TestBindingCrashStates|TestSaveAnchorsOnCommittedBytes|TestSaveAfterFailedCommit|TestSaveRewritesIndentedCURRENTCompact|TestLoadMissingDirCreatesNothing|TestLoadHybridMissingDirCreatesNothing' ./internal/jcf/ ./internal/core/
 
 ## stress-atomic hammers the grouped-operation paths under the race
 ## detector: batches must stay all-or-nothing against concurrent readers

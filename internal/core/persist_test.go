@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/jcf"
 	"repro/internal/oms"
+	"repro/internal/oms/backend"
 	"repro/internal/tools/schematic"
 )
 
@@ -151,6 +152,19 @@ func TestLoadHybridErrors(t *testing.T) {
 	_, err := LoadHybrid(dir)
 	if !errors.Is(err, ErrOldHybridFormat) || !strings.Contains(err.Error(), old) {
 		t.Fatalf("load of an older-format dir: %v", err)
+	}
+}
+
+// TestLoadHybridMissingDirCreatesNothing: loading a hybrid dir that
+// does not exist fails with backend.ErrNotFound and creates neither the
+// dir nor its master.
+func TestLoadHybridMissingDirCreatesNothing(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
+	if _, err := LoadHybrid(missing); !errors.Is(err, backend.ErrNotFound) {
+		t.Fatalf("load of a missing dir: %v, want ErrNotFound", err)
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("load of a missing dir left %s behind (%v)", missing, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package jcf
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -60,6 +61,54 @@ func TestCheckInDataInducedFailureNoOrphans(t *testing.T) {
 	}
 	if got := fw.VersionNum(dov); got != int64(versionsBefore)+1 {
 		t.Fatalf("next version num = %d, want %d", got, versionsBefore+1)
+	}
+}
+
+// TestCheckInDataDerivesFromNewest: every checkin after the first links
+// derived from the highest-numbered earlier version and takes the next
+// number, with the checkins of several design objects interleaved.
+func TestCheckInDataDerivesFromNewest(t *testing.T) {
+	w := newWorld(t, Release30)
+	fw := w.fw
+	v1 := fw.Variants(w.cv)[0]
+	if err := fw.Reserve("anna", w.cv); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var dos []oms.OID
+	for i := 0; i < 3; i++ {
+		do, err := fw.CreateDesignObject(v1, fmt.Sprintf("alu-%d", i), w.schVT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dos = append(dos, do)
+	}
+	byNum := map[oms.OID][]oms.OID{}
+	for i := 0; i < 150; i++ {
+		do := dos[(i*7)%len(dos)]
+		src := filepath.Join(dir, "src")
+		if err := os.WriteFile(src, []byte(fmt.Sprintf("netlist %d", i)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		dov, err := fw.CheckInData("anna", do, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := byNum[do]
+		if got, want := fw.VersionNum(dov), int64(len(prev)+1); got != want {
+			t.Fatalf("checkin %d: version num %d, want %d", i, got, want)
+		}
+		from := fw.DerivedFrom(dov)
+		switch {
+		case len(prev) == 0 && len(from) != 0:
+			t.Fatalf("checkin %d: first version derived from %v", i, from)
+		case len(prev) > 0 && (len(from) != 1 || from[0] != prev[len(prev)-1]):
+			t.Fatalf("checkin %d: derived from %v, want the newest version %d", i, from, prev[len(prev)-1])
+		}
+		byNum[do] = append(prev, dov)
+		if latest := fw.LatestVersion(do); latest != dov {
+			t.Fatalf("checkin %d: LatestVersion = %d, want %d", i, latest, dov)
+		}
 	}
 }
 

@@ -169,7 +169,8 @@ func assertLoadsEqual(t *testing.T, fw *Framework, bk backend.Backend) {
 // after a random number of steps and a short delta chain so that delta,
 // overlay and full epochs all occur, full ones forced by the overlay
 // budget included. After every save, LoadFrom gives the saved store:
-// byte-equal snapshot encoding and the same FeedLSN.
+// byte-equal snapshot encoding and the same FeedLSN, and the
+// jcf_durable_lsn gauge reads the committed manifest's FeedLSN.
 func TestReloadEquivalenceModel(t *testing.T) {
 	seeds, saves := int64(6), 60
 	if testing.Short() {
@@ -195,6 +196,9 @@ func TestReloadEquivalenceModel(t *testing.T) {
 				m, err := backend.LoadManifest(seg)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if got := w.fw.metrics.durableLSN.Load(); got != int64(m.FeedLSN) {
+					t.Fatalf("save %d: jcf_durable_lsn = %d, manifest FeedLSN %d", i+1, got, m.FeedLSN)
 				}
 				kind := saveKind(m)
 				kinds[kind]++

@@ -153,6 +153,9 @@ func TestNotifierStatsCountsVetoes(t *testing.T) {
 			t.Fatal("reservation notifications never arrived")
 		}
 	}
+	// The listener hears the release before the bridge counts it as
+	// published, so wait for the count rather than read it at once.
+	waitFor(t, "the release counted as published", func() bool { return n.Stats().Published >= 2 })
 	s := n.Stats()
 	if s.Vetoed != 1 {
 		t.Fatalf("vetoed = %d, want 1 (stats %+v)", s.Vetoed, s)

@@ -119,21 +119,27 @@ type Framework struct {
 
 	// saveMu serializes Save/SaveTo: the commit epoch is a
 	// read-modify-write on the backend. Designers never touch it.
-	// The lastSave fields (guarded by saveMu) anchor differential
-	// saves: a delta continues from the previous commit only when this
-	// framework instance wrote that commit to the same backend — any
-	// mismatch (first save, different backend, loaded framework) falls
-	// back to a full base snapshot. baseBytes is the size of the last
-	// full base this instance wrote and overlayBytes what its overlays
-	// over that base have written since: SaveTo's budget for choosing
-	// an overlay over a new base.
-	saveMu        sync.Mutex
-	lastSaveTo    backend.Backend
-	lastSaveEpoch int64
-	lastSaveLSN   uint64
-	baseBytes     int
-	overlayBytes  int
-	maxDeltaChain int // 0 means defaultMaxDeltaChain
+	// The fields below are guarded by saveMu. committed is the manifest
+	// of the last commit this instance wrote to lastSaveTo, and
+	// committedCURRENT its encoded bytes: a save whose backend's CURRENT
+	// still holds exactly those bytes continues from committed without
+	// decoding it, and may write a delta. Any mismatch (first save,
+	// different backend, loaded framework, a foreign or failed commit)
+	// decodes CURRENT and falls back to a full base snapshot. releaseHdr
+	// and releaseSum are the encoded framework@<epoch> header and its
+	// checksum, encoded on the first save. baseBytes is the size of the
+	// last full base this instance wrote and overlayBytes what its
+	// overlays over that base have written since: SaveTo's budget for
+	// choosing an overlay over a new base.
+	saveMu           sync.Mutex
+	lastSaveTo       backend.Backend
+	committed        backend.Manifest
+	committedCURRENT []byte
+	releaseHdr       []byte
+	releaseSum       string
+	baseBytes        int
+	overlayBytes     int
+	maxDeltaChain    int // 0 means defaultMaxDeltaChain
 
 	// batchPool recycles oms.Batch builders for the hot grouped paths
 	// (CheckInData, CreateDesignObject): one checkin = one small batch,

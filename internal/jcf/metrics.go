@@ -32,6 +32,10 @@ type fwMetrics struct {
 	checkpointFull    obs.Counter
 	checkpointOverlay obs.Counter
 	checkpointBytes   obs.Counter
+	// durableLSN is the FeedLSN of the last manifest SaveTo committed:
+	// the feed watermark minus it is the acknowledged work a crash
+	// would lose.
+	durableLSN obs.Gauge
 }
 
 // RegisterMetrics exposes the framework's instrument cells in reg,
@@ -49,5 +53,6 @@ func (fw *Framework) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("jcf_checkpoint_full_total", &fw.metrics.checkpointFull)
 	reg.RegisterCounter("jcf_checkpoint_overlay_total", &fw.metrics.checkpointOverlay)
 	reg.RegisterCounter("jcf_checkpoint_bytes_total", &fw.metrics.checkpointBytes)
+	reg.RegisterGauge("jcf_durable_lsn", &fw.metrics.durableLSN)
 	fw.store.RegisterMetrics(reg)
 }

@@ -1,6 +1,7 @@
 package jcf
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,10 +27,12 @@ import (
 // Layout through the backend (file backend shown; the segment backend
 // stores the same names in its log):
 //
-//	CURRENT            commit manifest: epoch, payload names, checksums,
-//	                   the base's and the overlay's cut LSNs and the feed
-//	                   LSN the epoch ends at. Its atomic replacement is
-//	                   the commit point.
+//	CURRENT            commit manifest, compact JSON (state dirs written
+//	                   earlier hold it indented, which still loads):
+//	                   epoch, payload names, checksums, the base's and
+//	                   the overlay's cut LSNs and the feed LSN the epoch
+//	                   ends at. Its atomic replacement is the commit
+//	                   point.
 //	oms@<epoch>        a full base snapshot payload in oms's binary
 //	                   snapshot format (state dirs written earlier hold a
 //	                   JSON base, which still loads until the next full
@@ -43,6 +46,13 @@ import (
 // a chain of deltas from the overlay's cut (or the base's, without
 // one). Every save writes framework@<epoch>, CURRENT and exactly one of
 // a delta, an overlay or a base.
+//
+// A framework keeps the manifest it last committed, and its encoded
+// bytes, in memory: that commit is the anchor of the next differential
+// save, valid while the backend's CURRENT still holds exactly those
+// bytes. A save over its own commit so reads CURRENT but decodes
+// nothing, and any other CURRENT — a foreign writer's, or one a failed
+// Put left behind — is decoded and followed by a full base.
 //
 // Older epochs are garbage-collected after a successful commit. LSNs
 // survive a restart: a loaded store's feed continues at the manifest's
@@ -118,7 +128,8 @@ func (fw *Framework) Save(dir string) error {
 // intact.
 //
 // On a DeltaCapable backend (the segment/WAL backend), a SaveTo that
-// follows a commit this same framework instance made writes only the
+// follows a commit this same framework instance made — the backend's
+// CURRENT holds exactly the bytes it committed — writes only the
 // change-feed suffix since that commit — a delta payload of O(what
 // changed), not O(store) — and the manifest binds the checkpoint and
 // the delta chain. The release header is written with every commit.
@@ -130,8 +141,9 @@ func (fw *Framework) Save(dir string) error {
 // than the base itself; once they would not, or the feed ring no longer
 // holds every record since the base's cut, it is a new full base. A
 // full base is also written whenever the anchor is missing (first save,
-// a different backend, a freshly loaded framework) or the ring has
-// evicted part of the delta's suffix.
+// a different backend, a freshly loaded framework, a CURRENT this
+// instance did not write) or the ring has evicted part of the delta's
+// suffix.
 func (fw *Framework) SaveTo(b backend.Backend) error {
 	if err := fw.guardWrite(); err != nil {
 		return err
@@ -143,32 +155,38 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 	defer fw.saveMu.Unlock()
 	start := obs.Now()
 
-	epoch := int64(1)
 	var prev backend.Manifest
-	havePrev := false
-	if m, err := backend.LoadManifest(b); err == nil {
-		prev, havePrev = m, true
-		epoch = m.Epoch + 1
-	} else if !errors.Is(err, backend.ErrNotFound) {
+	havePrev, own := false, false
+	raw, err := b.Get(backend.ManifestKey)
+	switch {
+	case err == nil && fw.lastSaveTo == b && bytes.Equal(raw, fw.committedCURRENT):
+		// CURRENT is still this instance's last commit: its manifest
+		// is in memory, so nothing is decoded.
+		prev, havePrev, own = fw.committed, true, true
+	case err == nil:
+		if prev, err = backend.DecodeManifest(raw); err != nil {
+			return fmt.Errorf("jcf: save: reading previous manifest: %w", err)
+		}
+		havePrev = true
+	case !errors.Is(err, backend.ErrNotFound):
 		return fmt.Errorf("jcf: save: reading previous manifest: %w", err)
 	}
+	epoch := prev.Epoch + 1
 
 	maxChain := fw.maxDeltaChain
 	if maxChain <= 0 {
 		maxChain = defaultMaxDeltaChain
 	}
 	dc, deltaCapable := b.(backend.DeltaCapable)
-	anchored := deltaCapable && dc.SupportsDeltas() &&
-		havePrev && fw.lastSaveTo == b && fw.lastSaveEpoch == prev.Epoch &&
-		prev.FeedLSN == fw.lastSaveLSN
+	anchored := own && deltaCapable && dc.SupportsDeltas()
 	wantDelta := anchored && len(prev.Deltas) < maxChain
 
 	var delta []oms.Change
 	var deltaTo uint64
 	if wantDelta {
-		recs, ok := fw.store.Changes(fw.lastSaveLSN)
+		recs, ok := fw.store.Changes(prev.FeedLSN)
 		if ok {
-			delta, deltaTo = recs, fw.lastSaveLSN
+			delta, deltaTo = recs, prev.FeedLSN
 			if len(recs) > 0 {
 				deltaTo = recs[len(recs)-1].LSN
 			}
@@ -178,9 +196,12 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 			wantDelta, anchored = false, false
 		}
 	}
-	fwPayload, err := json.MarshalIndent(persistedState{Release: fw.release}, "", " ")
-	if err != nil {
-		return fmt.Errorf("jcf: save: %w", err)
+	if fw.releaseHdr == nil {
+		hdr, err := json.MarshalIndent(persistedState{Release: fw.release}, "", " ")
+		if err != nil {
+			return fmt.Errorf("jcf: save: %w", err)
+		}
+		fw.releaseHdr, fw.releaseSum = hdr, backend.SHA256Hex(hdr)
 	}
 
 	fwName := fmt.Sprintf("%s%d", fwPrefix, epoch)
@@ -189,8 +210,9 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 	if wantDelta {
 		// Differential commit: the checkpoint and earlier deltas are
 		// already durable; only the new suffix (if any) is written.
+		// Appending may reuse prev.Deltas' spare capacity: prev keeps
+		// its own length, so it never sees the new entry.
 		manifest = prev
-		manifest.Deltas = append([]backend.DeltaRef(nil), prev.Deltas...)
 		manifest.FeedLSN = deltaTo
 		if len(delta) > 0 {
 			deltaPayload, err := oms.EncodeChanges(delta)
@@ -204,7 +226,7 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 			manifest.Deltas = append(manifest.Deltas, backend.DeltaRef{
 				Name:    deltaName,
 				Sum:     backend.SHA256Hex(deltaPayload),
-				FromLSN: fw.lastSaveLSN,
+				FromLSN: prev.FeedLSN,
 				ToLSN:   deltaTo,
 			})
 		}
@@ -227,15 +249,23 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 		manifest.FeedLSN = ckpt.lsn
 	}
 	manifest.Epoch = epoch
-	manifest.Framework, manifest.FrameworkSum = fwName, backend.SHA256Hex(fwPayload)
-	if err := b.Put(fwName, fwPayload); err != nil {
+	manifest.Framework, manifest.FrameworkSum = fwName, fw.releaseSum
+	if err := b.Put(fwName, fw.releaseHdr); err != nil {
+		return fmt.Errorf("jcf: save: %w", err)
+	}
+	current, err := backend.EncodeManifest(&manifest)
+	if err != nil {
 		return fmt.Errorf("jcf: save: %w", err)
 	}
 	// The commit point: one atomic Put flips readers to the new pair.
-	if err := backend.PutManifest(b, manifest); err != nil {
+	// A failed Put may still have written CURRENT; the anchor stays the
+	// previous commit, so the next save then sees other bytes and
+	// writes a full base.
+	if err := b.Put(backend.ManifestKey, current); err != nil {
 		return fmt.Errorf("jcf: save: %w", err)
 	}
-	fw.lastSaveTo, fw.lastSaveEpoch, fw.lastSaveLSN = b, epoch, manifest.FeedLSN
+	fw.lastSaveTo, fw.committed, fw.committedCURRENT = b, manifest, current
+	fw.metrics.durableLSN.Update(int64(manifest.FeedLSN))
 	if ckpt.payload != nil {
 		if ckpt.overlay {
 			fw.overlayBytes += len(ckpt.payload)
@@ -316,8 +346,16 @@ func gcOldEpochs(b backend.Backend, committed, prev *backend.Manifest) {
 	}
 }
 
-// Load restores a framework saved by Save from a state directory.
+// Load restores a framework saved by Save from a state directory. A
+// directory that does not exist holds no committed state: the error
+// wraps backend.ErrNotFound, and nothing is created.
 func Load(dir string) (*Framework, error) {
+	if _, err := os.Stat(dir); err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			err = fmt.Errorf("%s: %w", dir, backend.ErrNotFound)
+		}
+		return nil, fmt.Errorf("jcf: load: %w", err)
+	}
 	b, err := backend.OpenFile(dir)
 	if err != nil {
 		return nil, fmt.Errorf("jcf: load: %w", err)

@@ -218,6 +218,19 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// TestLoadMissingDirCreatesNothing: loading a state directory that does
+// not exist fails with backend.ErrNotFound and leaves it missing.
+func TestLoadMissingDirCreatesNothing(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
+	_, err := Load(filepath.Join(missing, "master"))
+	if !errors.Is(err, backend.ErrNotFound) {
+		t.Fatalf("Load of a missing dir: %v, want ErrNotFound", err)
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Load of a missing dir left %s behind (%v)", missing, err)
+	}
+}
+
 // readCommitted resolves the committed payload pair of a state dir
 // through its CURRENT manifest.
 func readCommitted(t *testing.T, dir string) (fwPayload, omsPayload []byte) {

@@ -356,11 +356,22 @@ func (fw *Framework) DesignObjectVersions(do oms.OID) []oms.OID {
 // LatestVersion returns the newest design object version (InvalidOID when
 // none exists yet).
 func (fw *Framework) LatestVersion(do oms.OID) oms.OID {
-	vs := fw.DesignObjectVersions(do)
-	if len(vs) == 0 {
-		return oms.InvalidOID
+	v, _ := fw.newestVersion(do)
+	return v
+}
+
+// newestVersion returns a design object's highest-numbered version
+// (InvalidOID when there is none) and its number of versions, from one
+// scan of the version list rather than a sort of it.
+func (fw *Framework) newestVersion(do oms.OID) (oms.OID, int) {
+	vs := fw.store.Targets(fw.rel.doHasVersion, do)
+	newest, top := oms.InvalidOID, int64(0)
+	for _, v := range vs {
+		if n := fw.store.GetInt(v, "num"); newest == oms.InvalidOID || n >= top {
+			newest, top = v, n
+		}
 	}
-	return vs[len(vs)-1]
+	return newest, len(vs)
 }
 
 // VersionNum returns a design object version's number.
@@ -508,10 +519,10 @@ func (fw *Framework) CheckInData(user string, do oms.OID, srcPath string) (oms.O
 	}
 	fw.numMu.Lock()
 	defer fw.numMu.Unlock()
-	// One version-history read answers both the predecessor and the next
-	// number (the op-by-op path paid for two).
-	versions := fw.DesignObjectVersions(do)
-	num := int64(len(versions) + 1)
+	// One scan of the version history answers both the predecessor and
+	// the next number.
+	pred, count := fw.newestVersion(do)
+	num := int64(count + 1)
 	b := fw.getBatch()
 	defer fw.putBatch(b)
 	dov := b.CreateOwned("DesignObjectVersion", map[string]oms.Value{"num": oms.I(num)})
@@ -522,8 +533,8 @@ func (fw *Framework) CheckInData(user string, do oms.OID, srcPath string) (oms.O
 	} else {
 		b.CopyInBytes(dov, "data", data)
 	}
-	if len(versions) > 0 {
-		b.Link(fw.rel.derived, versions[len(versions)-1], dov)
+	if pred != oms.InvalidOID {
+		b.Link(fw.rel.derived, pred, dov)
 	}
 	sp.Stage("prepare", nil)
 	created, err := fw.store.Apply(b)

@@ -87,11 +87,18 @@ func (m *Manifest) PayloadNames() []string {
 // LoadManifest reads and validates the commit manifest of a backend.
 // Backends that have never committed return ErrNotFound (wrapped).
 func LoadManifest(b Backend) (Manifest, error) {
-	var m Manifest
 	data, err := b.Get(ManifestKey)
 	if err != nil {
-		return m, err
+		return Manifest{}, err
 	}
+	return DecodeManifest(data)
+}
+
+// DecodeManifest decodes and validates an encoded commit manifest — a
+// CURRENT payload. It reads both the compact encoding EncodeManifest
+// writes and the indented one of older state dirs.
+func DecodeManifest(data []byte) (Manifest, error) {
+	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return m, fmt.Errorf("backend: corrupt manifest: %w", err)
 	}
@@ -104,11 +111,21 @@ func LoadManifest(b Backend) (Manifest, error) {
 	return m, nil
 }
 
+// EncodeManifest encodes a manifest as compact JSON, the CURRENT
+// payload.
+func EncodeManifest(m *Manifest) ([]byte, error) {
+	data, err := json.Marshal(m)
+	if err != nil {
+		return nil, fmt.Errorf("backend: encode manifest: %w", err)
+	}
+	return data, nil
+}
+
 // PutManifest commits a manifest: one atomic Put of ManifestKey.
 func PutManifest(b Backend, m Manifest) error {
-	data, err := json.MarshalIndent(&m, "", " ")
+	data, err := EncodeManifest(&m)
 	if err != nil {
-		return fmt.Errorf("backend: encode manifest: %w", err)
+		return err
 	}
 	return b.Put(ManifestKey, data)
 }
