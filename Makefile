@@ -79,9 +79,13 @@ stress-persist:
 ## stress-atomic hammers the grouped-operation paths under the race
 ## detector: batches must stay all-or-nothing against concurrent readers
 ## and CheckInData must only commit while the reservation is held (see
-## internal/oms/batch_test.go and internal/jcf/atomic_test.go).
+## internal/oms/batch_test.go and internal/jcf/atomic_test.go). It also
+## pins the newest-version lookup: a checkin derives from and numbers
+## after the highest-OID version, costs as many store ops at history 512
+## as at 8, and CheckConsistency reports versions not numbered 1..n in
+## OID order (internal/jcf/history_test.go, consistency_test.go).
 stress-atomic:
-	$(GO) test -race -count=3 -run 'TestBatchAtomicUnderConcurrency|TestCheckInDataVsPublishRace|TestDeriveVariantConcurrent' ./internal/oms/ ./internal/jcf/
+	$(GO) test -race -count=3 -run 'TestBatchAtomicUnderConcurrency|TestCheckInDataVsPublishRace|TestDeriveVariantConcurrent|TestCheckInDataDerivesFromNewest|TestCheckInDataOpsFlatInHistory|TestCheckConsistencyReportsVersionOrder' ./internal/oms/ ./internal/jcf/
 
 ## stress-feed hammers the change feed under the race detector: every
 ## committed op must reach a Watch subscriber exactly once in LSN order
@@ -115,9 +119,13 @@ stress-repl:
 ## async blob durability, and both crash windows (blob-without-metadata,
 ## metadata-without-blob) must load into verifiable state with orphans
 ## GC-swept (internal/jcf/blob_test.go); replicas must lazily fetch
-## missing blobs by digest (internal/repl/blob_test.go).
+## missing blobs by digest (internal/repl/blob_test.go). The Publish gate
+## must check every version's ref — a dangling one behind 300 inline
+## versions still refuses after a reload — while allocating as often at
+## history 512 as at 8, and publishing must count no design bytes as
+## read out (internal/jcf/history_test.go).
 stress-blob:
-	$(GO) test -race -count=3 -run 'TestStressBlob|TestReplicaBlobFetch' ./internal/jcf/ ./internal/repl/
+	$(GO) test -race -count=3 -run 'TestStressBlob|TestReplicaBlobFetch|TestPublishGateCoversOldVersions|TestPublishAllocsFlatInHistory|TestBlobLogicalOutCountsHandedOutBytes' ./internal/jcf/ ./internal/repl/
 
 ## stress-fmcad hammers the copy-on-write FMCAD metadata under the race
 ## detector: sessions open, refresh and read their snapshots while

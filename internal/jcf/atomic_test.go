@@ -1,10 +1,12 @@
 package jcf
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,6 +110,16 @@ func TestCheckInDataDerivesFromNewest(t *testing.T) {
 		byNum[do] = append(prev, dov)
 		if latest := fw.LatestVersion(do); latest != dov {
 			t.Fatalf("checkin %d: LatestVersion = %d, want %d", i, latest, dov)
+		}
+	}
+	// DesignObjectVersions answers in OID order without sorting; that
+	// must be version-number order.
+	for _, do := range dos {
+		got := fw.DesignObjectVersions(do)
+		sorted := slices.Clone(got)
+		slices.SortStableFunc(sorted, func(a, b oms.OID) int { return cmp.Compare(fw.VersionNum(a), fw.VersionNum(b)) })
+		if !slices.Equal(got, sorted) || !slices.Equal(got, byNum[do]) {
+			t.Fatalf("design object %d: DesignObjectVersions = %v, sorted by num %v, checked in %v", do, got, sorted, byNum[do])
 		}
 	}
 }

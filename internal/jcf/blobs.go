@@ -89,13 +89,17 @@ func (fw *Framework) verifyPublishedBlobs() error {
 }
 
 // forEachCVDataRef visits the blob ref (if any) of every design object
-// version under a cell version.
+// version under a cell version, in OID order. It reads each version's
+// data through GetBlobRef, so versions stored inline are probed without
+// copying their bytes, and it walks the version list as the store
+// returns it: OID order is version order (see newestVersion), and the
+// visit order does not change what is checked.
 func (fw *Framework) forEachCVDataRef(cv oms.OID, fn func(dov oms.OID, r blobstore.Ref) error) error {
 	for _, variant := range fw.Variants(cv) {
 		for _, do := range fw.DesignObjects(variant) {
-			for _, dov := range fw.DesignObjectVersions(do) {
-				v, ok, err := fw.store.Get(dov, "data")
-				if err != nil || !ok || v.Kind != oms.KindBlobRef {
+			for _, dov := range fw.store.Targets(fw.rel.doHasVersion, do) {
+				v, ok := fw.store.GetBlobRef(dov, "data")
+				if !ok {
 					continue
 				}
 				r, err := v.AsBlobRef()

@@ -145,7 +145,8 @@ type Inconsistency struct {
 // CheckConsistency runs the data-consistency checks the paper credits to
 // JCF's separated metadata (section 3.2): every compOf child must still
 // exist and be a cell version; every design object a variant uses must
-// exist; every configuration entry must point at a live version. It
+// exist; every configuration entry must point at a live version; every
+// design object's versions, in OID order, must be numbered 1..n. It
 // returns all problems found (empty means consistent).
 //
 // It is feed-driven and incremental, the same dirty-tracking pattern the
@@ -207,6 +208,13 @@ func (fw *Framework) consistencyRelevant(recs []oms.Change) bool {
 			switch c.Rel {
 			case fw.rel.compOf, fw.rel.uses, fw.rel.hasEntry, fw.rel.cellHasVersion:
 				return true
+			case fw.rel.doHasVersion:
+				// A link is a checkin, which numbers its version one
+				// past the count and so keeps versions numbered 1..n;
+				// an unlink leaves a gap.
+				if c.Kind == oms.ChangeUnlink {
+					return true
+				}
 			}
 		case oms.ChangeSet:
 			// "published" drives the stale-hierarchy check, "num" the
@@ -264,6 +272,20 @@ func (fw *Framework) consistencySweep() []Inconsistency {
 				Kind:   "dangling-config-entry",
 				Detail: fmt.Sprintf("config version %d binds missing version %d", p.From, p.To),
 			})
+		}
+	}
+	// Version numbering: a design object's versions, in OID order, are
+	// numbered 1..n — the invariant newestVersion relies on.
+	for _, do := range fw.store.ObjectsOf(fw.rel.doHasVersion) {
+		for i, dov := range fw.store.Targets(fw.rel.doHasVersion, do) {
+			if n := fw.store.GetInt(dov, "num"); n != int64(i+1) {
+				out = append(out, Inconsistency{
+					Kind: "version-order",
+					Detail: fmt.Sprintf("design object %d: version %d is numbered %d, want %d in OID order",
+						do, dov, n, i+1),
+				})
+				break
+			}
 		}
 	}
 	// Hierarchy/version staleness: a published parent whose child cell has

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/itc"
+	"repro/internal/oms"
 )
 
 // TestCheckConsistencyCached: the feed-driven check answers from cache
@@ -113,6 +115,56 @@ func TestCheckConsistencyCached(t *testing.T) {
 	// Steady state: the verdict keeps answering from cache.
 	if again := fw.CheckConsistency(); len(again) != 1 || again[0].Kind != "stale-hierarchy" {
 		t.Fatalf("cached verdict drifted: %v", again)
+	}
+}
+
+// TestCheckConsistencyReportsVersionOrder: a design object whose
+// versions, in OID order, are not numbered 1..n breaks the invariant the
+// newest-version lookup relies on, and the check reports it — through
+// the cached path, whether a version's number was rewritten or a
+// version was unlinked from the middle of the history.
+func TestCheckConsistencyReportsVersionOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(fw *Framework, do oms.OID, vs []oms.OID) error
+	}{
+		{"renumbered", func(fw *Framework, do oms.OID, vs []oms.OID) error {
+			return fw.store.Set(vs[1], "num", oms.I(7))
+		}},
+		{"unlinked", func(fw *Framework, do oms.OID, vs []oms.OID) error {
+			return fw.store.Unlink(fw.rel.doHasVersion, do, vs[1])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, Release30)
+			fw := w.fw
+			do, err := fw.CreateDesignObject(fw.Variants(w.cv)[0], "alu-sch", w.schVT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fw.Reserve("anna", w.cv); err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			for i := 0; i < 4; i++ {
+				if _, err := checkInBytes(t, fw, dir, "anna", do, []byte(fmt.Sprintf("netlist %d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := fw.CheckConsistency(); len(got) != 0 {
+				t.Fatalf("consistent history reported: %v", got)
+			}
+			if err := tc.corrupt(fw, do, fw.DesignObjectVersions(do)); err != nil {
+				t.Fatal(err)
+			}
+			got := fw.CheckConsistency()
+			if len(got) != 1 || got[0].Kind != "version-order" {
+				t.Fatalf("CheckConsistency = %v, want one version-order report", got)
+			}
+			if !strings.Contains(got[0].Detail, fmt.Sprintf("design object %d", do)) {
+				t.Fatalf("report %q does not name design object %d", got[0].Detail, do)
+			}
+		})
 	}
 }
 

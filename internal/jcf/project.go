@@ -346,11 +346,9 @@ func (fw *Framework) ViewTypeOf(do oms.OID) (string, error) {
 }
 
 // DesignObjectVersions returns the version OIDs of a design object in
-// version order.
+// version order, which is OID order (see newestVersion).
 func (fw *Framework) DesignObjectVersions(do oms.OID) []oms.OID {
-	vs := fw.store.Targets(fw.rel.doHasVersion, do)
-	fw.sortByIntAttr(vs, "num")
-	return vs
+	return fw.store.Targets(fw.rel.doHasVersion, do)
 }
 
 // LatestVersion returns the newest design object version (InvalidOID when
@@ -360,18 +358,19 @@ func (fw *Framework) LatestVersion(do oms.OID) oms.OID {
 	return v
 }
 
-// newestVersion returns a design object's highest-numbered version
-// (InvalidOID when there is none) and its number of versions, from one
-// scan of the version list rather than a sort of it.
+// newestVersion returns a design object's newest version (InvalidOID
+// when there is none) and its number of versions, as the highest-OID
+// doHasVersion target: one store read, which reads no version object
+// and allocates nothing however long the history.
+//
+// The highest OID is the newest version because versions are created
+// only by CheckInData, one at a time under numMu, each numbered one past
+// the count; OIDs only grow (releaseOIDs rewinds only an unused top of
+// the range, and LoadFrom and replicas keep the primary's OIDs); and no
+// API deletes a version. So a design object's versions in OID order are
+// numbered 1..n — CheckConsistency reports any that are not.
 func (fw *Framework) newestVersion(do oms.OID) (oms.OID, int) {
-	vs := fw.store.Targets(fw.rel.doHasVersion, do)
-	newest, top := oms.InvalidOID, int64(0)
-	for _, v := range vs {
-		if n := fw.store.GetInt(v, "num"); newest == oms.InvalidOID || n >= top {
-			newest, top = v, n
-		}
-	}
-	return newest, len(vs)
+	return fw.store.MaxTarget(fw.rel.doHasVersion, do)
 }
 
 // VersionNum returns a design object version's number.
@@ -519,8 +518,7 @@ func (fw *Framework) CheckInData(user string, do oms.OID, srcPath string) (oms.O
 	}
 	fw.numMu.Lock()
 	defer fw.numMu.Unlock()
-	// One scan of the version history answers both the predecessor and
-	// the next number.
+	// One store read answers both the predecessor and the next number.
 	pred, count := fw.newestVersion(do)
 	num := int64(count + 1)
 	b := fw.getBatch()

@@ -91,6 +91,9 @@ func (fw *Framework) Publish(user string, cv oms.OID) error {
 	// On a framework loaded from disk the ledger is empty; the refs
 	// themselves are the record. Presence in the CAS is the publishable
 	// bar (EnableBlobStore already digest-verified everything published).
+	// Every ref under the cell version is checked on every Publish; the
+	// walk probes each version's data without copying inline bytes, so
+	// its cost is one store read per version and one Has per ref.
 	if fw.blobs != nil {
 		if err := fw.forEachCVDataRef(cv, func(dov oms.OID, r blobstore.Ref) error {
 			if !fw.blobs.Has(r) {

@@ -45,7 +45,8 @@ func (st *Store) spill(v Value) (ref Value, unpin func(), err error) {
 
 // resolveBlob returns the bytes behind a blob-valued attribute: inline
 // bytes as-is, references through the attached blobstore (digest-verified
-// there, lazily fetched on a replica).
+// there, lazily fetched on a replica). The caller that hands the bytes
+// out counts them in statBlobOut.
 func (st *Store) resolveBlob(v Value) ([]byte, error) {
 	switch v.Kind {
 	case KindBlob:
@@ -58,12 +59,7 @@ func (st *Store) resolveBlob(v Value) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		data, err := st.blobs.Get(r)
-		if err != nil {
-			return nil, err
-		}
-		st.statBlobOut.Add(r.Size)
-		return data, nil
+		return st.blobs.Get(r)
 	default:
 		return nil, fmt.Errorf("oms: attribute holds %s, not blob data", v.Kind)
 	}
@@ -80,7 +76,12 @@ func (st *Store) BlobBytes(oid OID, attr string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("oms: object %d has no %q data", oid, attr)
 	}
-	return st.resolveBlob(v)
+	data, err := st.resolveBlob(v)
+	if err != nil {
+		return nil, err
+	}
+	st.statBlobOut.Add(int64(len(data)))
+	return data, nil
 }
 
 // ForEachBlobRef visits every KindBlobRef attribute value in the store —
@@ -105,7 +106,7 @@ func (st *Store) ForEachBlobRef(fn func(oid OID, attr string, r blobstore.Ref)) 
 type BlobStats struct {
 	LogicalIn  int64 // design bytes handed to the store (inline + spilled)
 	PhysicalIn int64 // bytes actually written: inline copies + post-dedup CAS writes
-	LogicalOut int64 // design bytes read back out
+	LogicalOut int64 // design bytes handed out by CopyOut and BlobBytes
 	DedupHits  int64 // CAS puts satisfied without a write
 }
 

@@ -254,3 +254,92 @@ func TestBlobRefValueBasics(t *testing.T) {
 		t.Fatalf("Kind.String = %q", KindBlobRef.String())
 	}
 }
+
+// spilledAndInline creates two cells whose data went through a batch
+// copy-in: big's spilled to the CAS, tiny's stayed inline.
+func spilledAndInline(t *testing.T, st *Store) (big, tiny OID) {
+	t.Helper()
+	big = mustCreate(t, st, "Cell", map[string]Value{"name": S("big")})
+	tiny = mustCreate(t, st, "Cell", map[string]Value{"name": S("tiny")})
+	b := NewBatch()
+	b.CopyInBytes(big, "data", bigBlob())
+	b.CopyInBytes(tiny, "data", tinyBlob())
+	if _, err := st.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	return big, tiny
+}
+
+// TestGetBlobRefCopiesNothing: the probe answers a ref with its value
+// and an inline blob with false, without copying the inline bytes or
+// counting them as read out.
+func TestGetBlobRefCopiesNothing(t *testing.T) {
+	st, _ := blobStore(t)
+	big, tiny := spilledAndInline(t, st)
+	bare := mustCreate(t, st, "Cell", map[string]Value{"name": S("bare")})
+	want, _, err := st.Get(big, "data")
+	if err != nil || want.Kind != KindBlobRef {
+		t.Fatalf("big blob stored as %s, %v", want.Kind, err)
+	}
+	if v, ok := st.GetBlobRef(big, "data"); !ok || !v.Equal(want) {
+		t.Fatalf("GetBlobRef(spilled) = %v, %v; want %v", v, ok, want)
+	}
+	for _, probe := range []struct {
+		oid  OID
+		attr string
+	}{{tiny, "data"}, {bare, "data"}, {tiny, "name"}, {OID(9999), "data"}} {
+		if v, ok := st.GetBlobRef(probe.oid, probe.attr); ok || v.Kind != 0 || v.Blob != nil {
+			t.Fatalf("GetBlobRef(%d, %q) = %v, %v; want nothing", probe.oid, probe.attr, v, ok)
+		}
+	}
+	_, _, outBefore := st.Stats()
+	if n := testing.AllocsPerRun(20, func() {
+		st.GetBlobRef(tiny, "data")
+		st.GetBlobRef(big, "data")
+	}); n != 0 {
+		t.Fatalf("GetBlobRef allocates %v times, want 0", n)
+	}
+	if _, _, out := st.Stats(); out != outBefore {
+		t.Fatalf("probes counted %d bytes as read out", out-outBefore)
+	}
+}
+
+// TestLogicalOutCountsHandedOutBytes: a metadata read of a blob
+// attribute counts nothing as read out; CopyOut and BlobBytes count
+// exactly the bytes they hand out, inline or spilled.
+func TestLogicalOutCountsHandedOutBytes(t *testing.T) {
+	st, _ := blobStore(t)
+	big, tiny := spilledAndInline(t, st)
+	out := func() int64 { return st.BlobStatsNow().LogicalOut }
+	for i := 0; i < 5; i++ {
+		if _, _, err := st.Get(tiny, "data"); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.Get(big, "data"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := out(); got != 0 {
+		t.Fatalf("metadata reads counted %d bytes as read out", got)
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		oid  OID
+		size int64
+	}{{tiny, int64(len(tinyBlob()))}, {big, int64(len(bigBlob()))}} {
+		before := out()
+		if _, err := st.CopyOut(c.oid, "data", filepath.Join(dir, "out")); err != nil {
+			t.Fatal(err)
+		}
+		if got := out() - before; got != c.size {
+			t.Fatalf("CopyOut of %d counted %d bytes, want %d", c.oid, got, c.size)
+		}
+		before = out()
+		if _, err := st.BlobBytes(c.oid, "data"); err != nil {
+			t.Fatal(err)
+		}
+		if got := out() - before; got != c.size {
+			t.Fatalf("BlobBytes of %d counted %d bytes, want %d", c.oid, got, c.size)
+		}
+	}
+}

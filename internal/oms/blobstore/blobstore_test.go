@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -427,6 +428,16 @@ func TestRefEncoding(t *testing.T) {
 	}
 	if _, err := ParseHexRef("zz", 1); err == nil {
 		t.Fatal("bad hex parsed")
+	}
+	if upper, err := ParseHexRef(strings.ToUpper(ref.Hex()), ref.Size); err != nil || upper != ref {
+		t.Fatalf("upper-case hex: %v %v", upper, err)
+	}
+	if _, err := ParseHexRef(ref.Hex()[:63]+"g", ref.Size); err == nil {
+		t.Fatal("non-hex digit parsed")
+	}
+	h := ref.Hex()
+	if n := testing.AllocsPerRun(20, func() { _, _ = ParseHexRef(h, ref.Size) }); n != 0 {
+		t.Fatalf("ParseHexRef allocates %v times, want 0", n)
 	}
 	if _, err := ParseHexRef(ref.Hex(), -1); err == nil {
 		t.Fatal("negative size parsed")

@@ -80,30 +80,53 @@ func (r Ref) String() string { return fmt.Sprintf("blob %s.. (%d bytes)", r.Hex(
 // ParseHexRef rebuilds a Ref from the hex digest + size pair carried in
 // oms values and snapshots.
 func ParseHexRef(hexDigest string, size int64) (Ref, error) {
-	raw, err := hex.DecodeString(hexDigest)
-	if err != nil || len(raw) != 32 {
+	d, ok := decodeDigest(hexDigest)
+	if !ok {
 		return Ref{}, fmt.Errorf("blobstore: bad digest %q", hexDigest)
 	}
 	if size < 0 || size > MaxBlobSize {
 		return Ref{}, fmt.Errorf("blobstore: bad blob size %d", size)
 	}
-	var r Ref
-	copy(r.Digest[:], raw)
-	r.Size = size
-	return r, nil
+	return Ref{Digest: d, Size: size}, nil
+}
+
+// decodeDigest decodes a 64-digit hex digest straight into its array,
+// without the intermediate slice hex.DecodeString allocates: the Publish
+// gate parses one ref per spilled version on every publish.
+func decodeDigest(s string) (d [32]byte, ok bool) {
+	if len(s) != 2*len(d) {
+		return d, false
+	}
+	for i := range d {
+		hi, ok1 := unhex(s[2*i])
+		lo, ok2 := unhex(s[2*i+1])
+		if !ok1 || !ok2 {
+			return d, false
+		}
+		d[i] = hi<<4 | lo
+	}
+	return d, true
+}
+
+// unhex returns the value of one hex digit, either case.
+func unhex(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10, true
+	}
+	return 0, false
 }
 
 // parseKey inverts Ref.Key for index rebuilds and sweeps; ok is false
 // for names that are not blob entries (manifests, epochs).
 func parseKey(name string) (d [32]byte, ok bool) {
 	hexPart, found := strings.CutPrefix(name, keyPrefix)
-	if !found || len(hexPart) != 64 {
+	if !found {
 		return d, false
 	}
-	raw, err := hex.DecodeString(hexPart)
-	if err != nil {
-		return d, false
-	}
-	copy(d[:], raw)
-	return d, true
+	return decodeDigest(hexPart)
 }

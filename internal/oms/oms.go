@@ -463,7 +463,7 @@ type Store struct {
 	// Stats() view reads (see metrics.go).
 	statOps      obs.Counter
 	statBlobIn   obs.Counter // logical bytes copied into the database
-	statBlobOut  obs.Counter // logical bytes copied out of the database
+	statBlobOut  obs.Counter // logical bytes CopyOut and BlobBytes handed out
 	statBlobPhys obs.Counter // bytes physically stored inline
 
 	// metrics holds the store's latency instruments (see metrics.go).
@@ -845,7 +845,18 @@ func (st *Store) undoSet(oid OID, name string, old Value, had bool) {
 }
 
 // Get returns a copy of an attribute value. The bool reports presence.
+// Reading a value is a metadata operation: design bytes count as read
+// out only where CopyOut and BlobBytes hand them to a caller.
 func (st *Store) Get(oid OID, name string) (Value, bool, error) {
+	v, ok, err := st.getShared(oid, name)
+	return v.clone(), ok, err
+}
+
+// getShared is Get without the defensive copy: an inline blob comes back
+// sharing the stored bytes. Stored values are immutable (Set installs a
+// private clone, see insertLocked), so the bytes may be read after the
+// stripe lock is released — but they must never leave the package.
+func (st *Store) getShared(oid OID, name string) (Value, bool, error) {
 	s := st.stripeOf(oid)
 	s.mu.RLock()
 	obj, ok := s.objects[oid]
@@ -854,17 +865,25 @@ func (st *Store) Get(oid OID, name string) (Value, bool, error) {
 		return Value{}, false, fmt.Errorf("oms: no object %d", oid)
 	}
 	v, ok := obj.attrs[name]
+	s.mu.RUnlock()
 	if !ok {
-		s.mu.RUnlock()
 		return Value{}, false, nil
 	}
-	out := v.clone()
-	s.mu.RUnlock()
-	if out.Kind == KindBlob {
-		st.statBlobOut.Add(int64(len(out.Blob)))
-	}
 	st.statOps.Add(1)
-	return out, true, nil
+	return v, true, nil
+}
+
+// GetBlobRef returns oid's attribute name when it holds a
+// content-addressed reference (Kind KindBlobRef); ok is false when the
+// object or attribute is missing or holds anything else. An inline blob
+// is never copied — which is what lets the Publish gate probe every
+// version of a design object without cloning its design data.
+func (st *Store) GetBlobRef(oid OID, name string) (Value, bool) {
+	v, ok, err := st.getShared(oid, name)
+	if err != nil || !ok || v.Kind != KindBlobRef {
+		return Value{}, false
+	}
+	return v, true
 }
 
 // GetString is a convenience accessor returning "" when absent.
@@ -1036,6 +1055,28 @@ func (st *Store) Targets(rel string, from OID) []OID {
 		return nil
 	}
 	return sortedOIDs(obj.links[rel])
+}
+
+// MaxTarget returns the highest OID that from points to via rel
+// (InvalidOID when there is none) and the number of targets: Targets'
+// last element and length, from one stripe read lock with no slice, no
+// sort and no per-target read. OIDs only grow, so where targets are only
+// ever added (a design object's versions) the highest OID is the newest.
+func (st *Store) MaxTarget(rel string, from OID) (OID, int) {
+	s := st.stripeOf(from)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	obj, ok := s.objects[from]
+	if !ok {
+		return InvalidOID, 0
+	}
+	top := InvalidOID
+	for to := range obj.links[rel] {
+		if to > top {
+			top = to
+		}
+	}
+	return top, len(obj.links[rel])
 }
 
 // Sources returns the OIDs that point to `to` via rel, sorted.

@@ -137,6 +137,44 @@ func TestBlobIsolation(t *testing.T) {
 	}
 }
 
+// TestMaxTarget: the highest target and the count agree with Targets
+// through links and unlinks, and the lookup allocates nothing.
+func TestMaxTarget(t *testing.T) {
+	st := NewStore(testSchema(t))
+	c := mustCreate(t, st, "Cell", map[string]Value{"name": S("a")})
+	check := func(when string) {
+		t.Helper()
+		ts := st.Targets("hasVersion", c)
+		want := InvalidOID
+		if len(ts) > 0 {
+			want = ts[len(ts)-1]
+		}
+		if top, n := st.MaxTarget("hasVersion", c); top != want || n != len(ts) {
+			t.Fatalf("%s: MaxTarget = %d, %d; Targets = %v", when, top, n, ts)
+		}
+	}
+	check("no links")
+	var vs []OID
+	for i := 1; i <= 40; i++ {
+		v := mustCreate(t, st, "Version", map[string]Value{"num": I(int64(i))})
+		if err := st.Link("hasVersion", c, v); err != nil {
+			t.Fatal(err)
+		}
+		vs = append(vs, v)
+		check("after a link")
+	}
+	if err := st.Unlink("hasVersion", c, vs[len(vs)-1]); err != nil {
+		t.Fatal(err)
+	}
+	check("after unlinking the top")
+	if top, n := st.MaxTarget("hasVersion", OID(9999)); top != InvalidOID || n != 0 {
+		t.Fatalf("missing object: MaxTarget = %d, %d", top, n)
+	}
+	if n := testing.AllocsPerRun(20, func() { st.MaxTarget("hasVersion", c) }); n != 0 {
+		t.Fatalf("MaxTarget allocates %v times, want 0", n)
+	}
+}
+
 func TestLinkCardinality(t *testing.T) {
 	st := NewStore(testSchema(t))
 	c1 := mustCreate(t, st, "Cell", map[string]Value{"name": S("a")})

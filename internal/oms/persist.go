@@ -109,7 +109,9 @@ func decodeJSONSnapshot(data []byte, schema *Schema) (*Store, error) {
 // Note that even read-only tool access requires a CopyOut — the cost the
 // paper complains about in section 3.6.
 func (st *Store) CopyOut(oid OID, attr, dstPath string) (int64, error) {
-	v, ok, err := st.Get(oid, attr)
+	// The stored bytes go straight to the file: they never leave the
+	// package, so Get's defensive copy would buy nothing.
+	v, ok, err := st.getShared(oid, attr)
 	if err != nil {
 		return 0, err
 	}
@@ -126,5 +128,6 @@ func (st *Store) CopyOut(oid OID, attr, dstPath string) (int64, error) {
 	if err := os.WriteFile(dstPath, data, 0o644); err != nil {
 		return 0, fmt.Errorf("oms: copy-out: %w", err)
 	}
+	st.statBlobOut.Add(int64(len(data)))
 	return int64(len(data)), nil
 }
