@@ -91,9 +91,11 @@ stress-atomic:
 ## committed op must reach a Watch subscriber exactly once in LSN order
 ## with batch groups delivered whole (internal/oms/feed_test.go), and
 ## differential saves looping against concurrent designers must always
-## load (internal/jcf/feed_test.go).
+## load (internal/jcf/feed_test.go). The binary change-record codec must
+## round-trip seeded random feeds to equal records and equal bytes, and
+## refuse every truncated or malformed payload (internal/oms/wire_test.go).
 stress-feed:
-	$(GO) test -race -count=3 -run 'TestFeedConformanceStress|TestDifferentialSaveCrashConsistencyUnderLoad|TestNotifierPublishesFrameworkEvents' ./internal/oms/ ./internal/jcf/
+	$(GO) test -race -count=3 -run 'TestFeedConformanceStress|TestDifferentialSaveCrashConsistencyUnderLoad|TestNotifierPublishesFrameworkEvents|TestChangeCodecModel|TestDecodeChangesRobustness' ./internal/oms/ ./internal/jcf/
 
 ## stress-repl hammers the replication subsystem under the race
 ## detector: the primary mutates under concurrent load while one replica
@@ -108,10 +110,12 @@ stress-feed:
 ## for bindings committed after it attached and after promotion
 ## (internal/core/replica_test.go); and a fresh replica of a primary
 ## restored by LoadFrom (full, differential, older-format and LSN-0 state
-## dirs) must converge in one session. Runs over both the in-process pipe
-## and real TCP.
+## dirs) must converge in one session; the older-format fixtures' JSON
+## deltas must re-encode as binary records that build the same store;
+## and each change frame's encode and decode must be timed. Runs over
+## both the in-process pipe and real TCP.
 stress-repl:
-	$(GO) test -race -count=3 -run 'TestReplicationConvergenceUnderLoad|TestReplicaStreamRobustness|TestReplicaReadOnlyView|TestReplicaViewPromote|TestReplicaAnswersFrameworkMetadata|TestRestoredPrimaryServesFreshReplica|TestReplicaAnswersMapping' ./internal/repl/ ./internal/jcf/ ./internal/core/
+	$(GO) test -race -count=3 -run 'TestReplicationConvergenceUnderLoad|TestReplicaStreamRobustness|TestReplicaReadOnlyView|TestReplicaViewPromote|TestReplicaAnswersFrameworkMetadata|TestRestoredPrimaryServesFreshReplica|TestReplicaAnswersMapping|TestFixtureJSONDeltasReencodeBinary|TestCodecHistogramsPerChangeFrame' ./internal/repl/ ./internal/jcf/ ./internal/core/
 
 ## stress-blob hammers the content-addressed checkin pipeline under the
 ## race detector: concurrent identical-content checkins must dedup to

@@ -39,7 +39,9 @@ import (
 //	                   save replaces it), or an overlay over the current
 //	                   base in oms's binary overlay format; the manifest
 //	                   names which is which
-//	delta@<epoch>      the change-feed suffix a differential commit adds
+//	delta@<epoch>      the change-feed suffix a differential commit adds,
+//	                   as oms's binary change records (state dirs
+//	                   written earlier hold JSON ones, which still load)
 //	framework@<epoch>  the release header: the framework's release level
 //
 // A committed epoch is so a full base, at most one overlay over it, and
@@ -215,10 +217,7 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 		manifest = prev
 		manifest.FeedLSN = deltaTo
 		if len(delta) > 0 {
-			deltaPayload, err := oms.EncodeChanges(delta)
-			if err != nil {
-				return fmt.Errorf("jcf: save: %w", err)
-			}
+			deltaPayload := oms.EncodeChanges(delta)
 			deltaName := fmt.Sprintf("%s%d", deltaPrefix, epoch)
 			if err := b.Put(deltaName, deltaPayload); err != nil {
 				return fmt.Errorf("jcf: save: %w", err)

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/oms"
 	"repro/internal/oms/backend"
 )
 
@@ -599,6 +601,77 @@ func TestLoadsTornSegmentStateFromPreviousFormat(t *testing.T) {
 	getAll(reopened)
 	if got := len(again.DesignObjects(again.Variants(cv)[0])); got != 6 {
 		t.Fatalf("%d design objects after save and reload, want 6", got)
+	}
+}
+
+// TestFixtureJSONDeltasReencodeBinary: the segment-parent fixtures'
+// deltas are JSON, written before change records were binary. Each
+// decodes to records whose binary encoding decodes to the same records,
+// and a store built from the fixture's base plus those re-encoded deltas
+// is byte-equal to one built from the JSON deltas as they stand.
+func TestFixtureJSONDeltasReencodeBinary(t *testing.T) {
+	for _, fixture := range []string{"segment-parent", "segment-parent-torn"} {
+		t.Run(fixture, func(t *testing.T) {
+			seg, err := backend.OpenSegment(copyFixture(t, fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := backend.ReadChain(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(c.Deltas) == 0 {
+				t.Fatal("test premise broken: the fixture has no deltas")
+			}
+			base, err := oms.MergeCheckpoint(c.Base, c.Overlay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fw, err := New(Release40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromJSON := oms.NewStore(fw.store.Schema())
+			fromBinary := oms.NewStore(fw.store.Schema())
+			for _, st := range []*oms.Store{fromJSON, fromBinary} {
+				if err := st.ResetFromSnapshot(base, c.Manifest.CutLSN()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, payload := range c.Deltas {
+				name := c.Manifest.Deltas[i].Name
+				if !bytes.HasPrefix(payload, []byte("[")) {
+					t.Fatalf("test premise broken: %s starts %q, want a JSON array", name, payload[:min(len(payload), 8)])
+				}
+				recs, err := oms.DecodeChanges(payload)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				enc := oms.EncodeChanges(recs)
+				if !bytes.HasPrefix(enc, []byte("\x00CHG")) {
+					t.Fatalf("%s re-encoded as %q, want the binary change magic", name, enc[:min(len(enc), 8)])
+				}
+				again, err := oms.DecodeChanges(enc)
+				if err != nil {
+					t.Fatalf("%s re-encoded: %v", name, err)
+				}
+				if !reflect.DeepEqual(again, recs) {
+					t.Fatalf("%s: binary re-encoding decodes to different records", name)
+				}
+				if err := fromJSON.ApplyReplicated(recs); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := fromBinary.ApplyReplicated(again); err != nil {
+					t.Fatalf("%s re-encoded: %v", name, err)
+				}
+			}
+			if fromBinary.FeedLSN() != c.Manifest.FeedLSN {
+				t.Fatalf("re-encoded deltas end at %d, manifest feed at %d", fromBinary.FeedLSN(), c.Manifest.FeedLSN)
+			}
+			if !bytes.Equal(fromBinary.Snapshot().Encode(), fromJSON.Snapshot().Encode()) {
+				t.Fatal("store built from re-encoded deltas differs from the one built from the JSON deltas")
+			}
+		})
 	}
 }
 

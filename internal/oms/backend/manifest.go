@@ -62,8 +62,9 @@ func (m *Manifest) CutLSN() uint64 {
 }
 
 // DeltaRef names one delta payload in a manifest's chain: the encoded
-// change records with FromLSN < LSN <= ToLSN (an oms.EncodeChanges
-// payload).
+// change records with FromLSN < LSN <= ToLSN (binary, as
+// oms.EncodeChanges writes them, or JSON in older state dirs;
+// oms.DecodeChanges reads both).
 type DeltaRef struct {
 	Name    string `json:"name"`
 	Sum     string `json:"sha256"`

@@ -1,7 +1,6 @@
 package oms
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -482,95 +481,6 @@ func (s *Subscription) run() {
 			pending = pending[n:]
 		}
 	}
-}
-
-// --- wire encoding ----------------------------------------------------
-
-// wireChange is the JSON form of a Change — the payload of the
-// differential snapshot deltas the jcf persistence layer writes and of
-// the replication stream's change frames.
-type wireChange struct {
-	LSN   uint64               `json:"lsn"`
-	Group uint64               `json:"group"`
-	Kind  ChangeKind           `json:"kind"`
-	OID   OID                  `json:"oid,omitempty"`
-	Class string               `json:"class,omitempty"`
-	Attrs map[string]snapValue `json:"attrs,omitempty"`
-	Attr  string               `json:"attr,omitempty"`
-	Value *snapValue           `json:"value,omitempty"`
-	Rel   string               `json:"rel,omitempty"`
-	From  OID                  `json:"from,omitempty"`
-	To    OID                  `json:"to,omitempty"`
-}
-
-func toSnapValue(v Value) snapValue {
-	return snapValue{Kind: v.Kind, Str: v.Str, Int: v.Int, Bool: v.Bool, Blob: v.Blob}
-}
-
-func fromSnapValue(sv snapValue) Value {
-	return Value{Kind: sv.Kind, Str: sv.Str, Int: sv.Int, Bool: sv.Bool, Blob: sv.Blob}
-}
-
-// EncodeChanges renders a change sequence as a delta payload. The
-// records must be in LSN order (as Changes returns them).
-func EncodeChanges(recs []Change) ([]byte, error) {
-	out := make([]wireChange, 0, len(recs))
-	for _, c := range recs {
-		w := wireChange{
-			LSN: c.LSN, Group: c.Group, Kind: c.Kind,
-			OID: c.OID, Class: c.Class,
-			Attr: c.Attr, Rel: c.Rel, From: c.From, To: c.To,
-		}
-		if c.Kind == ChangeSet {
-			sv := toSnapValue(c.Value)
-			w.Value = &sv
-		}
-		if len(c.Attrs) > 0 {
-			w.Attrs = make(map[string]snapValue, len(c.Attrs))
-			for n, v := range c.Attrs {
-				w.Attrs[n] = toSnapValue(v)
-			}
-		}
-		out = append(out, w)
-	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		return nil, fmt.Errorf("oms: encode changes: %w", err)
-	}
-	return data, nil
-}
-
-// DecodeChanges parses a delta payload written by EncodeChanges. A set
-// record without a value is rejected: EncodeChanges always writes one,
-// and decoding it as the zero Value would silently blank a string
-// attribute on a load or on a replica.
-func DecodeChanges(data []byte) ([]Change, error) {
-	var in []wireChange
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("oms: decode changes: %w", err)
-	}
-	out := make([]Change, 0, len(in))
-	for _, w := range in {
-		c := Change{
-			LSN: w.LSN, Group: w.Group, Kind: w.Kind,
-			OID: w.OID, Class: w.Class,
-			Attr: w.Attr, Rel: w.Rel, From: w.From, To: w.To,
-		}
-		if w.Kind == ChangeSet && w.Value == nil {
-			return nil, fmt.Errorf("oms: decode changes: set record lsn %d carries no value", w.LSN)
-		}
-		if w.Value != nil {
-			c.Value = fromSnapValue(*w.Value)
-		}
-		if len(w.Attrs) > 0 {
-			c.Attrs = make(map[string]Value, len(w.Attrs))
-			for n, sv := range w.Attrs {
-				c.Attrs[n] = fromSnapValue(sv)
-			}
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }
 
 // replayOneLocked applies one decoded record — ApplyReplicated's body.

@@ -61,10 +61,7 @@ func fingerprint(t testing.TB, st *Store) string {
 // via the wire format, applied the way a replica applies it.
 func replayed(t *testing.T, schema *Schema, recs []Change) *Store {
 	t.Helper()
-	payload, err := EncodeChanges(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := EncodeChanges(recs)
 	decoded, err := DecodeChanges(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -244,10 +241,7 @@ func TestSnapshotLSNAnchorsDelta(t *testing.T) {
 	if !ok {
 		t.Fatal("delta evicted")
 	}
-	payload, err := EncodeChanges(delta)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := EncodeChanges(delta)
 	decoded, err := DecodeChanges(payload)
 	if err != nil {
 		t.Fatal(err)

@@ -8,10 +8,12 @@ import (
 	"path/filepath"
 )
 
-// snapshot is the legacy JSON form of a Store, which base snapshots used
-// before the binary format (snapcodec.go). It is only decoded now, so
-// older state directories and their bases shipped to replicas still
-// load; snapValue is also the value shape of the change-feed wire format.
+// The legacy JSON formats. Base snapshots (before snapcodec.go) and
+// change records (before changecodec.go) were JSON. Both are only
+// decoded now, so older state directories, and the bases and deltas a
+// chain bootstrap ships from them to replicas, still load.
+
+// snapshot is the legacy JSON form of a Store.
 type snapshot struct {
 	NextOID OID            `json:"next_oid"`
 	Objects []snapshotObj  `json:"objects"`
@@ -24,6 +26,8 @@ type snapshotObj struct {
 	Attrs map[string]snapValue `json:"attrs"`
 }
 
+// snapValue is the legacy JSON form of a Value, in snapshots and in
+// change records.
 type snapValue struct {
 	Kind Kind   `json:"kind"`
 	Str  string `json:"str,omitempty"`
@@ -95,6 +99,58 @@ func decodeJSONSnapshot(data []byte, schema *Schema) (*Store, error) {
 		}
 	}
 	return st, nil
+}
+
+// wireChange is the legacy JSON form of a Change.
+type wireChange struct {
+	LSN   uint64               `json:"lsn"`
+	Group uint64               `json:"group"`
+	Kind  ChangeKind           `json:"kind"`
+	OID   OID                  `json:"oid,omitempty"`
+	Class string               `json:"class,omitempty"`
+	Attrs map[string]snapValue `json:"attrs,omitempty"`
+	Attr  string               `json:"attr,omitempty"`
+	Value *snapValue           `json:"value,omitempty"`
+	Rel   string               `json:"rel,omitempty"`
+	From  OID                  `json:"from,omitempty"`
+	To    OID                  `json:"to,omitempty"`
+}
+
+func fromSnapValue(sv snapValue) Value {
+	return Value{Kind: sv.Kind, Str: sv.Str, Int: sv.Int, Bool: sv.Bool, Blob: sv.Blob}
+}
+
+// decodeJSONChanges decodes the legacy JSON change records. A set
+// record without a value is rejected: the encoder always wrote one,
+// and decoding it as the zero Value would silently blank a string
+// attribute on a load or on a replica.
+func decodeJSONChanges(data []byte) ([]Change, error) {
+	var in []wireChange
+	if err := json.Unmarshal(data, &in); err != nil {
+		return nil, fmt.Errorf("oms: decode changes: %w", err)
+	}
+	out := make([]Change, 0, len(in))
+	for _, w := range in {
+		c := Change{
+			LSN: w.LSN, Group: w.Group, Kind: w.Kind,
+			OID: w.OID, Class: w.Class,
+			Attr: w.Attr, Rel: w.Rel, From: w.From, To: w.To,
+		}
+		if w.Kind == ChangeSet && w.Value == nil {
+			return nil, fmt.Errorf("oms: decode changes: set record lsn %d carries no value", w.LSN)
+		}
+		if w.Value != nil {
+			c.Value = fromSnapValue(*w.Value)
+		}
+		if len(w.Attrs) > 0 {
+			c.Attrs = make(map[string]Value, len(w.Attrs))
+			for n, sv := range w.Attrs {
+				c.Attrs[n] = fromSnapValue(sv)
+			}
+		}
+		out = append(out, c)
+	}
+	return out, nil
 }
 
 // --- file-system staging ------------------------------------------------

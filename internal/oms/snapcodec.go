@@ -81,14 +81,8 @@ func appendObjs(buf []byte, hs []snapObjHdr) []byte {
 		names = sortedKeys(names, h.attrs)
 		buf = binary.AppendUvarint(buf, uint64(len(names)))
 		for _, name := range names {
-			v := h.attrs[name]
 			buf = appendString(buf, name)
-			buf = binary.AppendUvarint(buf, uint64(v.Kind))
-			buf = appendString(buf, v.Str)
-			buf = binary.AppendVarint(buf, v.Int)
-			buf = append(buf, boolByte(v.Bool))
-			buf = binary.AppendUvarint(buf, uint64(len(v.Blob)))
-			buf = append(buf, v.Blob...)
+			buf = appendValue(buf, h.attrs[name])
 		}
 		names = sortedKeys(names, h.links)
 		buf = binary.AppendUvarint(buf, uint64(len(names)))
@@ -109,8 +103,7 @@ func appendObjs(buf []byte, hs []snapObjHdr) []byte {
 func (h *snapObjHdr) encodedLen() int {
 	n := varintLen(int64(h.oid)) + stringLen(h.class) + uvarintLen(uint64(len(h.attrs)))
 	for name, v := range h.attrs {
-		n += stringLen(name) + uvarintLen(uint64(v.Kind)) + stringLen(v.Str) +
-			varintLen(v.Int) + 1 + uvarintLen(uint64(len(v.Blob))) + len(v.Blob)
+		n += stringLen(name) + valueLen(v)
 	}
 	n += uvarintLen(uint64(len(h.links)))
 	for rel, targets := range h.links {
@@ -130,6 +123,23 @@ func sortedKeys[V any](dst []string, m map[string]V) []string {
 	}
 	slices.Sort(dst)
 	return dst
+}
+
+// appendValue appends one attribute value: kind, str, int, bool byte
+// and raw blob bytes. Snapshots and change records share the layout.
+func appendValue(buf []byte, v Value) []byte {
+	buf = binary.AppendUvarint(buf, uint64(v.Kind))
+	buf = appendString(buf, v.Str)
+	buf = binary.AppendVarint(buf, v.Int)
+	buf = append(buf, boolByte(v.Bool))
+	buf = binary.AppendUvarint(buf, uint64(len(v.Blob)))
+	return append(buf, v.Blob...)
+}
+
+// valueLen is the exact number of bytes appendValue writes for v.
+func valueLen(v Value) int {
+	return uvarintLen(uint64(v.Kind)) + stringLen(v.Str) + varintLen(v.Int) + 1 +
+		uvarintLen(uint64(len(v.Blob))) + len(v.Blob)
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -164,18 +174,25 @@ func varintLen(x int64) int {
 
 func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
-// snapDecoder reads the binary format. The first error sticks: later
-// reads return zero values, so the decode loop checks d.err once per
-// field group instead of after every read.
+// snapDecoder reads the binary snapshot, overlay and change-record
+// formats. The first error sticks: later reads return zero values, so
+// the decode loop checks d.err once per field group instead of after
+// every read.
 type snapDecoder struct {
 	buf   []byte
 	err   error
 	links []snapLink // applied once every object exists
+	// what prefixes errors; empty means "decode snapshot".
+	what string
 }
 
 func (d *snapDecoder) fail(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("decode snapshot: "+format, args...)
+		what := d.what
+		if what == "" {
+			what = "decode snapshot"
+		}
+		d.err = fmt.Errorf(what+": "+format, args...)
 	}
 }
 
@@ -217,6 +234,17 @@ func (d *snapDecoder) count() int {
 	return int(n)
 }
 
+// countOf reads a count of items that each take at least min bytes,
+// refusing one the remaining input cannot hold.
+func (d *snapDecoder) countOf(min int) int {
+	n := d.count()
+	if d.err == nil && n > len(d.buf)/min {
+		d.fail("%d items of at least %d bytes exceed the %d bytes left", n, min, len(d.buf))
+		return 0
+	}
+	return n
+}
+
 // bytes returns the next length-prefixed field. It aliases the input;
 // the caller copies whatever it keeps.
 func (d *snapDecoder) bytes() []byte {
@@ -240,6 +268,24 @@ func (d *snapDecoder) bool() bool {
 		d.fail("bool byte %d", b)
 	}
 	return b == 1
+}
+
+// value reads one attribute value (appendValue's layout). Blob bytes
+// are copied out of the input; an empty blob decodes as nil.
+func (d *snapDecoder) value() Value {
+	kind := Kind(d.uvarint())
+	str := d.bytes()
+	iv := d.varint()
+	bv := d.bool()
+	blob := d.bytes()
+	if d.err != nil {
+		return Value{}
+	}
+	v := Value{Kind: kind, Str: string(str), Int: iv, Bool: bv}
+	if len(blob) > 0 {
+		v.Blob = bytes.Clone(blob)
+	}
+	return v
 }
 
 // snapLink is one decoded link.
@@ -319,11 +365,7 @@ func (d *snapDecoder) object(oid OID, schema *Schema) *object {
 			d.fail("object %d: attribute %q follows %q: out of order", oid, name, prevName)
 		}
 		prevName = name
-		kind := d.uvarint()
-		str := d.bytes()
-		iv := d.varint()
-		bv := d.bool()
-		blob := d.bytes()
+		v := d.value()
 		if d.err != nil {
 			return nil
 		}
@@ -332,13 +374,9 @@ func (d *snapDecoder) object(oid OID, schema *Schema) *object {
 			d.fail("class %q has no attribute %q", cls.Name, name)
 			return nil
 		}
-		if !kindCompatible(def.Kind, Kind(kind)) {
-			d.fail("attribute %s.%s wants %s, got %s", cls.Name, def.Name, def.Kind, Kind(kind))
+		if !kindCompatible(def.Kind, v.Kind) {
+			d.fail("attribute %s.%s wants %s, got %s", cls.Name, def.Name, def.Kind, v.Kind)
 			return nil
-		}
-		v := Value{Kind: Kind(kind), Str: string(str), Int: iv, Bool: bv}
-		if len(blob) > 0 {
-			v.Blob = bytes.Clone(blob)
 		}
 		obj.attrs[def.Name] = v
 	}

@@ -32,6 +32,7 @@ type Publisher struct {
 	statFrames      obs.Counter
 	statBytes       obs.Counter
 	statCloseErrors obs.Counter
+	statEncode      obs.Histogram // one streamed group's EncodeChanges
 }
 
 // RegisterMetrics exposes the publisher's counters in reg; they are the
@@ -43,6 +44,7 @@ func (p *Publisher) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("repl_pub_frames_out_total", &p.statFrames)
 	reg.RegisterCounter("repl_pub_bytes_out_total", &p.statBytes)
 	reg.RegisterCounter("repl_pub_close_errors_total", &p.statCloseErrors)
+	reg.RegisterHistogram("repl_pub_encode_ns", &p.statEncode)
 }
 
 // closeConn tears a connection or listener down. Teardown failures
@@ -247,16 +249,13 @@ func (p *Publisher) session(c Conn) {
 	// Position frame: an empty changes payload carrying the committed
 	// watermark, so the follower knows its lag (and that it is converged)
 	// immediately instead of only after the next commit.
-	if pos, err := oms.EncodeChanges(nil); err == nil {
-		if !p.send(c, Frame{Type: FrameChanges, LSN: p.st.FeedLSN(), Payload: pos}) {
-			return
-		}
+	if !p.send(c, Frame{Type: FrameChanges, LSN: p.st.FeedLSN(), Payload: oms.EncodeChanges(nil)}) {
+		return
 	}
 	for group := range sub.C() {
-		payload, err := oms.EncodeChanges(group)
-		if err != nil {
-			return
-		}
+		start := obs.Now()
+		payload := oms.EncodeChanges(group)
+		p.statEncode.Since(start)
 		if !p.send(c, Frame{Type: FrameChanges, LSN: p.st.FeedLSN(), Payload: payload}) {
 			return
 		}

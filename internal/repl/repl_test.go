@@ -321,10 +321,7 @@ func TestReplicaChainBootstrap(t *testing.T) {
 		if !ok {
 			t.Fatalf("round %d: suffix evicted before capture", round)
 		}
-		payload, err := oms.EncodeChanges(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		payload := oms.EncodeChanges(recs)
 		name := fmt.Sprintf("delta@%d", round+2)
 		if err := seed.Put(name, payload); err != nil {
 			t.Fatal(err)
@@ -432,6 +429,35 @@ func (fd *faultDialer) Dial() (Conn, error) {
 	return &faultConn{Conn: c, mutate: fd.mutate}, nil
 }
 
+// TestCodecHistogramsPerChangeFrame: the publisher times each streamed
+// group's encode and the replica each received change frame's decode,
+// the position frame included.
+func TestCodecHistogramsPerChangeFrame(t *testing.T) {
+	schema := testSchema(t)
+	st := oms.NewStore(schema)
+	cell, err := st.Create("Cell", map[string]oms.Value{"name": oms.S("alu")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, d := startPipePublisher(t, st)
+	rep := NewReplica(testSchema(t), d)
+	rep.Start()
+	defer rep.Close()
+	for i := 0; i < 5; i++ {
+		if err := st.Set(cell, "rev", oms.I(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitConverged(t, rep, st, 5*time.Second)
+	groups := int64(st.FeedLSN()) // single ops: one group each
+	if got := p.statEncode.Snapshot().Count; got != groups {
+		t.Fatalf("repl_pub_encode_ns counted %d encodes, want one per streamed group (%d)", got, groups)
+	}
+	if got := rep.metrics.decode.Snapshot().Count; got != groups+1 {
+		t.Fatalf("repl_replica_decode_ns counted %d decodes, want %d groups plus the position frame", got, groups)
+	}
+}
+
 // TestReplicaStreamRobustness: corrupt payloads and gapped streams never
 // apply partially — the replica resynchronizes and still converges, and
 // a detected gap is counted.
@@ -447,8 +473,12 @@ func TestReplicaStreamRobustness(t *testing.T) {
 	var corrupted, gapped atomic.Int64
 	fd := &faultDialer{d: d, mutate: func(f Frame) (Frame, bool) {
 		// Only target frames carrying records; the empty position frame
-		// at session start is not interesting to corrupt or drop.
-		if f.Type != FrameChanges || len(f.Payload) <= len("[]") {
+		// at session start (zero records) is not interesting to corrupt
+		// or drop.
+		if f.Type != FrameChanges {
+			return f, true
+		}
+		if recs, err := oms.DecodeChanges(f.Payload); err == nil && len(recs) == 0 {
 			return f, true
 		}
 		// First changes frame: corrupt bytes. Second: drop it entirely,

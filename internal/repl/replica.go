@@ -71,6 +71,7 @@ type replicaMetrics struct {
 	closeErrors obs.Counter
 	waitFor     obs.Histogram // WaitFor latency (fast path included)
 	blobFetch   obs.Histogram // lazy blob fetch round-trip
+	decode      obs.Histogram // one change frame's DecodeChanges
 }
 
 // ReplicaStats counts a replica's lifecycle events (a point-in-time view
@@ -202,6 +203,7 @@ func (r *Replica) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterGaugeFunc("repl_replica_lag", func() int64 { return int64(r.Lag()) })
 	reg.RegisterHistogram("repl_waitfor_ns", &r.metrics.waitFor)
 	reg.RegisterHistogram("repl_blob_fetch_ns", &r.metrics.blobFetch)
+	reg.RegisterHistogram("repl_replica_decode_ns", &r.metrics.decode)
 }
 
 // WaitFor blocks until the replica has applied every record up to and
@@ -352,7 +354,9 @@ func (r *Replica) follow(c Conn) error {
 			r.advanceLocked(f.LSN, f.LSN)
 			r.mu.Unlock()
 		case FrameChanges:
+			start := obs.Now()
 			recs, err := oms.DecodeChanges(f.Payload)
+			r.metrics.decode.Since(start)
 			if err != nil {
 				return err
 			}

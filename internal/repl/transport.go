@@ -57,9 +57,11 @@ const (
 	// both); LSN is the snapshot's change-feed position. The replica
 	// replaces its whole store with it.
 	FrameSnapshot
-	// FrameChanges carries an oms.EncodeChanges payload of one or more
-	// whole commit groups; LSN is the publisher's committed watermark at
-	// send time (the replica's lag reference).
+	// FrameChanges carries one or more whole commit groups as binary
+	// change records (an oms.EncodeChanges payload), or a JSON delta
+	// that a chain bootstrap ships verbatim from an older state dir
+	// (oms.DecodeChanges reads both); LSN is the publisher's committed
+	// watermark at send time (the replica's lag reference).
 	FrameChanges
 	// FrameBlobFetch asks the publisher for one content-addressed blob
 	// (replica → publisher). Payload is a 40-byte blobstore.EncodeRef;

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"repro/internal/oms"
 )
 
 // frameBytes renders a valid frame for the seed corpus.
@@ -30,6 +32,11 @@ func FuzzReadFrame(f *testing.F) {
 	hostile[0] = byte(FrameChanges)
 	binary.BigEndian.PutUint32(hostile[9:13], 1<<31) // over maxFramePayload
 	f.Add(hostile)
+	f.Add(frameBytes(f, Frame{Type: FrameChanges, LSN: 9, Payload: oms.EncodeChanges([]oms.Change{
+		{LSN: 1, Group: 1, Kind: oms.ChangeCreate, OID: 1, Class: "Cell", Attrs: map[string]oms.Value{
+			"name": oms.S("alu"), "data": oms.Bytes([]byte{0, 1, 2})}},
+		{LSN: 2, Group: 1, Kind: oms.ChangeLink, Rel: "hasVersion", From: 1, To: 2},
+	})}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := readFrame(bytes.NewReader(data))
 		if err != nil {
