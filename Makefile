@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint fuzz-seed test race stress-persist stress-atomic stress-feed stress-repl stress-blob stress-fmcad crash-segment bench bench-contention bench-feed bench-repl bench-blob bench-obs clean
+.PHONY: check build vet lint fuzz-seed test race stress-persist stress-atomic stress-feed stress-repl stress-blob stress-fmcad crash-segment bench bench-contention bench-obs clean
 
 ## check is the CI gate: a fresh checkout must build, vet (go vet ./...),
 ## pass jcflint with zero unsuppressed findings, replay the decoder fuzz
@@ -39,9 +39,10 @@ lint:
 
 ## fuzz-seed replays the fuzz seed corpora deterministically (no fuzzing
 ## engine): every seed the wire-format and frame-codec fuzzers ever
-## minimized must keep decoding without panics or round-trip drift; a
-## base snapshot (binary, or a legacy JSON one) that decodes must
-## re-encode to bytes that decode to the same store; a base folded with
+## minimized must keep decoding without panics or round-trip drift, and
+## a seed in an older format (JSON) must be refused as one; a base
+## snapshot that decodes must re-encode to bytes that decode to the same
+## store; a base folded with
 ## an overlay checkpoint must match a full snapshot and a plain-map
 ## model; and the hand-written FMCAD .meta encoder, cold and with a warm
 ## per-cell cache, must match encoding/json.
@@ -109,13 +110,15 @@ stress-feed:
 ## to a replica view must answer the Table 1 mapping as the primary does,
 ## for bindings committed after it attached and after promotion
 ## (internal/core/replica_test.go); and a fresh replica of a primary
-## restored by LoadFrom (full, differential, older-format and LSN-0 state
-## dirs) must converge in one session; the older-format fixtures' JSON
-## deltas must re-encode as binary records that build the same store;
-## and each change frame's encode and decode must be timed. Runs over
-## both the in-process pipe and real TCP.
+## restored by LoadFrom (full, differential, overlay and segment-v1
+## fixture state dirs) must converge in one session; a chain bootstrap
+## that ships an older state dir's JSON base or delta must leave the
+## replica reporting backend.ErrOldFormat, and LoadFrom must refuse
+## every older on-disk format without writing; and each change frame's
+## encode and decode must be timed. Runs over both the in-process pipe
+## and real TCP.
 stress-repl:
-	$(GO) test -race -count=3 -run 'TestReplicationConvergenceUnderLoad|TestReplicaStreamRobustness|TestReplicaReadOnlyView|TestReplicaViewPromote|TestReplicaAnswersFrameworkMetadata|TestRestoredPrimaryServesFreshReplica|TestReplicaAnswersMapping|TestFixtureJSONDeltasReencodeBinary|TestCodecHistogramsPerChangeFrame' ./internal/repl/ ./internal/jcf/ ./internal/core/
+	$(GO) test -race -count=3 -run 'TestReplicationConvergenceUnderLoad|TestReplicaStreamRobustness|TestReplicaReadOnlyView|TestReplicaViewPromote|TestReplicaAnswersFrameworkMetadata|TestRestoredPrimaryServesFreshReplica|TestReplicaAnswersMapping|TestChainBootstrapReportsOldFormat|TestLoadRefusesOldFormats|TestCodecHistogramsPerChangeFrame' ./internal/repl/ ./internal/jcf/ ./internal/core/
 
 ## stress-blob hammers the content-addressed checkin pipeline under the
 ## race detector: concurrent identical-content checkins must dedup to
@@ -157,32 +160,6 @@ bench:
 ## used for the BENCH_*.json perf trajectory.
 bench-contention:
 	$(GO) test -bench 'BenchmarkE31LockContention|BenchmarkE36MetadataOps' -run '^$$' .
-
-## bench-feed runs the change-feed benchmarks: differential
-## Framework.SaveTo on the segment backend as the store grows (equal
-## churn per save), plus the Watch delivery latency probe. BENCH_4.json
-## froze the full-vs-differential ablation these continue. Record medians.
-bench-feed:
-	$(GO) test -bench 'BenchmarkE39DifferentialSave' -run '^$$' -benchtime 20x -count 3 .
-	$(GO) test -bench 'BenchmarkFeedWatchLatency' -run '^$$' -benchtime 20000x -count 3 .
-
-## bench-repl runs the replication benchmarks behind BENCH_5.json:
-## aggregate read throughput at 0 (primary-only baseline) / 1 / 2 / 4
-## replicas under a background write load, and commit-to-replica
-## visibility lag p50/p99 under sustained writes. Record medians of the
-## three counts.
-bench-repl:
-	$(GO) test -bench 'BenchmarkE40ReplicaReadScaling' -run '^$$' -benchtime 20000x -count 3 .
-	$(GO) test -bench 'BenchmarkE41ReplicationLag' -run '^$$' -benchtime 2000x -count 3 .
-
-## bench-blob runs the content-addressed checkin benchmarks behind
-## BENCH_6.json: checkin + metadata-commit (differential save) latency
-## p50/p99 at 4KiB/256KiB/4MiB, inline baseline vs CAS+async pipeline;
-## the dedup ratio on a re-checkin workload; and replication frame bytes
-## for a large checkin before/after. Record medians of the three counts.
-bench-blob:
-	$(GO) test -bench 'BenchmarkE42BlobCheckin' -run '^$$' -benchtime 30x -count 3 .
-	$(GO) test -bench 'BenchmarkE42BlobDedup|BenchmarkE42BlobReplFrames' -run '^$$' -benchtime 10x -count 3 .
 
 ## bench-obs runs the observability overhead probe behind BENCH_7.json:
 ## the BENCH_1 contention workload with instrumentation enabled (and a

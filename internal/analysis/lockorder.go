@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
+	"go/types"
 )
 
 // lockorder enforces the OMS kernel's deadlock-freedom convention:
@@ -22,6 +24,12 @@ import (
 //     statically live in the same function;
 //  3. any stripe-lock acquisition inside a loop (a loop over stripes IS
 //     a multi-acquisition).
+//
+// The helpers themselves are checked, not trusted by name: a stripe
+// lock they take in a loop must be indexed by the loop's variable in a
+// loop that counts up, and a lock taken while another stripe's is held
+// must follow a guard that swaps the two indexes into ascending order
+// (lockPair's `if i > j { i, j = j, i }`).
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc:  "stripe mutexes may only be multi-acquired via the sorted helpers (lockPair/lockAll/rlockAll/Apply)",
@@ -33,7 +41,8 @@ var LockOrderAnalyzer = &Analyzer{
 
 // lockOrderAllowed are the sorted-acquisition helpers: the only
 // functions allowed to index the stripe array for locking or to hold
-// more than one stripe lock. Apply is the grouped-operation commit path
+// more than one stripe lock, provided they do so in ascending order
+// (checkSortedHelper). Apply is the grouped-operation commit path
 // (its stripe-set mask loop is the batch equivalent of lockAll);
 // forEachStripeRLocked releases each stripe before taking the next.
 var lockOrderAllowed = map[string]bool{
@@ -49,11 +58,163 @@ var lockOrderAllowed = map[string]bool{
 func runLockOrder(pass *Pass) {
 	decls := funcDecls(pass.Package)
 	for _, fd := range decls {
-		if fd.Body == nil || lockOrderAllowed[fd.Name.Name] {
-			continue
+		switch {
+		case fd.Body == nil:
+		case lockOrderAllowed[fd.Name.Name]:
+			checkSortedHelper(pass, fd)
+		default:
+			checkLockOrderFunc(pass, fd)
 		}
-		checkLockOrderFunc(pass, fd)
 	}
+}
+
+// checkSortedHelper checks that an allowed helper acquires stripes in
+// ascending index order. Releases may run in any order.
+func checkSortedHelper(pass *Pass, fd *ast.FuncDecl) {
+	var loops []ast.Node
+	var held []types.Object // stripe indexes locked outside loops, not yet released
+	var walk func(n ast.Node) bool
+	walk = func(n ast.Node) bool {
+		switch nn := n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt:
+			loops = append(loops, nn)
+			ast.Inspect(loopBody(nn), walk)
+			loops = loops[:len(loops)-1]
+			return false
+		case *ast.CallExpr:
+			se, acquire, ok := stripeLockCall(pass, nn)
+			if !ok {
+				return true
+			}
+			idx := stripeIndexObj(pass, fd, se)
+			switch {
+			case !acquire:
+				for i, h := range held {
+					if h == idx {
+						held = append(held[:i], held[i+1:]...)
+						break
+					}
+				}
+			case len(loops) > 0:
+				if idx == nil || !ascendingLoop(pass, loops[len(loops)-1], idx) {
+					pass.Reportf(nn.Pos(), "stripe lock taken in a loop that does not count its stripe index up; the sorted helpers must acquire in ascending order")
+				}
+			case idx != nil:
+				for _, h := range held {
+					if h != idx && !swapGuarded(pass, fd, h, idx, nn.Pos()) {
+						pass.Reportf(nn.Pos(), "stripe %s locked while stripe %s is held, with no earlier guard that swaps them into ascending order", idx.Name(), h.Name())
+						break
+					}
+				}
+				held = append(held, idx)
+			}
+		}
+		return true
+	}
+	ast.Inspect(fd.Body, walk)
+}
+
+// stripeIndexObj returns the variable a stripe expression is indexed
+// by: i for st.stripes[i], or for a local s assigned &st.stripes[i] in
+// fd. It is nil when the index is not a plain variable.
+func stripeIndexObj(pass *Pass, fd *ast.FuncDecl, e ast.Expr) types.Object {
+	if ix := stripesIndexExpr(e); ix != nil {
+		return identObj(pass, ix.Index)
+	}
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	local := pass.Info.ObjectOf(id)
+	var found types.Object
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for k, l := range as.Lhs {
+			if identObj(pass, l) == local {
+				if ix := stripesIndexExpr(as.Rhs[k]); ix != nil {
+					found = identObj(pass, ix.Index)
+				}
+			}
+		}
+		return true
+	})
+	return found
+}
+
+// identObj returns the object a plain identifier denotes, else nil.
+func identObj(pass *Pass, e ast.Expr) types.Object {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		return pass.Info.ObjectOf(id)
+	}
+	return nil
+}
+
+// ascendingLoop reports whether loop counts idx up: a range over an
+// array, slice or integer whose key is idx, or a for loop whose post
+// statement is idx++ or idx += a positive constant.
+func ascendingLoop(pass *Pass, loop ast.Node, idx types.Object) bool {
+	switch l := loop.(type) {
+	case *ast.RangeStmt:
+		if l.Key == nil || identObj(pass, l.Key) != idx {
+			return false
+		}
+		switch pass.Info.TypeOf(l.X).Underlying().(type) {
+		case *types.Signature, *types.Chan, *types.Map:
+			return false
+		}
+		return true
+	case *ast.ForStmt:
+		switch post := l.Post.(type) {
+		case *ast.IncDecStmt:
+			return post.Tok == token.INC && identObj(pass, post.X) == idx
+		case *ast.AssignStmt:
+			if post.Tok != token.ADD_ASSIGN || len(post.Lhs) != 1 || identObj(pass, post.Lhs[0]) != idx {
+				return false
+			}
+			tv := pass.Info.Types[post.Rhs[0]]
+			return tv.Value != nil && constant.Sign(tv.Value) > 0
+		}
+	}
+	return false
+}
+
+// swapGuarded reports whether fd holds, before pos, a guard that leaves
+// lo <= hi: `if lo > hi { lo, hi = hi, lo }`, or the same with the
+// comparison written hi < lo (or with >= and <=).
+func swapGuarded(pass *Pass, fd *ast.FuncDecl, lo, hi types.Object, pos token.Pos) bool {
+	found := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		ifs, ok := n.(*ast.IfStmt)
+		if found || !ok || ifs.Pos() >= pos {
+			return !found
+		}
+		cond, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
+		if !ok {
+			return true
+		}
+		x, y := identObj(pass, cond.X), identObj(pass, cond.Y)
+		ordered := ((cond.Op == token.GTR || cond.Op == token.GEQ) && x == lo && y == hi) ||
+			((cond.Op == token.LSS || cond.Op == token.LEQ) && x == hi && y == lo)
+		if !ordered {
+			return true
+		}
+		for _, st := range ifs.Body.List {
+			as, ok := st.(*ast.AssignStmt)
+			if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 2 || len(as.Rhs) != 2 {
+				continue
+			}
+			a, b := identObj(pass, as.Lhs[0]), identObj(pass, as.Lhs[1])
+			if identObj(pass, as.Rhs[0]) == b && identObj(pass, as.Rhs[1]) == a &&
+				((a == lo && b == hi) || (a == hi && b == lo)) {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // stripeLockCall matches x.mu.Lock() / x.mu.RLock() (and the unlock
@@ -85,17 +246,15 @@ func stripeLockCall(pass *Pass, call *ast.CallExpr) (stripeExpr ast.Expr, acquir
 	return muSel.X, isAcquire, true
 }
 
-// containsStripesIndex reports whether the expression reaches the
-// stripe through raw indexing of a field/var named "stripes".
-func containsStripesIndex(e ast.Expr) bool {
-	found := false
+// stripesIndexExpr returns the raw indexing of a field/var named
+// "stripes" the expression reaches its stripe through, or nil.
+func stripesIndexExpr(e ast.Expr) *ast.IndexExpr {
+	var found *ast.IndexExpr
 	ast.Inspect(e, func(n ast.Node) bool {
-		if ix, ok := n.(*ast.IndexExpr); ok {
-			if r := rootIdentOfSelector(ix.X); r != "" && r == "stripes" {
-				found = true
-			}
+		if ix, ok := n.(*ast.IndexExpr); ok && rootIdentOfSelector(ix.X) == "stripes" {
+			found = ix
 		}
-		return !found
+		return found == nil
 	})
 	return found
 }
@@ -140,7 +299,7 @@ func checkLockOrderFunc(pass *Pass, fd *ast.FuncDecl) {
 					expr:    se,
 					acquire: acquire,
 					inLoop:  loopDepth > 0,
-					indexed: containsStripesIndex(se),
+					indexed: stripesIndexExpr(se) != nil,
 				})
 			}
 		}

@@ -142,51 +142,54 @@ func TestSaveAfterFailedCommit(t *testing.T) {
 	}
 }
 
-// TestSaveRewritesIndentedCURRENTCompact: the segment-parent fixtures
-// carry an indented CURRENT. They load, and the loaded framework's next
-// save writes the compact encoding, which reloads to the same store and
-// anchors the save after it.
+// TestSaveRewritesIndentedCURRENTCompact: a CURRENT this build did not
+// write, here the segment-v1 fixture's re-encoded indented, loads, and
+// the loaded framework's next save writes the compact encoding, which
+// reloads to the same store and anchors the save after it.
 func TestSaveRewritesIndentedCURRENTCompact(t *testing.T) {
-	for _, fixture := range []string{"segment-parent", "segment-parent-torn"} {
-		t.Run(fixture, func(t *testing.T) {
-			dir := copyFixture(t, fixture)
-			fw, seg := loadSegmentDir(t, dir)
-			raw, err := seg.Get(backend.ManifestKey)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Contains(raw, []byte("\n ")) {
-				t.Fatalf("fixture CURRENT is not indented: %.40q", raw)
-			}
-			if err := fw.SaveTo(seg); err != nil {
-				t.Fatal(err)
-			}
-			raw, err = seg.Get(backend.ManifestKey)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := backend.DecodeManifest(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compact, err := backend.EncodeManifest(&m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(raw, compact) || bytes.ContainsRune(raw, '\n') {
-				t.Fatalf("CURRENT after the save is not the compact encoding: %.60q", raw)
-			}
-			assertLoadsEqual(t, fw, seg)
-			if _, err := fw.CreateUser("after-" + fixture); err != nil {
-				t.Fatal(err)
-			}
-			if err := fw.SaveTo(seg); err != nil {
-				t.Fatal(err)
-			}
-			if m, err := backend.LoadManifest(seg); err != nil || saveKind(m) != "delta" {
-				t.Fatalf("save after the compact rewrite: %s epoch (%v), want delta", saveKind(m), err)
-			}
-			assertLoadsEqual(t, fw, seg)
-		})
+	dir := copyFixture(t, "segment-v1")
+	indent, err := backend.OpenSegment(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	m, err := backend.LoadManifest(indent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.MarshalIndent(&m, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := indent.Put(backend.ManifestKey, raw); err != nil {
+		t.Fatal(err)
+	}
+	fw, seg := loadSegmentDir(t, dir)
+	if err := fw.SaveTo(seg); err != nil {
+		t.Fatal(err)
+	}
+	raw, err = seg.Get(backend.ManifestKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err = backend.DecodeManifest(raw); err != nil {
+		t.Fatal(err)
+	}
+	compact, err := backend.EncodeManifest(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, compact) || bytes.ContainsRune(raw, '\n') {
+		t.Fatalf("CURRENT after the save is not the compact encoding: %.60q", raw)
+	}
+	assertLoadsEqual(t, fw, seg)
+	if _, err := fw.CreateUser("after-compact"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.SaveTo(seg); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := backend.LoadManifest(seg); err != nil || saveKind(m) != "delta" {
+		t.Fatalf("save after the compact rewrite: %s epoch (%v), want delta", saveKind(m), err)
+	}
+	assertLoadsEqual(t, fw, seg)
 }

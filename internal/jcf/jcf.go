@@ -437,13 +437,11 @@ func (fw *Framework) RegisterFlow(f *flow.Flow) (oms.OID, error) {
 }
 
 // flowSpec is the JSON shape of a frozen flow: the Flow object's spec
-// attribute, and one entry of the flow list an older framework payload
-// carried (which also named the Flow object's OID).
+// attribute.
 type flowSpec struct {
 	Name       string              `json:"name"`
 	Activities []flow.Activity     `json:"activities"`
 	Precedes   map[string][]string `json:"precedes"`
-	OID        oms.OID             `json:"oid,omitempty"`
 }
 
 // specOf captures a frozen flow's activities and precedence.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/obs"
@@ -27,22 +26,18 @@ import (
 // Layout through the backend (file backend shown; the segment backend
 // stores the same names in its log):
 //
-//	CURRENT            commit manifest, compact JSON (state dirs written
-//	                   earlier hold it indented, which still loads):
-//	                   epoch, payload names, checksums, the base's and
-//	                   the overlay's cut LSNs and the feed LSN the epoch
-//	                   ends at. Its atomic replacement is the commit
-//	                   point.
+//	CURRENT            commit manifest, compact JSON: epoch, payload
+//	                   names, checksums, the base's and the overlay's
+//	                   cut LSNs and the feed LSN the epoch ends at. Its
+//	                   atomic replacement is the commit point.
 //	oms@<epoch>        a full base snapshot payload in oms's binary
-//	                   snapshot format (state dirs written earlier hold a
-//	                   JSON base, which still loads until the next full
-//	                   save replaces it), or an overlay over the current
+//	                   snapshot format, or an overlay over the current
 //	                   base in oms's binary overlay format; the manifest
 //	                   names which is which
 //	delta@<epoch>      the change-feed suffix a differential commit adds,
-//	                   as oms's binary change records (state dirs
-//	                   written earlier hold JSON ones, which still load)
-//	framework@<epoch>  the release header: the framework's release level
+//	                   as oms's binary change records
+//	framework@<epoch>  the release header: the framework's release level,
+//	                   its only field
 //
 // A committed epoch is so a full base, at most one overlay over it, and
 // a chain of deltas from the overlay's cut (or the base's, without
@@ -60,9 +55,11 @@ import (
 // survive a restart: a loaded store's feed continues at the manifest's
 // FeedLSN (see LoadFrom).
 //
-// State dirs written before the database held flows, typed hierarchies
-// and shares carry them in framework@<epoch>; LoadFrom imports them into
-// the store (see legacyState).
+// This is the only layout LoadFrom reads. A state dir written in an
+// older one — JSON bases or deltas, JWAL segment records, a release
+// header that also carries flows, reservations, typed hierarchies or
+// shares, a non-empty base at LSN 0 — is refused with
+// backend.ErrOldFormat, and the refusal writes nothing.
 //
 // Flow enactments are not persisted: like the original, activity
 // execution state lives with the session, while all design data and
@@ -72,22 +69,6 @@ import (
 type persistedState struct {
 	Release Release `json:"release"`
 }
-
-// legacyState is a framework@<epoch> payload written before the
-// database held the framework's metadata: its flows, reservations,
-// typed hierarchies and shares. LoadFrom imports what it names.
-type legacyState struct {
-	persistedState
-	Flows        []flowSpec                       `json:"flows"`
-	Reservations map[oms.OID]string               `json:"reservations"`
-	TypedHier    map[oms.OID]map[string][]oms.OID `json:"typed_hier"`
-	Shares       map[oms.OID][]oms.OID            `json:"shares"`
-}
-
-// ErrTornPair is returned by LoadFrom when an older framework payload
-// names an object its committed store payload does not hold — a pair
-// that was never written by one consistent save.
-var ErrTornPair = errors.New("jcf: load: torn snapshot pair")
 
 // The CURRENT commit manifest — the one object whose atomic replacement
 // commits an epoch's payloads, with the base + delta-chain bookkeeping of
@@ -364,10 +345,10 @@ func Load(dir string) (*Framework, error) {
 
 // LoadFrom restores a framework from a storage backend. The committed
 // chain is read through backend.ReadChain, which verifies every
-// checksum and the delta chain's LSN contiguity; an older framework
-// payload's metadata is imported into the store, and one that names
-// objects the store payload does not contain is refused with
-// ErrTornPair.
+// checksum and the delta chain's LSN contiguity. A release header with
+// any field besides the release is an older format and is refused with
+// backend.ErrOldFormat, as are the older payload formats (see the
+// layout above).
 //
 // The store is restored the way a replica installs a bootstrap: the
 // base snapshot, folded with its overlay (oms.MergeCheckpoint), at its
@@ -384,8 +365,8 @@ func LoadFrom(b backend.Backend) (*Framework, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jcf: load: %w", err)
 	}
-	var state legacyState
-	if err := json.Unmarshal(c.Framework, &state); err != nil {
+	state, err := decodeReleaseHeader(c.Framework)
+	if err != nil {
 		return nil, fmt.Errorf("jcf: load: %w", err)
 	}
 	fw, err := New(state.Release)
@@ -412,71 +393,23 @@ func LoadFrom(b backend.Backend) (*Framework, error) {
 	if got := fw.store.FeedLSN(); got != c.Manifest.FeedLSN {
 		return nil, fmt.Errorf("jcf: load: delta records end at %d, manifest feed at %d", got, c.Manifest.FeedLSN)
 	}
-	if err := fw.importLegacy(&state); err != nil {
-		return nil, err
-	}
 	return fw, nil
 }
 
-// importLegacy moves what an older framework payload names into the
-// store as one Apply batch: each flow's spec onto its Flow object, each
-// reservation onto its cell version's reservedBy (which already mirrors
-// it), each typed edge as a HierEdge object and each share as a link.
-// Apply refuses an op on a missing object and rolls the batch back, so
-// a payload naming an OID the store lacks is refused whole.
-func (fw *Framework) importLegacy(st *legacyState) error {
-	b := oms.NewBatch()
-	for _, spec := range st.Flows {
-		if _, err := spec.build(); err != nil {
-			return fmt.Errorf("jcf: load: %w", err)
-		}
-		oid := spec.OID
-		spec.OID = oms.InvalidOID
-		encoded, err := json.Marshal(spec)
-		if err != nil {
-			return fmt.Errorf("jcf: load: %w", err)
-		}
-		b.Set(oid, "spec", oms.S(string(encoded)))
+// decodeReleaseHeader decodes a framework@<epoch> payload strictly. A
+// header written before the database held the framework's metadata
+// also carries flows, reservations, typed hierarchies and shares; any
+// field but the release is so ErrOldFormat.
+func decodeReleaseHeader(data []byte) (persistedState, error) {
+	var state persistedState
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		return state, err
 	}
-	for _, cv := range sortedOIDKeys(st.Reservations) {
-		b.Set(cv, "reservedBy", oms.S(st.Reservations[cv]))
-	}
-	for _, parent := range sortedOIDKeys(st.TypedHier) {
-		byView := st.TypedHier[parent]
-		views := make([]string, 0, len(byView))
-		for vt := range byView {
-			views = append(views, vt)
-		}
-		sort.Strings(views)
-		for _, vt := range views {
-			for _, child := range byView[vt] {
-				edge := b.CreateOwned("HierEdge", map[string]oms.Value{"viewType": oms.S(vt)})
-				b.Link(fw.rel.edgeParent, edge, parent)
-				b.Link(fw.rel.edgeChild, edge, child)
-			}
+	for name := range fields {
+		if name != "release" {
+			return state, fmt.Errorf("release header field %q: %w", name, backend.ErrOldFormat)
 		}
 	}
-	for _, project := range sortedOIDKeys(st.Shares) {
-		for _, cell := range st.Shares[project] {
-			b.Link(fw.rel.shares, project, cell)
-		}
-	}
-	if b.Len() == 0 {
-		return nil
-	}
-	if _, err := fw.store.Apply(b); err != nil {
-		return fmt.Errorf("%w: %w", ErrTornPair, err)
-	}
-	return nil
-}
-
-// sortedOIDKeys returns a map's OID keys in ascending order, so an
-// import is deterministic.
-func sortedOIDKeys[V any](m map[oms.OID]V) []oms.OID {
-	out := make([]oms.OID, 0, len(m))
-	for oid := range m {
-		out = append(out, oid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return state, json.Unmarshal(data, &state)
 }

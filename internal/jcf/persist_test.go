@@ -5,13 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/oms"
 	"repro/internal/oms/backend"
 )
 
@@ -315,40 +314,6 @@ func TestSaveCommitIsAtomic(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsTornPair commits, by hand, the artifact a two-cut save
-// of the older format could produce — a framework payload whose
-// reservation, flow, typed edge and share name objects absent from the
-// oms payload — and expects LoadFrom's import to refuse it with
-// ErrTornPair. Each field is tried on its own, so none is dropped
-// silently (TestLoadsSegmentStateFromPreviousFormat loads a consistent
-// payload of the same format).
-func TestLoadRejectsTornPair(t *testing.T) {
-	empty, err := New(Release40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emptyDir := t.TempDir()
-	if err := empty.Save(emptyDir); err != nil {
-		t.Fatal(err)
-	}
-	_, emptyOMS := readCommitted(t, emptyDir)
-
-	const missing = 4242
-	for _, field := range []string{
-		`"reservations":{"4242":"anna"}`,
-		`"flows":[{"name":"asic","activities":[{"Name":"a"}],"precedes":{},"oid":4242}]`,
-		`"typed_hier":{"4242":{"layout":[4243]}}`,
-		`"shares":{"4242":[4243]}`,
-	} {
-		dir := t.TempDir()
-		commitPair(t, dir, []byte(`{"release":40,`+field+`}`), emptyOMS)
-		_, err := Load(dir)
-		if !errors.Is(err, ErrTornPair) {
-			t.Fatalf("payload naming missing object %d (%s): err = %v, want ErrTornPair", missing, field, err)
-		}
-	}
-}
-
 // TestSaveLoadThroughSegmentBackend round-trips the framework through the
 // append-only WAL backend — the same public Save/Load semantics over the
 // second storage implementation.
@@ -451,16 +416,18 @@ func loadSegmentDir(t *testing.T, dir string) (*Framework, backend.Backend) {
 	return fw, seg
 }
 
-// TestLoadsSegmentStateFromPreviousFormat opens testdata/segment-parent,
-// a state directory written through SaveTo (one full save, two
-// differential saves) by the segment backend that rewrote MANIFEST on
-// every Put and Delete and checksummed record payloads only. The current
-// backend must load it as it stands, save over it, and load again.
+// TestLoadsSegmentStateFromPreviousFormat opens testdata/segment-v1, a
+// state directory the build at commit 3047bfd wrote through SaveTo (one
+// full save, then two commits each followed by a differential save)
+// after loading testdata/segment-parent. The current build must load it
+// as it stands, save over it, and load again: the fixture pins the
+// on-disk format against silent drift, and shows that loading an older
+// dir with that build and saving it to a new one upgrades it.
 func TestLoadsSegmentStateFromPreviousFormat(t *testing.T) {
-	dir := copyFixture(t, "segment-parent")
+	dir := copyFixture(t, "segment-v1")
 	fw, seg := loadSegmentDir(t, dir)
-	// Exactly the names the fixture's MANIFEST holds: the old records of
-	// names it deleted must not come back.
+	// Exactly the names the fixture holds: the records of names its
+	// saves deleted must not come back.
 	names, err := seg.List()
 	if err != nil {
 		t.Fatal(err)
@@ -486,10 +453,16 @@ func TestLoadsSegmentStateFromPreviousFormat(t *testing.T) {
 	if before != 8 {
 		t.Fatalf("%d design objects loaded, want 8", before)
 	}
-	if base := committedBase(t, seg); !strings.HasPrefix(string(base), "{") {
-		t.Fatalf("fixture base starts %q, want a JSON snapshot", base[:min(len(base), 8)])
+	// The users the two differential saves committed.
+	for _, user := range []string{"erik", "frida"} {
+		if _, err := fw.User(user); err != nil {
+			t.Fatalf("user %s of the fixture's deltas: %v", user, err)
+		}
 	}
-	// The first save after a load is a full one; its base is binary.
+	if base := committedBase(t, seg); !strings.HasPrefix(string(base), "\x00OMS") {
+		t.Fatalf("fixture base starts %q, want the binary snapshot magic", base[:min(len(base), 8)])
+	}
+	// The first save after a load is a full one.
 	if err := fw.SaveTo(seg); err != nil {
 		t.Fatal(err)
 	}
@@ -521,9 +494,8 @@ func committedBase(t *testing.T, b backend.Backend) []byte {
 	return base
 }
 
-// assertFixtureFlow checks the flow the segment-parent fixture's
-// framework payload names: asic, schematic-entry -> simulate ->
-// layout-entry, imported into the store by the load.
+// assertFixtureFlow checks the flow the segment-v1 fixture's store
+// holds: asic, schematic-entry -> simulate -> layout-entry.
 func assertFixtureFlow(t *testing.T, fw *Framework) {
 	t.Helper()
 	if got := fw.Flows(); fmt.Sprint(got) != "[asic]" {
@@ -547,140 +519,11 @@ func assertFixtureFlow(t *testing.T, fw *Framework) {
 	}
 }
 
-// TestLoadsTornSegmentStateFromPreviousFormat opens
-// testdata/segment-parent-torn, written through SaveTo by the same
-// earlier segment backend: one full save, then a torn record at the
-// segment's tail (a crash mid-append), then, after a restart, a full and
-// a differential save that the earlier backend appended behind the torn
-// record and committed through MANIFEST. The current backend must keep
-// those records: every name still reads after one more save, on the
-// saving instance and after a reopen.
-func TestLoadsTornSegmentStateFromPreviousFormat(t *testing.T) {
-	dir := copyFixture(t, "segment-parent-torn")
-	fw, seg := loadSegmentDir(t, dir)
-	names, err := seg.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"CURRENT", "delta@3", "framework@2", "framework@3", "oms@2"}
-	if fmt.Sprint(names) != fmt.Sprint(want) {
-		t.Fatalf("fixture names = %v, want %v", names, want)
-	}
-	project, err := fw.Project("chip1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell, err := fw.Cell(project, "alu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cv := fw.CellVersions(cell)[0]
-	if holder, held := fw.ReservedBy(cv); !held || holder != "anna" {
-		t.Fatalf("reservation = %q,%t, want anna", holder, held)
-	}
-	if got := len(fw.DesignObjects(fw.Variants(cv)[0])); got != 6 {
-		t.Fatalf("%d design objects loaded, want 6", got)
-	}
-	if err := fw.SaveTo(seg); err != nil {
-		t.Fatal(err)
-	}
-	getAll := func(b backend.Backend) {
-		t.Helper()
-		names, err := b.List()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range names {
-			if _, err := b.Get(n); err != nil {
-				t.Fatalf("Get(%s) after a save over the torn segment: %v", n, err)
-			}
-		}
-	}
-	getAll(seg)
-	again, reopened := loadSegmentDir(t, dir)
-	getAll(reopened)
-	if got := len(again.DesignObjects(again.Variants(cv)[0])); got != 6 {
-		t.Fatalf("%d design objects after save and reload, want 6", got)
-	}
-}
-
-// TestFixtureJSONDeltasReencodeBinary: the segment-parent fixtures'
-// deltas are JSON, written before change records were binary. Each
-// decodes to records whose binary encoding decodes to the same records,
-// and a store built from the fixture's base plus those re-encoded deltas
-// is byte-equal to one built from the JSON deltas as they stand.
-func TestFixtureJSONDeltasReencodeBinary(t *testing.T) {
-	for _, fixture := range []string{"segment-parent", "segment-parent-torn"} {
-		t.Run(fixture, func(t *testing.T) {
-			seg, err := backend.OpenSegment(copyFixture(t, fixture))
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := backend.ReadChain(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(c.Deltas) == 0 {
-				t.Fatal("test premise broken: the fixture has no deltas")
-			}
-			base, err := oms.MergeCheckpoint(c.Base, c.Overlay)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fw, err := New(Release40)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromJSON := oms.NewStore(fw.store.Schema())
-			fromBinary := oms.NewStore(fw.store.Schema())
-			for _, st := range []*oms.Store{fromJSON, fromBinary} {
-				if err := st.ResetFromSnapshot(base, c.Manifest.CutLSN()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i, payload := range c.Deltas {
-				name := c.Manifest.Deltas[i].Name
-				if !bytes.HasPrefix(payload, []byte("[")) {
-					t.Fatalf("test premise broken: %s starts %q, want a JSON array", name, payload[:min(len(payload), 8)])
-				}
-				recs, err := oms.DecodeChanges(payload)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				enc := oms.EncodeChanges(recs)
-				if !bytes.HasPrefix(enc, []byte("\x00CHG")) {
-					t.Fatalf("%s re-encoded as %q, want the binary change magic", name, enc[:min(len(enc), 8)])
-				}
-				again, err := oms.DecodeChanges(enc)
-				if err != nil {
-					t.Fatalf("%s re-encoded: %v", name, err)
-				}
-				if !reflect.DeepEqual(again, recs) {
-					t.Fatalf("%s: binary re-encoding decodes to different records", name)
-				}
-				if err := fromJSON.ApplyReplicated(recs); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if err := fromBinary.ApplyReplicated(again); err != nil {
-					t.Fatalf("%s re-encoded: %v", name, err)
-				}
-			}
-			if fromBinary.FeedLSN() != c.Manifest.FeedLSN {
-				t.Fatalf("re-encoded deltas end at %d, manifest feed at %d", fromBinary.FeedLSN(), c.Manifest.FeedLSN)
-			}
-			if !bytes.Equal(fromBinary.Snapshot().Encode(), fromJSON.Snapshot().Encode()) {
-				t.Fatal("store built from re-encoded deltas differs from the one built from the JSON deltas")
-			}
-		})
-	}
-}
-
 // TestLoadContinuesSavedLSNs: a loaded store's feed sits at the
-// manifest's FeedLSN, plus the one group that imports an older
-// framework payload's metadata when the payload carries some, and its
-// ring does not claim the history before the base's cut. Covered: a
-// full save through the file backend, differential saves through the
-// segment backend, and both fixtures written by the earlier backend.
+// manifest's FeedLSN, and its ring does not claim the history before
+// the base's cut. Covered: a full save through the file backend,
+// differential saves through the segment backend, and the segment-v1
+// fixture.
 func TestLoadContinuesSavedLSNs(t *testing.T) {
 	saved := func(t *testing.T, delta bool) backend.Backend {
 		w := newWorld(t, Release40)
@@ -724,15 +567,13 @@ func TestLoadContinuesSavedLSNs(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name      string
-		build     func(t *testing.T) backend.Backend
-		deltas    int
-		importing bool
+		name   string
+		build  func(t *testing.T) backend.Backend
+		deltas int
 	}{
-		{"file-full-save", func(t *testing.T) backend.Backend { return saved(t, false) }, 0, false},
-		{"segment-differential-saves", func(t *testing.T) backend.Backend { return saved(t, true) }, 2, false},
-		{"segment-parent", fixture("segment-parent"), 2, true},
-		{"segment-parent-torn", fixture("segment-parent-torn"), 1, true},
+		{"file-full-save", func(t *testing.T) backend.Backend { return saved(t, false) }, 0},
+		{"segment-differential-saves", func(t *testing.T) backend.Backend { return saved(t, true) }, 2},
+		{"segment-v1", fixture("segment-v1"), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.build(t)
@@ -748,20 +589,8 @@ func TestLoadContinuesSavedLSNs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			imported, ok := fw.store.Changes(m.FeedLSN)
-			if !ok {
-				t.Fatalf("feed does not hold the records after the manifest's FeedLSN %d", m.FeedLSN)
-			}
-			if tc.importing != (len(imported) > 0) {
-				t.Fatalf("%d records after the manifest's FeedLSN, want an import group: %t", len(imported), tc.importing)
-			}
-			for _, c := range imported {
-				if c.Group != m.FeedLSN+1 {
-					t.Fatalf("record %d in group %d, want the one import group %d", c.LSN, c.Group, m.FeedLSN+1)
-				}
-			}
-			if got, want := fw.FeedLSN(), m.FeedLSN+uint64(len(imported)); got != want {
-				t.Fatalf("loaded feed at %d, want %d (manifest %d + %d imported)", got, want, m.FeedLSN, len(imported))
+			if got := fw.FeedLSN(); got != m.FeedLSN {
+				t.Fatalf("loaded feed at %d, want the manifest's %d", got, m.FeedLSN)
 			}
 			if _, complete := fw.store.Changes(0); complete {
 				t.Fatal("loaded feed claims the history before the base's cut")
@@ -802,5 +631,126 @@ func TestLoadRefusesDeltaEndingShort(t *testing.T) {
 	}
 	if _, err := LoadFrom(seg); err == nil {
 		t.Fatal("a delta ending short of its manifest range loaded")
+	}
+}
+
+// oldPayload returns the payload of name in an older fixture, read
+// through the fixture's MANIFEST ref: a JWAL record is a 20-byte header,
+// the name and the payload.
+func oldPayload(t *testing.T, fixture, name string) []byte {
+	t.Helper()
+	dir := filepath.Join("testdata", fixture)
+	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Refs map[string]struct {
+			Segment string `json:"segment"`
+			Offset  int64  `json:"offset"`
+			Length  int64  `json:"length"`
+		} `json:"refs"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	ref, ok := m.Refs[name]
+	if !ok {
+		t.Fatalf("%s holds no %s", fixture, name)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, ref.Segment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := ref.Offset + 20 + int64(len(name))
+	return seg[start : start+ref.Length]
+}
+
+// dirContents returns every file of dir and its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// TestLoadRefusesOldFormats: state in an on-disk format older than this
+// build's is refused with backend.ErrOldFormat, and the refusal leaves
+// the state dir byte-identical. The JSON base, the JSON delta and the
+// release header that carries the framework's metadata are the
+// segment-parent fixture's own, each committed into a copy of segment-v1
+// by the current backend; the two JWAL fixtures are loaded as they
+// stand.
+func TestLoadRefusesOldFormats(t *testing.T) {
+	v1With := func(change func(t *testing.T, seg *backend.Segment, m *backend.Manifest)) func(t *testing.T) string {
+		return func(t *testing.T) string {
+			dir := copyFixture(t, "segment-v1")
+			seg, err := backend.OpenSegment(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := backend.LoadManifest(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			change(t, seg, &m)
+			if err := backend.PutManifest(seg, m); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		}
+	}
+	put := func(t *testing.T, seg *backend.Segment, name string, payload []byte) string {
+		t.Helper()
+		if err := seg.Put(name, payload); err != nil {
+			t.Fatal(err)
+		}
+		return backend.SHA256Hex(payload)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T) string
+	}{
+		{"json-base", v1With(func(t *testing.T, seg *backend.Segment, m *backend.Manifest) {
+			m.OMSSum = put(t, seg, m.OMS, oldPayload(t, "segment-parent", "oms@1"))
+			m.Deltas, m.FeedLSN = nil, m.BaseLSN
+		})},
+		{"json-delta", v1With(func(t *testing.T, seg *backend.Segment, m *backend.Manifest) {
+			last := &m.Deltas[len(m.Deltas)-1]
+			last.Sum = put(t, seg, last.Name, oldPayload(t, "segment-parent", "delta@3"))
+		})},
+		{"release-header-with-metadata", v1With(func(t *testing.T, seg *backend.Segment, m *backend.Manifest) {
+			m.FrameworkSum = put(t, seg, m.Framework, oldPayload(t, "segment-parent", "framework@3"))
+		})},
+		{"non-empty-base-at-lsn-0", v1With(func(t *testing.T, seg *backend.Segment, m *backend.Manifest) {
+			m.BaseLSN, m.Deltas, m.FeedLSN = 0, nil, 0
+		})},
+		{"jwal-segment", func(t *testing.T) string { return copyFixture(t, "segment-parent") }},
+		{"jwal-segment-torn", func(t *testing.T) string { return copyFixture(t, "segment-parent-torn") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := tc.build(t)
+			before := dirContents(t, dir)
+			seg, err := backend.OpenSegment(dir)
+			if err == nil {
+				_, err = LoadFrom(seg)
+			}
+			if !errors.Is(err, backend.ErrOldFormat) {
+				t.Fatalf("load: %v, want ErrOldFormat", err)
+			}
+			if !maps.Equal(dirContents(t, dir), before) {
+				t.Fatal("the refused load changed the state dir")
+			}
+		})
 	}
 }

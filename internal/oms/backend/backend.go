@@ -35,6 +35,15 @@ import (
 // ErrNotFound is returned by Get for a name that has no stored payload.
 var ErrNotFound = errors.New("backend: name not found")
 
+// ErrOldFormat is returned for state written in an on-disk format this
+// release no longer reads: JWAL segment records, JSON base snapshots
+// and change records, a framework header that still carries the
+// framework's metadata, or a non-empty base cut at LSN 0. No converter
+// ships; a build at commit 3047bfd reads every one of them and writes
+// only the current format, so loading such a directory with it and
+// saving to a fresh one upgrades it.
+var ErrOldFormat = errors.New("backend: state written in an older on-disk format; to upgrade, load it with a build at commit 3047bfd and save it to a new directory")
+
 // Backend stores named snapshot payloads. Implementations must be safe
 // for concurrent use.
 type Backend interface {

@@ -2,8 +2,10 @@ package backend
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -57,7 +59,7 @@ func TestSegmentTornTailIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte("JWAL\xff\xff torn half-record")); err != nil {
+	if _, err := f.Write([]byte("JSG1\x01\xff\xff torn half-record")); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -92,6 +94,57 @@ func TestSegmentTornTailIgnored(t *testing.T) {
 	got, err = re.Get("snap")
 	if err != nil || string(got) != "recommitted" {
 		t.Fatalf("Get after recovery Put = %q, %v", got, err)
+	}
+}
+
+// TestSegmentRefusesJWALRecords: a JWAL record, the format of the
+// backend that rewrote MANIFEST on every operation, is ErrOldFormat
+// whether replay meets it or a MANIFEST ref points at it, and neither
+// refusal writes to the directory.
+func TestSegmentRefusesJWALRecords(t *testing.T) {
+	name, payload := "snap", []byte("committed by a MANIFEST rewrite")
+	rec := []byte("JWAL")
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(name)))
+	rec = binary.LittleEndian.AppendUint64(rec, uint64(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+	rec = append(append(rec, name...), payload...)
+	manifest := fmt.Sprintf(`{"next_seg":2,"refs":{%q:{"segment":%q,"offset":0,"length":%d,"crc":%d}}}`,
+		name, segName(1), len(payload), crc32.ChecksumIEEE(payload))
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+	}{
+		{"replay", map[string]string{segName(1): string(rec)}},
+		{"manifest-ref", map[string]string{segName(1): string(rec), manifestName: manifest}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for n, data := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, n), []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, err := OpenSegment(dir)
+			if err == nil {
+				_, err = s.Get(name)
+			}
+			if !errors.Is(err, ErrOldFormat) {
+				t.Fatalf("JWAL record: %v, want ErrOldFormat", err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err != nil || string(data) != tc.files[e.Name()] {
+					t.Fatalf("%s changed by the refusal (%v)", e.Name(), err)
+				}
+			}
+			if len(entries) != len(tc.files) {
+				t.Fatalf("%d files after the refusal, want %d", len(entries), len(tc.files))
+			}
+		})
 	}
 }
 

@@ -62,9 +62,8 @@ func (m *Manifest) CutLSN() uint64 {
 }
 
 // DeltaRef names one delta payload in a manifest's chain: the encoded
-// change records with FromLSN < LSN <= ToLSN (binary, as
-// oms.EncodeChanges writes them, or JSON in older state dirs;
-// oms.DecodeChanges reads both).
+// change records with FromLSN < LSN <= ToLSN, as oms.EncodeChanges
+// writes them.
 type DeltaRef struct {
 	Name    string `json:"name"`
 	Sum     string `json:"sha256"`
@@ -96,8 +95,7 @@ func LoadManifest(b Backend) (Manifest, error) {
 }
 
 // DecodeManifest decodes and validates an encoded commit manifest — a
-// CURRENT payload. It reads both the compact encoding EncodeManifest
-// writes and the indented one of older state dirs.
+// CURRENT payload: the JSON EncodeManifest writes, compact or not.
 func DecodeManifest(data []byte) (Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {

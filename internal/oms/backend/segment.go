@@ -39,10 +39,9 @@ import (
 // covers that hold no live record are removed; segments the checkpoint
 // does not cover are kept for replay.
 //
-// A directory written before frames existed has a MANIFEST that was
-// rewritten on every operation and whose refs may point into its
-// active segment past a torn record. Such a segment cannot be cut back,
-// so the first append moves on to a fresh segment behind a checkpoint.
+// A directory written before frames existed holds JWAL records,
+// committed by a MANIFEST rewrite per operation. Replay, and a Get
+// through a MANIFEST ref, refuse one with ErrOldFormat.
 //
 // Layout under the backend directory:
 //
@@ -52,9 +51,8 @@ type Segment struct {
 	mu         sync.Mutex
 	dir        string
 	refs       map[string]segRef
-	ckptSeg    int  // first segment the durable checkpoint does not cover
-	moveOn     bool // the index references bytes past the active segment's last good frame
-	activeSeg  int  // number of the segment appends go to
+	ckptSeg    int // first segment the durable checkpoint does not cover
+	activeSeg  int // number of the segment appends go to
 	activeName string
 	active     *os.File // nil until the next append opens (and trims) it
 	activeSize int64    // end of the last good frame in the active segment
@@ -72,7 +70,7 @@ type segRef struct {
 	Segment string `json:"segment"`
 	Offset  int64  `json:"offset"`
 	Length  int64  `json:"length"` // payload length
-	CRC     uint32 `json:"crc"`    // the frame's CRC (the payload's, for a JWAL record)
+	CRC     uint32 `json:"crc"`    // the frame's CRC
 }
 
 // segManifest is the MANIFEST checkpoint content.
@@ -86,10 +84,7 @@ type segManifest struct {
 //	magic "JSG1" | kind u8 | nameLen u16 | payloadLen u64 | crc u32 | name | payload
 //
 // crc is crc32 (IEEE) over the 15 header bytes before it, the name and
-// the payload. Segments written before frames existed hold JWAL records
-// (magic | nameLen u32 | payloadLen u64 | crc u32 of the payload | name
-// | payload), committed by a MANIFEST rewrite per operation; they stay
-// readable through the refs of that MANIFEST.
+// the payload.
 const (
 	frameMagic        = "JSG1"
 	frameHeaderLen    = 4 + 1 + 2 + 8 + 4
@@ -97,8 +92,6 @@ const (
 	framePut          = 1
 	frameTombstone    = 2
 	maxFrameName      = 1<<16 - 1
-	jwalMagic         = "JWAL"
-	jwalHeaderLen     = 4 + 4 + 8 + 4
 	defaultMaxSegSize = 8 << 20
 	manifestName      = "MANIFEST"
 )
@@ -149,11 +142,6 @@ func OpenSegment(dir string) (*Segment, error) {
 	}
 	if err := s.replay(); err != nil {
 		return nil, err
-	}
-	for _, ref := range s.refs {
-		if ref.Segment == s.activeName && ref.Offset >= s.activeSize {
-			s.moveOn = true // a JWAL record committed behind a torn one
-		}
 	}
 	return s, nil
 }
@@ -209,66 +197,46 @@ func (s *Segment) replaySegment(name string) (end int64, clean bool, err error) 
 	}
 }
 
-// recHeader is a decoded record header, of either format.
-type recHeader struct {
-	kind    byte // framePut, frameTombstone, or 0 for a JWAL record
-	hlen    int  // header bytes
+// frameHeader is a decoded frame header.
+type frameHeader struct {
+	kind    byte
 	nameLen int
 	plen    int64  // payload length
 	crc     uint32 // the stored checksum
-	sum     uint32 // checksum of the header bytes crc covers (none for JWAL)
+	sum     uint32 // checksum of the header bytes crc covers
 }
 
-// headerLen returns the header length of the record format whose magic
-// starts b, or 0 if b starts neither.
-func headerLen(b []byte) int {
-	switch string(b[:4]) {
+// checkMagic classifies the four bytes a record starts with: a frame, a
+// JWAL record of the backend that rewrote MANIFEST on every operation
+// (ErrOldFormat), or anything else (errBadFrame).
+func checkMagic(b []byte) error {
+	switch string(b) {
 	case frameMagic:
-		return frameHeaderLen
-	case jwalMagic:
-		return jwalHeaderLen
+		return nil
+	case "JWAL":
+		return fmt.Errorf("JWAL segment record: %w", ErrOldFormat)
 	}
-	return 0
+	return errBadFrame
 }
 
-// decodeHeader decodes the record header h, exactly headerLen(h) bytes.
-func decodeHeader(h []byte) (recHeader, error) {
-	var rh recHeader
-	rh.hlen = len(h)
-	if rh.hlen == jwalHeaderLen {
-		rh.nameLen = int(binary.LittleEndian.Uint32(h[4:]))
-		rh.plen = int64(binary.LittleEndian.Uint64(h[8:]))
-		rh.crc = binary.LittleEndian.Uint32(h[16:])
-		if rh.nameLen > maxFrameName {
-			return rh, errBadFrame
-		}
-	} else {
-		rh.kind = h[4]
-		rh.nameLen = int(binary.LittleEndian.Uint16(h[5:]))
-		rh.plen = int64(binary.LittleEndian.Uint64(h[7:]))
-		rh.crc = binary.LittleEndian.Uint32(h[frameCRCOff:])
-		rh.sum = crc32.ChecksumIEEE(h[:frameCRCOff])
-		if rh.kind != framePut && rh.kind != frameTombstone {
-			return rh, errBadFrame
-		}
+// decodeHeader decodes the frame header h, exactly frameHeaderLen bytes
+// whose magic the caller checked.
+func decodeHeader(h []byte) (frameHeader, error) {
+	var fh frameHeader
+	fh.kind = h[4]
+	fh.nameLen = int(binary.LittleEndian.Uint16(h[5:]))
+	fh.plen = int64(binary.LittleEndian.Uint64(h[7:]))
+	fh.crc = binary.LittleEndian.Uint32(h[frameCRCOff:])
+	fh.sum = crc32.ChecksumIEEE(h[:frameCRCOff])
+	if (fh.kind != framePut && fh.kind != frameTombstone) || fh.plen < 0 {
+		return fh, errBadFrame
 	}
-	if rh.plen < 0 {
-		return rh, errBadFrame
-	}
-	return rh, nil
-}
-
-// addName adds name to sum if the record's checksum covers it.
-func (rh recHeader) addName(sum uint32, name []byte) uint32 {
-	if rh.kind == 0 {
-		return sum
-	}
-	return crc32.Update(sum, crc32.IEEETable, name)
+	return fh, nil
 }
 
 // frame is one verified log record.
 type frame struct {
-	recHeader
+	frameHeader
 	name string
 	size int64 // bytes on disk, header included
 }
@@ -277,11 +245,9 @@ type frame struct {
 var errBadFrame = errors.New("backend: bad frame")
 
 // readFrame reads and verifies the next frame from r, streaming the
-// payload through the checksum. A JWAL record comes back with kind 0:
-// replay steps over it, since the MANIFEST that committed it already
-// holds its effect (and that protocol logged no deletes). io.EOF means
-// a clean end; a short frame is io.ErrUnexpectedEOF and a corrupt one
-// errBadFrame. buf is scratch.
+// payload through the checksum. io.EOF means a clean end; a short frame
+// is io.ErrUnexpectedEOF, a corrupt one errBadFrame and a JWAL record
+// ErrOldFormat. buf is scratch.
 func readFrame(r *bufio.Reader, buf *[]byte) (frame, error) {
 	var fr frame
 	magic, err := r.Peek(4)
@@ -291,15 +257,14 @@ func readFrame(r *bufio.Reader, buf *[]byte) (frame, error) {
 	if err != nil {
 		return fr, io.ErrUnexpectedEOF
 	}
-	hlen := headerLen(magic)
-	if hlen == 0 {
-		return fr, errBadFrame
+	if err := checkMagic(magic); err != nil {
+		return fr, err
 	}
-	h, err := readN(r, buf, hlen)
+	h, err := readN(r, buf, frameHeaderLen)
 	if err != nil {
 		return fr, err
 	}
-	if fr.recHeader, err = decodeHeader(h); err != nil {
+	if fr.frameHeader, err = decodeHeader(h); err != nil {
 		return fr, err
 	}
 	name, err := readN(r, buf, fr.nameLen)
@@ -307,7 +272,7 @@ func readFrame(r *bufio.Reader, buf *[]byte) (frame, error) {
 		return fr, err
 	}
 	fr.name = string(name)
-	sum := fr.addName(fr.sum, name)
+	sum := crc32.Update(fr.sum, crc32.IEEETable, name)
 	for left := fr.plen; left > 0; {
 		chunk, err := r.Peek(int(min(left, int64(r.Size()))))
 		if len(chunk) == 0 {
@@ -325,7 +290,7 @@ func readFrame(r *bufio.Reader, buf *[]byte) (frame, error) {
 	if sum != fr.crc {
 		return fr, errBadFrame
 	}
-	fr.size = int64(hlen+fr.nameLen) + fr.plen
+	fr.size = int64(frameHeaderLen+fr.nameLen) + fr.plen
 	return fr, nil
 }
 
@@ -358,21 +323,11 @@ func (s *Segment) segPath(name string) string { return filepath.Join(s.dir, name
 
 // ensureActive opens the active segment for appending and cuts anything
 // past the last good frame, so a new frame never lands behind garbage.
-// If the index references records past that point (moveOn), the segment
-// is left whole and appends move to the next one, behind a checkpoint
-// that makes replay start there. A new segment's directory entry is
-// fsynced before any frame in it can be acknowledged. Caller holds s.mu.
+// A new segment's directory entry is fsynced before any frame in it can
+// be acknowledged. Caller holds s.mu.
 func (s *Segment) ensureActive() error {
 	if s.active != nil {
 		return nil
-	}
-	if s.moveOn {
-		if err := s.checkpoint(s.activeSeg + 1); err != nil {
-			return fmt.Errorf("backend: open segment: checkpoint: %w", err)
-		}
-		s.activeSeg++
-		s.activeName, s.activeSize = segName(s.activeSeg), 0
-		s.ckptSeg, s.moveOn = s.activeSeg, false
 	}
 	f, err := os.OpenFile(s.segPath(s.activeName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -561,8 +516,7 @@ func (s *Segment) Get(name string) ([]byte, error) {
 	}
 }
 
-// readRecord reads and verifies one frame (or JWAL record); no locks
-// held.
+// readRecord reads and verifies one frame; no locks held.
 func (s *Segment) readRecord(name string, ref segRef) ([]byte, error) {
 	f, err := os.Open(s.segPath(ref.Segment))
 	if err != nil {
@@ -572,34 +526,33 @@ func (s *Segment) readRecord(name string, ref segRef) ([]byte, error) {
 		return nil, fmt.Errorf("backend: get %s: %w", name, err)
 	}
 	defer f.Close()
-	var magic [4]byte
-	if _, err := f.ReadAt(magic[:], ref.Offset); err != nil {
+	rec := make([]byte, int64(frameHeaderLen+len(name))+ref.Length)
+	n, err := f.ReadAt(rec, ref.Offset)
+	if n >= 4 {
+		if err := checkMagic(rec[:4]); err != nil {
+			return nil, fmt.Errorf("backend: get %s: %w", name, err)
+		}
+	}
+	if err != nil {
 		return nil, fmt.Errorf("backend: get %s: %w", name, err)
 	}
-	hlen := headerLen(magic[:])
-	if hlen == 0 {
-		return nil, fmt.Errorf("backend: get %s: bad record magic", name)
-	}
-	rec := make([]byte, int64(hlen+len(name))+ref.Length)
-	if _, err := f.ReadAt(rec, ref.Offset); err != nil {
-		return nil, fmt.Errorf("backend: get %s: %w", name, err)
-	}
-	rh, err := decodeHeader(rec[:hlen])
+	fh, err := decodeHeader(rec[:frameHeaderLen])
 	if err != nil {
 		return nil, fmt.Errorf("backend: get %s: bad record header", name)
 	}
-	if rh.kind == frameTombstone {
+	if fh.kind == frameTombstone {
 		return nil, fmt.Errorf("backend: get %s: record is not a put", name)
 	}
-	recName := rec[hlen : hlen+len(name)]
-	if rh.nameLen != len(name) || string(recName) != name {
+	recName := rec[frameHeaderLen : frameHeaderLen+len(name)]
+	if fh.nameLen != len(name) || string(recName) != name {
 		return nil, fmt.Errorf("backend: get %s: record names a different payload", name)
 	}
-	if rh.plen != ref.Length || rh.crc != ref.CRC {
+	if fh.plen != ref.Length || fh.crc != ref.CRC {
 		return nil, fmt.Errorf("backend: get %s: record/index mismatch", name)
 	}
-	payload := rec[hlen+len(name):]
-	if crc32.Update(rh.addName(rh.sum, recName), crc32.IEEETable, payload) != rh.crc {
+	payload := rec[frameHeaderLen+len(name):]
+	sum := crc32.Update(fh.sum, crc32.IEEETable, recName)
+	if crc32.Update(sum, crc32.IEEETable, payload) != fh.crc {
 		return nil, fmt.Errorf("backend: get %s: checksum mismatch", name)
 	}
 	return payload, nil

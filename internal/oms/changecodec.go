@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/oms/backend"
 )
 
 // Binary change-record format.
@@ -28,10 +30,10 @@ import (
 //
 // A value is laid out as a snapshot attribute's: kind uvarint, str
 // string, int varint, bool byte (0 or 1), blob bytes. The encoding is
-// deterministic, so equal record sequences encode to equal bytes. The
-// leading NUL can never start a JSON document, which is how
-// DecodeChanges tells this format from the JSON one older state dirs
-// hold.
+// deterministic, so equal record sequences encode to equal bytes. It is
+// the only change-record format DecodeChanges reads: input without the
+// magic, such as the JSON deltas older state dirs hold, is
+// backend.ErrOldFormat.
 
 const (
 	changesMagic   = "\x00CHG"
@@ -119,23 +121,19 @@ func changeLen(c *Change) int {
 	return n
 }
 
-// DecodeChanges parses a delta or change-frame payload: the binary
-// format EncodeChanges writes, or the JSON one older state dirs hold.
+// DecodeChanges parses a delta or change-frame payload, as
+// EncodeChanges writes it. It rejects any input EncodeChanges could not
+// have produced: truncation, trailing bytes, a length or count past the
+// end, an unknown record kind, a bool byte other than 0 or 1, and
+// create attributes out of order or repeated; input without the magic
+// fails with backend.ErrOldFormat. Blob bytes are copied out, so no
+// record aliases the payload (a frame or segment buffer). Schema checks
+// are ApplyReplicated's.
 func DecodeChanges(data []byte) ([]Change, error) {
-	if bytes.HasPrefix(data, []byte(changesMagic)) {
-		return decodeBinaryChanges(data)
+	if !bytes.HasPrefix(data, []byte(changesMagic)) {
+		return nil, fmt.Errorf("oms: decode changes: %w", backend.ErrOldFormat)
 	}
-	return decodeJSONChanges(data)
-}
-
-// decodeBinaryChanges reads the binary format and rejects any input
-// EncodeChanges could not have produced: truncation, trailing bytes, a
-// length or count past the end, an unknown record kind, a bool byte
-// other than 0 or 1, and create attributes out of order or repeated.
-// Blob bytes are copied out, so no record aliases the payload (a frame
-// or segment buffer). Schema checks are ApplyReplicated's.
-func decodeBinaryChanges(data []byte) ([]Change, error) {
-	if len(data) <= len(changesMagic) || data[len(changesMagic)] != changesVersion {
+	if len(data) == len(changesMagic) || data[len(changesMagic)] != changesVersion {
 		return nil, fmt.Errorf("oms: decode changes: unsupported binary change format version")
 	}
 	d := &snapDecoder{buf: data[len(changesMagic)+1:], what: "oms: decode changes"}

@@ -164,11 +164,6 @@ type feed struct {
 	subsA     atomic.Int64
 	evictions obs.Counter
 	lagTrips  obs.Counter
-
-	// seededAtZero is set by a rebase to LSN 0 over non-empty content:
-	// the records after 0 then do not rebuild the store from empty (see
-	// Store.ReplaysFromZero).
-	seededAtZero atomic.Bool
 }
 
 func newFeed() *feed {
@@ -264,12 +259,11 @@ func (f *feed) publishAt(group []Change) error {
 
 // rebase empties the ring and repositions the committed watermark at
 // lsn — the feed of a store whose whole content was just replaced by a
-// base snapshot cut at that LSN (nonEmpty: the snapshot holds objects).
+// base snapshot cut at that LSN.
 // Live subscriptions wake: ones whose cursor no longer attaches (the
 // usual case after a re-bootstrap) close with Lagged() true and their
 // consumers resynchronize.
-func (f *feed) rebase(lsn uint64, nonEmpty bool) {
-	f.seededAtZero.Store(lsn == 0 && nonEmpty)
+func (f *feed) rebase(lsn uint64) {
 	f.mu.Lock()
 	for i := range f.buf {
 		f.buf[i] = Change{} // unpin retained blobs

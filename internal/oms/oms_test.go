@@ -389,8 +389,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestLoadRejectsUnknownClass: a snapshot naming a class, attribute or
-// relationship the decoding schema lacks is refused, in the binary form
-// and in the legacy JSON one.
+// relationship the decoding schema lacks is refused, and so are corrupt
+// and empty input.
 func TestLoadRejectsUnknownClass(t *testing.T) {
 	cellAttrs := testSchema(t).Class("Cell").Attrs
 	withoutRev := slices.DeleteFunc(slices.Clone(cellAttrs), func(a AttrDef) bool { return a.Name == "rev" })
@@ -828,8 +828,7 @@ func TestStripeDistribution(t *testing.T) {
 }
 
 // TestLoadRejectsCorruptAttributes: an attribute of a kind the schema
-// does not declare, or a missing required attribute, fails the decode,
-// in the binary form and in the legacy JSON one.
+// does not declare, or a missing required attribute, fails the decode.
 func TestLoadRejectsCorruptAttributes(t *testing.T) {
 	cellAttrs := testSchema(t).Class("Cell").Attrs
 	revAsString := slices.Clone(cellAttrs)

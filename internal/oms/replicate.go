@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
+	"repro/internal/oms/backend"
 )
 
 // Follower-store surface: the two operations a replication layer needs to
@@ -29,19 +30,26 @@ import (
 
 // ResetFromSnapshot atomically replaces the store's entire content with a
 // base snapshot payload cut at feed position lsn: the bytes
-// Snapshot.Encode or MergeCheckpoint produced, or a legacy JSON base
-// (see DecodeSnapshot).
+// Snapshot.Encode or MergeCheckpoint produced.
 // The swap happens with every stripe write-locked, so concurrent readers
 // observe either the old state or the new one, never a mixture; the
 // decode runs before any lock is taken.
 // The store's feed is rebased to lsn: subscriptions whose cursor no
 // longer attaches close with Lagged() true and resynchronize.
+//
+// Every commit advances the feed, so a non-empty base is cut past LSN 0
+// and the feed from LSN 0 rebuilds a store from the empty one. Only a
+// state dir saved before LSNs survived a restart holds a non-empty base
+// at LSN 0; it is refused with backend.ErrOldFormat and the store is
+// left as it was.
 func (st *Store) ResetFromSnapshot(data []byte, lsn uint64) error {
 	tmp, err := DecodeSnapshot(data, st.schema)
 	if err != nil {
 		return fmt.Errorf("oms: reset from snapshot: %w", err)
 	}
-	nonEmpty := tmp.Count("") > 0
+	if lsn == 0 && tmp.Count("") > 0 {
+		return fmt.Errorf("oms: reset from snapshot: non-empty base at LSN 0: %w", backend.ErrOldFormat)
+	}
 	st.lockAll()
 	for i := range st.stripes {
 		st.stripes[i].objects = tmp.stripes[i].objects
@@ -51,18 +59,10 @@ func (st *Store) ResetFromSnapshot(data []byte, lsn uint64) error {
 	st.allocMu.Lock()
 	st.nextOID = tmp.nextOID
 	st.allocMu.Unlock()
-	st.feed.rebase(lsn, nonEmpty)
+	st.feed.rebase(lsn)
 	st.unlockAll()
 	return nil
 }
-
-// ReplaysFromZero reports whether the feed from LSN 0 rebuilds this
-// store from the empty store, which is what a follower at LSN 0 holds.
-// It is false only while the store's base is a non-empty snapshot
-// installed at LSN 0 — a state directory saved before LSNs survived a
-// restart can hold one — and then a follower at 0 must bootstrap
-// instead of resuming from the feed.
-func (st *Store) ReplaysFromZero() bool { return !st.feed.seededAtZero.Load() }
 
 // ApplyReplicated applies a decoded change suffix (whole commit groups,
 // as a primary's feed delivered them) and republishes the records into

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+
+	"repro/internal/oms/backend"
 )
 
 // Binary snapshot format.
@@ -35,8 +37,9 @@ import (
 //
 // A string or bytes field is a uvarint length and that many raw bytes.
 // The encoding is deterministic, so equal stores encode to equal bytes.
-// The leading NUL can never start a JSON document, which is how
-// DecodeSnapshot tells this format from the legacy JSON one.
+// It is the only snapshot format DecodeSnapshot reads: input without
+// the magic, such as the JSON bases older state dirs hold, is
+// backend.ErrOldFormat.
 
 const (
 	snapMagic   = "\x00OMS"
@@ -294,13 +297,20 @@ type snapLink struct {
 	from, to OID
 }
 
-// decodeBinarySnapshot rebuilds a store from the binary format with the
-// same schema checks as the JSON decoder, and rejects any input Encode
-// could not have produced: truncation, trailing bytes, a length past
-// the end, out-of-order objects, attributes, relationships or targets,
-// and a bool byte other than 0 or 1.
-func decodeBinarySnapshot(data []byte, schema *Schema) (*Store, error) {
-	if len(data) <= len(snapMagic) || data[len(snapMagic)] != snapVersion {
+// DecodeSnapshot rebuilds a store from an encoded snapshot payload (the
+// bytes Snapshot.Encode produced), regardless of which storage backend
+// held them. The payload is validated against the schema: unknown
+// classes, attributes or relationships, a kind mismatch and a missing
+// required attribute fail the decode. So does any input Encode could
+// not have produced: truncation, trailing bytes, a length past the end,
+// out-of-order objects, attributes, relationships or targets, and a
+// bool byte other than 0 or 1. Input without the snapshot magic fails
+// with backend.ErrOldFormat.
+func DecodeSnapshot(data []byte, schema *Schema) (*Store, error) {
+	if !bytes.HasPrefix(data, []byte(snapMagic)) {
+		return nil, fmt.Errorf("decode snapshot: %w", backend.ErrOldFormat)
+	}
+	if len(data) == len(snapMagic) || data[len(snapMagic)] != snapVersion {
 		return nil, fmt.Errorf("decode snapshot: unsupported binary snapshot version")
 	}
 	d := &snapDecoder{buf: data[len(snapMagic)+1:]}

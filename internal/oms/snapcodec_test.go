@@ -3,21 +3,25 @@ package oms
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/oms/backend"
 )
 
 // legacySnapshotJSON is a base snapshot in the JSON format base
-// snapshots were written in before the binary one. It holds the store
-// legacyStore builds.
+// snapshots were written in before the binary one, which DecodeSnapshot
+// refuses with backend.ErrOldFormat. It holds the store sampleStore
+// builds.
 const legacySnapshotJSON = `{"next_oid":3,"objects":[` +
 	`{"oid":1,"class":"Cell","attrs":{"data":{"kind":3,"blob":"AQID"},"name":{"kind":0,"str":"x"},` +
 	`"published":{"kind":2,"bool":true},"rev":{"kind":1,"int":1}}},` +
 	`{"oid":2,"class":"Version","attrs":{"num":{"kind":1,"int":1}}}],` +
 	`"links":[{"rel":"hasVersion","from":1,"to":2}]}`
 
-// legacyStore builds the store legacySnapshotJSON holds.
-func legacyStore(t testing.TB) *Store {
+// sampleStore builds the store legacySnapshotJSON holds.
+func sampleStore(t testing.TB) *Store {
 	t.Helper()
 	st := NewStore(testSchema(t))
 	c := mustCreate(t, st, "Cell", map[string]Value{
@@ -60,86 +64,65 @@ type schemaCase struct {
 	want   string // in the error
 }
 
-// assertSnapshotRefused decodes legacyStore's binary encoding and
-// legacySnapshotJSON against each case's schema: both must fail with
-// the case's error, and both must decode against testSchema.
+// assertSnapshotRefused decodes sampleStore's binary encoding against
+// each case's schema: it must fail with the case's error, and decode
+// against testSchema.
 func assertSnapshotRefused(t *testing.T, cases []schemaCase) {
 	t.Helper()
-	payloads := map[string][]byte{
-		"binary": legacyStore(t).Snapshot().Encode(),
-		"JSON":   []byte(legacySnapshotJSON),
+	data := sampleStore(t).Snapshot().Encode()
+	if _, err := DecodeSnapshot(data, testSchema(t)); err != nil {
+		t.Fatalf("snapshot refused by its own schema: %v", err)
 	}
-	for format, data := range payloads {
-		if _, err := DecodeSnapshot(data, testSchema(t)); err != nil {
-			t.Fatalf("%s snapshot refused by its own schema: %v", format, err)
+	for _, tc := range cases {
+		if _, err := DecodeSnapshot(data, tc.schema); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
 		}
-		for _, tc := range cases {
-			if _, err := DecodeSnapshot(data, tc.schema); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("%s snapshot, %s: got %v, want an error containing %q", format, tc.name, err, tc.want)
-			}
-		}
-	}
-}
-
-// TestDecodeSnapshotReadsLegacyJSON: a JSON base decodes to the store it
-// describes, and that store's encoding is the binary format.
-func TestDecodeSnapshotReadsLegacyJSON(t *testing.T) {
-	want := legacyStore(t)
-	got, err := DecodeSnapshot([]byte(legacySnapshotJSON), testSchema(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(t, got) != fingerprint(t, want) {
-		t.Fatalf("legacy JSON decoded to\n%s\nwant\n%s", fingerprint(t, got), fingerprint(t, want))
-	}
-	enc := got.Snapshot().Encode()
-	if !bytes.HasPrefix(enc, []byte(snapMagic)) || !bytes.Equal(enc, want.Snapshot().Encode()) {
-		t.Fatal("re-encoded legacy store differs from the binary encoding of the same store")
 	}
 }
 
 // TestDecodedStorePublishesNothing: decoding installs a snapshot's links
-// without publishing them, in both formats, so a decoded store sits at
-// LSN 0 with an empty ring. Installed at LSN 0, a non-empty base marks
-// the store as one the feed from 0 does not rebuild.
+// without publishing them, so a decoded store sits at LSN 0 with an
+// empty ring. ResetFromSnapshot installs a base at any LSN past 0, and
+// the empty base at 0; a non-empty base at 0 is ErrOldFormat and leaves
+// the store as it was.
 func TestDecodedStorePublishesNothing(t *testing.T) {
-	payloads := map[string][]byte{
-		"binary": legacyStore(t).Snapshot().Encode(),
-		"JSON":   []byte(legacySnapshotJSON),
+	data := sampleStore(t).Snapshot().Encode()
+	st, err := DecodeSnapshot(data, testSchema(t))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for format, data := range payloads {
-		st, err := DecodeSnapshot(data, testSchema(t))
-		if err != nil {
-			t.Fatal(err)
+	if len(st.Related("hasVersion")) != 1 {
+		t.Fatal("decoded store lost its link")
+	}
+	if recs, ok := st.Changes(0); st.FeedLSN() != 0 || len(recs) != 0 || !ok {
+		t.Fatalf("decoded store at LSN %d with %d records (complete %t), want 0, 0, true",
+			st.FeedLSN(), len(recs), ok)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		lsn  uint64
+	}{{"base-past-0", data, 5}, {"empty-base-at-0", NewStore(testSchema(t)).Snapshot().Encode(), 0}} {
+		st := NewStore(testSchema(t))
+		if err := st.ResetFromSnapshot(tc.data, tc.lsn); err != nil || st.FeedLSN() != tc.lsn {
+			t.Fatalf("%s: reset: %v, at LSN %d", tc.name, err, st.FeedLSN())
 		}
-		if len(st.Related("hasVersion")) != 1 {
-			t.Fatalf("%s: decoded store lost its link", format)
-		}
-		if recs, ok := st.Changes(0); st.FeedLSN() != 0 || len(recs) != 0 || !ok {
-			t.Fatalf("%s: decoded store at LSN %d with %d records (complete %t), want 0, 0, true",
-				format, st.FeedLSN(), len(recs), ok)
-		}
-		for _, tc := range []struct {
-			data []byte
-			lsn  uint64
-			want bool
-		}{{data, 0, false}, {data, 5, true}, {NewStore(testSchema(t)).Snapshot().Encode(), 0, true}} {
-			st := NewStore(testSchema(t))
-			if err := st.ResetFromSnapshot(tc.data, tc.lsn); err != nil {
-				t.Fatal(err)
-			}
-			if got := st.ReplaysFromZero(); got != tc.want || st.FeedLSN() != tc.lsn {
-				t.Fatalf("%s: reset at %d: ReplaysFromZero %t at LSN %d, want %t at %d",
-					format, tc.lsn, got, st.FeedLSN(), tc.want, tc.lsn)
-			}
-		}
+	}
+	follower := sampleStore(t)
+	before := fingerprint(t, follower)
+	lsn := follower.FeedLSN()
+	if err := follower.ResetFromSnapshot(data, 0); !errors.Is(err, backend.ErrOldFormat) {
+		t.Fatalf("non-empty base at LSN 0: %v, want ErrOldFormat", err)
+	}
+	if fingerprint(t, follower) != before || follower.FeedLSN() != lsn {
+		t.Fatal("a refused reset changed the store")
 	}
 }
 
 // TestSnapshotEncodeOneAllocation: the sizing pass is exact, so the
 // result is the single buffer Encode allocated, with nothing spare.
 func TestSnapshotEncodeOneAllocation(t *testing.T) {
-	for _, st := range []*Store{NewStore(testSchema(t)), legacyStore(t)} {
+	for _, st := range []*Store{NewStore(testSchema(t)), sampleStore(t)} {
 		enc := st.Snapshot().Encode()
 		if cap(enc) != len(enc) {
 			t.Fatalf("Encode returned len %d, cap %d", len(enc), cap(enc))
@@ -150,7 +133,7 @@ func TestSnapshotEncodeOneAllocation(t *testing.T) {
 // TestDecodeSnapshotCopiesBlobs: decoded blob bytes do not alias the
 // payload, so a caller may reuse its buffer.
 func TestDecodeSnapshotCopiesBlobs(t *testing.T) {
-	data := legacyStore(t).Snapshot().Encode()
+	data := sampleStore(t).Snapshot().Encode()
 	st, err := DecodeSnapshot(data, testSchema(t))
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +198,7 @@ func cat(parts ...[]any) []any {
 // snapshot, trailing bytes, and input Encode cannot produce are refused.
 func TestDecodeSnapshotRejectsMalformedBinary(t *testing.T) {
 	schema := testSchema(t)
-	data := legacyStore(t).Snapshot().Encode()
+	data := sampleStore(t).Snapshot().Encode()
 	for n := 0; n < len(data); n++ {
 		if _, err := DecodeSnapshot(data[:n], schema); err == nil {
 			t.Fatalf("snapshot truncated to %d of %d bytes accepted", n, len(data))
@@ -275,7 +258,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	schema := testSchema(f)
 	withRef := NewStore(schema)
 	mustCreate(f, withRef, "Cell", map[string]Value{"name": S("ref"), "data": Value{Kind: KindBlobRef, Str: strings.Repeat("ab", 32), Int: 7}})
-	for _, st := range []*Store{NewStore(schema), legacyStore(f), withRef} {
+	for _, st := range []*Store{NewStore(schema), sampleStore(f), withRef} {
 		enc := st.Snapshot().Encode()
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
@@ -284,6 +267,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte(snapMagic + "\x01\x02\x01\x02\x04Cell\x00\x00")) // a Cell without its required name
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeSnapshot(data, schema)
+		if !bytes.HasPrefix(data, []byte(snapMagic)) && !errors.Is(err, backend.ErrOldFormat) {
+			t.Fatalf("input without the snapshot magic: %v, want ErrOldFormat", err)
+		}
 		if err != nil {
 			return
 		}

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/oms/backend"
 )
 
 // Wire robustness: DecodeChanges is the entry point for bytes that
@@ -90,7 +92,9 @@ func TestDecodeChangesRobustness(t *testing.T) {
 		}
 	}
 
-	// The legacy JSON reader's refusals, and two more truncations.
+	// Input without the magic — empty, garbage, and the JSON change
+	// records older state dirs hold — is ErrOldFormat; two more
+	// truncations of the binary form are refused too.
 	cases := []struct {
 		name    string
 		payload []byte
@@ -111,8 +115,12 @@ func TestDecodeChangesRobustness(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodeChanges(tc.payload); err == nil {
+			_, err := DecodeChanges(tc.payload)
+			if err == nil {
 				t.Fatalf("DecodeChanges accepted %s input", tc.name)
+			}
+			if old := !bytes.HasPrefix(tc.payload, []byte(changesMagic)); old != errors.Is(err, backend.ErrOldFormat) {
+				t.Fatalf("%s input: %v, want ErrOldFormat: %t", tc.name, err, old)
 			}
 		})
 	}
@@ -422,7 +430,8 @@ func rawChanges(fields ...any) []byte {
 // (or be rejected) without panicking on a fresh store: as decoded, and
 // renumbered from LSN 1, so every input also reaches the per-record
 // apply instead of stopping at the gap check. Binary input that decodes
-// must re-encode to a payload that decodes to the same records.
+// must re-encode to a payload that decodes to the same records; input
+// without the magic, the JSON seeds included, is ErrOldFormat.
 func FuzzDecodeChanges(f *testing.F) {
 	valid := wirePayload(f)
 	f.Add(valid)
@@ -445,17 +454,18 @@ func FuzzDecodeChanges(f *testing.F) {
 	schema := feedSchema(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeChanges(data)
+		if !bytes.HasPrefix(data, []byte(changesMagic)) && !errors.Is(err, backend.ErrOldFormat) {
+			t.Fatalf("input without the change magic: %v, want ErrOldFormat", err)
+		}
 		if err != nil {
 			return
 		}
-		if bytes.HasPrefix(data, []byte(changesMagic)) {
-			again, err := DecodeChanges(EncodeChanges(recs))
-			if err != nil {
-				t.Fatalf("re-encoded records do not decode: %v", err)
-			}
-			if !reflect.DeepEqual(again, recs) {
-				t.Fatalf("re-encoded records decode differently:\n got %+v\nwant %+v", again, recs)
-			}
+		again, err := DecodeChanges(EncodeChanges(recs))
+		if err != nil {
+			t.Fatalf("re-encoded records do not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, recs) {
+			t.Fatalf("re-encoded records decode differently:\n got %+v\nwant %+v", again, recs)
 		}
 		_ = NewStore(schema).ApplyReplicated(recs)
 		for i := range recs {

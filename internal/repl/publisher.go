@@ -301,9 +301,9 @@ func (p *Publisher) send(c Conn, f Frame) bool {
 // by manifest chain when available, else by live snapshot — and returns
 // the live subscription plus the bootstrap frames to send first.
 func (p *Publisher) attach(resume uint64, needSnap bool) (*oms.Subscription, []Frame, error) {
-	// A follower at 0 holds the empty store; the feed from 0 rebuilds the
-	// primary from that unless the primary's base at LSN 0 is not empty.
-	if !needSnap && resume <= p.st.FeedLSN() && (resume > 0 || p.st.ReplaysFromZero()) {
+	// A follower at 0 holds the empty store, and the feed from 0 rebuilds
+	// the primary from that: no store holds a non-empty base at LSN 0.
+	if !needSnap && resume <= p.st.FeedLSN() {
 		if sub, err := p.st.Watch(resume, p.buf); err == nil {
 			return sub, nil, nil
 		}

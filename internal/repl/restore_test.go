@@ -2,7 +2,9 @@ package repl
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,6 +62,24 @@ func copyStateDir(t *testing.T, src string) string {
 		}
 	}
 	return dir
+}
+
+// dirFiles returns every file of dir and its bytes.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
 }
 
 func restoredCases() []restoredCase {
@@ -130,33 +150,12 @@ func restoredCases() []restoredCase {
 				}
 			}
 		}},
-		{"segment-parent-fixture", func(t *testing.T) backend.Backend {
-			seg, err := backend.OpenSegment(copyStateDir(t, filepath.Join("..", "jcf", "testdata", "segment-parent")))
+		{"segment-v1-fixture", func(t *testing.T) backend.Backend {
+			seg, err := backend.OpenSegment(copyStateDir(t, filepath.Join("..", "jcf", "testdata", "segment-v1")))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return seg
-		}},
-		{"non-empty-base-at-lsn-0", func(t *testing.T) backend.Backend {
-			// The manifest an earlier LoadFrom could leave behind: a full
-			// save of a loaded store whose feed had restarted at 0.
-			dir := t.TempDir()
-			if err := smallFramework(t).Save(dir); err != nil {
-				t.Fatal(err)
-			}
-			b, err := backend.OpenFile(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := backend.LoadManifest(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.BaseLSN, m.FeedLSN = 0, 0
-			if err := backend.PutManifest(b, m); err != nil {
-				t.Fatal(err)
-			}
-			return b
 		}},
 	}
 }
@@ -296,6 +295,60 @@ func TestChainBootstrapRefusesBrokenChain(t *testing.T) {
 			assertOneSession(t, rep)
 			if s := p.Stats(); s.ChainBootstraps != 0 || s.SnapshotBootstraps != 1 {
 				t.Fatalf("chain bootstraps %d, snapshot bootstraps %d, want 0 and 1", s.ChainBootstraps, s.SnapshotBootstraps)
+			}
+		})
+	}
+}
+
+// TestChainBootstrapReportsOldFormat: a chain bootstrap ships the
+// committed base and deltas as they stand, so the JSON base or delta of
+// an older state dir reaches the replica. The replica refuses it with
+// backend.ErrOldFormat and reports that through Err rather than waiting
+// silently, and the seed's files stay as they were.
+func TestChainBootstrapReportsOldFormat(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload func(m *backend.Manifest) (name string, sum *string, payload []byte)
+	}{
+		{"json-base", func(m *backend.Manifest) (string, *string, []byte) {
+			return m.OMS, &m.OMSSum, []byte(`{"next_oid":2,"objects":[{"oid":1,"class":"Cell","attrs":{"name":{"kind":0,"str":"alu"}}}],"links":[]}`)
+		}},
+		{"json-delta", func(m *backend.Manifest) (string, *string, []byte) {
+			d := &m.Deltas[0]
+			return d.Name, &d.Sum, []byte(fmt.Sprintf(`[{"lsn":%d,"group":%[1]d,"kind":1,"oid":1,"class":"Cell","attr":"rev","value":{"kind":1,"int":7}}]`, d.FromLSN+1))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			primary, seed, m, _ := committedChain(t)
+			name, sum, payload := tc.payload(&m)
+			if err := seed.Put(name, payload); err != nil {
+				t.Fatal(err)
+			}
+			*sum = backend.SHA256Hex(payload)
+			if err := backend.PutManifest(seed, m); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := backend.ReadChain(seed); err != nil {
+				t.Fatalf("test premise broken: the chain does not read: %v", err)
+			}
+			dir := seed.(interface{ Dir() string }).Dir()
+			before := dirFiles(t, dir)
+			p, d := startPipePublisher(t, primary, WithSeedBackend(seed))
+			rep := NewReplica(testSchema(t), d, WithReconnectBackoff(time.Millisecond))
+			rep.Start()
+			defer rep.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for !errors.Is(rep.Err(), backend.ErrOldFormat) {
+				if time.Now().After(deadline) {
+					t.Fatalf("replica reports %v, want ErrOldFormat", rep.Err())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if got := p.Stats().ChainBootstraps; got == 0 {
+				t.Fatal("test premise broken: no chain bootstrap")
+			}
+			if !maps.Equal(dirFiles(t, dir), before) {
+				t.Fatal("the refused bootstrap changed the seed's state dir")
 			}
 		})
 	}

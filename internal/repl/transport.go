@@ -52,16 +52,17 @@ const (
 	// Payload is one flags byte.
 	FrameHello FrameType = 1 + iota
 	// FrameSnapshot carries a full base snapshot (an oms
-	// Snapshot.Encode payload, or a legacy JSON base that a chain
-	// bootstrap ships from an older state dir; oms.DecodeSnapshot reads
-	// both); LSN is the snapshot's change-feed position. The replica
-	// replaces its whole store with it.
+	// Snapshot.Encode or MergeCheckpoint payload); LSN is the
+	// snapshot's change-feed position. The replica replaces its whole
+	// store with it. A chain bootstrap ships the committed base as it
+	// stands, so an older state dir's JSON base reaches the replica,
+	// which refuses it with backend.ErrOldFormat (see Replica.Err).
 	FrameSnapshot
 	// FrameChanges carries one or more whole commit groups as binary
-	// change records (an oms.EncodeChanges payload), or a JSON delta
-	// that a chain bootstrap ships verbatim from an older state dir
-	// (oms.DecodeChanges reads both); LSN is the publisher's committed
-	// watermark at send time (the replica's lag reference).
+	// change records (an oms.EncodeChanges payload); LSN is the
+	// publisher's committed watermark at send time (the replica's lag
+	// reference). A chain bootstrap ships committed deltas verbatim; a
+	// JSON one is refused like a JSON base.
 	FrameChanges
 	// FrameBlobFetch asks the publisher for one content-addressed blob
 	// (replica → publisher). Payload is a 40-byte blobstore.EncodeRef;
