@@ -44,8 +44,9 @@ lint:
 ## snapshot that decodes must re-encode to bytes that decode to the same
 ## store; a base folded with
 ## an overlay checkpoint must match a full snapshot and a plain-map
-## model; and the hand-written FMCAD .meta encoder, cold and with a warm
-## per-cell cache, must match encoding/json.
+## model; and the hand-written FMCAD .meta encoder must match
+## encoding/json, and a journal record replayed over the root it was
+## built on must give the root it records.
 fuzz-seed:
 	$(GO) test -run FuzzDecodeChanges ./internal/oms/
 	$(GO) test -run FuzzDecodeSnapshot ./internal/oms/
@@ -111,14 +112,15 @@ stress-feed:
 ## for bindings committed after it attached and after promotion
 ## (internal/core/replica_test.go); and a fresh replica of a primary
 ## restored by LoadFrom (full, differential, overlay and segment-v1
-## fixture state dirs) must converge in one session; a chain bootstrap
-## that ships an older state dir's JSON base or delta must leave the
-## replica reporting backend.ErrOldFormat, and LoadFrom must refuse
-## every older on-disk format without writing; and each change frame's
+## fixture state dirs) must converge in one session; a committed chain
+## whose base or delta is an older state dir's JSON must not be shipped:
+## the publisher falls back to a live snapshot and the replica converges
+## in one session, and LoadFrom must refuse every older on-disk format
+## without writing; and each change frame's
 ## encode and decode must be timed. Runs over both the in-process pipe
 ## and real TCP.
 stress-repl:
-	$(GO) test -race -count=3 -run 'TestReplicationConvergenceUnderLoad|TestReplicaStreamRobustness|TestReplicaReadOnlyView|TestReplicaViewPromote|TestReplicaAnswersFrameworkMetadata|TestRestoredPrimaryServesFreshReplica|TestReplicaAnswersMapping|TestChainBootstrapReportsOldFormat|TestLoadRefusesOldFormats|TestCodecHistogramsPerChangeFrame' ./internal/repl/ ./internal/jcf/ ./internal/core/
+	$(GO) test -race -count=3 -run 'TestReplicationConvergenceUnderLoad|TestReplicaStreamRobustness|TestReplicaReadOnlyView|TestReplicaViewPromote|TestReplicaAnswersFrameworkMetadata|TestRestoredPrimaryServesFreshReplica|TestReplicaAnswersMapping|TestChainBootstrapFallsBackFromOldFormat|TestLoadRefusesOldFormats|TestCodecHistogramsPerChangeFrame' ./internal/repl/ ./internal/jcf/ ./internal/core/
 
 ## stress-blob hammers the content-addressed checkin pipeline under the
 ## race detector: concurrent identical-content checkins must dedup to
@@ -138,9 +140,18 @@ stress-blob:
 ## detector: sessions open, refresh and read their snapshots while
 ## designers check out, check in, tag and configure, so any write to a
 ## published record is a race; of concurrent Creates on one directory
-## exactly one must win (internal/fmcad/snapshot_test.go).
+## exactly one must win; and after every op of a seeded sequence, failed
+## journal appends, torn appends and failed checkpoints included, a fresh
+## Open must load the published root (internal/fmcad/snapshot_test.go).
+## It then enumerates the crash states of the .meta.log journal in short
+## mode (internal/fmcad/journal_test.go): every byte prefix of a record,
+## zero-filled tails, and a checkpoint's rename kept or lost before the
+## log's truncate must open to the root after the last whole record and
+## accept one more mutation; `make check` runs the full enumeration
+## through `race`.
 stress-fmcad:
 	$(GO) test -race -count=3 -run 'TestSessionsReadWhileLibraryMutates|TestConcurrentCreateOneWins|TestPublishedMetaNeverChanges' ./internal/fmcad/
+	$(GO) test -race -short -count=1 -run 'TestMetaLogCrashStates' ./internal/fmcad/
 
 ## crash-segment enumerates the crash states of the segment log's commit
 ## protocol (internal/oms/backend/crash_test.go) over a seeded script in

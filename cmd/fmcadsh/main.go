@@ -1,7 +1,11 @@
 // Command fmcadsh is the FMCAD framework shell: it manages design
 // libraries (real directories with a .meta file) and hosts the FML
 // extension-language REPL. State persists in the library directory across
-// invocations, like the original framework.
+// invocations, like the original framework: each command's mutations go
+// to the .meta.log journal (now and then folded into .meta as a
+// checkpoint), and the next invocation replays it, so it sees them all.
+// A checkout leaves the working copy in .workspace/USER; a later checkout
+// of the same cellview overwrites it.
 //
 // Usage:
 //

@@ -26,18 +26,26 @@
 // but with no what-belongs-to-what history (section 3.5).
 //
 // In memory, published metadata is immutable. A mutation builds a new root
-// that shares every record it does not change, writes it to .meta, and
-// only then publishes it; a Session snapshot is just the root published
-// when it was taken, so opening or refreshing one copies nothing.
+// that shares every record it does not change, writes it to disk, and only
+// then publishes it; a Session snapshot is just the root published when it
+// was taken, so opening or refreshing one copies nothing.
 //
-// On disk, .meta is compact JSON (struct fields in declaration order, map
-// keys sorted). Every mutation rewrites the whole file under the library
-// mutex: the new content goes to .meta.tmp, which is then renamed over
-// .meta, so a reader sees either the old or the new file, never a torn
-// one. The encoder keeps each cell's bytes and re-encodes only the cells
-// a mutation changed. There is no fsync, so a crash can lose the latest
-// mutations. A design file is written before the metadata that names it,
-// so .meta never names a version with no file behind it.
+// On disk, the metadata is a checkpoint plus a journal, under the library
+// mutex. .meta is the checkpoint: compact JSON (struct fields in
+// declaration order, map keys sorted). Each mutation appends one
+// CRC-framed record to .meta.log holding the new seq and the view, cell
+// and config records the mutation wrote; fmcad deletes nothing, so a
+// record is an upsert. Once the log is larger than .meta, the next
+// mutation writes the whole root to .meta.tmp and renames it over .meta
+// instead, then truncates the log. Open decodes .meta and replays the
+// log: records with a seq the checkpoint already holds are skipped, the
+// next seq is applied, and the first torn frame, bad checksum, invalid
+// record or seq gap ends the replay, so a torn tail is never loaded. A
+// failed append is cut back off the log and publishes nothing, and the
+// log is cut to its valid prefix before the first append after Open.
+// There is no fsync, so a crash can lose the latest mutations. A design
+// file is written before the metadata that names it, so the metadata
+// never names a version with no file behind it.
 package fmcad
 
 import (
@@ -54,8 +62,12 @@ import (
 )
 
 // MetaFileName is the single metadata file per library — the paper's
-// "only one .meta file per project" bottleneck.
-const MetaFileName = ".meta"
+// "only one .meta file per project" bottleneck. It is the checkpoint;
+// logFileName is the journal of the mutations since.
+const (
+	MetaFileName = ".meta"
+	logFileName  = MetaFileName + ".log"
+)
 
 // Errors reported by the framework. ErrLocked is the checkout conflict the
 // concurrency experiments count.
@@ -88,7 +100,14 @@ type meta struct {
 	Views   map[string]string         `json:"views"` // view name -> viewtype
 	Cells   map[string]*cellMeta      `json:"cells"`
 	Configs map[string]map[string]int `json:"configs"` // config -> "cell/view" -> version
+
+	// edits names the entries of Views, Cells and Configs this root wrote
+	// over the one it was built from (see next): exactly what its journal
+	// record holds.
+	edits edits
 }
+
+type edits struct{ views, cells, configs []string }
 
 func newMeta(name string) *meta {
 	return &meta{
@@ -124,8 +143,32 @@ func (m *meta) editCellview(cell, view string) *cellviewMeta {
 	cv.Versions = slices.Clip(cv.Versions)
 	cv.Props = maps.Clone(cv.Props)
 	c.Cellviews[view] = &cv
-	m.Cells[cell] = c
+	m.setCell(cell, c)
 	return &cv
+}
+
+// setView, setCell and setConfig are the only writes a mutation makes to
+// the top-level maps of a root from next: each records its key in edits.
+func (m *meta) setView(view, viewtype string) {
+	m.Views[view] = viewtype
+	m.edits.views = addKey(m.edits.views, view)
+}
+
+func (m *meta) setCell(cell string, c *cellMeta) {
+	m.Cells[cell] = c
+	m.edits.cells = addKey(m.edits.cells, cell)
+}
+
+func (m *meta) setConfig(config string, cfg map[string]int) {
+	m.Configs[config] = cfg
+	m.edits.configs = addKey(m.edits.configs, config)
+}
+
+func addKey(keys []string, k string) []string {
+	if slices.Contains(keys, k) {
+		return keys
+	}
+	return append(keys, k)
 }
 
 func (m *meta) cellview(cell, view string) (*cellviewMeta, error) {
@@ -146,9 +189,16 @@ func (m *meta) cellview(cell, view string) (*cellviewMeta, error) {
 type Library struct {
 	dir string
 
-	mu   sync.Mutex
-	meta *meta       // published root; never written, only replaced
-	enc  metaEncoder // .meta encoder with its per-cell cache
+	mu       sync.Mutex
+	meta     *meta  // published root; never written, only replaced
+	buf      []byte // encode buffer of journal records and checkpoints, reused
+	metaSize int64  // bytes of .meta, the last checkpoint
+	logSize  int64  // bytes of the journal's valid prefix
+	logCut   bool   // the journal may run past logSize: cut it before appending
+
+	// logWrite, when set (tests only), replaces the journal append's
+	// f.Write.
+	logWrite func(f *os.File, rec []byte) (int, error)
 
 	// statConflicts counts rejected checkouts; the section 3.1 experiment
 	// reads it.
@@ -172,7 +222,9 @@ func Create(dir, name string) (*Library, error) {
 		return nil, fmt.Errorf("fmcad: create library: %w", err)
 	}
 	defer os.Remove(f.Name()) // after the link, .meta keeps the content
-	_, err = f.Write(l.enc.encode(l.meta))
+	data := appendMeta(nil, l.meta)
+	l.metaSize = int64(len(data))
+	_, err = f.Write(data)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -188,8 +240,10 @@ func Create(dir, name string) (*Library, error) {
 	return l, nil
 }
 
-// Open loads an existing library from dir. A .meta that does not parse,
-// or holds a null cell, cellview or config record, fails with ErrCorrupt.
+// Open loads an existing library from dir: the .meta checkpoint, then the
+// records of the journal that follow it (see replay). A .meta that does
+// not parse, or holds a null cell, cellview or config record, fails with
+// ErrCorrupt; a torn or invalid journal tail is dropped, not reported.
 func Open(dir string) (*Library, error) {
 	data, err := os.ReadFile(filepath.Join(dir, MetaFileName))
 	if err != nil {
@@ -199,7 +253,14 @@ func Open(dir string) (*Library, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fmcad: open library %s: %w", dir, err)
 	}
-	return &Library{dir: dir, meta: m}, nil
+	log, err := os.ReadFile(filepath.Join(dir, logFileName))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("fmcad: open library: %w", err)
+	}
+	l := &Library{dir: dir, meta: m, metaSize: int64(len(data))}
+	l.logSize = replay(m, log)
+	l.logCut = l.logSize < int64(len(log))
+	return l, nil
 }
 
 // Name returns the library name.
@@ -239,19 +300,77 @@ func (l *Library) mutate(fn func(m *meta) error) error {
 	return l.commitLocked(next)
 }
 
-// commitLocked bumps the sequence number of next, writes it to .meta and
-// only then publishes it as the library's root; caller holds l.mu. If the
-// write fails, next is dropped, so memory never runs ahead of the file.
+// commitLocked bumps the sequence number of next, writes it to disk and
+// only then publishes it as the library's root; caller holds l.mu. The
+// write is a journal record, or a checkpoint once the journal is larger
+// than .meta. If the write fails, next is dropped, so memory never runs
+// ahead of the disk.
 func (l *Library) commitLocked(next *meta) error {
 	next.Seq++
-	tmp := filepath.Join(l.dir, MetaFileName+".tmp")
-	if err := os.WriteFile(tmp, l.enc.encode(next), 0o644); err != nil {
-		return fmt.Errorf("fmcad: flush meta: %w", err)
+	var err error
+	if l.logSize > l.metaSize {
+		err = l.checkpoint(next)
+	} else {
+		err = l.appendLog(next)
 	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, MetaFileName)); err != nil {
+	if err != nil {
 		return fmt.Errorf("fmcad: flush meta: %w", err)
 	}
 	l.meta = next
+	return nil
+}
+
+// appendLog appends the journal record of next. The log is opened per
+// append: opening an existing file costs a few microseconds, and holding
+// it open would need a Close. A failed or short append is cut back off,
+// so a torn record never sits in front of a later one.
+func (l *Library) appendLog(next *meta) error {
+	path := filepath.Join(l.dir, logFileName)
+	if l.logCut {
+		if err := os.Truncate(path, l.logSize); err != nil {
+			return err
+		}
+		l.logCut = false
+	}
+	l.buf = appendRecord(l.buf[:0], next)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	write := (*os.File).Write
+	if l.logWrite != nil {
+		write = l.logWrite
+	}
+	_, err = write(f, l.buf)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		// Cut by path: f may be unusable. If this fails too, the next
+		// append cuts first.
+		l.logCut = os.Truncate(path, l.logSize) != nil
+		return err
+	}
+	l.logSize += int64(len(l.buf))
+	return nil
+}
+
+// checkpoint writes the whole of next to .meta by a temp file and a
+// rename, then truncates the journal, whose records .meta now holds. A
+// crash between the rename and the truncate leaves records replay skips;
+// a failed truncate is retried before the next append.
+func (l *Library) checkpoint(next *meta) error {
+	l.buf = appendMeta(l.buf[:0], next)
+	tmp := filepath.Join(l.dir, MetaFileName+".tmp")
+	if err := os.WriteFile(tmp, l.buf, 0o644); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(l.dir, MetaFileName)); err != nil {
+		return err
+	}
+	l.metaSize, l.logSize = int64(len(l.buf)), 0
+	err := os.Truncate(filepath.Join(l.dir, logFileName), 0)
+	l.logCut = err != nil && !errors.Is(err, fs.ErrNotExist)
 	return nil
 }
 
@@ -279,7 +398,7 @@ func (l *Library) DefineView(view, viewtype string) error {
 		if _, dup := m.Views[view]; dup {
 			return fmt.Errorf("%w: view %q", ErrExists, view)
 		}
-		m.Views[view] = viewtype
+		m.setView(view, viewtype)
 		return nil
 	})
 }
@@ -304,7 +423,7 @@ func (l *Library) CreateCell(cell string) error {
 		if _, dup := m.Cells[cell]; dup {
 			return fmt.Errorf("%w: cell %q", ErrExists, cell)
 		}
-		m.Cells[cell] = &cellMeta{Cellviews: map[string]*cellviewMeta{}}
+		m.setCell(cell, &cellMeta{Cellviews: map[string]*cellviewMeta{}})
 		return nil
 	})
 }
@@ -333,7 +452,7 @@ func (l *Library) CreateCellview(cell, view string) error {
 	next := l.meta.next()
 	c = &cellMeta{Cellviews: maps.Clone(c.Cellviews)}
 	c.Cellviews[view] = &cellviewMeta{Versions: []int{1}, Default: 1, Props: map[string]map[string]string{}}
-	next.Cells[cell] = c
+	next.setCell(cell, c)
 	if err := l.commitLocked(next); err != nil {
 		_ = os.Remove(path) //lint:allow noerrdrop no metadata names the file; a leftover is overwritten by the next create
 		return err
@@ -341,12 +460,16 @@ func (l *Library) CreateCellview(cell, view string) error {
 	return nil
 }
 
-// writeDesignFile writes a design file, creating its directory.
+// writeDesignFile writes a design file, creating its directory when it is
+// missing.
 func writeDesignFile(path string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
+	err := os.WriteFile(path, data, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(filepath.Dir(path), 0o755); err == nil {
+			err = os.WriteFile(path, data, 0o644)
+		}
 	}
-	return os.WriteFile(path, data, 0o644)
+	return err
 }
 
 // versionPath returns the design file path for a cellview version (the
@@ -532,7 +655,7 @@ func (l *Library) CreateConfig(name string) error {
 		if _, dup := m.Configs[name]; dup {
 			return fmt.Errorf("%w: config %q", ErrExists, name)
 		}
-		m.Configs[name] = map[string]int{}
+		m.setConfig(name, map[string]int{})
 		return nil
 	})
 }
@@ -555,7 +678,7 @@ func (l *Library) AddToConfig(config, cell, view string, num int) error {
 		}
 		cfg = maps.Clone(cfg)
 		cfg[cvKey(cell, view)] = num
-		m.Configs[config] = cfg
+		m.setConfig(config, cfg)
 		return nil
 	})
 }
@@ -619,7 +742,7 @@ func (l *Library) AddConfigToConfig(parent, child string) error {
 		}
 		cfg = maps.Clone(cfg)
 		cfg[configRefPrefix+child] = 0
-		m.Configs[parent] = cfg
+		m.setConfig(parent, cfg)
 		return nil
 	})
 }

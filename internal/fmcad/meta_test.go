@@ -11,12 +11,13 @@ import (
 	"testing"
 )
 
-// FuzzAppendMeta holds the hand-written .meta encoder and its per-cell
-// cache to encoding/json. For any metadata Open accepts, plus records named
-// by an arbitrary string, a cold encoder must produce exactly json.Marshal's
-// bytes. After one cell of a next() root is edited the way the mutations
-// edit it, the same (warm) encoder must produce json.Marshal's bytes of the
-// new root, and the old root must still encode as before.
+// FuzzAppendMeta holds the hand-written .meta encoder to encoding/json.
+// For any metadata Open accepts, plus records named by an arbitrary
+// string, appendMeta must produce exactly json.Marshal's bytes. After one
+// cell, view and config of a next() root are edited the way the mutations
+// edit them, it must produce json.Marshal's bytes of the new root, and the
+// old root must still encode as before. The new root's journal record,
+// replayed over the old root as Open decodes it, must give the new root.
 func FuzzAppendMeta(f *testing.F) {
 	full := `{"name":"lib","seq":7,"views":{"layout":"layout","schematic":"schematic"},` +
 		`"cells":{"alu":{"cellviews":{"schematic":{"versions":[1,2,3],"default":3,"locked_by":"anna",` +
@@ -52,8 +53,7 @@ func FuzzAppendMeta(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var enc metaEncoder
-		if got := enc.encode(m); !bytes.Equal(got, want) {
+		if got := appendMeta(nil, m); !bytes.Equal(got, want) {
 			t.Fatalf("encode differs from json.Marshal:\n got %s\nwant %s", got, want)
 		}
 
@@ -69,18 +69,36 @@ func FuzzAppendMeta(f *testing.F) {
 		}
 		props[name+"/"] = name
 		cv.Props["v2"] = props
+		next.setView(name+"/", name)
+		next.setConfig(name, map[string]int{cvKey(name, name): 3, name: -1})
 		wantNext, err := json.Marshal(next)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := enc.encode(next); !bytes.Equal(got, wantNext) {
-			t.Fatalf("warm encode differs from json.Marshal:\n got %s\nwant %s", got, wantNext)
+		if got := appendMeta(nil, next); !bytes.Equal(got, wantNext) {
+			t.Fatalf("encode of the next root differs from json.Marshal:\n got %s\nwant %s", got, wantNext)
 		}
-		if old, err := json.Marshal(m); err != nil || !bytes.Equal(old, want) {
-			t.Fatalf("editing the next root changed the old one (%v):\n got %s\nwant %s", err, old, want)
+		if got := appendMeta(nil, m); !bytes.Equal(got, want) {
+			t.Fatalf("editing the next root changed the old one:\n got %s\nwant %s", got, want)
 		}
-		if got := enc.encode(m); !bytes.Equal(got, want) {
-			t.Fatalf("warm encode of the old root differs:\n got %s\nwant %s", got, want)
+
+		rec := appendRecord(nil, next)
+		replayed, err := decodeMeta(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := replay(replayed, rec); n != int64(len(rec)) {
+			t.Fatalf("replay took %d of the record's %d bytes", n, len(rec))
+		}
+		// Both sides go through one JSON round trip, which turns invalid
+		// UTF-8 into U+FFFD as a checkpoint's reopen does.
+		reopened, err := decodeMeta(wantNext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := json.Marshal(replayed)
+		if wantReopened, _ := json.Marshal(reopened); !bytes.Equal(got, wantReopened) {
+			t.Fatalf("replayed record differs from the new root:\n got %s\nwant %s", got, wantReopened)
 		}
 	})
 }
@@ -99,7 +117,7 @@ func TestSnapshotIndependentOfLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := l.NewSession("anna")
-	before := bytes.Clone(new(metaEncoder).encode(s.snap))
+	before := appendMeta(nil, s.snap)
 
 	if err := l.SetProperty("alu", "schematic", 1, "owner", "bert"); err != nil {
 		t.Fatal(err)
@@ -121,16 +139,18 @@ func TestSnapshotIndependentOfLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if after := new(metaEncoder).encode(s.snap); !bytes.Equal(after, before) {
+	if after := appendMeta(nil, s.snap); !bytes.Equal(after, before) {
 		t.Fatalf("snapshot changed with the library:\nbefore %s\n after %s", before, after)
 	}
-	if lib := new(metaEncoder).encode(l.meta); bytes.Equal(lib, before) {
+	if lib := appendMeta(nil, l.meta); bytes.Equal(lib, before) {
 		t.Fatal("library metadata did not change")
 	}
 }
 
 // Libraries written before .meta became compact used json.MarshalIndent;
-// they must still open, and their first mutation rewrites them compact.
+// they must still open, unchanged. Their first mutation goes to the
+// journal, which a reopen replays over the indented checkpoint, and their
+// first checkpoint rewrites .meta compact.
 func TestOpenIndentedMeta(t *testing.T) {
 	const indented = `{
  "name": "oldlib",
@@ -186,17 +206,20 @@ func TestOpenIndentedMeta(t *testing.T) {
 	if err := l.CreateCell("reg"); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, MetaFileName))
-	if err != nil {
+	if data := readFiles(t, dir, MetaFileName)[0]; string(data) != indented {
+		t.Fatalf("the first mutation rewrote .meta:\n%s", data)
+	}
+	requireOnDisk(t, l, "after the first mutation")
+
+	untilCheckpoint(t, l)
+	if err := l.CreateCell("ckpt"); err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(l.meta)
-	if err != nil {
-		t.Fatal(err)
+	files := readFiles(t, dir, MetaFileName, logFileName)
+	if want := marshalRoot(t, l.meta); !bytes.Equal(files[0], want) || len(files[1]) != 0 {
+		t.Fatalf("checkpointed .meta is not compact JSON of the root (%d journal bytes left):\n%s", len(files[1]), files[0])
 	}
-	if !bytes.Equal(data, want) {
-		t.Fatalf("rewritten .meta is not compact JSON:\n%s", data)
-	}
+	requireOnDisk(t, l, "after the checkpoint")
 }
 
 // Open must reject records a later lookup or mutation would dereference
@@ -266,91 +289,131 @@ func TestCheckoutStageFailureReleasesLock(t *testing.T) {
 	}
 }
 
-// A checkin whose version file cannot be written must leave .meta as it
-// was and the checkout held, so the same Workfile can check in later.
-func TestCheckinVersionWriteFailureKeepsCheckout(t *testing.T) {
-	l := newLib(t)
-	mustCell(t, l, "alu", "schematic")
-	s := l.NewSession("anna")
-	wf, err := s.Checkout("alu", "schematic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(wf.Path, []byte("v2\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A directory where v2.cv belongs.
-	v2 := l.VersionPath("alu", "schematic", 2)
-	if err := os.Mkdir(v2, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	metaPath := filepath.Join(l.Dir(), MetaFileName)
-	before, err := os.ReadFile(metaPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if num, err := s.Checkin(wf); err == nil {
-		t.Fatalf("Checkin wrote v%d over a directory", num)
-	}
-	after, err := os.ReadFile(metaPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, before) {
-		t.Fatalf(".meta changed by a failed checkin:\nbefore %s\n after %s", before, after)
-	}
-	if who, _ := l.LockedBy("alu", "schematic"); who != "anna" {
-		t.Fatalf("LockedBy = %q, want anna", who)
-	}
-	if def, _ := l.DefaultVersion("alu", "schematic"); def != 1 {
-		t.Fatalf("DefaultVersion = %d, want 1", def)
-	}
+// writeFailure is a point at which a mutation's disk write can fail. prep
+// commits what it takes for the library's next commit to reach that
+// point; arm makes the write there fail and returns the func that disarms
+// it.
+type writeFailure struct {
+	name string
+	prep func(t *testing.T, l *Library)
+	arm  func(t *testing.T, l *Library) func() error
+}
 
-	if err := os.Remove(v2); err != nil {
-		t.Fatal(err)
-	}
-	num, err := s.Checkin(wf)
-	if err != nil || num != 2 {
-		t.Fatalf("retried Checkin = v%d, %v", num, err)
-	}
-	if data, err := l.ReadVersion("alu", "schematic", 2); err != nil || string(data) != "v2\n" {
-		t.Fatalf("ReadVersion = %q, %v", data, err)
+// commitFailures fail a commit at its journal append or its checkpoint.
+var commitFailures = []writeFailure{
+	{"journal-append", func(t *testing.T, l *Library) {
+		if l.logSize > l.metaSize {
+			if err := l.CreateConfig("checkpoint"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}, func(t *testing.T, l *Library) func() error {
+		return block(t, filepath.Join(l.Dir(), logFileName))
+	}},
+	{"checkpoint", untilCheckpoint, func(t *testing.T, l *Library) func() error {
+		return block(t, filepath.Join(l.Dir(), MetaFileName+".tmp"))
+	}},
+}
+
+// A checkin whose version file or metadata cannot be written must leave
+// the metadata files as they were and the checkout held, so the same
+// Workfile can check in later.
+func TestCheckinVersionWriteFailureKeepsCheckout(t *testing.T) {
+	failures := append([]writeFailure{{"version-file", func(*testing.T, *Library) {}, func(t *testing.T, l *Library) func() error {
+		// A directory where v2.cv belongs.
+		v2 := l.VersionPath("alu", "schematic", 2)
+		if err := os.Mkdir(v2, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return func() error { return os.Remove(v2) }
+	}}}, commitFailures...)
+	for _, fail := range failures {
+		t.Run(fail.name, func(t *testing.T) {
+			l := newLib(t)
+			mustCell(t, l, "alu", "schematic")
+			s := l.NewSession("anna")
+			wf, err := s.Checkout("alu", "schematic")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(wf.Path, []byte("v2\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fail.prep(t, l)
+			before := readFiles(t, l.Dir(), MetaFileName, logFileName)
+			disarm := fail.arm(t, l)
+			if num, err := s.Checkin(wf); err == nil {
+				t.Fatalf("Checkin committed v%d", num)
+			}
+			if err := disarm(); err != nil {
+				t.Fatal(err)
+			}
+			after := readFiles(t, l.Dir(), MetaFileName, logFileName)
+			for i, name := range []string{MetaFileName, logFileName} {
+				if !bytes.Equal(after[i], before[i]) {
+					t.Fatalf("%s changed by a failed checkin:\nbefore %q\n after %q", name, before[i], after[i])
+				}
+			}
+			requireOnDisk(t, l, "after the failed checkin")
+			if who, _ := l.LockedBy("alu", "schematic"); who != "anna" {
+				t.Fatalf("LockedBy = %q, want anna", who)
+			}
+			if def, _ := l.DefaultVersion("alu", "schematic"); def != 1 {
+				t.Fatalf("DefaultVersion = %d, want 1", def)
+			}
+			if _, err := os.Stat(l.VersionPath("alu", "schematic", 2)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("uncommitted version left its file: %v", err)
+			}
+
+			num, err := s.Checkin(wf)
+			if err != nil || num != 2 {
+				t.Fatalf("retried Checkin = v%d, %v", num, err)
+			}
+			if data, err := l.ReadVersion("alu", "schematic", 2); err != nil || string(data) != "v2\n" {
+				t.Fatalf("ReadVersion = %q, %v", data, err)
+			}
+			requireOnDisk(t, l, "after the retried checkin")
+		})
 	}
 }
 
-// A mutation whose .meta rewrite fails must not stay visible in memory,
-// and a cellview whose record could not be committed leaves no file.
+// A mutation whose journal append or checkpoint fails must not stay
+// visible in memory nor on disk, and a cellview whose record could not be
+// committed leaves no file.
 func TestFailedFlushRollsBack(t *testing.T) {
-	l := newLib(t)
-	mustCell(t, l, "alu")
-	seq := l.Seq()
-	// A directory where the temp file of the rewrite belongs.
-	tmp := filepath.Join(l.Dir(), MetaFileName+".tmp")
-	if err := os.Mkdir(tmp, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.CreateCell("reg"); err == nil {
-		t.Fatal("CreateCell committed without writing .meta")
-	}
-	if err := l.CreateCellview("alu", "schematic"); err == nil {
-		t.Fatal("CreateCellview committed without writing .meta")
-	}
-	if got := strings.Join(l.Cells(), ","); got != "alu" || l.Seq() != seq {
-		t.Fatalf("Cells = %s, Seq = %d (was %d)", got, l.Seq(), seq)
-	}
-	if views, _ := l.Cellviews("alu"); len(views) != 0 {
-		t.Fatalf("Cellviews(alu) = %v", views)
-	}
-	if _, err := os.Stat(l.VersionPath("alu", "schematic", 1)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("uncommitted cellview left its file: %v", err)
-	}
+	for _, fail := range commitFailures {
+		t.Run(fail.name, func(t *testing.T) {
+			l := newLib(t)
+			mustCell(t, l, "alu")
+			fail.prep(t, l)
+			seq := l.Seq()
+			disarm := fail.arm(t, l)
+			if err := l.CreateCell("reg"); err == nil {
+				t.Fatal("CreateCell committed without writing its metadata")
+			}
+			if err := l.CreateCellview("alu", "schematic"); err == nil {
+				t.Fatal("CreateCellview committed without writing its metadata")
+			}
+			if got := strings.Join(l.Cells(), ","); got != "alu" || l.Seq() != seq {
+				t.Fatalf("Cells = %s, Seq = %d (was %d)", got, l.Seq(), seq)
+			}
+			if views, _ := l.Cellviews("alu"); len(views) != 0 {
+				t.Fatalf("Cellviews(alu) = %v", views)
+			}
+			if _, err := os.Stat(l.VersionPath("alu", "schematic", 1)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("uncommitted cellview left its file: %v", err)
+			}
+			if err := disarm(); err != nil {
+				t.Fatal(err)
+			}
+			requireOnDisk(t, l, "after the failed mutations")
 
-	if err := os.Remove(tmp); err != nil {
-		t.Fatal(err)
-	}
-	mustCell(t, l, "reg", "schematic")
-	if err := l.CreateCellview("alu", "schematic"); err != nil {
-		t.Fatal(err)
+			mustCell(t, l, "reg", "schematic")
+			if err := l.CreateCellview("alu", "schematic"); err != nil {
+				t.Fatal(err)
+			}
+			requireOnDisk(t, l, "after the retried mutations")
+		})
 	}
 }
 

@@ -1,8 +1,12 @@
 package fmcad
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"maps"
 	"slices"
 	"strconv"
 	"unicode/utf8"
@@ -11,11 +15,19 @@ import (
 // The .meta codec. Reading goes through encoding/json, so a file in any
 // JSON layout (including the indented one older libraries were written
 // in) opens. Writing happens on every mutation, so it is hand-written:
-// metaEncoder emits exactly the bytes json.Marshal would — struct fields
+// appendMeta emits exactly the bytes json.Marshal would — struct fields
 // in declaration order, map keys sorted, the same string escaping — with
-// no reflection and no intermediate values, and re-encodes only the cells
-// a mutation changed. FuzzAppendMeta holds it to encoding/json as the
-// oracle.
+// no reflection and no intermediate values. FuzzAppendMeta holds it to
+// encoding/json as the oracle.
+//
+// A journal record in .meta.log is a frame
+//
+//	length u32 | crc u32 | payload
+//
+// (little endian; crc is crc32 IEEE of the payload) whose payload is JSON
+// in the .meta layout: {"seq":N,"views":{..},"cells":{..},"configs":{..}}
+// holding the root's new seq and only the entries its mutation wrote,
+// each whole. It is built by the same appenders and read by decodeMeta.
 
 // decodeMeta parses and validates a .meta file. Records a later lookup or
 // mutation would dereference must be present; missing top-level maps are
@@ -52,49 +64,85 @@ func decodeMeta(data []byte) (*meta, error) {
 	return &m, nil
 }
 
-// metaEncoder encodes the successive roots of one library. Published
-// records are immutable, so a cell whose record is the one it encoded last
-// time reuses the cached bytes: each write encodes only the cells changed
-// since the previous one. The zero value is ready to use.
-type metaEncoder struct {
-	buf   []byte
-	cells map[string]cellEnc
+// recordHeaderLen is the length and checksum in front of a journal
+// record's payload, and every payload starts with recordPrefix: a record
+// without a seq is not one.
+const (
+	recordHeaderLen = 8
+	recordPrefix    = `{"seq":`
+)
+
+// appendRecord appends the journal record of m, a root a mutation built
+// (see meta.edits), to buf.
+func appendRecord(buf []byte, m *meta) []byte {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // header, filled in below
+	buf = append(buf, recordPrefix...)
+	buf = strconv.AppendInt(buf, m.Seq, 10)
+	buf = append(buf, `,"views":`...)
+	buf = appendKeys(buf, m.edits.views, func(buf []byte, k string) []byte { return appendString(buf, m.Views[k]) })
+	buf = append(buf, `,"cells":`...)
+	buf = appendKeys(buf, m.edits.cells, func(buf []byte, k string) []byte { return appendCell(buf, m.Cells[k]) })
+	buf = append(buf, `,"configs":`...)
+	buf = appendKeys(buf, m.edits.configs, func(buf []byte, k string) []byte { return appendMap(buf, m.Configs[k], appendInt) })
+	buf = append(buf, '}')
+	payload := buf[start+recordHeaderLen:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
 }
 
-type cellEnc struct {
-	c   *cellMeta
-	enc []byte
-}
-
-// encode returns the compact JSON encoding of m. For metadata decodeMeta
-// accepts, and everything the mutations derive from it, the result is
-// byte-identical to json.Marshal(m). It is valid until the next call.
-func (e *metaEncoder) encode(m *meta) []byte {
-	if e.cells == nil {
-		e.cells = make(map[string]cellEnc, len(m.Cells))
+// replay applies the journal records at the head of log to m, a root no
+// one else holds yet, and returns the length of the valid prefix. A
+// record whose seq m already holds is skipped (a crash between a
+// checkpoint's rename and the log's truncate leaves those); a record of
+// seq m.Seq+1 is applied as an upsert. The first short frame, bad
+// checksum, record decodeMeta refuses (null cell records and cellviews
+// without versions included), record without a seq or seq gap ends the
+// valid prefix: what follows is a torn or stale tail and is never loaded.
+func replay(m *meta, log []byte) int64 {
+	off := 0
+	for len(log)-off >= recordHeaderLen {
+		n := binary.LittleEndian.Uint32(log[off:])
+		if n == 0 || uint64(n) > uint64(len(log)-off-recordHeaderLen) {
+			break
+		}
+		payload := log[off+recordHeaderLen : off+recordHeaderLen+int(n)]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(log[off+4:]) || !bytes.HasPrefix(payload, []byte(recordPrefix)) {
+			break
+		}
+		rec, err := decodeMeta(payload)
+		if err != nil || rec.Seq > m.Seq+1 {
+			break
+		}
+		if rec.Seq == m.Seq+1 {
+			m.Seq = rec.Seq
+			maps.Copy(m.Views, rec.Views)
+			maps.Copy(m.Cells, rec.Cells)
+			maps.Copy(m.Configs, rec.Configs)
+		}
+		off += recordHeaderLen + int(n)
 	}
-	buf := append(e.buf[:0], `{"name":`...)
+	return int64(off)
+}
+
+// appendMeta appends the compact JSON encoding of m, a checkpoint, to
+// buf. For metadata decodeMeta accepts, and everything the mutations
+// derive from it, the result is byte-identical to json.Marshal(m).
+func appendMeta(buf []byte, m *meta) []byte {
+	buf = append(buf, `{"name":`...)
 	buf = appendString(buf, m.Name)
 	buf = append(buf, `,"seq":`...)
 	buf = strconv.AppendInt(buf, m.Seq, 10)
 	buf = append(buf, `,"views":`...)
 	buf = appendMap(buf, m.Views, appendString)
 	buf = append(buf, `,"cells":`...)
-	buf = appendObject(buf, m.Cells, func(buf []byte, name string) []byte {
-		c := m.Cells[name]
-		ce := e.cells[name]
-		if ce.c != c {
-			ce = cellEnc{c: c, enc: appendCell(ce.enc[:0], c)}
-			e.cells[name] = ce
-		}
-		return append(buf, ce.enc...)
-	})
+	buf = appendMap(buf, m.Cells, appendCell)
 	buf = append(buf, `,"configs":`...)
 	buf = appendMap(buf, m.Configs, func(buf []byte, cfg map[string]int) []byte {
 		return appendMap(buf, cfg, appendInt)
 	})
-	e.buf = append(buf, '}')
-	return e.buf
+	return append(buf, '}')
 }
 
 func appendCell(buf []byte, c *cellMeta) []byte {
@@ -129,12 +177,6 @@ func appendCellview(buf []byte, cv *cellviewMeta) []byte {
 // appendMap appends m as a JSON object with sorted keys, encoding each
 // value with val.
 func appendMap[V any](buf []byte, m map[string]V, val func([]byte, V) []byte) []byte {
-	return appendObject(buf, m, func(buf []byte, k string) []byte { return val(buf, m[k]) })
-}
-
-// appendObject appends m as a JSON object with sorted keys; val appends
-// the value of key k.
-func appendObject[V any](buf []byte, m map[string]V, val func(buf []byte, k string) []byte) []byte {
 	if m == nil {
 		return append(buf, "null"...)
 	}
@@ -143,6 +185,12 @@ func appendObject[V any](buf []byte, m map[string]V, val func(buf []byte, k stri
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
+	return appendKeys(buf, keys, func(buf []byte, k string) []byte { return val(buf, m[k]) })
+}
+
+// appendKeys appends a JSON object of the given keys, in their order; val
+// appends the value of key k.
+func appendKeys(buf []byte, keys []string, val func(buf []byte, k string) []byte) []byte {
 	buf = append(buf, '{')
 	for i, k := range keys {
 		if i > 0 {

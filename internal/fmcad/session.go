@@ -88,7 +88,9 @@ func (s *Session) CellsSeen() []string {
 // --- checkout / checkin ----------------------------------------------------
 
 // Workfile is a checked-out cellview: a private working copy of the design
-// file that Checkin will turn into the next version.
+// file that Checkin will turn into the next version. The file outlives the
+// checkout: Checkin and Cancel leave it, and the user's next Checkout of
+// the cellview overwrites it, so checkouts after the first create no file.
 type Workfile struct {
 	Cell, View string
 	// BaseVersion is the version the checkout copied from.
@@ -106,10 +108,11 @@ func (s *Session) workPath(cell, view string) string {
 }
 
 // Checkout acquires the cellview for this user and stages a working copy of
-// the default version. It fails with ErrLocked if any other user holds the
-// checkout. Checking out a cellview you already hold is an error too (one
-// working copy at a time). If the working copy cannot be staged, the
-// checkout is released again.
+// the default version, overwriting the one an earlier checkout left. It
+// fails with ErrLocked if any other user holds the checkout. Checking out
+// a cellview you already hold is an error too (one working copy at a
+// time). If the working copy cannot be staged, the checkout is released
+// again.
 func (s *Session) Checkout(cell, view string) (*Workfile, error) {
 	var base int
 	err := s.lib.mutate(func(m *meta) error {
@@ -168,8 +171,8 @@ func (s *Session) Resume(cell, view string) (*Workfile, error) {
 //
 // The next version number cannot change while this user holds the
 // checkout, so the version file is written first and the metadata commit
-// follows: if either step fails, .meta is unchanged and the checkout is
-// still held.
+// follows: if either step fails, the metadata is unchanged and the
+// checkout is still held.
 func (s *Session) Checkin(wf *Workfile) (int, error) {
 	if wf == nil || wf.session != s {
 		return 0, fmt.Errorf("fmcad: checkin of foreign workfile")
@@ -204,7 +207,6 @@ func (s *Session) Checkin(wf *Workfile) (int, error) {
 		return 0, err
 	}
 	wf.done = true
-	_ = os.Remove(wf.Path) //lint:allow noerrdrop the version is committed; a leftover workfile is harmless scratch
 	return newVersion, nil
 }
 
@@ -221,7 +223,6 @@ func (s *Session) Cancel(wf *Workfile) error {
 		return err
 	}
 	wf.done = true
-	_ = os.Remove(wf.Path) //lint:allow noerrdrop the lock is released; a leftover workfile is harmless scratch
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,8 +18,9 @@ import (
 // Published metadata is immutable. A seeded random sequence of every
 // public mutation, rejected ones included, must never change a root once
 // it was published, nor a session snapshot; a rejected or failed mutation
-// publishes nothing; and the .meta on disk is always json.Marshal of the
-// current root.
+// publishes nothing, whether its journal append fails, is torn short, or
+// its checkpoint fails; and after every op a fresh Open of the directory
+// loads json.Marshal-equal metadata to the current root.
 func TestPublishedMetaNeverChanges(t *testing.T) {
 	l := newLib(t)
 	mustCell(t, l, "c0", "schematic")
@@ -52,7 +54,6 @@ func TestPublishedMetaNeverChanges(t *testing.T) {
 		openSession(u)
 	}
 	user := func() string { return []string{"anna", "bert"}[rng.Intn(2)] }
-	tmp := filepath.Join(l.Dir(), MetaFileName+".tmp")
 
 	seen := map[string]int{}
 	ops := []func() error{
@@ -117,17 +118,30 @@ func TestPublishedMetaNeverChanges(t *testing.T) {
 			return nil
 		},
 	}
-	// A directory where the rewrite's temp file belongs makes the .meta
-	// write of one other op fail.
+	// Make the metadata write of one other op fail: when that op's commit
+	// is a checkpoint, by a directory where its temp file belongs;
+	// otherwise by a directory where the journal belongs, or by an append
+	// torn short.
 	ops = append(ops, func() error {
-		if err := os.Mkdir(tmp, 0o755); err != nil {
-			return err
+		kind, restore := "append failure", func() error { return nil }
+		switch {
+		case l.logSize > l.metaSize:
+			kind, restore = "checkpoint failure", block(t, filepath.Join(l.Dir(), MetaFileName+".tmp"))
+		case rng.Intn(2) == 0:
+			restore = block(t, filepath.Join(l.Dir(), logFileName))
+		default:
+			kind = "torn append"
+			l.logWrite = func(f *os.File, rec []byte) (int, error) {
+				n, err := f.Write(rec[:rng.Intn(len(rec))])
+				return n, errors.Join(err, io.ErrShortWrite)
+			}
 		}
 		err := ops[rng.Intn(len(ops)-1)]()
+		l.logWrite = nil
 		if err != nil && strings.Contains(err.Error(), "flush meta") {
-			seen["write failure"]++
+			seen[kind]++
 		}
-		return errors.Join(err, os.Remove(tmp))
+		return errors.Join(err, restore())
 	})
 
 	for i := 0; i < 400; i++ {
@@ -149,15 +163,9 @@ func TestPublishedMetaNeverChanges(t *testing.T) {
 				t.Fatalf("after op %d (#%d), %s's snapshot changed:\n got %s\nwant %s", i, op, s.user, got, enc)
 			}
 		}
-		disk, err := os.ReadFile(filepath.Join(l.Dir(), MetaFileName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := marshal(l.meta); !bytes.Equal(disk, want) {
-			t.Fatalf("after op %d (#%d), .meta differs from the root:\n got %s\nwant %s", i, op, disk, want)
-		}
+		requireOnDisk(t, l, fmt.Sprintf("after op %d (#%d)", i, op))
 	}
-	for _, kind := range []string{"property not found", "config cycle", "locked", "write failure"} {
+	for _, kind := range []string{"property not found", "config cycle", "locked", "append failure", "torn append", "checkpoint failure"} {
 		if seen[kind] == 0 {
 			t.Errorf("the sequence never produced a %s", kind)
 		}
@@ -195,7 +203,7 @@ func TestSessionsReadWhileLibraryMutates(t *testing.T) {
 				default:
 				}
 				s.Refresh()
-				new(metaEncoder).encode(s.snap) // reads every record
+				appendMeta(nil, s.snap) // reads every record
 				for _, cell := range s.CellsSeen() {
 					versions, err := s.VersionsSeen(cell, "schematic")
 					if err != nil {
@@ -257,13 +265,7 @@ func TestSessionsReadWhileLibraryMutates(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	disk, err := os.ReadFile(filepath.Join(l.Dir(), MetaFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, _ := json.Marshal(l.meta); !bytes.Equal(disk, want) {
-		t.Fatalf(".meta differs from the root:\n got %s\nwant %s", disk, want)
-	}
+	requireOnDisk(t, l, "after the designers")
 }
 
 // Of concurrent Creates on one directory exactly one succeeds, the others
@@ -316,9 +318,9 @@ func TestConcurrentCreateOneWins(t *testing.T) {
 	}
 }
 
-// BenchmarkSetProperty times one .meta-rewriting mutation as the library
-// grows: with the per-cell encode cache only the changed cell is encoded,
-// the rest of the file is copied.
+// BenchmarkSetProperty times one mutation as the library grows: a journal
+// append of the changed cell's record, plus a whole .meta checkpoint each
+// time the journal outgrows it.
 func BenchmarkSetProperty(b *testing.B) {
 	for _, cells := range []int{16, 512} {
 		b.Run(fmt.Sprintf("cells=%d", cells), func(b *testing.B) {

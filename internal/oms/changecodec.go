@@ -121,6 +121,19 @@ func changeLen(c *Change) int {
 	return n
 }
 
+// CheckChangesFormat is DecodeChanges' first check: data must start with
+// the change-record magic, else it fails with backend.ErrOldFormat, and
+// the current version byte.
+func CheckChangesFormat(data []byte) error {
+	if !bytes.HasPrefix(data, []byte(changesMagic)) {
+		return fmt.Errorf("oms: decode changes: %w", backend.ErrOldFormat)
+	}
+	if len(data) == len(changesMagic) || data[len(changesMagic)] != changesVersion {
+		return fmt.Errorf("oms: decode changes: unsupported binary change format version")
+	}
+	return nil
+}
+
 // DecodeChanges parses a delta or change-frame payload, as
 // EncodeChanges writes it. It rejects any input EncodeChanges could not
 // have produced: truncation, trailing bytes, a length or count past the
@@ -130,11 +143,8 @@ func changeLen(c *Change) int {
 // record aliases the payload (a frame or segment buffer). Schema checks
 // are ApplyReplicated's.
 func DecodeChanges(data []byte) ([]Change, error) {
-	if !bytes.HasPrefix(data, []byte(changesMagic)) {
-		return nil, fmt.Errorf("oms: decode changes: %w", backend.ErrOldFormat)
-	}
-	if len(data) == len(changesMagic) || data[len(changesMagic)] != changesVersion {
-		return nil, fmt.Errorf("oms: decode changes: unsupported binary change format version")
+	if err := CheckChangesFormat(data); err != nil {
+		return nil, err
 	}
 	d := &snapDecoder{buf: data[len(changesMagic)+1:], what: "oms: decode changes"}
 	n := d.countOf(minRecordLen)

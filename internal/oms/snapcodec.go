@@ -297,6 +297,19 @@ type snapLink struct {
 	from, to OID
 }
 
+// CheckSnapshotFormat is DecodeSnapshot's first check: data must start
+// with the snapshot magic, else it fails with backend.ErrOldFormat, and
+// the current version byte.
+func CheckSnapshotFormat(data []byte) error {
+	if !bytes.HasPrefix(data, []byte(snapMagic)) {
+		return fmt.Errorf("decode snapshot: %w", backend.ErrOldFormat)
+	}
+	if len(data) == len(snapMagic) || data[len(snapMagic)] != snapVersion {
+		return fmt.Errorf("decode snapshot: unsupported binary snapshot version")
+	}
+	return nil
+}
+
 // DecodeSnapshot rebuilds a store from an encoded snapshot payload (the
 // bytes Snapshot.Encode produced), regardless of which storage backend
 // held them. The payload is validated against the schema: unknown
@@ -307,11 +320,8 @@ type snapLink struct {
 // bool byte other than 0 or 1. Input without the snapshot magic fails
 // with backend.ErrOldFormat.
 func DecodeSnapshot(data []byte, schema *Schema) (*Store, error) {
-	if !bytes.HasPrefix(data, []byte(snapMagic)) {
-		return nil, fmt.Errorf("decode snapshot: %w", backend.ErrOldFormat)
-	}
-	if len(data) == len(snapMagic) || data[len(snapMagic)] != snapVersion {
-		return nil, fmt.Errorf("decode snapshot: unsupported binary snapshot version")
+	if err := CheckSnapshotFormat(data); err != nil {
+		return nil, err
 	}
 	d := &snapDecoder{buf: data[len(snapMagic)+1:]}
 	st := NewStore(schema)

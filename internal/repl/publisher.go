@@ -336,7 +336,9 @@ func (p *Publisher) attach(resume uint64, needSnap bool) (*oms.Subscription, []F
 // each delta payload as the persistence layer wrote it. The chain is
 // read through the same backend.ReadChain that jcf.LoadFrom uses, so a
 // chain LoadFrom would refuse (a bad checksum, a gap in the LSN ranges)
-// is never shipped.
+// is never shipped; nor is a base or delta in an older format, which
+// the replica's decoders would refuse with backend.ErrOldFormat on every
+// reconnect.
 // Usable only while the feed still retains the manifest's FeedLSN (the
 // chain must hand over to the live stream without a gap); otherwise the
 // caller falls back to a live snapshot.
@@ -349,8 +351,13 @@ func (p *Publisher) chainBootstrap() (*oms.Subscription, []Frame, bool) {
 		return nil, nil, false
 	}
 	base, err := oms.MergeCheckpoint(c.Base, c.Overlay)
-	if err != nil {
+	if err != nil || oms.CheckSnapshotFormat(base) != nil {
 		return nil, nil, false
+	}
+	for _, payload := range c.Deltas {
+		if oms.CheckChangesFormat(payload) != nil {
+			return nil, nil, false
+		}
 	}
 	m := c.Manifest
 	sub, err := p.st.Watch(m.FeedLSN, p.buf)

@@ -2,7 +2,6 @@ package repl
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -300,12 +299,14 @@ func TestChainBootstrapRefusesBrokenChain(t *testing.T) {
 	}
 }
 
-// TestChainBootstrapReportsOldFormat: a chain bootstrap ships the
-// committed base and deltas as they stand, so the JSON base or delta of
-// an older state dir reaches the replica. The replica refuses it with
-// backend.ErrOldFormat and reports that through Err rather than waiting
-// silently, and the seed's files stay as they were.
-func TestChainBootstrapReportsOldFormat(t *testing.T) {
+// TestChainBootstrapFallsBackFromOldFormat: a committed chain whose base
+// or delta is in an older format (the JSON of an older state dir) reads
+// through backend.ReadChain, but the replica's decoders would refuse it
+// with backend.ErrOldFormat on every reconnect. The publisher checks each
+// payload's format and bootstraps the replica from a live snapshot
+// instead, as for a broken chain: the replica converges in one session,
+// and the seed's files stay as they were.
+func TestChainBootstrapFallsBackFromOldFormat(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		payload func(m *backend.Manifest) (name string, sum *string, payload []byte)
@@ -337,15 +338,13 @@ func TestChainBootstrapReportsOldFormat(t *testing.T) {
 			rep := NewReplica(testSchema(t), d, WithReconnectBackoff(time.Millisecond))
 			rep.Start()
 			defer rep.Close()
-			deadline := time.Now().Add(5 * time.Second)
-			for !errors.Is(rep.Err(), backend.ErrOldFormat) {
-				if time.Now().After(deadline) {
-					t.Fatalf("replica reports %v, want ErrOldFormat", rep.Err())
-				}
-				time.Sleep(time.Millisecond)
+			waitConverged(t, rep, primary, 5*time.Second)
+			if got, want := fingerprint(t, rep.Store()), fingerprint(t, primary); got != want {
+				t.Fatalf("replica diverged:\n got %s\nwant %s", got, want)
 			}
-			if got := p.Stats().ChainBootstraps; got == 0 {
-				t.Fatal("test premise broken: no chain bootstrap")
+			assertOneSession(t, rep)
+			if s := p.Stats(); s.ChainBootstraps != 0 || s.SnapshotBootstraps != 1 {
+				t.Fatalf("chain bootstraps %d, snapshot bootstraps %d, want 0 and 1", s.ChainBootstraps, s.SnapshotBootstraps)
 			}
 			if !maps.Equal(dirFiles(t, dir), before) {
 				t.Fatal("the refused bootstrap changed the seed's state dir")
