@@ -141,7 +141,9 @@ func BenchmarkE31LockContentionParallel(b *testing.B) {
 // writes, relationship link/unlink, occasional name lookups — against its
 // own objects. This is the purest before/after probe for the lock-striped
 // kernel: with one global mutex every operation serializes; with striping
-// disjoint designers never contend.
+// disjoint designers never contend. Each write is a one-op Store.Apply
+// batch that the designer resets and reuses, as the jcf entry points
+// reuse their pooled batches.
 func BenchmarkE31LockContentionOMS(b *testing.B) {
 	for _, n := range benchDesigners {
 		b.Run(fmt.Sprintf("designers=%d", n), func(b *testing.B) {
@@ -160,30 +162,25 @@ func BenchmarkE31LockContentionOMS(b *testing.B) {
 				b.Fatal(err)
 			}
 			st := oms.NewStore(schema)
-			users := make([]oms.OID, n)
-			cvs := make([]oms.OID, n*4)
+			setup := oms.NewBatch()
 			for d := 0; d < n; d++ {
-				u, err := st.Create("User", map[string]oms.Value{"name": oms.S(fmt.Sprintf("u%d", d))})
-				if err != nil {
-					b.Fatal(err)
-				}
-				users[d] = u
+				setup.Create("User", map[string]oms.Value{"name": oms.S(fmt.Sprintf("u%d", d))})
 			}
 			// One chip design's worth of accumulated metadata: thousands
 			// of versions beyond the handful each designer touches. The
 			// by-name Reserve lookup must not pay for them.
-			for i := 0; i < 5000; i++ {
-				if _, err := st.Create("CellVersion", map[string]oms.Value{"num": oms.I(int64(1000 + i))}); err != nil {
-					b.Fatal(err)
-				}
+			const filler = 5000
+			for i := 0; i < filler; i++ {
+				setup.Create("CellVersion", map[string]oms.Value{"num": oms.I(int64(1000 + i))})
 			}
-			for i := range cvs {
-				cv, err := st.Create("CellVersion", map[string]oms.Value{"num": oms.I(int64(i))})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cvs[i] = cv
+			for i := 0; i < n*4; i++ {
+				setup.Create("CellVersion", map[string]oms.Value{"num": oms.I(int64(i))})
 			}
+			created, err := st.Apply(setup)
+			if err != nil {
+				b.Fatal(err)
+			}
+			users, cvs := created[:n], created[n+filler:]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var wg sync.WaitGroup
@@ -193,6 +190,7 @@ func BenchmarkE31LockContentionOMS(b *testing.B) {
 						defer wg.Done()
 						name := oms.S(fmt.Sprintf("u%d", d))
 						user := users[d]
+						bt := oms.NewBatch()
 						for s := 0; s < 20; s++ {
 							// Each designer works their own four cell
 							// versions — the disjoint-cells regime of
@@ -208,17 +206,23 @@ func BenchmarkE31LockContentionOMS(b *testing.B) {
 								}
 							}
 							_ = st.GetBool(cv, "published")
-							if err := st.Link("reserves", user, cv); err != nil {
+							bt.Reset()
+							bt.Link("reserves", user, cv)
+							if _, err := st.Apply(bt); err != nil {
 								b.Errorf("link: %v", err)
 								return
 							}
 							_ = st.Targets("reserves", user)
-							if err := st.Set(cv, "published", oms.B(s%2 == 0)); err != nil {
+							bt.Reset()
+							bt.Set(cv, "published", oms.B(s%2 == 0))
+							if _, err := st.Apply(bt); err != nil {
 								b.Errorf("set: %v", err)
 								return
 							}
 							_ = st.GetInt(cv, "num")
-							if err := st.Unlink("reserves", user, cv); err != nil {
+							bt.Reset()
+							bt.Unlink("reserves", user, cv)
+							if _, err := st.Apply(bt); err != nil {
 								b.Errorf("unlink: %v", err)
 								return
 							}
@@ -265,22 +269,18 @@ func BenchmarkObsOverhead(b *testing.B) {
 			if mode.enabled {
 				st.RegisterMetrics(obs.NewRegistry())
 			}
-			users := make([]oms.OID, designers)
-			cvs := make([]oms.OID, designers*4)
-			for d := range users {
-				u, err := st.Create("User", map[string]oms.Value{"name": oms.S(fmt.Sprintf("u%d", d))})
-				if err != nil {
-					b.Fatal(err)
-				}
-				users[d] = u
+			setup := oms.NewBatch()
+			for d := 0; d < designers; d++ {
+				setup.Create("User", map[string]oms.Value{"name": oms.S(fmt.Sprintf("u%d", d))})
 			}
-			for i := range cvs {
-				cv, err := st.Create("CellVersion", map[string]oms.Value{"num": oms.I(int64(i))})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cvs[i] = cv
+			for i := 0; i < designers*4; i++ {
+				setup.Create("CellVersion", map[string]oms.Value{"num": oms.I(int64(i))})
 			}
+			created, err := st.Apply(setup)
+			if err != nil {
+				b.Fatal(err)
+			}
+			users, cvs := created[:designers], created[designers:]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var wg sync.WaitGroup
@@ -289,19 +289,26 @@ func BenchmarkObsOverhead(b *testing.B) {
 					go func(d int) {
 						defer wg.Done()
 						user := users[d]
+						bt := oms.NewBatch()
 						for s := 0; s < 20; s++ {
 							cv := cvs[d*4+s%4]
 							_ = st.GetBool(cv, "published")
-							if err := st.Link("reserves", user, cv); err != nil {
+							bt.Reset()
+							bt.Link("reserves", user, cv)
+							if _, err := st.Apply(bt); err != nil {
 								b.Errorf("link: %v", err)
 								return
 							}
-							if err := st.Set(cv, "published", oms.B(s%2 == 0)); err != nil {
+							bt.Reset()
+							bt.Set(cv, "published", oms.B(s%2 == 0))
+							if _, err := st.Apply(bt); err != nil {
 								b.Errorf("set: %v", err)
 								return
 							}
 							_ = st.GetInt(cv, "num")
-							if err := st.Unlink("reserves", user, cv); err != nil {
+							bt.Reset()
+							bt.Unlink("reserves", user, cv)
+							if _, err := st.Apply(bt); err != nil {
 								b.Errorf("unlink: %v", err)
 								return
 							}
@@ -366,15 +373,9 @@ func BenchmarkE32ConsistencyCheck(b *testing.B) {
 		parents = append(parents, int64(v1))
 	}
 	_ = parents
-	// Two modes since the feed-driven cache landed: "full" is the
-	// unconditional sweep (the pre-cache behaviour), "cached" answers an
-	// unchanged store from the last verdict in O(changes) — the path
-	// replicas poll after catch-up.
-	b.Run("mode=full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = fw.CheckConsistencyFull()
-		}
-	})
+	// The first call sweeps; later calls answer the unchanged store from
+	// the cached verdict in O(changes), the path replicas poll after
+	// catch-up.
 	b.Run("mode=cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = fw.CheckConsistency()

@@ -11,38 +11,21 @@ import (
 // applyatomic machine-checks PR 3's atomicity convention: an exported
 // jcf.Framework method whose call tree performs two or more store
 // mutations must funnel them through ONE atomic group — a Batch handed
-// to Store.Apply. Sequential Create/Set/Link calls
-// from a desktop entry point reintroduce exactly the check-then-act
-// windows PR 3 closed: a concurrent designer can observe (or collide
-// with) the state between step one and step two.
+// to Store.Apply. Sequential Apply calls from a desktop entry point
+// reopen exactly the check-then-act windows batching closes: a
+// concurrent designer can observe (or collide with) the state between
+// step one and step two.
 //
 // The count runs over the shared cross-package call graph, so mutations
 // buried in helpers — in jcf or out of it — are charged to the exported
 // method that reaches them. A call inside a loop counts twice (it can
-// execute twice), a call to Apply counts as one group however
-// many ops the batch carries.
+// execute twice); a call to one of the store mutators (storeMutators,
+// shared with guardwrite) counts as one group however many ops the
+// batch carries.
 var ApplyAtomicAnalyzer = &Analyzer{
 	Name:      "applyatomic",
 	Doc:       "exported jcf.Framework methods performing ≥2 store mutations must batch them through one Store.Apply",
 	RunModule: runApplyAtomic,
-}
-
-// singleOpMutators are the one-op oms.Store write entry points: each
-// call is its own commit, invisible to batching.
-var singleOpMutators = map[string]bool{
-	"Create": true,
-	"Set":    true,
-	"Link":   true,
-	"Unlink": true,
-	"Delete": true,
-}
-
-// groupMutators apply one atomic group per call, however many ops it
-// holds.
-var groupMutators = map[string]bool{
-	"Apply":             true,
-	"ApplyReplicated":   true,
-	"ResetFromSnapshot": true,
 }
 
 // mutWitness is one concrete mutation group a call tree reaches.
@@ -99,9 +82,7 @@ func runApplyAtomic(pass *ModulePass) {
 				}
 				callee := ev.Callee
 				switch {
-				case singleOpMutators[callee.Name()] && recvNamedIs(callee, "Store"):
-					m.add(mult, mutWitness{pos: ev.Pos, path: FuncLabel(fn) + " → Store." + callee.Name()})
-				case groupMutators[callee.Name()] && recvNamedIs(callee, "Store"):
+				case storeMutators[callee.Name()] && recvNamedIs(callee, "Store"):
 					m.add(mult, mutWitness{pos: ev.Pos, path: FuncLabel(fn) + " → Store." + callee.Name()})
 				default:
 					sub := mutOf(callee)

@@ -77,7 +77,6 @@ type Event struct {
 	Desc     string      // EvBlock: "chan-send", "chan-recv", "chan-recv (range)", "select"
 	Pos      token.Pos
 	Deferred bool // inside a defer statement or deferred literal
-	Returned bool // inside a func literal the function returns
 	InLoop   bool // lexically inside a for/range statement
 }
 
@@ -159,13 +158,6 @@ func classifyLockOp(info *types.Info, call *ast.CallExpr) (key string, acquire, 
 	if !isSel {
 		return "", false, false
 	}
-	return classifyLockSel(info, sel)
-}
-
-// classifyLockSel is classifyLockOp on the bare selector — also used
-// for method VALUES like lockPair's `return s.mu.Unlock`, where there
-// is no call expression.
-func classifyLockSel(info *types.Info, sel *ast.SelectorExpr) (key string, acquire, ok bool) {
 	switch sel.Sel.Name {
 	case "Lock", "RLock":
 		acquire = true
@@ -251,19 +243,14 @@ func (g *CallGraph) sortedNodes() []*FuncNode {
 }
 
 // collectEvents walks one declaration body building its timeline.
-//
-// Returned func literals get their own flag: a helper like
-// Store.lockPair acquires its stripes and hands back the closure that
-// releases them, so the release events belong to the CALLER's return
-// (the caller defers the closure), not to the helper's own body.
 func collectEvents(g *CallGraph, node *FuncNode) {
 	info := node.Pkg.Info
 	// noChan suppresses the channel-primitive events inside a select's
 	// comm clauses: the select itself is the blocking (or, with a
 	// default clause, non-blocking) operation, not the individual
 	// send/recv cases under it.
-	var walk func(n ast.Node, deferred, returned, noChan bool, loop int)
-	visitCall := func(call *ast.CallExpr, deferred, returned bool, loop int) {
+	var walk func(n ast.Node, deferred, noChan bool, loop int)
+	visitCall := func(call *ast.CallExpr, deferred bool, loop int) {
 		if key, acquire, ok := classifyLockOp(info, call); ok {
 			kind := EvRelease
 			if acquire {
@@ -271,7 +258,7 @@ func collectEvents(g *CallGraph, node *FuncNode) {
 			}
 			node.Events = append(node.Events, Event{
 				Kind: kind, Lock: key, Pos: call.Pos(),
-				Deferred: deferred, Returned: returned, InLoop: loop > 0,
+				Deferred: deferred, InLoop: loop > 0,
 			})
 			return
 		}
@@ -288,10 +275,10 @@ func collectEvents(g *CallGraph, node *FuncNode) {
 		}
 		node.Events = append(node.Events, Event{
 			Kind: kind, Callee: callee, Pos: call.Pos(),
-			Deferred: deferred, Returned: returned, InLoop: loop > 0,
+			Deferred: deferred, InLoop: loop > 0,
 		})
 	}
-	walk = func(n ast.Node, deferred, returned, noChan bool, loop int) {
+	walk = func(n ast.Node, deferred, noChan bool, loop int) {
 		ast.Inspect(n, func(m ast.Node) bool {
 			switch mm := m.(type) {
 			case *ast.GoStmt:
@@ -300,56 +287,32 @@ func collectEvents(g *CallGraph, node *FuncNode) {
 				collectAsync(g, node, mm.Call)
 				return false
 			case *ast.DeferStmt:
-				walk(mm.Call, true, returned, noChan, loop)
-				return false
-			case *ast.ReturnStmt:
-				for _, res := range mm.Results {
-					if lit, ok := ast.Unparen(res).(*ast.FuncLit); ok {
-						walk(lit.Body, deferred, true, noChan, loop)
-						continue
-					}
-					// `return s.mu.Unlock` — a returned lock-method
-					// VALUE is a returned release, same as a closure.
-					if sel, ok := ast.Unparen(res).(*ast.SelectorExpr); ok {
-						if key, acquire, ok := classifyLockSel(info, sel); ok {
-							kind := EvRelease
-							if acquire {
-								kind = EvAcquire
-							}
-							node.Events = append(node.Events, Event{
-								Kind: kind, Lock: key, Pos: sel.Pos(),
-								Returned: true, InLoop: loop > 0,
-							})
-							continue
-						}
-					}
-					walk(res, deferred, returned, noChan, loop)
-				}
+				walk(mm.Call, true, noChan, loop)
 				return false
 			case *ast.ForStmt:
 				if mm.Init != nil {
-					walk(mm.Init, deferred, returned, noChan, loop)
+					walk(mm.Init, deferred, noChan, loop)
 				}
 				if mm.Cond != nil {
-					walk(mm.Cond, deferred, returned, noChan, loop)
+					walk(mm.Cond, deferred, noChan, loop)
 				}
 				if mm.Post != nil {
-					walk(mm.Post, deferred, returned, noChan, loop+1)
+					walk(mm.Post, deferred, noChan, loop+1)
 				}
-				walk(mm.Body, deferred, returned, noChan, loop+1)
+				walk(mm.Body, deferred, noChan, loop+1)
 				return false
 			case *ast.RangeStmt:
-				walk(mm.X, deferred, returned, noChan, loop)
+				walk(mm.X, deferred, noChan, loop)
 				if t := typeOf(info, mm.X); t != nil && !noChan {
 					if _, isChan := t.Underlying().(*types.Chan); isChan {
 						// Ranging a channel blocks on every iteration.
 						node.Events = append(node.Events, Event{
 							Kind: EvBlock, Desc: "chan-recv (range)", Pos: mm.Pos(),
-							Deferred: deferred, Returned: returned, InLoop: true,
+							Deferred: deferred, InLoop: true,
 						})
 					}
 				}
-				walk(mm.Body, deferred, returned, noChan, loop+1)
+				walk(mm.Body, deferred, noChan, loop+1)
 				return false
 			case *ast.SelectStmt:
 				hasDefault := false
@@ -361,7 +324,7 @@ func collectEvents(g *CallGraph, node *FuncNode) {
 				if !hasDefault {
 					node.Events = append(node.Events, Event{
 						Kind: EvBlock, Desc: "select", Pos: mm.Pos(),
-						Deferred: deferred, Returned: returned, InLoop: loop > 0,
+						Deferred: deferred, InLoop: loop > 0,
 					})
 				}
 				for _, c := range mm.Body.List {
@@ -370,10 +333,10 @@ func collectEvents(g *CallGraph, node *FuncNode) {
 						continue
 					}
 					if cc.Comm != nil {
-						walk(cc.Comm, deferred, returned, true, loop)
+						walk(cc.Comm, deferred, true, loop)
 					}
 					for _, s := range cc.Body {
-						walk(s, deferred, returned, noChan, loop)
+						walk(s, deferred, noChan, loop)
 					}
 				}
 				return false
@@ -381,7 +344,7 @@ func collectEvents(g *CallGraph, node *FuncNode) {
 				if !noChan {
 					node.Events = append(node.Events, Event{
 						Kind: EvBlock, Desc: "chan-send", Pos: mm.Arrow,
-						Deferred: deferred, Returned: returned, InLoop: loop > 0,
+						Deferred: deferred, InLoop: loop > 0,
 					})
 				}
 				return true
@@ -389,18 +352,18 @@ func collectEvents(g *CallGraph, node *FuncNode) {
 				if mm.Op == token.ARROW && !noChan {
 					node.Events = append(node.Events, Event{
 						Kind: EvBlock, Desc: "chan-recv", Pos: mm.Pos(),
-						Deferred: deferred, Returned: returned, InLoop: loop > 0,
+						Deferred: deferred, InLoop: loop > 0,
 					})
 				}
 				return true
 			case *ast.CallExpr:
-				visitCall(mm, deferred, returned, loop)
+				visitCall(mm, deferred, loop)
 				return true // arguments may contain nested calls/lits
 			}
 			return true
 		})
 	}
-	walk(node.Decl.Body, false, false, false, 0)
+	walk(node.Decl.Body, false, false, 0)
 }
 
 // collectAsync records every module-internal call under a go statement.
@@ -431,30 +394,16 @@ type acqWitness struct {
 	pos token.Pos   // acquisition site, or the call site into via
 }
 
-// lockSummary is the per-function fixpoint state.
-//
-// Two deltas, because of the lockPair idiom (acquire stripes, return
-// the closure that releases them):
-//
-//   - delta is the net held-count change observed by a caller the
-//     moment the call returns — lockAll and lockPair are +1 on stripes,
-//     unlockAll is -1, balanced bodies are 0. Deferred events count
-//     (they ran at return); events inside a RETURNED closure do not
-//     (the closure has not run yet).
-//   - retDelta is the net change by the time the CALLER returns,
-//     assuming the caller defers the returned closure (the tree-wide
-//     idiom: `unlock := st.lockPair(a, b); defer unlock()`). For
-//     ordinary functions retDelta == delta; for lockPair it is 0.
-//
-// Mid-body hold tracking uses callee delta; end-of-body accounting uses
-// callee retDelta. Values saturate to {-1, 0, +1} — the analyses only
-// need the sign.
+// lockSummary is the per-function fixpoint state. delta is the net
+// held-count change a caller observes once the call returns: lockAll is
+// +1 on stripes, unlockAll is -1, balanced bodies are 0. Deferred events
+// count (they ran at return). Values saturate to {-1, 0, +1} — the
+// analyses only need the sign.
 type lockSummary struct {
 	// mayAcquire: every named lock the function's synchronous call tree
 	// can acquire, with one witness step for path reconstruction.
 	mayAcquire map[string]acqWitness
 	delta      map[string]int
-	retDelta   map[string]int
 }
 
 // lockSummaries computes every node's summary to fixpoint. Built
@@ -469,7 +418,6 @@ func (g *CallGraph) lockSummaries() map[*types.Func]*lockSummary {
 		sums[fn] = &lockSummary{
 			mayAcquire: map[string]acqWitness{},
 			delta:      map[string]int{},
-			retDelta:   map[string]int{},
 		}
 	}
 	// mayAcquire grows monotonically; the saturated deltas live in a
@@ -539,13 +487,12 @@ func (a *lockAcc) result() int {
 // timeline plus current callee summaries; reports whether it changed.
 func recomputeLockSummary(node *FuncNode, sums map[*types.Func]*lockSummary, out *lockSummary) bool {
 	changed := false
-	body := map[string]*lockAcc{}    // events that run by this function's return
-	closure := map[string]*lockAcc{} // events inside returned closures
-	add := func(m map[string]*lockAcc, key string, d int) {
-		a := m[key]
+	body := map[string]*lockAcc{}
+	add := func(key string, d int) {
+		a := body[key]
 		if a == nil {
 			a = &lockAcc{}
-			m[key] = a
+			body[key] = a
 		}
 		a.add(d)
 	}
@@ -556,16 +503,12 @@ func recomputeLockSummary(node *FuncNode, sums map[*types.Func]*lockSummary, out
 		}
 	}
 	for _, ev := range node.Events {
-		target := body
-		if ev.Returned {
-			target = closure
-		}
 		switch ev.Kind {
 		case EvAcquire:
 			note(ev.Lock, acqWitness{pos: ev.Pos})
-			add(target, ev.Lock, 1)
+			add(ev.Lock, 1)
 		case EvRelease:
-			add(target, ev.Lock, -1)
+			add(ev.Lock, -1)
 		case EvCall:
 			cs := sums[ev.Callee]
 			if cs == nil {
@@ -574,22 +517,16 @@ func recomputeLockSummary(node *FuncNode, sums map[*types.Func]*lockSummary, out
 			for key := range cs.mayAcquire {
 				note(key, acqWitness{via: ev.Callee, pos: ev.Pos})
 			}
-			for key, d := range cs.retDelta {
+			for key, d := range cs.delta {
 				if d != 0 {
-					add(target, key, d)
+					add(key, d)
 				}
 			}
 		}
 	}
 	for _, key := range LockKeys() {
-		d := body[key].result()
-		r := saturate(d + closure[key].result())
-		if out.delta[key] != d {
+		if d := body[key].result(); out.delta[key] != d {
 			out.delta[key] = d
-			changed = true
-		}
-		if out.retDelta[key] != r {
-			out.retDelta[key] = r
 			changed = true
 		}
 	}

@@ -226,9 +226,6 @@ func recomputeBlockSummary(node *FuncNode, sums map[*types.Func]*blockSummary, o
 	}
 	callerPkg := node.Pkg.Name
 	for _, ev := range node.Events {
-		if ev.Returned {
-			continue
-		}
 		switch ev.Kind {
 		case EvBlock:
 			note(blockClass(ev.Desc), blockWitness{pos: ev.Pos, desc: ev.Desc})

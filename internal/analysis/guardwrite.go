@@ -9,7 +9,7 @@ import (
 
 // guardwrite machine-checks the replica read-only gate: every exported
 // method on jcf.Framework that mutates shared state — reaches a mutating
-// oms.Store entry point (Apply/Create/Set/Link/Unlink/Delete/...) or
+// oms.Store entry point (Apply/ApplyReplicated/ResetFromSnapshot) or
 // writes a framework-level map — must call guardWrite() before its first
 // mutation, so a read-only replica view rejects the call before any
 // state is touched. PR 5 established this by hand across ~25 entry
@@ -28,14 +28,10 @@ var GuardWriteAnalyzer = &Analyzer{
 	RunModule: runGuardWrite,
 }
 
-// storeMutators are the oms.Store methods that mutate the database.
+// storeMutators are the oms.Store methods that mutate the database. Each
+// call commits one atomic group, however many ops it carries.
 var storeMutators = map[string]bool{
 	"Apply":             true,
-	"Create":            true,
-	"Set":               true,
-	"Link":              true,
-	"Unlink":            true,
-	"Delete":            true,
 	"ApplyReplicated":   true,
 	"ResetFromSnapshot": true,
 }

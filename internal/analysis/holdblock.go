@@ -146,9 +146,9 @@ func runHoldBlock(pass *ModulePass) {
 			}
 		}
 		for _, ev := range node.Events {
-			if ev.Deferred || ev.Returned {
+			if ev.Deferred {
 				// Deferred events run at return, after the body's
-				// releases; returned-closure events run in the caller.
+				// releases.
 				continue
 			}
 			switch ev.Kind {

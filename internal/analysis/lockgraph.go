@@ -76,10 +76,9 @@ func runLockGraph(pass *ModulePass) {
 		node := g.Nodes[fn]
 		held := map[string]int{}
 		for _, ev := range node.Events {
-			if ev.Deferred || ev.Returned {
+			if ev.Deferred {
 				// Deferred events run at return, after the body's
-				// acquisition sequence; returned-closure events run in
-				// the caller. Neither interleaves with this body.
+				// acquisition sequence; they do not interleave with it.
 				continue
 			}
 			switch ev.Kind {

@@ -11,10 +11,9 @@ import (
 // stripe mutexes are only ever multi-acquired in ascending stripe order,
 // and the only code allowed to do that is the small set of sorted
 // helpers. Everything else takes at most ONE stripe lock directly (the
-// single-op fast paths) — the moment a function wants a second stripe it
-// must go through lockPair/lockAll/rlockAll or Apply's stripe-set path,
-// because two hand-written acquisitions cannot be statically proven
-// ordered.
+// single-object reads) — the moment a function wants a second stripe it
+// must go through lockAll/rlockAll or Apply's stripe-set path, because
+// two hand-written acquisitions cannot be statically proven ordered.
 //
 // Three shapes are flagged outside the allowed helpers:
 //
@@ -27,12 +26,11 @@ import (
 //
 // The helpers themselves are checked, not trusted by name: a stripe
 // lock they take in a loop must be indexed by the loop's variable in a
-// loop that counts up, and a lock taken while another stripe's is held
-// must follow a guard that swaps the two indexes into ascending order
-// (lockPair's `if i > j { i, j = j, i }`).
+// loop that counts up, and they take no second stripe lock outside such
+// a loop while another is held.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
-	Doc:  "stripe mutexes may only be multi-acquired via the sorted helpers (lockPair/lockAll/rlockAll/Apply)",
+	Doc:  "stripe mutexes may only be multi-acquired via the sorted helpers (lockAll/rlockAll/Apply)",
 	Match: func(p *Package) bool {
 		return p.Name == "oms" && p.Types.Scope().Lookup("stripe") != nil
 	},
@@ -46,7 +44,6 @@ var LockOrderAnalyzer = &Analyzer{
 // (its stripe-set mask loop is the batch equivalent of lockAll);
 // forEachStripeRLocked releases each stripe before taking the next.
 var lockOrderAllowed = map[string]bool{
-	"lockPair":             true,
 	"lockAll":              true,
 	"unlockAll":            true,
 	"rlockAll":             true,
@@ -69,10 +66,12 @@ func runLockOrder(pass *Pass) {
 }
 
 // checkSortedHelper checks that an allowed helper acquires stripes in
-// ascending index order. Releases may run in any order.
+// ascending index order: in a loop that counts its stripe index up, and
+// never a second stripe outside such a loop while another is held.
+// Releases may run in any order.
 func checkSortedHelper(pass *Pass, fd *ast.FuncDecl) {
 	var loops []ast.Node
-	var held []types.Object // stripe indexes locked outside loops, not yet released
+	var held []types.Object // stripe indexes locked outside loops, not yet released (nil: not a plain variable)
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
 		switch nn := n.(type) {
@@ -99,12 +98,9 @@ func checkSortedHelper(pass *Pass, fd *ast.FuncDecl) {
 				if idx == nil || !ascendingLoop(pass, loops[len(loops)-1], idx) {
 					pass.Reportf(nn.Pos(), "stripe lock taken in a loop that does not count its stripe index up; the sorted helpers must acquire in ascending order")
 				}
-			case idx != nil:
-				for _, h := range held {
-					if h != idx && !swapGuarded(pass, fd, h, idx, nn.Pos()) {
-						pass.Reportf(nn.Pos(), "stripe %s locked while stripe %s is held, with no earlier guard that swaps them into ascending order", idx.Name(), h.Name())
-						break
-					}
+			default:
+				if len(held) > 0 {
+					pass.Reportf(nn.Pos(), "stripe %s locked while stripe %s is held, outside a loop that counts the stripe index up; the sorted helpers must acquire in ascending order", objName(idx), objName(held[0]))
 				}
 				held = append(held, idx)
 			}
@@ -181,40 +177,13 @@ func ascendingLoop(pass *Pass, loop ast.Node, idx types.Object) bool {
 	return false
 }
 
-// swapGuarded reports whether fd holds, before pos, a guard that leaves
-// lo <= hi: `if lo > hi { lo, hi = hi, lo }`, or the same with the
-// comparison written hi < lo (or with >= and <=).
-func swapGuarded(pass *Pass, fd *ast.FuncDecl, lo, hi types.Object, pos token.Pos) bool {
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if found || !ok || ifs.Pos() >= pos {
-			return !found
-		}
-		cond, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
-		if !ok {
-			return true
-		}
-		x, y := identObj(pass, cond.X), identObj(pass, cond.Y)
-		ordered := ((cond.Op == token.GTR || cond.Op == token.GEQ) && x == lo && y == hi) ||
-			((cond.Op == token.LSS || cond.Op == token.LEQ) && x == hi && y == lo)
-		if !ordered {
-			return true
-		}
-		for _, st := range ifs.Body.List {
-			as, ok := st.(*ast.AssignStmt)
-			if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 2 || len(as.Rhs) != 2 {
-				continue
-			}
-			a, b := identObj(pass, as.Lhs[0]), identObj(pass, as.Lhs[1])
-			if identObj(pass, as.Rhs[0]) == b && identObj(pass, as.Rhs[1]) == a &&
-				((a == lo && b == hi) || (a == hi && b == lo)) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
+// objName names a stripe index variable for a finding ("?" when the
+// index is not a plain variable).
+func objName(o types.Object) string {
+	if o == nil {
+		return "?"
+	}
+	return o.Name()
 }
 
 // stripeLockCall matches x.mu.Lock() / x.mu.RLock() (and the unlock
@@ -327,7 +296,7 @@ func checkLockOrderFunc(pass *Pass, fd *ast.FuncDecl) {
 			continue
 		}
 		if ev.indexed {
-			pass.Reportf(ev.pos, "stripe lock acquired by indexing the stripe array directly; use lockPair/lockAll/rlockAll or Apply's stripe-set path")
+			pass.Reportf(ev.pos, "stripe lock acquired by indexing the stripe array directly; use lockAll/rlockAll or Apply's stripe-set path")
 			continue
 		}
 		if ev.inLoop {
@@ -335,7 +304,7 @@ func checkLockOrderFunc(pass *Pass, fd *ast.FuncDecl) {
 			continue
 		}
 		if liveRoots > 0 && held[root] == 0 {
-			pass.Reportf(ev.pos, "second stripe lock acquired while another stripe lock is held; unordered multi-stripe holds deadlock — use lockPair or lockAll")
+			pass.Reportf(ev.pos, "second stripe lock acquired while another stripe lock is held; unordered multi-stripe holds deadlock — stage the writes in one Apply batch or use lockAll")
 			continue
 		}
 		if held[root] == 0 {

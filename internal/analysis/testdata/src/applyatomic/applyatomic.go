@@ -16,10 +16,6 @@ type Store struct{ n int }
 
 func (s *Store) Apply(b *Batch) error { s.n += len(b.ops); return nil }
 
-func (s *Store) Set(k, v int) { s.n++ }
-
-func (s *Store) Link(a, b int) { s.n++ }
-
 // Framework mirrors the desktop API shape.
 type Framework struct {
 	store   *Store
@@ -43,19 +39,20 @@ func (fw *Framework) Batched(x int) error {
 	return fw.store.Apply(b)
 }
 
-// Sequential performs two separate store mutations back to back.
+// Sequential commits two one-op batches back to back.
 func (fw *Framework) Sequential(x int) error { // want applyatomic "without one Batch"
 	if err := fw.guardWrite(); err != nil {
 		return err
 	}
-	fw.store.Set(x, 1)
-	fw.store.Link(x, 2)
-	return nil
+	if err := fw.store.Apply(&Batch{ops: []int{x}}); err != nil {
+		return err
+	}
+	return fw.store.Apply(&Batch{ops: []int{x + 1}})
 }
 
 // setOne hides one mutation behind a helper.
-func (fw *Framework) setOne(x int) {
-	fw.store.Set(x, 1)
+func (fw *Framework) setOne(x int) error {
+	return fw.store.Apply(&Batch{ops: []int{x}})
 }
 
 // Transitive reaches its two mutations only through helpers.
@@ -63,9 +60,10 @@ func (fw *Framework) Transitive(x int) error { // want applyatomic "without one 
 	if err := fw.guardWrite(); err != nil {
 		return err
 	}
-	fw.setOne(x)
-	fw.setOne(x + 1)
-	return nil
+	if err := fw.setOne(x); err != nil {
+		return err
+	}
+	return fw.setOne(x + 1)
 }
 
 // Looped mutates once per iteration — a loop counts as two or more.
@@ -74,7 +72,9 @@ func (fw *Framework) Looped(xs []int) error { // want applyatomic "without one B
 		return err
 	}
 	for _, x := range xs {
-		fw.store.Set(x, 1)
+		if err := fw.setOne(x); err != nil {
+			return err
+		}
 	}
 	return nil
 }

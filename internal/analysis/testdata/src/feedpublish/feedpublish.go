@@ -12,12 +12,7 @@ func (f *feed) rebase(lsn uint64)    { f.lsn = lsn }
 // Store mirrors the kernel: a store owning its change feed.
 type Store struct{ feed feed }
 
-// commitApplied is a sanctioned commit helper — clean.
-func (st *Store) commitApplied() uint64 {
-	return st.feed.publish()
-}
-
-// Apply is a sanctioned commit helper — clean.
+// Apply is the local commit path — clean.
 func (st *Store) Apply() uint64 {
 	return st.feed.publish()
 }
@@ -29,6 +24,12 @@ func (st *Store) ApplyReplicated(lsn uint64) {
 
 // sneakyPublish assigns an LSN outside the allowlist.
 func (st *Store) sneakyPublish() uint64 {
+	return st.feed.publish() // want feedpublish "not a sanctioned commit helper"
+}
+
+// Delete commits a single op beside Apply: a second write path is not
+// a commit helper.
+func (st *Store) Delete() uint64 {
 	return st.feed.publish() // want feedpublish "not a sanctioned commit helper"
 }
 

@@ -1,7 +1,7 @@
 // Package oms (fixture) seeds lockorder violations: the analyzer must
-// flag indexed stripe acquisition, in-loop acquisition, and hand-ordered
-// multi-stripe holds, while accepting the sorted helpers and the
-// single-stripe fast path.
+// flag indexed stripe acquisition (a sorted pair outside the helpers
+// included), in-loop acquisition, and hand-ordered multi-stripe holds,
+// while accepting the sorted helpers and the single-stripe path.
 package oms
 
 import "sync"
@@ -15,14 +15,15 @@ type Store struct {
 	stripes [4]stripe
 }
 
-// lockPair is on the allowlist: sorted indexing is sanctioned here.
+// lockPair sorts its two indexes, but it is not a sorted helper: only
+// ascending loops and Apply's stripe set take more than one stripe.
 func (st *Store) lockPair(i, j int) {
 	if j < i {
 		i, j = j, i
 	}
-	st.stripes[i].mu.Lock()
+	st.stripes[i].mu.Lock() // want lockorder "indexing the stripe array"
 	if i != j {
-		st.stripes[j].mu.Lock()
+		st.stripes[j].mu.Lock() // want lockorder "indexing the stripe array"
 	}
 }
 
@@ -35,7 +36,7 @@ func (st *Store) lockAll() {
 }
 
 // singleOp takes exactly one stripe lock directly — the sanctioned
-// single-op fast path; must NOT be flagged.
+// single-object path; must NOT be flagged.
 func (st *Store) singleOp(s *stripe) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -32,10 +32,21 @@ func (st *Store) unlockAll() {
 }
 
 // Apply takes a stripe set in ascending order through a counted loop.
-func (st *Store) Apply(mask int) {
-	for i := 0; i < numStripes; i++ {
-		if mask&(1<<i) != 0 {
-			st.stripes[i].mu.Lock()
+// Its two-stripe fast path sorts the pair with a swap guard, but a
+// second stripe taken outside an ascending loop is reported all the
+// same.
+func (st *Store) Apply(mask, i, j int) {
+	if mask == 0 {
+		if i > j {
+			i, j = j, i
+		}
+		st.stripes[i].mu.Lock()
+		st.stripes[j].mu.Lock() // want lockorder "stripe j locked while stripe i is held"
+		return
+	}
+	for k := 0; k < numStripes; k++ {
+		if mask&(1<<k) != 0 {
+			st.stripes[k].mu.Lock()
 		}
 	}
 }
@@ -48,22 +59,6 @@ func (st *Store) forEachStripeRLocked(fn func(s *stripe)) {
 		fn(s)
 		s.mu.RUnlock()
 	}
-}
-
-// lockPair sorts its indexes but then takes the higher one first.
-func (st *Store) lockPair(i, j int) func() {
-	if i == j {
-		s := &st.stripes[i]
-		s.mu.Lock()
-		return s.mu.Unlock
-	}
-	if i > j {
-		i, j = j, i
-	}
-	si, sj := &st.stripes[i], &st.stripes[j]
-	sj.mu.Lock()
-	si.mu.Lock() // want lockorder "stripe i locked while stripe j is held"
-	return func() { si.mu.Unlock(); sj.mu.Unlock() }
 }
 
 // rlockAll ranges over a slice of indexes: the loop's key is not the

@@ -72,11 +72,13 @@ func (w *modelWorld) rel() string {
 func (w *modelWorld) create(t *testing.T) {
 	t.Helper()
 	w.n++
-	oid, err := w.fw.store.Create("DesignObjectVersion", map[string]oms.Value{"num": oms.I(w.n), "data": w.blob()})
+	created, err := applyOne(w.fw.store, func(b *oms.Batch) {
+		b.Create("DesignObjectVersion", map[string]oms.Value{"num": oms.I(w.n), "data": w.blob()})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.live = append(w.live, oid)
+	w.live = append(w.live, created[0])
 }
 
 // step applies one random operation: a create, a set, a link, an
@@ -98,24 +100,24 @@ func (w *modelWorld) step(t *testing.T) {
 		if w.r.Intn(2) == 0 {
 			v, name = w.blob(), "data"
 		}
-		if err := st.Set(w.pick(), name, v); err != nil {
+		if _, err := applyOne(st, func(b *oms.Batch) { b.Set(w.pick(), name, v) }); err != nil {
 			t.Fatal(err)
 		}
 	case op < 6:
-		if err := st.Link(w.rel(), w.pick(), w.pick()); err != nil {
+		if err := w.fw.link(w.rel(), w.pick(), w.pick()); err != nil {
 			t.Fatal(err)
 		}
 	case op < 7:
 		from := w.pick()
 		rel := w.rel()
 		if ts := st.Targets(rel, from); len(ts) > 0 {
-			if err := st.Unlink(rel, from, ts[w.r.Intn(len(ts))]); err != nil {
+			if _, err := applyOne(st, func(b *oms.Batch) { b.Unlink(rel, from, ts[w.r.Intn(len(ts))]) }); err != nil {
 				t.Fatal(err)
 			}
 		}
 	case op < 8:
 		i := w.r.Intn(len(w.live))
-		if err := st.Delete(w.live[i]); err != nil {
+		if _, err := applyOne(st, func(b *oms.Batch) { b.Delete(w.live[i]) }); err != nil {
 			t.Fatal(err)
 		}
 		w.live = slices.Delete(w.live, i, i+1)
@@ -140,7 +142,7 @@ func (w *modelWorld) step(t *testing.T) {
 func (w *modelWorld) touchAll(t *testing.T) {
 	t.Helper()
 	for _, oid := range w.live {
-		if err := w.fw.store.Set(oid, "data", w.blob()); err != nil {
+		if _, err := applyOne(w.fw.store, func(b *oms.Batch) { b.Set(oid, "data", w.blob()) }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -159,7 +159,7 @@ type Inconsistency struct {
 // irrelevantly-changed) database answers in O(changes since last check);
 // checkin-heavy traffic in particular never invalidates. Any relevant
 // change — or a feed suffix the ring has already evicted — triggers a
-// full sweep. CheckConsistencyFull bypasses the cache.
+// full sweep.
 //
 // Replicas run this too (their follower stores republish the primary's
 // feed), which is what makes it a cheap post-catch-up convergence
@@ -176,15 +176,6 @@ func (fw *Framework) CheckConsistency() []Inconsistency {
 			return append([]Inconsistency(nil), fw.cc.cache...)
 		}
 	}
-	return fw.refreshConsistencyLocked()
-}
-
-// CheckConsistencyFull runs the full sweep unconditionally (refreshing
-// the cache) — the pre-feed behaviour, kept for audits and for the
-// cached-vs-full ablation.
-func (fw *Framework) CheckConsistencyFull() []Inconsistency {
-	fw.cc.mu.Lock()
-	defer fw.cc.mu.Unlock()
 	return fw.refreshConsistencyLocked()
 }
 

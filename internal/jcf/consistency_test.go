@@ -13,8 +13,8 @@ import (
 )
 
 // TestCheckConsistencyCached: the feed-driven check answers from cache
-// across irrelevant traffic, invalidates on relevant changes, and
-// CheckConsistencyFull always re-sweeps.
+// across irrelevant traffic, invalidates on relevant changes, and the
+// full sweep (refreshConsistencyLocked) always re-sweeps.
 func TestCheckConsistencyCached(t *testing.T) {
 	w := newWorld(t, Release30)
 	fw := w.fw
@@ -71,9 +71,12 @@ func TestCheckConsistencyCached(t *testing.T) {
 		t.Fatalf("checkins invalidated the consistency cache: %v", got)
 	}
 
-	// Full bypasses the cache regardless.
-	if got := fw.CheckConsistencyFull(); len(got) != 0 {
-		t.Fatalf("full sweep: %v", got)
+	// The full sweep bypasses the cache regardless.
+	fw.cc.mu.Lock()
+	full := fw.refreshConsistencyLocked()
+	fw.cc.mu.Unlock()
+	if len(full) != 0 {
+		t.Fatalf("full sweep: %v", full)
 	}
 
 	// Relevant traffic: a second cell version (cellHasVersion link) must
@@ -129,10 +132,12 @@ func TestCheckConsistencyReportsVersionOrder(t *testing.T) {
 		corrupt func(fw *Framework, do oms.OID, vs []oms.OID) error
 	}{
 		{"renumbered", func(fw *Framework, do oms.OID, vs []oms.OID) error {
-			return fw.store.Set(vs[1], "num", oms.I(7))
+			_, err := applyOne(fw.store, func(b *oms.Batch) { b.Set(vs[1], "num", oms.I(7)) })
+			return err
 		}},
 		{"unlinked", func(fw *Framework, do oms.OID, vs []oms.OID) error {
-			return fw.store.Unlink(fw.rel.doHasVersion, do, vs[1])
+			_, err := applyOne(fw.store, func(b *oms.Batch) { b.Unlink(fw.rel.doHasVersion, do, vs[1]) })
+			return err
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/itc"
+	"repro/internal/oms"
 	"repro/internal/oms/backend"
 )
 
@@ -94,7 +95,7 @@ func TestRecordExecInducedFailureAtomicAndSurfaced(t *testing.T) {
 	w := newWorld(t, Release30)
 	fw := w.fw
 	v1 := fw.Variants(w.cv)[0]
-	if err := fw.store.Delete(v1); err != nil {
+	if _, err := applyOne(fw.store, func(b *oms.Batch) { b.Delete(v1) }); err != nil {
 		t.Fatal(err)
 	}
 	execCount := fw.store.Count("ActiveExecVersion")

@@ -30,7 +30,7 @@ func (fw *Framework) SubmitHierarchy(parent, child oms.OID) error {
 	if fw.reachable(child, parent) {
 		return fmt.Errorf("jcf: hierarchy cycle: child already contains parent")
 	}
-	return fw.store.Link(fw.rel.compOf, parent, child)
+	return fw.link(fw.rel.compOf, parent, child)
 }
 
 // reachable reports whether `to` is transitively contained in `from`.
@@ -185,7 +185,7 @@ func (fw *Framework) ShareCell(cell, toProject oms.OID) error {
 	if owner[0] == toProject {
 		return fmt.Errorf("jcf: cell already belongs to that project")
 	}
-	return fw.store.Link(fw.rel.shares, toProject, cell) // idempotent
+	return fw.link(fw.rel.shares, toProject, cell) // idempotent
 }
 
 // SharedCells returns the cells shared into a project, in OID order

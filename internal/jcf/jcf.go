@@ -269,6 +269,18 @@ func (fw *Framework) putBatch(b *oms.Batch) {
 	fw.batchPool.Put(b)
 }
 
+// link commits one relationship instance as a one-op batch. Linking a
+// pair that is already linked changes nothing and publishes nothing.
+// The batch lives on the stack, not in batchPool, so every call
+// allocates the same (its ops slice): under the race detector
+// sync.Pool drops Puts at random.
+func (fw *Framework) link(rel string, from, to oms.OID) error {
+	var b oms.Batch
+	b.Link(rel, from, to)
+	_, err := fw.store.Apply(&b)
+	return err
+}
+
 // Release returns the framework release level.
 func (fw *Framework) Release() Release { return fw.release }
 
@@ -354,7 +366,7 @@ func (fw *Framework) AddMember(team oms.OID, user oms.OID) error {
 	if err := fw.guardWrite(); err != nil {
 		return err
 	}
-	return fw.store.Link(fw.rel.memberOf, user, team)
+	return fw.link(fw.rel.memberOf, user, team)
 }
 
 // lookupNamed finds a resource by class and name.

@@ -44,6 +44,14 @@ type world struct {
 	layVT   oms.OID
 }
 
+// applyOne commits the op that stage puts in a fresh batch: a test's
+// direct write to the store, bypassing the framework's entry points.
+func applyOne(st *oms.Store, stage func(b *oms.Batch)) ([]oms.OID, error) {
+	b := oms.NewBatch()
+	stage(b)
+	return st.Apply(b)
+}
+
 func newWorld(t *testing.T, release Release) *world {
 	t.Helper()
 	fw, err := New(release)
@@ -641,8 +649,21 @@ func TestRelease40Features(t *testing.T) {
 	if err := fw.ShareCell(w.cell, project2); err != nil {
 		t.Fatal(err)
 	}
+	lsn := fw.store.FeedLSN()
 	if err := fw.ShareCell(w.cell, project2); err != nil {
 		t.Fatal(err) // idempotent
+	}
+	// A repeated share or membership is a one-op batch that changes
+	// nothing, so it publishes nothing.
+	anna, err := fw.User("anna")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.AddMember(w.team, anna); err != nil {
+		t.Fatal(err)
+	}
+	if got := fw.store.FeedLSN(); got != lsn {
+		t.Fatalf("repeated ShareCell and AddMember moved FeedLSN %d -> %d", lsn, got)
 	}
 	shared, err := fw.SharedCells(project2)
 	if err != nil || len(shared) != 1 || shared[0] != w.cell {

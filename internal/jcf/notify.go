@@ -20,7 +20,7 @@ import (
 // notifier replaces call-site publication wholesale: it subscribes to
 // the OMS change feed and translates committed low-level records into
 // framework-level messages, so every path that mutates the database —
-// single ops, grouped batches, even future ones — feeds tool
+// one-op or grouped batches, even future ones — feeds tool
 // notification automatically and in commit (LSN) order.
 //
 // Because Watch delivers whole commit groups, a notification is emitted

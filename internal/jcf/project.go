@@ -632,7 +632,7 @@ func (fw *Framework) RecordDerivation(from, to oms.OID) error {
 	if err := fw.guardWrite(); err != nil {
 		return err
 	}
-	return fw.store.Link(fw.rel.derived, from, to)
+	return fw.link(fw.rel.derived, from, to)
 }
 
 // RecordEquivalence records that two design object versions are equivalent
@@ -641,7 +641,7 @@ func (fw *Framework) RecordEquivalence(a, b oms.OID) error {
 	if err := fw.guardWrite(); err != nil {
 		return err
 	}
-	return fw.store.Link(fw.rel.equivalent, a, b)
+	return fw.link(fw.rel.equivalent, a, b)
 }
 
 // DerivedFrom returns the direct derivation sources of a version.

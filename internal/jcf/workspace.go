@@ -48,7 +48,17 @@ func (fw *Framework) Reserve(user string, cv oms.OID) error {
 	// change feed, which is how tools learn about workspace traffic (the
 	// feed-driven notification bridge), how a replica answers ReservedBy
 	// and how a saved state dir restores it.
-	return fw.store.Set(cv, "reservedBy", oms.S(user))
+	return fw.setReservedBy(cv, user)
+}
+
+// setReservedBy commits cv's reservedBy attribute as a one-op batch
+// (on the stack, like link's); "" releases the reservation. The caller
+// holds fw.mu.
+func (fw *Framework) setReservedBy(cv oms.OID, user string) error {
+	var b oms.Batch
+	b.Set(cv, "reservedBy", oms.S(user))
+	_, err := fw.store.Apply(&b)
+	return err
 }
 
 // ReleaseReservation drops the user's reservation without publishing.
@@ -61,7 +71,7 @@ func (fw *Framework) ReleaseReservation(user string, cv oms.OID) error {
 	if err := fw.requireReservation(user, cv); err != nil {
 		return err
 	}
-	return fw.store.Set(cv, "reservedBy", oms.S(""))
+	return fw.setReservedBy(cv, "")
 }
 
 // Publish marks the cell version's design data as published and releases

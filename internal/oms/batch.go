@@ -11,11 +11,11 @@ import (
 //
 // A Batch stages N mutations and Store.Apply executes them as one atomic
 // group: the touched stripe set is computed up front, those stripe locks
-// are acquired once in ascending order (the same order lockPair and
-// lockAll use, so batches and single ops can never deadlock), every op
-// runs under that one hold, and the first failing op rolls back
-// everything the batch already applied. Callers therefore get two
-// properties the single-op API cannot give them:
+// are acquired once in ascending order (the same order lockAll uses, so
+// batches and the whole-store paths can never deadlock), every op runs
+// under that one hold, and the first failing op rolls back everything
+// the batch already applied. Apply is the store's only local write path:
+// a single mutation is a one-op batch. Callers get two properties:
 //
 //   - all-or-nothing: a multi-step sequence (version create + link +
 //     data blob + derivation link, the section 3.6 checkin shape) either
@@ -129,19 +129,23 @@ func (b *Batch) Set(oid OID, attr string, v Value) {
 	b.add(batchOp{kind: bSet, oid: oid, s1: attr, val: v.clone()})
 }
 
-// Link stages a relationship creation.
+// Link stages a relationship creation. Apply checks the endpoint
+// classes and cardinalities; linking a pair that is already linked is a
+// no-op that publishes nothing.
 func (b *Batch) Link(rel string, from, to OID) {
 	b.add(batchOp{kind: bLink, s1: rel, oid: from, to: to})
 }
 
-// Unlink stages a relationship removal (a no-op if absent, like
-// Store.Unlink).
+// Unlink stages a relationship removal. Removing an absent link is a
+// no-op that publishes nothing.
 func (b *Batch) Unlink(rel string, from, to OID) {
 	b.add(batchOp{kind: bUnlink, s1: rel, oid: from, to: to})
 }
 
-// Delete stages an object deletion. A batch containing a Delete locks
-// every stripe (deletion's reach is unbounded), like Store.Delete.
+// Delete stages an object deletion: every link the object takes part in
+// is detached, and the cascade publishes with the rest of the batch as
+// one feed group. A batch containing a Delete locks every stripe
+// (deletion's reach is unbounded).
 func (b *Batch) Delete(oid OID) {
 	b.add(batchOp{kind: bDelete, oid: oid})
 }
@@ -292,7 +296,7 @@ func (st *Store) Apply(b *Batch) ([]OID, error) {
 	}
 
 	// Phase 3 — compute the touched stripe set and lock it once, in
-	// ascending stripe order (consistent with lockPair/lockAll). A Delete
+	// ascending stripe order (consistent with lockAll). A Delete
 	// reaches arbitrary stripes through the victim's links, so its
 	// presence widens the set to all stripes.
 	var mask uint32

@@ -78,7 +78,7 @@ func TestBatchAllOrNothing(t *testing.T) {
 	st := NewStore(testSchema(t))
 	cell := mustCreate(t, st, "Cell", map[string]Value{"name": S("alu"), "rev": I(1)})
 	vOld := mustCreate(t, st, "Version", map[string]Value{"num": I(1)})
-	if err := st.Link("hasVersion", cell, vOld); err != nil {
+	if err := linkOne(st, "hasVersion", cell, vOld); err != nil {
 		t.Fatal(err)
 	}
 	before := storeFingerprint(st)
@@ -164,7 +164,7 @@ func TestBatchDeleteAndRollback(t *testing.T) {
 	st := NewStore(testSchema(t))
 	cell := mustCreate(t, st, "Cell", map[string]Value{"name": S("alu")})
 	v := mustCreate(t, st, "Version", map[string]Value{"num": I(1)})
-	if err := st.Link("hasVersion", cell, v); err != nil {
+	if err := linkOne(st, "hasVersion", cell, v); err != nil {
 		t.Fatal(err)
 	}
 	before := storeFingerprint(st)

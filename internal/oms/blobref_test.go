@@ -131,7 +131,7 @@ func TestSpillInBatch(t *testing.T) {
 func TestPlainSetNeverSpills(t *testing.T) {
 	st, bs := blobStore(t)
 	cell := mustCreate(t, st, "Cell", map[string]Value{"name": S("raw")})
-	if err := st.Set(cell, "data", Bytes(bigBlob())); err != nil {
+	if err := setOne(st, cell, "data", Bytes(bigBlob())); err != nil {
 		t.Fatal(err)
 	}
 	v, _, _ := st.Get(cell, "data")

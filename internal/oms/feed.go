@@ -18,8 +18,8 @@ var ErrFeedGap = errors.New("oms: change sequence does not attach to the feed po
 
 // The sequenced change feed.
 //
-// Every committed mutation of the store — single ops and whole Apply
-// batches — emits Change records into an in-store ring log, stamped
+// Every committed mutation of the store — every Apply batch, one op or
+// many — emits Change records into an in-store ring log, stamped
 // with a monotonic commit LSN. The LSN is assigned while the mutation still
 // holds its stripe write locks, so the feed order is a valid
 // serialization of the store's history: two conflicting operations
@@ -31,10 +31,10 @@ var ErrFeedGap = errors.New("oms: change sequence does not attach to the feed po
 // differential persistence layer's load (internal/jcf) and the coupling
 // layer (internal/core) are built on.
 //
-// Groups: a batch (Store.Apply) and a Delete (object removal plus every
-// link detach) commit as ONE contiguous group of records — published
-// under a single feed-mutex hold, with the committed LSN advanced once,
-// after the whole group is in the ring. A
+// Groups: a batch (Store.Apply), a staged Delete's removal plus every
+// link detach included, commits as ONE contiguous group of records —
+// published under a single feed-mutex hold, with the committed LSN
+// advanced once, after the whole group is in the ring. A
 // reader can therefore never observe a torn group: Changes and Watch
 // only ever see group-complete prefixes, and Watch delivers each group
 // as one message. A failed batch publishes nothing, so the feed never

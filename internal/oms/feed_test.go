@@ -81,25 +81,29 @@ func replayed(t *testing.T, schema *Schema, recs []Change) *Store {
 func TestFeedSequencedRecords(t *testing.T) {
 	schema := feedSchema(t)
 	st := NewStore(schema)
-	cell, err := st.Create("Cell", map[string]Value{"name": S("alu")})
+	cell, err := createOne(st, "Cell", map[string]Value{"name": S("alu")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := st.Create("Version", map[string]Value{"num": I(1)})
+	v1, err := createOne(st, "Version", map[string]Value{"num": I(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Link("hasVersion", cell, v1); err != nil {
+	if err := linkOne(st, "hasVersion", cell, v1); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Set(cell, "rev", I(7)); err != nil {
+	// Re-linking a linked pair is a no-op and publishes nothing.
+	if err := linkOne(st, "hasVersion", cell, v1); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Unlink("hasVersion", cell, v1); err != nil {
+	if err := setOne(st, cell, "rev", I(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := unlinkOne(st, "hasVersion", cell, v1); err != nil {
 		t.Fatal(err)
 	}
 	// Idempotent no-ops publish nothing.
-	if err := st.Unlink("hasVersion", cell, v1); err != nil {
+	if err := unlinkOne(st, "hasVersion", cell, v1); err != nil {
 		t.Fatal(err)
 	}
 	recs, ok := st.Changes(0)
@@ -184,17 +188,17 @@ func TestFeedBatchGroup(t *testing.T) {
 func TestFeedDeleteCascadeGroup(t *testing.T) {
 	schema := feedSchema(t)
 	st := NewStore(schema)
-	cell, _ := st.Create("Cell", map[string]Value{"name": S("alu")})
-	v1, _ := st.Create("Version", map[string]Value{"num": I(1)})
-	v2, _ := st.Create("Version", map[string]Value{"num": I(2)})
-	if err := st.Link("hasVersion", cell, v1); err != nil {
+	cell, _ := createOne(st, "Cell", map[string]Value{"name": S("alu")})
+	v1, _ := createOne(st, "Version", map[string]Value{"num": I(1)})
+	v2, _ := createOne(st, "Version", map[string]Value{"num": I(2)})
+	if err := linkOne(st, "hasVersion", cell, v1); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Link("hasVersion", cell, v2); err != nil {
+	if err := linkOne(st, "hasVersion", cell, v2); err != nil {
 		t.Fatal(err)
 	}
 	before := st.FeedLSN()
-	if err := st.Delete(cell); err != nil {
+	if err := deleteOne(st, cell); err != nil {
 		t.Fatal(err)
 	}
 	recs, _ := st.Changes(before)
@@ -220,17 +224,17 @@ func TestFeedDeleteCascadeGroup(t *testing.T) {
 func TestSnapshotLSNAnchorsDelta(t *testing.T) {
 	schema := feedSchema(t)
 	st := NewStore(schema)
-	cell, _ := st.Create("Cell", map[string]Value{"name": S("alu")})
+	cell, _ := createOne(st, "Cell", map[string]Value{"name": S("alu")})
 	snap := st.Snapshot()
 	if snap.LSN() != st.FeedLSN() {
 		t.Fatalf("snapshot LSN %d != feed LSN %d", snap.LSN(), st.FeedLSN())
 	}
 	// Mutations after the cut.
-	v, _ := st.Create("Version", map[string]Value{"num": I(1)})
-	if err := st.Link("hasVersion", cell, v); err != nil {
+	v, _ := createOne(st, "Version", map[string]Value{"num": I(1)})
+	if err := linkOne(st, "hasVersion", cell, v); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Set(cell, "data", Bytes([]byte("netlist"))); err != nil {
+	if err := setOne(st, cell, "data", Bytes([]byte("netlist"))); err != nil {
 		t.Fatal(err)
 	}
 	restored := NewStore(schema)
@@ -262,9 +266,9 @@ func TestSnapshotLSNAnchorsDelta(t *testing.T) {
 func TestFeedEviction(t *testing.T) {
 	schema := feedSchema(t)
 	st := NewStore(schema)
-	cell, _ := st.Create("Cell", map[string]Value{"name": S("alu")})
+	cell, _ := createOne(st, "Cell", map[string]Value{"name": S("alu")})
 	for i := 0; i < feedMaxRecords+10; i++ {
-		if err := st.Set(cell, "rev", I(int64(i))); err != nil {
+		if err := setOne(st, cell, "rev", I(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +293,7 @@ func TestFeedWatchDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, _ := st.Create("Cell", map[string]Value{"name": S("alu")})
+	cell, _ := createOne(st, "Cell", map[string]Value{"name": S("alu")})
 	b := NewBatch()
 	v := b.Create("Version", map[string]Value{"num": I(1)})
 	b.Link("hasVersion", cell, v)
@@ -324,7 +328,7 @@ func TestFeedWatchDelivery(t *testing.T) {
 func TestFeedWatchCloseWhileBlocked(t *testing.T) {
 	schema := feedSchema(t)
 	st := NewStore(schema)
-	cell, _ := st.Create("Cell", map[string]Value{"name": S("alu")})
+	cell, _ := createOne(st, "Cell", map[string]Value{"name": S("alu")})
 	sub, err := st.Watch(0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +336,7 @@ func TestFeedWatchCloseWhileBlocked(t *testing.T) {
 	// Far more groups than the channel buffer; the delivery goroutine
 	// must end up blocked in the send.
 	for i := 0; i < 64; i++ {
-		if err := st.Set(cell, "rev", I(int64(i))); err != nil {
+		if err := setOne(st, cell, "rev", I(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -416,7 +420,7 @@ func TestFeedConformanceStress(t *testing.T) {
 					}
 					myCell = created[0]
 				case 1: // single-op attribute traffic
-					if err := st.Set(myCell, "rev", I(int64(i))); err != nil {
+					if err := setOne(st, myCell, "rev", I(int64(i))); err != nil {
 						t.Errorf("designer %d: %v", d, err)
 						return
 					}

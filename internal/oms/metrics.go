@@ -14,8 +14,8 @@ type storeMetrics struct {
 	// applyReplicated times Store.ApplyReplicated end to end.
 	applyReplicated obs.Histogram
 	// stripeWait samples the wall time spent acquiring stripe write
-	// locks (lockPair and Apply's masked lock phase) — the store's
-	// contention signal.
+	// locks in Apply's masked lock phase, which every local write goes
+	// through — the store's contention signal.
 	stripeWait obs.Histogram
 	// snapshotHold times how long Snapshot holds every stripe
 	// read-locked (the consistent-cut capture window).

@@ -39,7 +39,8 @@
 //
 // Internal lock ordering (never acquire in any other order):
 //
-//  1. stripe mutexes, ascending stripe index (lockPair / lockAll)
+//  1. stripe mutexes, ascending stripe index (Apply's stripe set /
+//     lockAll)
 //  2. feedMu (the change feed ring, see feed.go) — leaf: every
 //     committed mutation publishes its sequenced change records
 //     while still holding its stripe write locks, which is what makes
@@ -48,10 +49,10 @@
 // allocMu (OID allocation) and the stat counters (atomics) stand alone,
 // with one exception: Snapshot reads nextOID under allocMu while holding
 // every stripe read lock (the consistent cut). That nests stripes →
-// allocMu; Create never holds allocMu and a stripe lock at the same
+// allocMu; Apply never holds allocMu and a stripe lock at the same
 // time, so the order stays acyclic.
 //
-// Blob values are immutable once stored: Set installs a private clone
+// Blob values are immutable once stored: a Set installs a private clone
 // (copy-on-write) and Get returns clones, so a Snapshot may share blob
 // backing arrays with the live store without copying them.
 package oms
@@ -506,31 +507,8 @@ func stripeIdx(oid OID) int {
 
 func (st *Store) stripeOf(oid OID) *stripe { return &st.stripes[stripeIdx(oid)] }
 
-// lockPair write-locks the stripes of two OIDs in ascending stripe order
-// (once when they collide) and returns the matching unlock. Acquisition
-// wall time feeds the sampled stripe-wait histogram (a zero start — the
-// off-stride and disabled cases — records nothing).
-func (st *Store) lockPair(a, b OID) func() {
-	wait := st.metrics.stripeSampler.Sample(stripeWaitStride)
-	i, j := stripeIdx(a), stripeIdx(b)
-	if i == j {
-		s := &st.stripes[i]
-		s.mu.Lock()
-		st.metrics.stripeWait.Since(wait)
-		return s.mu.Unlock
-	}
-	if i > j {
-		i, j = j, i
-	}
-	si, sj := &st.stripes[i], &st.stripes[j]
-	si.mu.Lock()
-	sj.mu.Lock()
-	st.metrics.stripeWait.Since(wait)
-	return func() { sj.mu.Unlock(); si.mu.Unlock() }
-}
-
 // lockAll write-locks every stripe in ascending order. Used by the cold
-// multi-object paths (Delete, replica apply, snapshot reset).
+// whole-store paths (replica apply, snapshot reset).
 func (st *Store) lockAll() {
 	for i := range st.stripes {
 		st.stripes[i].mu.Lock()
@@ -593,20 +571,10 @@ type applied struct {
 	undo   undoFn
 }
 
-// commitApplied publishes a successful single-op mutation to the feed.
-// The caller still holds the op's stripe write locks. No-ops (nil undo)
-// publish nothing.
-func (st *Store) commitApplied(a applied) {
-	if a.undo == nil {
-		return
-	}
-	st.feed.publish([]Change{a.change})
-}
-
 // --- object lifecycle -------------------------------------------------
 
 // validateCreate checks class and attribute values against the schema —
-// the lock-free half of Create, shared with Apply's validation phase.
+// Apply's lock-free validation of a staged create.
 func (st *Store) validateCreate(class string, attrs map[string]Value) error {
 	cls := st.schema.class(class)
 	if cls == nil {
@@ -683,24 +651,6 @@ func (st *Store) insertLocked(oid OID, class string, attrs map[string]Value) app
 	}
 }
 
-// Create allocates a new object of the given class with the given attribute
-// values. Required attributes must be present; kinds must match the schema.
-func (st *Store) Create(class string, attrs map[string]Value) (OID, error) {
-	if err := st.validateCreate(class, attrs); err != nil {
-		return InvalidOID, err
-	}
-	oid := st.allocOIDs(1)
-	cp := make(map[string]Value, len(attrs))
-	for name, v := range attrs {
-		cp[name] = v.clone()
-	}
-	s := st.stripeOf(oid)
-	s.mu.Lock()
-	st.commitApplied(st.insertLocked(oid, class, cp))
-	s.mu.Unlock()
-	return oid, nil
-}
-
 // The undo helpers below run while a failing Apply still holds the
 // batch's stripe write locks — they must not lock anything themselves.
 
@@ -710,31 +660,11 @@ func (st *Store) undoCreate(oid OID, class string) {
 	s.delClass(class, oid)
 }
 
-// Delete removes an object and all relationships it participates in. It is
-// the one multi-object operation whose reach is unbounded (links may point
-// anywhere), so it takes every stripe — correct and simple; deletion is not
-// on the designers' hot path. The cascade (every link detach plus the
-// removal) publishes as one feed group.
-func (st *Store) Delete(oid OID) error {
-	st.lockAll()
-	defer st.unlockAll()
-	as, err := st.deleteLockedU(oid)
-	if err != nil {
-		return err
-	}
-	group := make([]Change, 0, len(as))
-	for _, a := range as {
-		group = append(group, a.change)
-	}
-	st.feed.publish(group)
-	return nil
-}
-
-// deleteLockedU is Delete's body: detach every link (both directions),
-// then remove the object. The caller holds every stripe write lock. The
-// returned entries are ordered for reverse undo replay (links re-attach
-// after the object is re-inserted) and forward feed publication (the
-// unlinks precede the delete record).
+// deleteLockedU applies a staged Delete: detach every link (both
+// directions), then remove the object. The caller holds every stripe
+// write lock. The returned entries are ordered for reverse undo replay
+// (links re-attach after the object is re-inserted) and forward feed
+// publication (the unlinks precede the delete record).
 func (st *Store) deleteLockedU(oid OID) ([]applied, error) {
 	s := st.stripeOf(oid)
 	obj, ok := s.objects[oid]
@@ -795,23 +725,10 @@ func (st *Store) ClassOf(oid OID) (string, error) {
 
 // --- attributes ---------------------------------------------------------
 
-// Set assigns an attribute value, checked against the schema.
-func (st *Store) Set(oid OID, name string, v Value) error {
-	s := st.stripeOf(oid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a, err := st.setLockedU(oid, name, v.clone())
-	if err != nil {
-		return err
-	}
-	st.commitApplied(a)
-	return nil
-}
-
-// setLockedU is Set's body. The caller holds oid's stripe write lock and
-// hands over ownership of v (already a private copy). Sharing v in the
-// change record is safe: Values are immutable once stored (Set replaces
-// them wholesale).
+// setLockedU applies a staged Set. The caller holds oid's stripe write
+// lock and hands over ownership of v (already a private copy). Sharing v
+// in the change record is safe: Values are immutable once stored (a Set
+// replaces them wholesale).
 func (st *Store) setLockedU(oid OID, name string, v Value) (applied, error) {
 	obj, ok := st.stripeOf(oid).objects[oid]
 	if !ok {
@@ -853,7 +770,7 @@ func (st *Store) Get(oid OID, name string) (Value, bool, error) {
 }
 
 // getShared is Get without the defensive copy: an inline blob comes back
-// sharing the stored bytes. Stored values are immutable (Set installs a
+// sharing the stored bytes. Stored values are immutable (a Set installs a
 // private clone, see insertLocked), so the bytes may be read after the
 // stripe lock is released — but they must never leave the package.
 func (st *Store) getShared(oid OID, name string) (Value, bool, error) {
@@ -915,25 +832,9 @@ func (st *Store) GetBool(oid OID, name string) bool {
 
 // --- relationships ------------------------------------------------------
 
-// Link creates a relationship instance rel: from -> to, enforcing endpoint
-// classes and cardinalities. Only the two stripes involved are locked.
-func (st *Store) Link(rel string, from, to OID) error {
-	if st.schema.rel(rel) == nil {
-		return fmt.Errorf("oms: unknown relationship %q", rel)
-	}
-	unlock := st.lockPair(from, to)
-	defer unlock()
-	a, err := st.linkLockedU(rel, from, to)
-	if err != nil {
-		return err
-	}
-	st.commitApplied(a)
-	return nil
-}
-
-// linkLockedU is Link's body. The caller holds the stripe write locks of
-// both endpoints. Returns a no-op applied (nil undo, nil error) when the
-// link already existed — the idempotent case.
+// linkLockedU applies a staged Link. The caller holds the stripe write
+// locks of both endpoints. Returns a no-op applied (nil undo, nil error)
+// when the link already existed — the idempotent case.
 func (st *Store) linkLockedU(rel string, from, to OID) (applied, error) {
 	def := st.schema.rel(rel)
 	if def == nil {
@@ -982,19 +883,8 @@ func (st *Store) undoLink(rel string, from, to OID) {
 	st.unlinkNoUndo(rel, from, to)
 }
 
-// Unlink removes a relationship instance if present.
-func (st *Store) Unlink(rel string, from, to OID) error {
-	if st.schema.rel(rel) == nil {
-		return fmt.Errorf("oms: unknown relationship %q", rel)
-	}
-	unlock := st.lockPair(from, to)
-	defer unlock()
-	st.commitApplied(st.unlinkLockedU(rel, from, to))
-	return nil
-}
-
-// unlinkLockedU is Unlink's body; caller holds the stripes of both from
-// and to. Returns a no-op applied when the link did not exist.
+// unlinkLockedU applies a staged Unlink; the caller holds the stripes of
+// both from and to. Returns a no-op applied when the link did not exist.
 func (st *Store) unlinkLockedU(rel string, from, to OID) applied {
 	fobj, ok := st.stripeOf(from).objects[from]
 	if !ok {

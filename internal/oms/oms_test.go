@@ -38,11 +38,52 @@ func testSchema(t testing.TB) *Schema {
 
 func mustCreate(t testing.TB, st *Store, class string, attrs map[string]Value) OID {
 	t.Helper()
-	oid, err := st.Create(class, attrs)
+	oid, err := createOne(st, class, attrs)
 	if err != nil {
 		t.Fatalf("Create(%s): %v", class, err)
 	}
 	return oid
+}
+
+// The *One helpers stage a single mutation and commit it as a one-op
+// batch: the shape of every single write the kernel accepts.
+
+func createOne(st *Store, class string, attrs map[string]Value) (OID, error) {
+	b := NewBatch()
+	b.Create(class, attrs)
+	created, err := st.Apply(b)
+	if err != nil {
+		return InvalidOID, err
+	}
+	return created[0], nil
+}
+
+func setOne(st *Store, oid OID, name string, v Value) error {
+	b := NewBatch()
+	b.Set(oid, name, v)
+	_, err := st.Apply(b)
+	return err
+}
+
+func linkOne(st *Store, rel string, from, to OID) error {
+	b := NewBatch()
+	b.Link(rel, from, to)
+	_, err := st.Apply(b)
+	return err
+}
+
+func unlinkOne(st *Store, rel string, from, to OID) error {
+	b := NewBatch()
+	b.Unlink(rel, from, to)
+	_, err := st.Apply(b)
+	return err
+}
+
+func deleteOne(st *Store, oid OID) error {
+	b := NewBatch()
+	b.Delete(oid)
+	_, err := st.Apply(b)
+	return err
 }
 
 func TestSchemaDuplicates(t *testing.T) {
@@ -72,16 +113,16 @@ func TestSchemaDuplicates(t *testing.T) {
 
 func TestCreateRequiresAttrs(t *testing.T) {
 	st := NewStore(testSchema(t))
-	if _, err := st.Create("Cell", nil); err == nil {
+	if _, err := createOne(st, "Cell", nil); err == nil {
 		t.Fatal("missing required attribute accepted")
 	}
-	if _, err := st.Create("Nope", nil); err == nil {
+	if _, err := createOne(st, "Nope", nil); err == nil {
 		t.Fatal("unknown class accepted")
 	}
-	if _, err := st.Create("Cell", map[string]Value{"name": I(3)}); err == nil {
+	if _, err := createOne(st, "Cell", map[string]Value{"name": I(3)}); err == nil {
 		t.Fatal("kind mismatch accepted")
 	}
-	if _, err := st.Create("Cell", map[string]Value{"name": S("alu"), "bogus": S("x")}); err == nil {
+	if _, err := createOne(st, "Cell", map[string]Value{"name": S("alu"), "bogus": S("x")}); err == nil {
 		t.Fatal("unknown attribute accepted")
 	}
 }
@@ -92,13 +133,13 @@ func TestAttrRoundTrip(t *testing.T) {
 	if got := st.GetString(oid, "name"); got != "alu" {
 		t.Fatalf("name = %q, want alu", got)
 	}
-	if err := st.Set(oid, "rev", I(7)); err != nil {
+	if err := setOne(st, oid, "rev", I(7)); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.GetInt(oid, "rev"); got != 7 {
 		t.Fatalf("rev = %d, want 7", got)
 	}
-	if err := st.Set(oid, "published", B(true)); err != nil {
+	if err := setOne(st, oid, "published", B(true)); err != nil {
 		t.Fatal(err)
 	}
 	if !st.GetBool(oid, "published") {
@@ -110,7 +151,7 @@ func TestAttrRoundTrip(t *testing.T) {
 		t.Fatalf("Get(absent) = ok=%t err=%v, want false,nil", ok, err)
 	}
 	// Kind mismatch on Set.
-	if err := st.Set(oid, "rev", S("x")); err == nil {
+	if err := setOne(st, oid, "rev", S("x")); err == nil {
 		t.Fatal("kind mismatch accepted on Set")
 	}
 }
@@ -119,7 +160,7 @@ func TestBlobIsolation(t *testing.T) {
 	st := NewStore(testSchema(t))
 	oid := mustCreate(t, st, "Cell", map[string]Value{"name": S("c")})
 	buf := []byte("hello")
-	if err := st.Set(oid, "data", Bytes(buf)); err != nil {
+	if err := setOne(st, oid, "data", Bytes(buf)); err != nil {
 		t.Fatal(err)
 	}
 	buf[0] = 'X' // caller mutates its copy; store must be unaffected
@@ -157,13 +198,13 @@ func TestMaxTarget(t *testing.T) {
 	var vs []OID
 	for i := 1; i <= 40; i++ {
 		v := mustCreate(t, st, "Version", map[string]Value{"num": I(int64(i))})
-		if err := st.Link("hasVersion", c, v); err != nil {
+		if err := linkOne(st, "hasVersion", c, v); err != nil {
 			t.Fatal(err)
 		}
 		vs = append(vs, v)
 		check("after a link")
 	}
-	if err := st.Unlink("hasVersion", c, vs[len(vs)-1]); err != nil {
+	if err := unlinkOne(st, "hasVersion", c, vs[len(vs)-1]); err != nil {
 		t.Fatal(err)
 	}
 	check("after unlinking the top")
@@ -183,32 +224,32 @@ func TestLinkCardinality(t *testing.T) {
 	v2 := mustCreate(t, st, "Version", map[string]Value{"num": I(2)})
 
 	// hasVersion: FromCard=One (a version belongs to one cell), ToCard=Many.
-	if err := st.Link("hasVersion", c1, v1); err != nil {
+	if err := linkOne(st, "hasVersion", c1, v1); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Link("hasVersion", c1, v2); err != nil {
+	if err := linkOne(st, "hasVersion", c1, v2); err != nil {
 		t.Fatal(err)
 	}
 	// v1 already owned by c1; c2 may not claim it.
-	if err := st.Link("hasVersion", c2, v1); err == nil {
+	if err := linkOne(st, "hasVersion", c2, v1); err == nil {
 		t.Fatal("FromCard=One violated")
 	}
 	// Idempotent re-link is fine.
-	if err := st.Link("hasVersion", c1, v1); err != nil {
+	if err := linkOne(st, "hasVersion", c1, v1); err != nil {
 		t.Fatalf("idempotent link: %v", err)
 	}
 	// master: ToCard=One (a cell has a single master version).
-	if err := st.Link("master", c1, v1); err != nil {
+	if err := linkOne(st, "master", c1, v1); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Link("master", c1, v2); err == nil {
+	if err := linkOne(st, "master", c1, v2); err == nil {
 		t.Fatal("ToCard=One violated")
 	}
 	// Class checking.
-	if err := st.Link("hasVersion", v1, c1); err == nil {
+	if err := linkOne(st, "hasVersion", v1, c1); err == nil {
 		t.Fatal("endpoint classes not checked")
 	}
-	if err := st.Link("nope", c1, v1); err == nil {
+	if err := linkOne(st, "nope", c1, v1); err == nil {
 		t.Fatal("unknown relationship accepted")
 	}
 
@@ -228,21 +269,21 @@ func TestUnlink(t *testing.T) {
 	st := NewStore(testSchema(t))
 	c := mustCreate(t, st, "Cell", map[string]Value{"name": S("a")})
 	v := mustCreate(t, st, "Version", map[string]Value{"num": I(1)})
-	if err := st.Link("hasVersion", c, v); err != nil {
+	if err := linkOne(st, "hasVersion", c, v); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Unlink("hasVersion", c, v); err != nil {
+	if err := unlinkOne(st, "hasVersion", c, v); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Targets("hasVersion", c); len(got) != 0 {
 		t.Fatalf("Targets after unlink = %v", got)
 	}
 	// Unlink of absent link is a no-op.
-	if err := st.Unlink("hasVersion", c, v); err != nil {
+	if err := unlinkOne(st, "hasVersion", c, v); err != nil {
 		t.Fatal(err)
 	}
 	// After unlink the cardinality slot is free again.
-	if err := st.Link("hasVersion", c, v); err != nil {
+	if err := linkOne(st, "hasVersion", c, v); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -251,10 +292,10 @@ func TestDeleteDetaches(t *testing.T) {
 	st := NewStore(testSchema(t))
 	c := mustCreate(t, st, "Cell", map[string]Value{"name": S("a")})
 	v := mustCreate(t, st, "Version", map[string]Value{"num": I(1)})
-	if err := st.Link("hasVersion", c, v); err != nil {
+	if err := linkOne(st, "hasVersion", c, v); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Delete(v); err != nil {
+	if err := deleteOne(st, v); err != nil {
 		t.Fatal(err)
 	}
 	if st.Exists(v) {
@@ -263,7 +304,7 @@ func TestDeleteDetaches(t *testing.T) {
 	if got := st.Targets("hasVersion", c); len(got) != 0 {
 		t.Fatalf("dangling link after delete: %v", got)
 	}
-	if err := st.Delete(v); err == nil {
+	if err := deleteOne(st, v); err == nil {
 		t.Fatal("double delete accepted")
 	}
 }
@@ -278,7 +319,7 @@ func TestFailedBatchUndoesEveryKind(t *testing.T) {
 	kept := mustCreate(t, st, "Version", map[string]Value{"num": I(1)})
 	doomed := mustCreate(t, st, "Version", map[string]Value{"num": I(2)})
 	for _, v := range []OID{kept, doomed} {
-		if err := st.Link("hasVersion", base, v); err != nil {
+		if err := linkOne(st, "hasVersion", base, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -359,7 +400,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	st := NewStore(schema)
 	c := mustCreate(t, st, "Cell", map[string]Value{"name": S("alu"), "rev": I(3), "data": Bytes([]byte{1, 2, 3})})
 	v := mustCreate(t, st, "Version", map[string]Value{"num": I(1)})
-	if err := st.Link("hasVersion", c, v); err != nil {
+	if err := linkOne(st, "hasVersion", c, v); err != nil {
 		t.Fatal(err)
 	}
 
@@ -379,7 +420,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("links lost: %v", got)
 	}
 	// New objects in the loaded store must not collide with old OIDs.
-	n, err := ld.Create("Cell", map[string]Value{"name": S("new")})
+	n, err := createOne(ld, "Cell", map[string]Value{"name": S("new")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,12 +511,12 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				oid, err := st.Create("Cell", map[string]Value{"name": S("c")})
+				oid, err := createOne(st, "Cell", map[string]Value{"name": S("c")})
 				if err != nil {
 					t.Errorf("Create: %v", err)
 					return
 				}
-				if err := st.Set(oid, "rev", I(int64(i))); err != nil {
+				if err := setOne(st, oid, "rev", I(int64(i))); err != nil {
 					t.Errorf("Set: %v", err)
 					return
 				}
@@ -497,7 +538,7 @@ func TestPropertyOIDsUnique(t *testing.T) {
 		seen := map[OID]bool{}
 		var last OID
 		for _, n := range names {
-			oid, err := st.Create("Cell", map[string]Value{"name": S(n)})
+			oid, err := createOne(st, "Cell", map[string]Value{"name": S(n)})
 			if err != nil {
 				return false
 			}
@@ -519,13 +560,13 @@ func TestPropertySetGetRoundTrip(t *testing.T) {
 	st := NewStore(testSchema(t))
 	oid := mustCreate(t, st, "Cell", map[string]Value{"name": S("p")})
 	f := func(s string, blob []byte) bool {
-		if err := st.Set(oid, "name", S(s)); err != nil {
+		if err := setOne(st, oid, "name", S(s)); err != nil {
 			return false
 		}
 		if st.GetString(oid, "name") != s {
 			return false
 		}
-		if err := st.Set(oid, "data", Bytes(blob)); err != nil {
+		if err := setOne(st, oid, "data", Bytes(blob)); err != nil {
 			return false
 		}
 		v, ok, err := st.Get(oid, "data")
@@ -602,10 +643,10 @@ func TestRelatedAndObjectsOf(t *testing.T) {
 	c2 := mustCreate(t, st, "Cell", map[string]Value{"name": S("b")})
 	v1 := mustCreate(t, st, "Version", map[string]Value{"num": I(1)})
 	v2 := mustCreate(t, st, "Version", map[string]Value{"num": I(2)})
-	if err := st.Link("hasVersion", c1, v1); err != nil {
+	if err := linkOne(st, "hasVersion", c1, v1); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Link("hasVersion", c2, v2); err != nil {
+	if err := linkOne(st, "hasVersion", c2, v2); err != nil {
 		t.Fatal(err)
 	}
 	got := st.Related("hasVersion")
@@ -617,7 +658,7 @@ func TestRelatedAndObjectsOf(t *testing.T) {
 		t.Fatalf("ObjectsOf = %v", objs)
 	}
 	// Unlinking the last link of an object drops it from the index.
-	if err := st.Unlink("hasVersion", c1, v1); err != nil {
+	if err := unlinkOne(st, "hasVersion", c1, v1); err != nil {
 		t.Fatal(err)
 	}
 	if objs := st.ObjectsOf("hasVersion"); len(objs) != 1 || objs[0] != c2 {
@@ -632,7 +673,7 @@ func TestClassIndexSurvivesDeleteAndRollback(t *testing.T) {
 	st := NewStore(testSchema(t))
 	a := mustCreate(t, st, "Cell", map[string]Value{"name": S("a")})
 	b := mustCreate(t, st, "Cell", map[string]Value{"name": S("b")})
-	if err := st.Delete(a); err != nil {
+	if err := deleteOne(st, a); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.All("Cell"); len(got) != 1 || got[0] != b {
@@ -678,7 +719,7 @@ func TestNoInternalAliasing(t *testing.T) {
 	st := NewStore(schema)
 	c := mustCreate(t, st, "Cell", map[string]Value{"name": S("a"), "data": Bytes([]byte("orig"))})
 	v := mustCreate(t, st, "Version", map[string]Value{"num": I(1)})
-	if err := st.Link("hasVersion", c, v); err != nil {
+	if err := linkOne(st, "hasVersion", c, v); err != nil {
 		t.Fatal(err)
 	}
 
@@ -706,12 +747,12 @@ func TestNoInternalAliasing(t *testing.T) {
 	cls := schema.Class("Cell")
 	cls.Attrs[0] = AttrDef{Name: "hacked", Kind: KindInt}
 	cls.Name = "Hacked"
-	if _, err := st.Create("Cell", map[string]Value{"name": S("b")}); err != nil {
+	if _, err := createOne(st, "Cell", map[string]Value{"name": S("b")}); err != nil {
 		t.Fatalf("schema corrupted through Class() copy: %v", err)
 	}
 	rel := schema.Rel("hasVersion")
 	rel.ToCard = One
-	if err := st.Link("hasVersion", c, mustCreateVersion(t, st, 2)); err != nil {
+	if err := linkOne(st, "hasVersion", c, mustCreateVersion(t, st, 2)); err != nil {
 		t.Fatalf("schema corrupted through Rel() copy: %v", err)
 	}
 	if schema.Class("Nope") != nil || schema.Rel("nope") != nil {
@@ -749,21 +790,21 @@ func TestStressParallelMixedOps(t *testing.T) {
 			defer wg.Done()
 			var mine []OID
 			for i := 0; i < perWorker; i++ {
-				cell, err := st.Create("Cell", map[string]Value{"name": S("c")})
+				cell, err := createOne(st, "Cell", map[string]Value{"name": S("c")})
 				if err != nil {
 					t.Errorf("Create: %v", err)
 					return
 				}
-				ver, err := st.Create("Version", map[string]Value{"num": I(int64(i))})
+				ver, err := createOne(st, "Version", map[string]Value{"num": I(int64(i))})
 				if err != nil {
 					t.Errorf("Create: %v", err)
 					return
 				}
-				if err := st.Set(cell, "rev", I(int64(i))); err != nil {
+				if err := setOne(st, cell, "rev", I(int64(i))); err != nil {
 					t.Errorf("Set: %v", err)
 					return
 				}
-				if err := st.Link("hasVersion", cell, ver); err != nil {
+				if err := linkOne(st, "hasVersion", cell, ver); err != nil {
 					t.Errorf("Link: %v", err)
 					return
 				}
@@ -780,7 +821,7 @@ func TestStressParallelMixedOps(t *testing.T) {
 				if i%7 == 3 && len(mine) > 1 {
 					victim := mine[0]
 					mine = mine[1:]
-					if err := st.Delete(victim); err != nil {
+					if err := deleteOne(st, victim); err != nil {
 						t.Errorf("Delete: %v", err)
 						return
 					}

@@ -61,7 +61,7 @@ func runMergeScript(t *testing.T, schema *Schema, script []byte) (st *Store, m *
 	}
 	var baseLSN uint64
 	create := func(class string, attrs map[string]Value) {
-		oid, err := st.Create(class, attrs)
+		oid, err := createOne(st, class, attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func runMergeScript(t *testing.T, schema *Schema, script []byte) (st *Store, m *
 			if arg&2 == 2 {
 				name, v = "data", Bytes([]byte{arg, op})
 			}
-			if err := st.Set(oid, name, v); err != nil {
+			if err := setOne(st, oid, name, v); err != nil {
 				t.Fatal(err)
 			}
 			m.objs[oid].attrs[name] = v
@@ -105,7 +105,7 @@ func runMergeScript(t *testing.T, schema *Schema, script []byte) (st *Store, m *
 			if !ok1 || !ok2 {
 				continue
 			}
-			if st.Link(rel, from, to) != nil {
+			if linkOne(st, rel, from, to) != nil {
 				continue // a cardinality the schema refuses
 			}
 			if m.objs[from].links[rel] == nil {
@@ -122,7 +122,7 @@ func runMergeScript(t *testing.T, schema *Schema, script []byte) (st *Store, m *
 				continue
 			}
 			to := ts[int(arg)%len(ts)]
-			if err := st.Unlink(rel, from, to); err != nil {
+			if err := unlinkOne(st, rel, from, to); err != nil {
 				t.Fatal(err)
 			}
 			delete(m.objs[from].links[rel], to)
@@ -132,7 +132,7 @@ func runMergeScript(t *testing.T, schema *Schema, script []byte) (st *Store, m *
 				continue
 			}
 			oid := live[int(arg)%len(live)]
-			if err := st.Delete(oid); err != nil {
+			if err := deleteOne(st, oid); err != nil {
 				t.Fatal(err)
 			}
 			delete(m.objs, oid)

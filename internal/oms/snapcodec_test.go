@@ -28,7 +28,7 @@ func sampleStore(t testing.TB) *Store {
 		"name": S("x"), "rev": I(1), "published": B(true), "data": Bytes([]byte{1, 2, 3}),
 	})
 	v := mustCreate(t, st, "Version", map[string]Value{"num": I(1)})
-	if err := st.Link("hasVersion", c, v); err != nil {
+	if err := linkOne(st, "hasVersion", c, v); err != nil {
 		t.Fatal(err)
 	}
 	return st

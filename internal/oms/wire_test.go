@@ -23,7 +23,7 @@ func wirePayload(t testing.TB) []byte {
 	t.Helper()
 	schema := feedSchema(t)
 	st := NewStore(schema)
-	cell, err := st.Create("Cell", map[string]Value{"name": S("alu"), "data": Bytes([]byte{1, 2, 3})})
+	cell, err := createOne(st, "Cell", map[string]Value{"name": S("alu"), "data": Bytes([]byte{1, 2, 3})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func wirePayload(t testing.TB) []byte {
 	if _, err := st.Apply(b); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Set(cell, "rev", I(9)); err != nil {
+	if err := setOne(st, cell, "rev", I(9)); err != nil {
 		t.Fatal(err)
 	}
 	recs, ok := st.Changes(0)
@@ -127,11 +127,11 @@ func TestDecodeChangesRobustness(t *testing.T) {
 
 	// A set of the empty string still carries a value and round-trips.
 	st := NewStore(schema)
-	cell, err := st.Create("Cell", map[string]Value{"name": S("alu")})
+	cell, err := createOne(st, "Cell", map[string]Value{"name": S("alu")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Set(cell, "name", S("")); err != nil {
+	if err := setOne(st, cell, "name", S("")); err != nil {
 		t.Fatal(err)
 	}
 	recs, _ := st.Changes(0)
@@ -272,31 +272,31 @@ func runCodecScript(t *testing.T, schema *Schema, rng *rand.Rand, ops int) *Stor
 	for i := 0; i < ops; i++ {
 		switch op := rng.Intn(10); {
 		case op < 2:
-			_, _ = st.Create("Cell", cellAttrs())
+			_, _ = createOne(st, "Cell", cellAttrs())
 		case op < 3:
-			_, _ = st.Create("Version", map[string]Value{"num": value("num")})
+			_, _ = createOne(st, "Version", map[string]Value{"num": value("num")})
 		case op < 5:
 			if c, ok := pick("Cell"); ok {
 				attr := []string{"name", "rev", "published", "data"}[rng.Intn(4)]
-				_ = st.Set(c, attr, value(attr))
+				_ = setOne(st, c, attr, value(attr))
 			}
 		case op < 7:
 			c, ok1 := pick("Cell")
 			v, ok2 := pick("Version")
 			if ok1 && ok2 {
-				_ = st.Link(rels[rng.Intn(2)], c, v)
+				_ = linkOne(st, rels[rng.Intn(2)], c, v)
 			}
 		case op < 8:
 			if c, ok := pick("Cell"); ok {
 				rel := rels[rng.Intn(2)]
 				if ts := st.Targets(rel, c); len(ts) > 0 {
-					_ = st.Unlink(rel, c, ts[rng.Intn(len(ts))])
+					_ = unlinkOne(st, rel, c, ts[rng.Intn(len(ts))])
 				}
 			}
 		case op < 9:
 			class := []string{"Cell", "Version"}[rng.Intn(2)]
 			if o, ok := pick(class); ok {
-				_ = st.Delete(o)
+				_ = deleteOne(st, o)
 			}
 		default:
 			b := NewBatch()
@@ -320,13 +320,13 @@ func runCodecScript(t *testing.T, schema *Schema, rng *rand.Rand, ops int) *Stor
 func TestApplyReplicatedGapDetection(t *testing.T) {
 	schema := feedSchema(t)
 	primary := NewStore(schema)
-	if _, err := primary.Create("Cell", map[string]Value{"name": S("a")}); err != nil {
+	if _, err := createOne(primary, "Cell", map[string]Value{"name": S("a")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := primary.Create("Cell", map[string]Value{"name": S("b")}); err != nil {
+	if _, err := createOne(primary, "Cell", map[string]Value{"name": S("b")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := primary.Create("Cell", map[string]Value{"name": S("c")}); err != nil {
+	if _, err := createOne(primary, "Cell", map[string]Value{"name": S("c")}); err != nil {
 		t.Fatal(err)
 	}
 	recs, ok := primary.Changes(0)
@@ -367,12 +367,12 @@ func TestApplyReplicatedGapDetection(t *testing.T) {
 func TestResetFromSnapshot(t *testing.T) {
 	schema := feedSchema(t)
 	primary := NewStore(schema)
-	cell, err := primary.Create("Cell", map[string]Value{"name": S("alu")})
+	cell, err := createOne(primary, "Cell", map[string]Value{"name": S("alu")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := primary.Set(cell, "rev", I(int64(i))); err != nil {
+		if err := setOne(primary, cell, "rev", I(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -380,7 +380,7 @@ func TestResetFromSnapshot(t *testing.T) {
 	data := snap.Encode()
 
 	follower := NewStore(schema)
-	if _, err := follower.Create("Cell", map[string]Value{"name": S("stale")}); err != nil {
+	if _, err := createOne(follower, "Cell", map[string]Value{"name": S("stale")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := follower.ResetFromSnapshot(data, snap.LSN()); err != nil {
@@ -396,7 +396,7 @@ func TestResetFromSnapshot(t *testing.T) {
 	if n := len(follower.FindByAttr("Cell", "name", S("stale"))); n != 0 {
 		t.Fatal("stale object survived reset")
 	}
-	if err := primary.Set(cell, "rev", I(99)); err != nil {
+	if err := setOne(primary, cell, "rev", I(99)); err != nil {
 		t.Fatal(err)
 	}
 	tail, ok := primary.Changes(snap.LSN())

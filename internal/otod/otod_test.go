@@ -116,7 +116,9 @@ func TestValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := oms.NewStore(schema)
-	if _, err := st.Create("A", map[string]oms.Value{"name": oms.S("x")}); err != nil {
+	b := oms.NewBatch()
+	b.Create("A", map[string]oms.Value{"name": oms.S("x")})
+	if _, err := st.Apply(b); err != nil {
 		t.Fatal(err)
 	}
 	if probs := m.Validate(st); len(probs) != 0 {
@@ -128,7 +130,9 @@ func TestValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := oms.NewStore(s2)
-	if _, err := st2.Create("Other", nil); err != nil {
+	b = oms.NewBatch()
+	b.Create("Other", nil)
+	if _, err := st2.Apply(b); err != nil {
 		t.Fatal(err)
 	}
 	if probs := m.Validate(st2); len(probs) != 1 {

@@ -31,7 +31,7 @@ func blobWorld(t *testing.T) (st *oms.Store, rep *Replica, cell oms.OID, data []
 		t.Fatal(err)
 	}
 	st.AttachBlobs(pbs, 64)
-	cell, err = st.Create("Cell", map[string]oms.Value{"name": oms.S("alu")})
+	cell, err = createOne(st, "Cell", map[string]oms.Value{"name": oms.S("alu")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,6 +37,32 @@ func testSchema(t testing.TB) *oms.Schema {
 	return s
 }
 
+// createOne, setOne and deleteOne commit a single op as a one-op batch.
+
+func createOne(st *oms.Store, class string, attrs map[string]oms.Value) (oms.OID, error) {
+	b := oms.NewBatch()
+	b.Create(class, attrs)
+	created, err := st.Apply(b)
+	if err != nil {
+		return oms.InvalidOID, err
+	}
+	return created[0], nil
+}
+
+func setOne(st *oms.Store, oid oms.OID, name string, v oms.Value) error {
+	b := oms.NewBatch()
+	b.Set(oid, name, v)
+	_, err := st.Apply(b)
+	return err
+}
+
+func deleteOne(st *oms.Store, oid oms.OID) error {
+	b := oms.NewBatch()
+	b.Delete(oid)
+	_, err := st.Apply(b)
+	return err
+}
+
 // fingerprint renders a store deterministically with the allocator
 // position masked (failed ops burn OIDs without leaving records).
 func fingerprint(t testing.TB, st *oms.Store) string {
@@ -123,12 +149,12 @@ func startPipePublisher(t testing.TB, st *oms.Store, opts ...PublisherOption) (*
 func TestReplicaBootstrapAndTail(t *testing.T) {
 	schema := testSchema(t)
 	st := oms.NewStore(schema)
-	cell, err := st.Create("Cell", map[string]oms.Value{"name": oms.S("alu")})
+	cell, err := createOne(st, "Cell", map[string]oms.Value{"name": oms.S("alu")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := st.Create("Version", map[string]oms.Value{"num": oms.I(int64(i))}); err != nil {
+		if _, err := createOne(st, "Version", map[string]oms.Value{"num": oms.I(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +168,7 @@ func TestReplicaBootstrapAndTail(t *testing.T) {
 	}
 
 	// Live tail + read-your-writes barrier.
-	if err := st.Set(cell, "rev", oms.I(7)); err != nil {
+	if err := setOne(st, cell, "rev", oms.I(7)); err != nil {
 		t.Fatal(err)
 	}
 	lsn := st.FeedLSN()
@@ -165,7 +191,7 @@ func TestReplicaBootstrapAndTail(t *testing.T) {
 func TestReplicaResume(t *testing.T) {
 	schema := testSchema(t)
 	st := oms.NewStore(schema)
-	cell, err := st.Create("Cell", map[string]oms.Value{"name": oms.S("alu")})
+	cell, err := createOne(st, "Cell", map[string]oms.Value{"name": oms.S("alu")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +203,7 @@ func TestReplicaResume(t *testing.T) {
 
 	p.DisconnectAll()
 	for i := 0; i < 50; i++ {
-		if err := st.Set(cell, "rev", oms.I(int64(i))); err != nil {
+		if err := setOne(st, cell, "rev", oms.I(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +225,7 @@ func TestReplicaResume(t *testing.T) {
 func churn(t testing.TB, st *oms.Store, oid oms.OID, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := st.Set(oid, "rev", oms.I(int64(i))); err != nil {
+		if err := setOne(st, oid, "rev", oms.I(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,7 +282,7 @@ func (g *gateDialer) Dial() (Conn, error) {
 func TestReplicaEvictionRebootstrap(t *testing.T) {
 	schema := testSchema(t)
 	st := oms.NewStore(schema)
-	cell, err := st.Create("Cell", map[string]oms.Value{"name": oms.S("alu")})
+	cell, err := createOne(st, "Cell", map[string]oms.Value{"name": oms.S("alu")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +315,7 @@ func TestReplicaEvictionRebootstrap(t *testing.T) {
 func TestReplicaChainBootstrap(t *testing.T) {
 	schema := testSchema(t)
 	st := oms.NewStore(schema)
-	cell, err := st.Create("Cell", map[string]oms.Value{"name": oms.S("alu")})
+	cell, err := createOne(st, "Cell", map[string]oms.Value{"name": oms.S("alu")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +389,7 @@ func TestReplicaChainBootstrap(t *testing.T) {
 func TestPromoteContinuesLSNSequence(t *testing.T) {
 	schema := testSchema(t)
 	st := oms.NewStore(schema)
-	cell, err := st.Create("Cell", map[string]oms.Value{"name": oms.S("alu")})
+	cell, err := createOne(st, "Cell", map[string]oms.Value{"name": oms.S("alu")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +404,7 @@ func TestPromoteContinuesLSNSequence(t *testing.T) {
 	if got := promoted.FeedLSN(); got != was {
 		t.Fatalf("promoted feed at %d, want %d", got, was)
 	}
-	if err := promoted.Set(cell, "rev", oms.I(999)); err != nil {
+	if err := setOne(promoted, cell, "rev", oms.I(999)); err != nil {
 		t.Fatalf("promoted store not writable: %v", err)
 	}
 	if got := promoted.FeedLSN(); got != was+1 {
@@ -435,7 +461,7 @@ func (fd *faultDialer) Dial() (Conn, error) {
 func TestCodecHistogramsPerChangeFrame(t *testing.T) {
 	schema := testSchema(t)
 	st := oms.NewStore(schema)
-	cell, err := st.Create("Cell", map[string]oms.Value{"name": oms.S("alu")})
+	cell, err := createOne(st, "Cell", map[string]oms.Value{"name": oms.S("alu")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +470,7 @@ func TestCodecHistogramsPerChangeFrame(t *testing.T) {
 	rep.Start()
 	defer rep.Close()
 	for i := 0; i < 5; i++ {
-		if err := st.Set(cell, "rev", oms.I(int64(i))); err != nil {
+		if err := setOne(st, cell, "rev", oms.I(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -464,7 +490,7 @@ func TestCodecHistogramsPerChangeFrame(t *testing.T) {
 func TestReplicaStreamRobustness(t *testing.T) {
 	schema := testSchema(t)
 	st := oms.NewStore(schema)
-	cell, err := st.Create("Cell", map[string]oms.Value{"name": oms.S("alu")})
+	cell, err := createOne(st, "Cell", map[string]oms.Value{"name": oms.S("alu")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +524,7 @@ func TestReplicaStreamRobustness(t *testing.T) {
 	// Keep traffic flowing while the faults hit: the corrupted frame ends
 	// one session, the dropped frame surfaces as a gap on the next.
 	for i := 0; i < 30; i++ {
-		if err := st.Set(cell, "rev", oms.I(int64(i))); err != nil {
+		if err := setOne(st, cell, "rev", oms.I(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(time.Millisecond)
@@ -527,7 +553,7 @@ func TestReplicaStreamRobustness(t *testing.T) {
 func runConvergenceStress(t *testing.T, mkTransport func(t *testing.T, p *Publisher) Dialer) {
 	schema := testSchema(t)
 	st := oms.NewStore(schema)
-	cell, err := st.Create("Cell", map[string]oms.Value{"name": oms.S("seed")})
+	cell, err := createOne(st, "Cell", map[string]oms.Value{"name": oms.S("seed")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +608,7 @@ func runConvergenceStress(t *testing.T, mkTransport func(t *testing.T, p *Publis
 				}
 				switch r := rng.Intn(100); {
 				case r < 25:
-					oid, err := st.Create("Cell", map[string]oms.Value{
+					oid, err := createOne(st, "Cell", map[string]oms.Value{
 						"name": oms.S(fmt.Sprintf("c%d-%d", g, i)),
 					})
 					if err != nil {
@@ -593,12 +619,12 @@ func runConvergenceStress(t *testing.T, mkTransport func(t *testing.T, p *Publis
 				case r < 60:
 					if len(mine) > 0 {
 						oid := mine[rng.Intn(len(mine))]
-						_ = st.Set(oid, "rev", oms.I(int64(i)))
+						_ = setOne(st, oid, "rev", oms.I(int64(i)))
 					}
 				case r < 70:
 					if len(mine) > 0 {
 						oid := mine[rng.Intn(len(mine))]
-						_ = st.Set(oid, "data", oms.Bytes([]byte(fmt.Sprintf("blob-%d-%d", g, i))))
+						_ = setOne(st, oid, "data", oms.Bytes([]byte(fmt.Sprintf("blob-%d-%d", g, i))))
 					}
 				case r < 85:
 					// A whole-group batch: version create + link.
@@ -614,7 +640,7 @@ func runConvergenceStress(t *testing.T, mkTransport func(t *testing.T, p *Publis
 				default:
 					if len(mine) > 1 {
 						idx := rng.Intn(len(mine))
-						_ = st.Delete(mine[idx])
+						_ = deleteOne(st, mine[idx])
 						mine = append(mine[:idx], mine[idx+1:]...)
 					}
 				}
@@ -626,7 +652,7 @@ func runConvergenceStress(t *testing.T, mkTransport func(t *testing.T, p *Publis
 	go func() {
 		defer close(probeDone)
 		for i := 0; i < 20; i++ {
-			if err := st.Set(cell, "rev", oms.I(int64(1000+i))); err != nil {
+			if err := setOne(st, cell, "rev", oms.I(int64(1000+i))); err != nil {
 				t.Error(err)
 				return
 			}

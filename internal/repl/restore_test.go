@@ -360,7 +360,7 @@ func TestChainBootstrapFallsBackFromOldFormat(t *testing.T) {
 func committedChain(t *testing.T) (*oms.Store, backend.Backend, backend.Manifest, [][]oms.Change) {
 	t.Helper()
 	st := oms.NewStore(testSchema(t))
-	cell, err := st.Create("Cell", map[string]oms.Value{"name": oms.S("alu")})
+	cell, err := createOne(st, "Cell", map[string]oms.Value{"name": oms.S("alu")})
 	if err != nil {
 		t.Fatal(err)
 	}
