@@ -143,15 +143,18 @@ stress-blob:
 ## exactly one must win; and after every op of a seeded sequence, failed
 ## journal appends, torn appends and failed checkpoints included, a fresh
 ## Open must load the published root (internal/fmcad/snapshot_test.go).
-## It then enumerates the crash states of the .meta.log journal in short
-## mode (internal/fmcad/journal_test.go): every byte prefix of a record,
-## zero-filled tails, and a checkpoint's rename kept or lost before the
-## log's truncate must open to the root after the last whole record and
-## accept one more mutation; `make check` runs the full enumeration
-## through `race`.
+## It then checks the .meta.log journal (internal/fmcad/journal_test.go):
+## a Checkout, Checkin and SetProperty record and the checkpoints per
+## 1,000 commits must not grow from 8 to 512 versions; a journal whose
+## header names another .meta must be ignored; a journal of the older
+## whole-cell records (testdata/parent-journal) must replay exactly; and,
+## in short mode, every byte prefix of a record, zero-filled tails, and a
+## checkpoint's rename kept or lost before the log's truncate must open
+## to the root after the last whole record and accept one more mutation.
+## `make check` runs the full crash-state enumeration through `race`.
 stress-fmcad:
 	$(GO) test -race -count=3 -run 'TestSessionsReadWhileLibraryMutates|TestConcurrentCreateOneWins|TestPublishedMetaNeverChanges' ./internal/fmcad/
-	$(GO) test -race -short -count=1 -run 'TestMetaLogCrashStates' ./internal/fmcad/
+	$(GO) test -race -short -count=1 -run 'TestMetaLogCrashStates|TestJournalRecordFlatInHistory|TestJournalHeaderNamesCheckpoint|TestOpenParentJournal' ./internal/fmcad/
 
 ## crash-segment enumerates the crash states of the segment log's commit
 ## protocol (internal/oms/backend/crash_test.go) over a seeded script in

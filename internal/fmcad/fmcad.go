@@ -33,30 +33,37 @@
 // On disk, the metadata is a checkpoint plus a journal, under the library
 // mutex. .meta is the checkpoint: compact JSON (struct fields in
 // declaration order, map keys sorted). Each mutation appends one
-// CRC-framed record to .meta.log holding the new seq and the view, cell
-// and config records the mutation wrote; fmcad deletes nothing, so a
-// record is an upsert. Once the log is larger than .meta, the next
+// CRC-framed record to .meta.log holding the new seq and only what the
+// mutation wrote: views set, cells created, for each cellview it touched
+// the versions appended, its default, its lock and the properties set,
+// and configs set. A record's size follows the mutation, not the history
+// of the cell it edits. The first record after a checkpoint goes out
+// behind a header that names the checkpoint by seq and checksum. Once
+// the log is larger than both .meta and checkpointFloor, the next
 // mutation writes the whole root to .meta.tmp and renames it over .meta
 // instead, then truncates the log. Open decodes .meta and replays the
-// log: records with a seq the checkpoint already holds are skipped, the
-// next seq is applied, and the first torn frame, bad checksum, invalid
-// record or seq gap ends the replay, so a torn tail is never loaded. A
-// failed append is cut back off the log and publishes nothing, and the
-// log is cut to its valid prefix before the first append after Open.
-// There is no fsync, so a crash can lose the latest mutations. A design
-// file is written before the metadata that names it, so the metadata
-// never names a version with no file behind it.
+// log: a log whose header names another .meta is ignored, records with a
+// seq the checkpoint already holds are skipped, the next seq is checked
+// against the root and applied whole, and the first torn frame, bad
+// checksum, invalid record or seq gap ends the replay, so a torn tail is
+// never loaded. A failed append is cut back off the log and publishes
+// nothing, and the log is cut to its valid prefix before the first
+// append after Open. There is no fsync, so a crash can lose the latest
+// mutations. A design file is written before the metadata that names
+// it, so the metadata never names a version with no file behind it.
 package fmcad
 
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"maps"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -68,6 +75,11 @@ const (
 	MetaFileName = ".meta"
 	logFileName  = MetaFileName + ".log"
 )
+
+// checkpointFloor is the journal size below which a commit never
+// checkpoints: without it, a small library whose .meta is a few KiB would
+// rewrite .meta every few commits.
+const checkpointFloor = 64 << 10
 
 // Errors reported by the framework. ErrLocked is the checkout conflict the
 // concurrency experiments count.
@@ -101,13 +113,39 @@ type meta struct {
 	Cells   map[string]*cellMeta      `json:"cells"`
 	Configs map[string]map[string]int `json:"configs"` // config -> "cell/view" -> version
 
-	// edits names the entries of Views, Cells and Configs this root wrote
-	// over the one it was built from (see next): exactly what its journal
-	// record holds.
+	// edits names what this root wrote over the one it was built from
+	// (see next): exactly what its journal record holds.
 	edits edits
 }
 
-type edits struct{ views, cells, configs []string }
+// edits names the writes of a mutation: the entries of Views, Cells and
+// Configs it set whole, and the cellview records it edited.
+type edits struct {
+	views, cells, configs []string
+	cellviews             []cellviewEdit
+}
+
+// cellviewEdit names an edited cellview record. Its versions after the
+// first `versions` of them and the properties named in props are new; its
+// default and lock may be.
+type cellviewEdit struct {
+	cell, view string
+	versions   int // the record's version count before the edit; 0 if it is new
+	props      []propKey
+}
+
+// propKey names a property: a version key (see versionKey) and a name.
+type propKey struct{ version, name string }
+
+// cellview returns the edit of the (cell, view) record, or nil.
+func (e *edits) cellview(cell, view string) *cellviewEdit {
+	for i := range e.cellviews {
+		if e.cellviews[i].cell == cell && e.cellviews[i].view == view {
+			return &e.cellviews[i]
+		}
+	}
+	return nil
+}
 
 func newMeta(name string) *meta {
 	return &meta{
@@ -133,22 +171,59 @@ func (m *meta) next() *meta {
 }
 
 // editCellview replaces the existing (cell, view) record of m, a root from
-// next, with a copy the mutation may write, and returns the copy. Its
-// Versions are clipped, so an append reallocates instead of writing the
-// shared array; its Props map is a shallow clone, so an inner map must be
-// cloned before it is written.
+// next, with a copy the mutation may write, records the edit, and returns
+// the copy. Its Versions are clipped, so an append reallocates instead of
+// writing the shared array; its Props map is shared, so setProperty
+// clones it before writing it.
 func (m *meta) editCellview(cell, view string) *cellviewMeta {
-	c := &cellMeta{Cellviews: maps.Clone(m.Cells[cell].Cellviews)}
-	cv := *c.Cellviews[view]
+	cv := *m.Cells[cell].Cellviews[view]
 	cv.Versions = slices.Clip(cv.Versions)
-	cv.Props = maps.Clone(cv.Props)
-	c.Cellviews[view] = &cv
-	m.setCell(cell, c)
+	if m.edits.cellview(cell, view) == nil {
+		m.edits.cellviews = append(m.edits.cellviews, cellviewEdit{cell: cell, view: view, versions: len(cv.Versions)})
+	}
+	m.putCellview(cell, view, &cv)
 	return &cv
 }
 
-// setView, setCell and setConfig are the only writes a mutation makes to
-// the top-level maps of a root from next: each records its key in edits.
+// addCellview adds a new (cell, view) record, its version 1, to m, a root
+// from next, and records the edit.
+func (m *meta) addCellview(cell, view string) {
+	m.edits.cellviews = append(m.edits.cellviews, cellviewEdit{cell: cell, view: view})
+	m.putCellview(cell, view, &cellviewMeta{Versions: []int{1}, Default: 1})
+}
+
+// putCellview replaces the cell record of m, a root from next, with a copy
+// holding cv as its view record.
+func (m *meta) putCellview(cell, view string, cv *cellviewMeta) {
+	c := &cellMeta{Cellviews: maps.Clone(m.Cells[cell].Cellviews)}
+	c.Cellviews[view] = cv
+	m.Cells[cell] = c
+}
+
+// setProperty sets a property of version num of the existing (cell, view)
+// record of m, a root from next, and records it.
+func (m *meta) setProperty(cell, view string, num int, name, value string) {
+	cv := m.editCellview(cell, view)
+	k := versionKey(num)
+	cv.Props = maps.Clone(cv.Props)
+	if cv.Props == nil {
+		cv.Props = map[string]map[string]string{}
+	}
+	props := maps.Clone(cv.Props[k])
+	if props == nil {
+		props = map[string]string{}
+	}
+	props[name] = value
+	cv.Props[k] = props
+	e := m.edits.cellview(cell, view)
+	if p := (propKey{k, name}); !slices.Contains(e.props, p) {
+		e.props = append(e.props, p)
+	}
+}
+
+// setView, setCell and setConfig set a whole entry of the top-level maps
+// of a root from next and record its key in edits; with editCellview,
+// addCellview and setProperty, they are the only writes a mutation makes.
 func (m *meta) setView(view, viewtype string) {
 	m.Views[view] = viewtype
 	m.edits.views = addKey(m.edits.views, view)
@@ -193,7 +268,9 @@ type Library struct {
 	meta     *meta  // published root; never written, only replaced
 	buf      []byte // encode buffer of journal records and checkpoints, reused
 	metaSize int64  // bytes of .meta, the last checkpoint
-	logSize  int64  // bytes of the journal's valid prefix
+	metaSeq  int64  // seq of .meta, which the journal's header names
+	metaCRC  uint32 // crc32 of .meta, which the journal's header names
+	logSize  int64  // bytes of the journal's valid prefix, its header included
 	logCut   bool   // the journal may run past logSize: cut it before appending
 
 	// logWrite, when set (tests only), replaces the journal append's
@@ -223,7 +300,7 @@ func Create(dir, name string) (*Library, error) {
 	}
 	defer os.Remove(f.Name()) // after the link, .meta keeps the content
 	data := appendMeta(nil, l.meta)
-	l.metaSize = int64(len(data))
+	l.metaSize, l.metaCRC = int64(len(data)), crc32.ChecksumIEEE(data)
 	_, err = f.Write(data)
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -243,7 +320,8 @@ func Create(dir, name string) (*Library, error) {
 // Open loads an existing library from dir: the .meta checkpoint, then the
 // records of the journal that follow it (see replay). A .meta that does
 // not parse, or holds a null cell, cellview or config record, fails with
-// ErrCorrupt; a torn or invalid journal tail is dropped, not reported.
+// ErrCorrupt; a torn or invalid journal tail is dropped, not reported, and
+// so is a journal whose header names another .meta.
 func Open(dir string) (*Library, error) {
 	data, err := os.ReadFile(filepath.Join(dir, MetaFileName))
 	if err != nil {
@@ -257,8 +335,8 @@ func Open(dir string) (*Library, error) {
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("fmcad: open library: %w", err)
 	}
-	l := &Library{dir: dir, meta: m, metaSize: int64(len(data))}
-	l.logSize = replay(m, log)
+	l := &Library{dir: dir, meta: m, metaSize: int64(len(data)), metaSeq: m.Seq, metaCRC: crc32.ChecksumIEEE(data)}
+	l.logSize = replay(m, log, l.metaCRC)
 	l.logCut = l.logSize < int64(len(log))
 	return l, nil
 }
@@ -303,12 +381,12 @@ func (l *Library) mutate(fn func(m *meta) error) error {
 // commitLocked bumps the sequence number of next, writes it to disk and
 // only then publishes it as the library's root; caller holds l.mu. The
 // write is a journal record, or a checkpoint once the journal is larger
-// than .meta. If the write fails, next is dropped, so memory never runs
-// ahead of the disk.
+// than .meta and checkpointFloor. If the write fails, next is dropped, so
+// memory never runs ahead of the disk.
 func (l *Library) commitLocked(next *meta) error {
 	next.Seq++
 	var err error
-	if l.logSize > l.metaSize {
+	if l.checkpointDue() {
 		err = l.checkpoint(next)
 	} else {
 		err = l.appendLog(next)
@@ -320,10 +398,17 @@ func (l *Library) commitLocked(next *meta) error {
 	return nil
 }
 
-// appendLog appends the journal record of next. The log is opened per
-// append: opening an existing file costs a few microseconds, and holding
-// it open would need a Close. A failed or short append is cut back off,
-// so a torn record never sits in front of a later one.
+// checkpointDue reports whether the next commit writes a checkpoint;
+// caller holds l.mu.
+func (l *Library) checkpointDue() bool {
+	return l.logSize > max(l.metaSize, checkpointFloor)
+}
+
+// appendLog appends the journal record of next, behind the header that
+// names .meta when the journal is empty. The log is opened per append:
+// opening an existing file costs a few microseconds, and holding it open
+// would need a Close. A failed or short append is cut back off, so a torn
+// record never sits in front of a later one.
 func (l *Library) appendLog(next *meta) error {
 	path := filepath.Join(l.dir, logFileName)
 	if l.logCut {
@@ -332,7 +417,11 @@ func (l *Library) appendLog(next *meta) error {
 		}
 		l.logCut = false
 	}
-	l.buf = appendRecord(l.buf[:0], next)
+	l.buf = l.buf[:0]
+	if l.logSize == 0 {
+		l.buf = appendHeader(l.buf, l.metaSeq, l.metaCRC)
+	}
+	l.buf = appendRecord(l.buf, next)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
@@ -368,7 +457,8 @@ func (l *Library) checkpoint(next *meta) error {
 	if err := os.Rename(tmp, filepath.Join(l.dir, MetaFileName)); err != nil {
 		return err
 	}
-	l.metaSize, l.logSize = int64(len(l.buf)), 0
+	l.metaSize, l.metaSeq, l.metaCRC = int64(len(l.buf)), next.Seq, crc32.ChecksumIEEE(l.buf)
+	l.logSize = 0
 	err := os.Truncate(filepath.Join(l.dir, logFileName), 0)
 	l.logCut = err != nil && !errors.Is(err, fs.ErrNotExist)
 	return nil
@@ -450,9 +540,7 @@ func (l *Library) CreateCellview(cell, view string) error {
 		return fmt.Errorf("fmcad: create cellview: %w", err)
 	}
 	next := l.meta.next()
-	c = &cellMeta{Cellviews: maps.Clone(c.Cellviews)}
-	c.Cellviews[view] = &cellviewMeta{Versions: []int{1}, Default: 1, Props: map[string]map[string]string{}}
-	next.setCell(cell, c)
+	next.addCellview(cell, view)
 	if err := l.commitLocked(next); err != nil {
 		_ = os.Remove(path) //lint:allow noerrdrop no metadata names the file; a leftover is overwritten by the next create
 		return err
@@ -590,7 +678,7 @@ func (l *Library) LockedBy(cell, view string) (string, error) {
 
 // --- properties -----------------------------------------------------------
 
-func versionKey(num int) string { return fmt.Sprintf("v%d", num) }
+func versionKey(num int) string { return "v" + strconv.Itoa(num) }
 
 // SetProperty attaches a name=value property to a cellview version.
 func (l *Library) SetProperty(cell, view string, num int, name, value string) error {
@@ -602,17 +690,7 @@ func (l *Library) SetProperty(cell, view string, num int, name, value string) er
 		if !containsInt(cv.Versions, num) {
 			return fmt.Errorf("%w: version %d of %s/%s", ErrNotFound, num, cell, view)
 		}
-		cv = m.editCellview(cell, view)
-		if cv.Props == nil {
-			cv.Props = map[string]map[string]string{}
-		}
-		k := versionKey(num)
-		props := maps.Clone(cv.Props[k])
-		if props == nil {
-			props = map[string]string{}
-		}
-		props[name] = value
-		cv.Props[k] = props
+		m.setProperty(cell, view, num, name, value)
 		return nil
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"testing"
 )
@@ -60,15 +61,25 @@ func block(t testing.TB, path string) func() error {
 	}
 }
 
-// untilCheckpoint commits configs until the journal is larger than .meta,
-// so that l's next commit writes a checkpoint.
+// untilCheckpoint commits configs until the journal is past the
+// checkpoint threshold, so that l's next commit writes a checkpoint.
 func untilCheckpoint(t *testing.T, l *Library) {
 	t.Helper()
-	for i := 0; l.logSize <= l.metaSize; i++ {
+	for i := 0; !l.checkpointDue(); i++ {
 		if err := l.CreateConfig("pad" + strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// dueCheckpoint makes l's next commit a checkpoint, as a journal past the
+// threshold would, without the thousand or so commits that takes. Until a
+// checkpoint resets it, l.logSize is only compared with the threshold, so
+// raising it changes nothing else.
+func dueCheckpoint(l *Library) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.logSize = max(l.metaSize, checkpointFloor) + 1
 }
 
 // readFiles returns the bytes of the named files of dir; a missing file
@@ -98,15 +109,16 @@ type crashState struct {
 // a seeded script of checkouts, checkins, cancels, property tags, cells
 // and configs. For each commit it builds every state a crash can leave:
 //
-//   - for an append, the journal with the new record cut to every byte
-//     prefix, and with every prefix followed by zeros up to the record's
-//     length (the file grew, the data did not reach the disk);
+//   - for an append, the journal with the new record (behind the header
+//     that names .meta, after a checkpoint) cut to every byte prefix, and
+//     with every prefix followed by zeros up to the record's length (the
+//     file grew, the data did not reach the disk);
 //   - for a checkpoint, the temp file written but not renamed, and the
 //     rename done but the journal not yet truncated.
 //
-// Each state must open, never with ErrCorrupt, to the root after the
-// last whole record; accept one more mutation; and open again to include
-// it.
+// Every fifth op is made to checkpoint (see dueCheckpoint). Each state
+// must open, never with ErrCorrupt, to the root after the last whole
+// record; accept one more mutation; and open again to include it.
 func TestMetaLogCrashStates(t *testing.T) {
 	ops := 48
 	if testing.Short() {
@@ -126,6 +138,9 @@ func TestMetaLogCrashStates(t *testing.T) {
 	scratch := filepath.Join(t.TempDir(), "state")
 	var states, appends, checkpoints int
 	for i := 0; i < ops; i++ {
+		if i%5 == 4 {
+			dueCheckpoint(l)
+		}
 		pre := readFiles(t, l.Dir(), MetaFileName, logFileName)
 		before := marshalRoot(t, l.meta)
 		cell := cells[rng.Intn(len(cells))]
@@ -266,7 +281,8 @@ func TestJournalWorkCounts(t *testing.T) {
 		}
 	}
 	toolRun(0) // stages the workfile
-	// Run until a checkpoint, so that the next cycles fit before the next.
+	// Checkpoint, so that the next cycles fit before the next.
+	dueCheckpoint(l)
 	metaPath := filepath.Join(l.Dir(), MetaFileName)
 	first, err := os.Stat(metaPath)
 	if err != nil {
@@ -282,9 +298,9 @@ func TestJournalWorkCounts(t *testing.T) {
 			break
 		}
 	}
-	// Each cycle appends three records of cell0, which grow a little.
-	if rec := int64(len(appendRecord(nil, l.meta))); l.logSize+3*cycles*(rec+64) >= l.metaSize {
-		t.Fatalf("test premise broken: .meta of %d bytes too small for %d cycles of %d-byte records", l.metaSize, cycles, rec)
+	// Each cycle appends three records of cell0.
+	if rec := int64(len(appendRecord(nil, l.meta))); l.logSize+3*cycles*(rec+64) >= max(l.metaSize, checkpointFloor) {
+		t.Fatalf("test premise broken: checkpoint threshold too small for %d cycles of %d-byte records", cycles, rec)
 	}
 	meta0, err := os.ReadFile(metaPath)
 	if err != nil {
@@ -382,7 +398,7 @@ func TestTornAppend(t *testing.T) {
 			l := newLib(t)
 			mustCell(t, l, "alu", "schematic")
 			logPath := filepath.Join(l.Dir(), logFileName)
-			if l.logSize > l.metaSize {
+			if l.checkpointDue() {
 				if err := l.CreateConfig("checkpoint"); err != nil {
 					t.Fatal(err)
 				}
@@ -431,18 +447,23 @@ func TestTornAppend(t *testing.T) {
 	}
 }
 
+// frame returns the journal frame of a payload.
+func frame(payload string) []byte {
+	rec := append(make([]byte, recordHeaderLen), payload...)
+	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE([]byte(payload)))
+	return rec
+}
+
 // Replay applies the next seq, skips the seqs the checkpoint holds, and
-// ends the valid prefix at the first frame it cannot trust.
+// ends the valid prefix at the first frame it cannot trust. A record is
+// checked whole against the root before any of it is applied.
 func TestReplayStopsAtInvalidRecord(t *testing.T) {
-	frame := func(payload string) []byte {
-		rec := append(make([]byte, recordHeaderLen), payload...)
-		binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
-		binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE([]byte(payload)))
-		return rec
-	}
-	good := frame(`{"seq":6,"cells":{"alu":{"cellviews":{}}}}`)
+	const edit = `"reg":{"edits":{"schematic":{"versions":[3],"default":3,"locked_by":"anna","props":{"v1":{"tag":"x"}}}}}`
+	good := frame(`{"seq":6,"cells":{"alu":{"cellviews":{}},` + edit + `}}`)
 	badCRC := bytes.Clone(frame(`{"seq":6}`))
 	badCRC[4] ^= 1
+	invalid := func(cells string) []byte { return frame(`{"seq":6,"cells":{"alu":{"cellviews":{}},` + cells + `}}`) }
 	for _, tc := range []struct {
 		name  string
 		tail  []byte
@@ -460,14 +481,23 @@ func TestReplayStopsAtInvalidRecord(t *testing.T) {
 		{"not json", frame(`{"seq":6,`), 0, 5},
 		{"empty frame", make([]byte, recordHeaderLen), 0, 5},
 		{"length past the end", good[:len(good)-1], 0, 5},
+		{"edit of an unknown cell", invalid(`"fpu":{"edits":{"schematic":{"versions":[1],"default":1}}}`), 0, 5},
+		{"new cellview without versions", invalid(`"reg":{"edits":{"layout":{"versions":[],"default":1}}}`), 0, 5},
+		{"version not above the last", invalid(`"reg":{"edits":{"schematic":{"versions":[2],"default":2}}}`), 0, 5},
+		{"versions not ascending", invalid(`"reg":{"edits":{"schematic":{"versions":[4,3],"default":4}}}`), 0, 5},
+		{"null edit", invalid(`"reg":{"edits":{"schematic":null}}`), 0, 5},
+		{"whole cell and edits", invalid(`"reg":{"cellviews":{},"edits":{}}`), 0, 5},
+		{"neither whole nor edits", invalid(`"reg":{}`), 0, 5},
+		{"null config", frame(`{"seq":6,"cells":{"alu":{"cellviews":{}}},"configs":{"top":null}}`), 0, 5},
+		{"header past the head", append(frame(`{"seq":5,"meta_crc":0}`), good...), 0, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := decodeMeta([]byte(`{"name":"x","seq":5}`))
+			m, err := decodeMeta([]byte(`{"name":"x","seq":5,"cells":{"reg":{"cellviews":{"schematic":{"versions":[1,2],"default":2}}}}}`))
 			if err != nil {
 				t.Fatal(err)
 			}
 			log := append(frame(`{"seq":5,"views":{"schematic":"schematic"}}`), tc.tail...)
-			if n := replay(m, log); n != int64(len(log)-len(tc.tail)+tc.valid) {
+			if n := replay(m, log, 0); n != int64(len(log)-len(tc.tail)+tc.valid) {
 				t.Fatalf("valid prefix %d of %d bytes, want %d", n, len(log), len(log)-len(tc.tail)+tc.valid)
 			}
 			if m.Seq != tc.seq || len(m.Views) != 0 {
@@ -476,6 +506,189 @@ func TestReplayStopsAtInvalidRecord(t *testing.T) {
 			if _, ok := m.Cells["alu"]; ok != (tc.seq == 6) {
 				t.Fatalf("cell alu present = %t after replaying to seq %d", ok, m.Seq)
 			}
+			want := `{"versions":[1,2],"default":2}`
+			if tc.seq == 6 {
+				want = `{"versions":[1,2,3],"default":3,"locked_by":"anna","props":{"v1":{"tag":"x"}}}`
+			}
+			if got, _ := json.Marshal(m.Cells["reg"].Cellviews["schematic"]); string(got) != want {
+				t.Fatalf("reg/schematic replayed to %s, want %s", got, want)
+			}
 		})
 	}
+}
+
+// The journal names the .meta it follows. A journal whose header names
+// another one is ignored and cut by the next append: a build from before
+// the journal that rewrites .meta behind the library, unaware of the
+// journal, loses nothing it wrote, and its .meta is what opens.
+func TestJournalHeaderNamesCheckpoint(t *testing.T) {
+	l := newLib(t)
+	mustCell(t, l, "alu", "schematic")
+	log := readFiles(t, l.Dir(), logFileName)[0]
+	ckpt := readFiles(t, l.Dir(), MetaFileName)[0]
+	head := frame(fmt.Sprintf(`{"seq":0,"meta_crc":%d}`, crc32.ChecksumIEEE(ckpt)))
+	if !bytes.HasPrefix(log, head) {
+		t.Fatalf("the journal does not start with a header naming .meta:\n%q", log)
+	}
+
+	// A pre-journal build opens .meta alone and writes its next mutation
+	// to .meta whole, with the seq the journal already gave alu.
+	old, err := decodeMeta(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Seq = l.Seq()
+	old.Views["pcb"] = "pcb"
+	rewritten := appendMeta(nil, old)
+	if err := os.WriteFile(filepath.Join(l.Dir(), MetaFileName), rewritten, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(l.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := marshalRoot(t, l2.meta); !bytes.Equal(got, rewritten) {
+		t.Fatalf("reopened library is not the rewritten .meta:\n got %s\nwant %s", got, rewritten)
+	}
+	if l2.logSize != 0 || !l2.logCut {
+		t.Fatalf("foreign journal kept: logSize %d, logCut %t", l2.logSize, l2.logCut)
+	}
+	mustCell(t, l2, "reg")
+	requireOnDisk(t, l2, "after a mutation over the foreign journal")
+	if log := readFiles(t, l.Dir(), logFileName)[0]; !bytes.HasPrefix(log, frame(fmt.Sprintf(`{"seq":%d,"meta_crc":%d}`, old.Seq, crc32.ChecksumIEEE(rewritten)))) {
+		t.Fatalf("the next append did not cut the foreign journal and name the rewritten .meta:\n%q", log)
+	}
+}
+
+// A Checkout, Checkin and SetProperty record holds what the mutation
+// wrote, so its bytes, numbers aside, are the same at 8 versions as at
+// 512, and so is the number of checkpoints per 1,000 commits.
+func TestJournalRecordFlatInHistory(t *testing.T) {
+	digits := regexp.MustCompile(`[0-9]+`)
+	records := map[int][]string{}
+	checkpoints := map[int]int{}
+	for _, history := range []int{8, 512} {
+		l := historyLib(t, 1, history)
+		s := l.NewSession("anna")
+		var recs []string
+		record := func(op string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s at %d versions: %v", op, history, err)
+			}
+			rec := appendRecord(nil, l.meta)[recordHeaderLen:]
+			if _, err := decodeMeta(rec); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("the .meta decoder took a %s record (err %v): %s", op, err, rec)
+			}
+			recs = append(recs, digits.ReplaceAllString(string(rec), "N"))
+		}
+		wf, err := s.Checkout("cell0000", "schematic")
+		record("Checkout", err)
+		num, err := s.Checkin(wf)
+		record("Checkin", err)
+		record("SetProperty", l.SetProperty("cell0000", "schematic", num, "jcf_version", "1"))
+		records[history] = recs
+
+		// 1,000 commits of the tool run's shape without its version file.
+		logSize := l.logSize
+		for i := 0; i < 1000; i++ {
+			var err error
+			switch i % 3 {
+			case 0:
+				wf, err = s.Checkout("cell0000", "schematic")
+			case 1:
+				err = s.Cancel(wf)
+			default:
+				err = l.SetProperty("cell0000", "schematic", num, "jcf_version", strconv.Itoa(i))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.logSize < logSize {
+				checkpoints[history]++
+			}
+			logSize = l.logSize
+		}
+		requireOnDisk(t, l, fmt.Sprintf("after 1,000 commits at %d versions", history))
+	}
+	for i, op := range []string{"Checkout", "Checkin", "SetProperty"} {
+		if records[8][i] != records[512][i] {
+			t.Errorf("%s record grows with history:\n   8 versions: %s\n 512 versions: %s", op, records[8][i], records[512][i])
+		}
+	}
+	if checkpoints[512] > checkpoints[8]+1 {
+		t.Errorf("checkpoints per 1,000 commits grow with history: %d at 8 versions, %d at 512", checkpoints[8], checkpoints[512])
+	}
+	t.Logf("checkpoints per 1,000 commits: %d at 8 versions, %d at 512", checkpoints[8], checkpoints[512])
+}
+
+// historyLib returns a library of cells cellNNNN, each with a schematic
+// cellview of the given number of versions, each version tagged with a
+// jcf_version property as the hybrid framework tags it. It is written as
+// a .meta, the newest version's design file beside it, and opened.
+func historyLib(t testing.TB, cells, versions int) *Library {
+	t.Helper()
+	m := newMeta("history")
+	m.Views["schematic"] = "schematic"
+	dir := filepath.Join(t.TempDir(), "lib")
+	for i := 0; i < cells; i++ {
+		cv := &cellviewMeta{Default: versions, Props: map[string]map[string]string{}}
+		for v := 1; v <= versions; v++ {
+			cv.Versions = append(cv.Versions, v)
+			cv.Props[versionKey(v)] = map[string]string{"jcf_version": strconv.Itoa(v)}
+		}
+		cell := fmt.Sprintf("cell%04d", i)
+		m.Cells[cell] = &cellMeta{Cellviews: map[string]*cellviewMeta{"schematic": cv}}
+		if err := writeDesignFile(filepath.Join(dir, cell, "schematic", fmt.Sprintf("v%d.cv", versions)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, MetaFileName), appendMeta(nil, m), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// testdata/parent-journal holds a .meta and .meta.log as the build before
+// cellview edits (commit 0829127) wrote them: a checkpoint at seq 149,
+// then 13 records of whole views, cells and configs (a view, cells,
+// cellviews, a checkout, a checkin, two property tags, a checkout left
+// held and two config edits). want.json is that build's root after them,
+// json.Marshal'd. The journal must replay to exactly that root, and
+// records this build appends behind the older ones must replay too.
+func TestOpenParentJournal(t *testing.T) {
+	src := filepath.Join("testdata", "parent-journal")
+	dir := t.TempDir()
+	for _, name := range []string{MetaFileName, logFileName} {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join(src, "want.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := marshalRoot(t, l.meta); !bytes.Equal(got, want) {
+		t.Fatalf("the older journal replayed to\n %s\nwant\n %s", got, want)
+	}
+	if l.logCut || l.logSize != int64(len(readFiles(t, dir, logFileName)[0])) {
+		t.Fatalf("replay kept %d journal bytes (cut %t), want all", l.logSize, l.logCut)
+	}
+	if err := l.SetProperty("alu", "schematic", 2, "tag", "second"); err != nil {
+		t.Fatal(err)
+	}
+	mustCell(t, l, "fpu", "layout")
+	requireOnDisk(t, l, "after appending behind the older records")
 }

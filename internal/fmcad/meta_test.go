@@ -4,20 +4,25 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // FuzzAppendMeta holds the hand-written .meta encoder to encoding/json.
 // For any metadata Open accepts, plus records named by an arbitrary
-// string, appendMeta must produce exactly json.Marshal's bytes. After one
-// cell, view and config of a next() root are edited the way the mutations
-// edit them, it must produce json.Marshal's bytes of the new root, and the
-// old root must still encode as before. The new root's journal record,
-// replayed over the old root as Open decodes it, must give the new root.
+// string, appendMeta must produce exactly json.Marshal's bytes. After a
+// view, a cell, a config and two cellviews of a next() root are written
+// through the edit-tracking methods the mutations use, it must produce
+// json.Marshal's bytes of the new root, and the old root must still
+// encode as before. The new root's journal record, replayed over the old
+// root as Open decodes it, must give the new root, and the .meta decoder,
+// which is what a build that knows only whole-cell records reads them
+// with, must refuse it. Then a seeded script of public mutations runs on
+// the metadata, and each commit's record must replay the same way.
 func FuzzAppendMeta(f *testing.F) {
 	full := `{"name":"lib","seq":7,"views":{"layout":"layout","schematic":"schematic"},` +
 		`"cells":{"alu":{"cellviews":{"schematic":{"versions":[1,2,3],"default":3,"locked_by":"anna",` +
@@ -63,13 +68,11 @@ func FuzzAppendMeta(f *testing.F) {
 		cv.Versions = append(cv.Versions, 3)
 		cv.Default = 3
 		cv.LockedBy = ""
-		props := maps.Clone(cv.Props["v2"])
-		if props == nil {
-			props = map[string]string{}
-		}
-		props[name+"/"] = name
-		cv.Props["v2"] = props
+		next.setProperty(name, name, 2, name+"/", name)
+		next.setProperty(name, name, 3, name, "")
+		next.addCellview(name, name+"/")
 		next.setView(name+"/", name)
+		next.setCell(name+"/", &cellMeta{Cellviews: map[string]*cellviewMeta{name: {Versions: []int{4}, Default: 4}}})
 		next.setConfig(name, map[string]int{cvKey(name, name): 3, name: -1})
 		wantNext, err := json.Marshal(next)
 		if err != nil {
@@ -81,26 +84,106 @@ func FuzzAppendMeta(f *testing.F) {
 		if got := appendMeta(nil, m); !bytes.Equal(got, want) {
 			t.Fatalf("editing the next root changed the old one:\n got %s\nwant %s", got, want)
 		}
+		rec := requireRecordReplays(t, m, next)
+		if _, err := decodeMeta(rec[recordHeaderLen:]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("the .meta decoder took a record of cellview edits (err %v): %s", err, rec[recordHeaderLen:])
+		}
 
-		rec := appendRecord(nil, next)
-		replayed, err := decodeMeta(want)
+		// The script: cells and views of the doc, except names that would
+		// lead out of the library, and of name.
+		dir := filepath.Join(t.TempDir(), "a", "lib")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, MetaFileName), doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := replay(replayed, rec); n != int64(len(rec)) {
-			t.Fatalf("replay took %d of the record's %d bytes", n, len(rec))
+		cells, views := []string{"c0", "c1", name}, []string{"schematic", name}
+		for c := range l.meta.Cells {
+			if filepath.IsLocal(c) {
+				cells = append(cells, c)
+			}
 		}
-		// Both sides go through one JSON round trip, which turns invalid
-		// UTF-8 into U+FFFD as a checkpoint's reopen does.
-		reopened, err := decodeMeta(wantNext)
-		if err != nil {
-			t.Fatal(err)
+		for v := range l.meta.Views {
+			if filepath.IsLocal(v) {
+				views = append(views, v)
+			}
 		}
-		got, _ := json.Marshal(replayed)
-		if wantReopened, _ := json.Marshal(reopened); !bytes.Equal(got, wantReopened) {
-			t.Fatalf("replayed record differs from the new root:\n got %s\nwant %s", got, wantReopened)
-		}
+		slices.Sort(cells)
+		slices.Sort(views)
+		runScript(t, l, rand.New(rand.NewSource(int64(len(doc)))), cells, views, func(parent *meta) {
+			requireRecordReplays(t, parent, l.meta)
+		})
 	})
+}
+
+// requireRecordReplays fails unless the journal record of child, a root
+// built from parent, replayed over parent as Open decodes it, gives child
+// as Open decodes it. Both sides go through one JSON round trip, which
+// turns invalid UTF-8 into U+FFFD as a checkpoint's reopen does. It
+// returns the record.
+func requireRecordReplays(t testing.TB, parent, child *meta) []byte {
+	t.Helper()
+	rec := appendRecord(nil, child)
+	replayed, err := decodeMeta(appendMeta(nil, parent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := replay(replayed, rec, 0); n != int64(len(rec)) {
+		t.Fatalf("replay took %d of the record's %d bytes: %s", n, len(rec), rec[recordHeaderLen:])
+	}
+	reopened, err := decodeMeta(marshalRoot(t, child))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := marshalRoot(t, replayed), marshalRoot(t, reopened); !bytes.Equal(got, want) {
+		t.Fatalf("replayed record %s differs from the new root:\n got %s\nwant %s", rec[recordHeaderLen:], got, want)
+	}
+	return rec
+}
+
+// runScript runs 40 public mutations picked by rng on l over the given
+// cells and views, calling check with the old root after each one that
+// commits once (a checkout whose working copy cannot be staged commits
+// its lock and its release).
+func runScript(t testing.TB, l *Library, rng *rand.Rand, cells, views []string, check func(parent *meta)) {
+	t.Helper()
+	pick := func(names []string) string { return names[rng.Intn(len(names))] }
+	sessions := []*Session{l.NewSession("anna"), l.NewSession("bert")}
+	workfiles := make([]*Workfile, len(sessions))
+	ops := []func(){
+		func() { _ = l.DefineView(pick(views), "schematic") },
+		func() { _ = l.CreateCell(pick(cells)) },
+		func() { _ = l.CreateCellview(pick(cells), pick(views)) },
+		func() { _ = l.SetProperty(pick(cells), pick(views), 1+rng.Intn(3), pick(cells), pick(views)) },
+		func() { _ = l.CreateConfig(pick(views)) },
+		func() { _ = l.AddToConfig(pick(views), pick(cells), pick(views), 1+rng.Intn(3)) },
+		func() { _ = l.AddConfigToConfig(pick(views), pick(views)) },
+		func() {
+			i := rng.Intn(len(sessions))
+			if workfiles[i] == nil {
+				workfiles[i], _ = sessions[i].Checkout(pick(cells), pick(views))
+				return
+			}
+			if rng.Intn(3) == 0 {
+				_ = sessions[i].Cancel(workfiles[i])
+			} else {
+				_, _ = sessions[i].Checkin(workfiles[i])
+			}
+			workfiles[i] = nil
+		},
+	}
+	for i := 0; i < 40; i++ {
+		parent := l.meta
+		ops[rng.Intn(len(ops))]()
+		if l.meta.Seq == parent.Seq+1 {
+			check(parent)
+		}
+	}
 }
 
 // A session's snapshot must not alias the library's metadata: no later
@@ -302,7 +385,7 @@ type writeFailure struct {
 // commitFailures fail a commit at its journal append or its checkpoint.
 var commitFailures = []writeFailure{
 	{"journal-append", func(t *testing.T, l *Library) {
-		if l.logSize > l.metaSize {
+		if l.checkpointDue() {
 			if err := l.CreateConfig("checkpoint"); err != nil {
 				t.Fatal(err)
 			}

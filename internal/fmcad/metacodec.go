@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"maps"
+	"math"
 	"slices"
 	"strconv"
 	"unicode/utf8"
@@ -25,9 +26,26 @@ import (
 //	length u32 | crc u32 | payload
 //
 // (little endian; crc is crc32 IEEE of the payload) whose payload is JSON
-// in the .meta layout: {"seq":N,"views":{..},"cells":{..},"configs":{..}}
-// holding the root's new seq and only the entries its mutation wrote,
-// each whole. It is built by the same appenders and read by decodeMeta.
+// in the .meta layout, built by the same appenders:
+//
+//	{"seq":N,"views":{..},"cells":{..},"configs":{..}}
+//
+// It holds the root's new seq and what its mutation wrote: the views and
+// configs it set and the cells it created, each whole, and under "cells"
+// an entry {"edits":{VIEW:{..}}} per cell whose cellviews it edited. An
+// edit holds the versions appended, the default, the lock (always
+// written, so an unlock replays) and the properties set; a cellview the
+// record creates is an edit of all its versions. A whole cell entry
+// replaces the cell, which is also how records written before cellview
+// edits existed replay. A build that reads records only in that older
+// form takes an edit entry, which has no "cellviews", for a null cell
+// record and stops there, so it never applies part of a record.
+//
+// The first frame after a checkpoint is a header, {"seq":S,"meta_crc":C},
+// written in the same append as the first record: S and C are the seq and
+// the crc32 IEEE of the .meta it follows. Replay skips it like any record
+// of a seq the checkpoint holds, after checking that it names the .meta
+// at hand.
 
 // decodeMeta parses and validates a .meta file. Records a later lookup or
 // mutation would dereference must be present; missing top-level maps are
@@ -41,10 +59,8 @@ func decodeMeta(data []byte) (*meta, error) {
 		if c == nil || c.Cellviews == nil {
 			return nil, fmt.Errorf("%w: cell %q has a null record", ErrCorrupt, cell)
 		}
-		for view, cv := range c.Cellviews {
-			if cv == nil || len(cv.Versions) == 0 {
-				return nil, fmt.Errorf("%w: cellview %s/%s has no versions", ErrCorrupt, cell, view)
-			}
+		if view, bad := badCellview(c.Cellviews); bad {
+			return nil, fmt.Errorf("%w: cellview %s/%s has no versions", ErrCorrupt, cell, view)
 		}
 	}
 	for name, cfg := range m.Configs {
@@ -64,6 +80,17 @@ func decodeMeta(data []byte) (*meta, error) {
 	return &m, nil
 }
 
+// badCellview returns a view of cvs whose record is null or has no
+// versions.
+func badCellview(cvs map[string]*cellviewMeta) (string, bool) {
+	for view, cv := range cvs {
+		if cv == nil || len(cv.Versions) == 0 {
+			return view, true
+		}
+	}
+	return "", false
+}
+
 // recordHeaderLen is the length and checksum in front of a journal
 // record's payload, and every payload starts with recordPrefix: a record
 // without a seq is not one.
@@ -72,35 +99,204 @@ const (
 	recordPrefix    = `{"seq":`
 )
 
+// appendHeader appends the journal header naming the checkpoint of the
+// given seq and .meta checksum to buf.
+func appendHeader(buf []byte, seq int64, metaCRC uint32) []byte {
+	buf, start := beginFrame(buf)
+	buf = strconv.AppendInt(buf, seq, 10)
+	buf = append(buf, `,"meta_crc":`...)
+	buf = strconv.AppendUint(buf, uint64(metaCRC), 10)
+	return endFrame(append(buf, '}'), start)
+}
+
 // appendRecord appends the journal record of m, a root a mutation built
 // (see meta.edits), to buf.
 func appendRecord(buf []byte, m *meta) []byte {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // header, filled in below
-	buf = append(buf, recordPrefix...)
+	buf, start := beginFrame(buf)
 	buf = strconv.AppendInt(buf, m.Seq, 10)
 	buf = append(buf, `,"views":`...)
 	buf = appendKeys(buf, m.edits.views, func(buf []byte, k string) []byte { return appendString(buf, m.Views[k]) })
+	// A created cell is written whole, its cellviews included; any other
+	// cell as the edits of its cellviews.
+	cells := slices.Clip(m.edits.cells)
+	for _, e := range m.edits.cellviews {
+		cells = addKey(cells, e.cell)
+	}
 	buf = append(buf, `,"cells":`...)
-	buf = appendKeys(buf, m.edits.cells, func(buf []byte, k string) []byte { return appendCell(buf, m.Cells[k]) })
+	buf = appendKeys(buf, cells, func(buf []byte, cell string) []byte {
+		if slices.Contains(m.edits.cells, cell) {
+			return appendCell(buf, m.Cells[cell])
+		}
+		var views []string
+		for _, e := range m.edits.cellviews {
+			if e.cell == cell {
+				views = append(views, e.view)
+			}
+		}
+		buf = append(buf, `{"edits":`...)
+		buf = appendKeys(buf, views, func(buf []byte, view string) []byte {
+			return appendCellviewEdit(buf, m.Cells[cell].Cellviews[view], m.edits.cellview(cell, view))
+		})
+		return append(buf, '}')
+	})
 	buf = append(buf, `,"configs":`...)
 	buf = appendKeys(buf, m.edits.configs, func(buf []byte, k string) []byte { return appendMap(buf, m.Configs[k], appendInt) })
-	buf = append(buf, '}')
+	return endFrame(append(buf, '}'), start)
+}
+
+// appendCellviewEdit appends the edit e of the cellview record cv.
+func appendCellviewEdit(buf []byte, cv *cellviewMeta, e *cellviewEdit) []byte {
+	buf = append(buf, `{"versions":[`...)
+	for i, v := range cv.Versions[e.versions:] {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendInt(buf, v)
+	}
+	buf = append(buf, `],"default":`...)
+	buf = appendInt(buf, cv.Default)
+	buf = append(buf, `,"locked_by":`...)
+	buf = appendString(buf, cv.LockedBy)
+	if len(e.props) > 0 {
+		var versions []string
+		for _, p := range e.props {
+			versions = addKey(versions, p.version)
+		}
+		buf = append(buf, `,"props":`...)
+		buf = appendKeys(buf, versions, func(buf []byte, k string) []byte {
+			var names []string
+			for _, p := range e.props {
+				if p.version == k {
+					names = append(names, p.name)
+				}
+			}
+			return appendKeys(buf, names, func(buf []byte, name string) []byte { return appendString(buf, cv.Props[k][name]) })
+		})
+	}
+	return append(buf, '}')
+}
+
+// beginFrame appends a frame's header, to be filled in by endFrame, and
+// the record prefix to buf; start is where the frame begins.
+func beginFrame(buf []byte) (_ []byte, start int) {
+	start = len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	return append(buf, recordPrefix...), start
+}
+
+// endFrame fills in the header of the frame at start, whose payload runs
+// to the end of buf.
+func endFrame(buf []byte, start int) []byte {
 	payload := buf[start+recordHeaderLen:]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 	return buf
 }
 
+// record is a decoded journal record (see the format above).
+type record struct {
+	Seq     int64                     `json:"seq"`
+	MetaCRC *uint32                   `json:"meta_crc"` // set in a header only
+	Views   map[string]string         `json:"views"`
+	Cells   map[string]*cellRecord    `json:"cells"`
+	Configs map[string]map[string]int `json:"configs"`
+}
+
+// cellRecord is a cell entry of a record: the whole cell, or edits of
+// its cellviews.
+type cellRecord struct {
+	Cellviews map[string]*cellviewMeta `json:"cellviews"`
+	Edits     map[string]*cellviewMeta `json:"edits"`
+}
+
+// appliesTo reports whether rec can be applied to m whole: it has no null
+// entry, each cell entry is whole or edits, a whole cell has a record
+// with versions for each cellview, and an edited cell exists in m with
+// each version appended above the cellview's last one, a new cellview
+// getting at least one.
+func (rec *record) appliesTo(m *meta) bool {
+	for cell, c := range rec.Cells {
+		if c == nil || (c.Cellviews == nil) == (c.Edits == nil) {
+			return false
+		}
+		if c.Cellviews != nil {
+			if _, bad := badCellview(c.Cellviews); bad {
+				return false
+			}
+			continue
+		}
+		cur, ok := m.Cells[cell]
+		if !ok {
+			return false
+		}
+		for view, e := range c.Edits {
+			if e == nil {
+				return false
+			}
+			last := math.MinInt
+			if cv, ok := cur.Cellviews[view]; ok {
+				last = cv.Versions[len(cv.Versions)-1]
+			} else if len(e.Versions) == 0 {
+				return false
+			}
+			for _, v := range e.Versions {
+				if v <= last {
+					return false
+				}
+				last = v
+			}
+		}
+	}
+	for _, cfg := range rec.Configs {
+		if cfg == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// apply applies rec, which appliesTo m, to m, a root no one else holds.
+func (rec *record) apply(m *meta) {
+	m.Seq = rec.Seq
+	maps.Copy(m.Views, rec.Views)
+	for cell, c := range rec.Cells {
+		if c.Cellviews != nil {
+			m.Cells[cell] = &cellMeta{Cellviews: c.Cellviews}
+			continue
+		}
+		cvs := m.Cells[cell].Cellviews
+		for view, e := range c.Edits {
+			cv, ok := cvs[view]
+			if !ok {
+				cvs[view] = e
+				continue
+			}
+			cv.Versions = append(cv.Versions, e.Versions...)
+			cv.Default, cv.LockedBy = e.Default, e.LockedBy
+			for k, props := range e.Props {
+				if cv.Props == nil {
+					cv.Props = map[string]map[string]string{}
+				}
+				if cv.Props[k] == nil {
+					cv.Props[k] = map[string]string{}
+				}
+				maps.Copy(cv.Props[k], props)
+			}
+		}
+	}
+	maps.Copy(m.Configs, rec.Configs)
+}
+
 // replay applies the journal records at the head of log to m, a root no
-// one else holds yet, and returns the length of the valid prefix. A
-// record whose seq m already holds is skipped (a crash between a
-// checkpoint's rename and the log's truncate leaves those); a record of
-// seq m.Seq+1 is applied as an upsert. The first short frame, bad
-// checksum, record decodeMeta refuses (null cell records and cellviews
-// without versions included), record without a seq or seq gap ends the
-// valid prefix: what follows is a torn or stale tail and is never loaded.
-func replay(m *meta, log []byte) int64 {
+// one else holds yet, decoded from a .meta whose crc32 is metaCRC, and
+// returns the length of the valid prefix. A journal whose header names
+// another .meta has none. A record whose seq m already holds is skipped
+// (a crash between a checkpoint's rename and the log's truncate leaves
+// those); a record of seq m.Seq+1 is checked against m and applied whole.
+// The first short frame, bad checksum, record without a seq, record
+// appliesTo refuses, header past the head or seq gap ends the valid
+// prefix: what follows is a torn or stale tail and is never loaded.
+func replay(m *meta, log []byte, metaCRC uint32) int64 {
 	off := 0
 	for len(log)-off >= recordHeaderLen {
 		n := binary.LittleEndian.Uint32(log[off:])
@@ -111,15 +307,18 @@ func replay(m *meta, log []byte) int64 {
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(log[off+4:]) || !bytes.HasPrefix(payload, []byte(recordPrefix)) {
 			break
 		}
-		rec, err := decodeMeta(payload)
-		if err != nil || rec.Seq > m.Seq+1 {
+		var rec record
+		if json.Unmarshal(payload, &rec) != nil || rec.Seq > m.Seq+1 {
+			break
+		}
+		if rec.MetaCRC != nil && (off > 0 || rec.Seq != m.Seq || *rec.MetaCRC != metaCRC) {
 			break
 		}
 		if rec.Seq == m.Seq+1 {
-			m.Seq = rec.Seq
-			maps.Copy(m.Views, rec.Views)
-			maps.Copy(m.Cells, rec.Cells)
-			maps.Copy(m.Configs, rec.Configs)
+			if !rec.appliesTo(m) {
+				break
+			}
+			rec.apply(m)
 		}
 		off += recordHeaderLen + int(n)
 	}

@@ -20,7 +20,8 @@ import (
 // it was published, nor a session snapshot; a rejected or failed mutation
 // publishes nothing, whether its journal append fails, is torn short, or
 // its checkpoint fails; and after every op a fresh Open of the directory
-// loads json.Marshal-equal metadata to the current root.
+// loads json.Marshal-equal metadata to the current root. Checkpoints are
+// made due now and then (see dueCheckpoint).
 func TestPublishedMetaNeverChanges(t *testing.T) {
 	l := newLib(t)
 	mustCell(t, l, "c0", "schematic")
@@ -118,16 +119,23 @@ func TestPublishedMetaNeverChanges(t *testing.T) {
 			return nil
 		},
 	}
+	// Make the next commit a checkpoint, as a journal past the threshold
+	// would (see dueCheckpoint).
+	ops = append(ops, func() error {
+		dueCheckpoint(l)
+		return nil
+	})
 	// Make the metadata write of one other op fail: when that op's commit
-	// is a checkpoint, by a directory where its temp file belongs;
-	// otherwise by a directory where the journal belongs, or by an append
-	// torn short.
+	// is a checkpoint, or is made one, by a directory where its temp file
+	// belongs; otherwise by a directory where the journal belongs, or by
+	// an append torn short.
 	ops = append(ops, func() error {
 		kind, restore := "append failure", func() error { return nil }
-		switch {
-		case l.logSize > l.metaSize:
+		switch r := rng.Intn(3); {
+		case l.checkpointDue() || r == 0:
+			dueCheckpoint(l)
 			kind, restore = "checkpoint failure", block(t, filepath.Join(l.Dir(), MetaFileName+".tmp"))
-		case rng.Intn(2) == 0:
+		case r == 1:
 			restore = block(t, filepath.Join(l.Dir(), logFileName))
 		default:
 			kind = "torn append"
@@ -318,39 +326,24 @@ func TestConcurrentCreateOneWins(t *testing.T) {
 	}
 }
 
-// BenchmarkSetProperty times one mutation as the library grows: a journal
-// append of the changed cell's record, plus a whole .meta checkpoint each
-// time the journal outgrows it.
+// BenchmarkSetProperty times one mutation as the library and the tagged
+// cellview's history grow: a journal append of what the tag wrote, plus a
+// whole .meta checkpoint each time the journal outgrows .meta and
+// checkpointFloor. Each op tags the newest version of a cell's cellview.
 func BenchmarkSetProperty(b *testing.B) {
 	for _, cells := range []int{16, 512} {
-		b.Run(fmt.Sprintf("cells=%d", cells), func(b *testing.B) {
-			l, err := Create(filepath.Join(b.TempDir(), "lib"), "bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := l.DefineView("schematic", "schematic"); err != nil {
-				b.Fatal(err)
-			}
-			names := make([]string, cells)
-			for i := range names {
-				names[i] = fmt.Sprintf("cell%04d", i)
-				if err := l.CreateCell(names[i]); err != nil {
-					b.Fatal(err)
+		for _, versions := range []int{8, 512} {
+			b.Run(fmt.Sprintf("cells=%d/versions=%d", cells, versions), func(b *testing.B) {
+				l := historyLib(b, cells, versions)
+				names := l.Cells()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := l.SetProperty(names[i%cells], "schematic", versions, "tag", strconv.Itoa(i)); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if err := l.CreateCellview(names[i], "schematic"); err != nil {
-					b.Fatal(err)
-				}
-				if err := l.SetProperty(names[i], "schematic", 1, "jcf_version", strconv.Itoa(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := l.SetProperty(names[i%cells], "schematic", 1, "tag", strconv.Itoa(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
