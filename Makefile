@@ -74,9 +74,13 @@ race:
 ## only from a CURRENT holding exactly the bytes this framework last
 ## committed, so a rewritten or failed commit is followed by a save that
 ## loads back whole (see internal/jcf/anchor_test.go); and loading a
-## state dir that does not exist must create nothing.
+## state dir that does not exist must create nothing; and a state dir in
+## the File backend's layout must be refused with ErrOldFormat by every
+## entry point, `replicad serve` included, with nothing written, while
+## Save(dir) leaves no file open and SaveTo through a File backend is
+## differential (see internal/jcf/statedir_test.go).
 stress-persist:
-	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent|TestReloadEquivalenceModel|TestCheckpointCrashStates|TestBindingCrashStates|TestSaveAnchorsOnCommittedBytes|TestSaveAfterFailedCommit|TestSaveRewritesIndentedCURRENTCompact|TestLoadMissingDirCreatesNothing|TestLoadHybridMissingDirCreatesNothing' ./internal/jcf/ ./internal/core/
+	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent|TestReloadEquivalenceModel|TestCheckpointCrashStates|TestBindingCrashStates|TestSaveAnchorsOnCommittedBytes|TestSaveAfterFailedCommit|TestSaveRewritesIndentedCURRENTCompact|TestLoadMissingDirCreatesNothing|TestLoadHybridMissingDirCreatesNothing|TestFileLayoutStateDirIsRefused|TestServeRefusesFileLayoutStateDir|TestSaveDirRoundTripClosesFiles|TestFileBackendSavesAreDifferential' ./internal/jcf/ ./internal/core/ ./cmd/replicad/
 
 ## stress-atomic hammers the grouped-operation paths under the race
 ## detector: batches must stay all-or-nothing against concurrent readers

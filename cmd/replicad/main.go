@@ -2,15 +2,18 @@
 // process serves a primary framework's change feed over TCP, others
 // follow it into read-only replica stores.
 //
-//	replicad serve  -state DIR [-segment] [-listen ADDR] [-metrics ADDR]
+//	replicad serve  -state DIR [-listen ADDR] [-save-interval DUR] [-metrics ADDR]
 //	replicad follow -connect ADDR [-interval DUR] [-once] [-metrics ADDR]
 //
 // serve loads (or initializes) a JCF framework from a state directory,
-// publishes its change feed on the listen address, and — because the
-// state directory doubles as the seed backend — bootstraps far-behind
-// followers by shipping the committed base + delta chain instead of
-// cutting fresh snapshots. It keeps committing differential saves so
-// that chain stays current.
+// a segment log as jcf.Save writes it, publishes its change feed on the
+// listen address, and — because the state directory doubles as the
+// seed backend — bootstraps far-behind followers by shipping the
+// committed base + delta chain instead of cutting fresh snapshots. It
+// keeps committing differential saves so that chain stays current. One
+// writing process per state dir: while serve runs, nothing else may
+// save to it. A state dir in the File backend's layout is refused with
+// backend.ErrOldFormat before anything listens or is written.
 //
 // follow tails a publisher into an in-memory follower store, prints
 // applied LSN / lag, and runs the incremental consistency check after
@@ -62,25 +65,13 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  replicad serve  -state DIR [-segment] [-listen ADDR] [-save-interval DUR] [-metrics ADDR] [-slowops DUR]
+  replicad serve  -state DIR [-listen ADDR] [-save-interval DUR] [-metrics ADDR] [-slowops DUR]
   replicad follow -connect ADDR [-interval DUR] [-once] [-metrics ADDR] [-slowops DUR]`)
-}
-
-// openBackend opens the state directory as a file or segment backend.
-func openBackend(dir string, segment bool) (backend.Backend, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	if segment {
-		return backend.OpenSegment(dir)
-	}
-	return backend.OpenFile(dir)
 }
 
 func serve(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	state := fs.String("state", "", "framework state directory (required)")
-	segment := fs.Bool("segment", false, "use the segment/WAL backend (enables differential saves)")
 	listen := fs.String("listen", "127.0.0.1:7070", "replication listen address")
 	saveEvery := fs.Duration("save-interval", 5*time.Second, "differential save cadence (0 disables)")
 	metricsAddr := fs.String("metrics", "", "introspection HTTP address (empty disables)")
@@ -91,7 +82,7 @@ func serve(args []string) error {
 	if *state == "" {
 		return fmt.Errorf("serve: -state is required")
 	}
-	b, err := openBackend(*state, *segment)
+	b, err := backend.OpenSegment(*state)
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,8 @@ import (
 //
 //	library/      the FMCAD slave (already on disk)
 //	stage/        staging area (transient, not preserved)
-//	master/       the JCF framework state, bindings included
+//	master/       the JCF framework state, bindings included: a
+//	              segment log (see jcf.Framework.Save)
 //
 // FML customization (menu locks, triggers) is code, not data: LoadHybrid
 // reinstalls the standard script, and callers re-run their own policy

@@ -298,3 +298,80 @@ func sameMapping(t *testing.T, when string, want, got *Hybrid) {
 		}
 	}
 }
+
+// treeBytes maps every path under root to its content ("" for a
+// directory).
+func treeBytes(t *testing.T, root string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			out[path] = ""
+			return err
+		}
+		data, err := os.ReadFile(path)
+		out[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestFileLayoutStateDirIsRefused: a master state dir in the File
+// backend's layout, where CURRENT is a file, is refused with
+// backend.ErrOldFormat by every entry point that opens a state dir, and
+// none of them writes to it. The upgrade the error names loads it.
+func TestFileLayoutStateDirIsRefused(t *testing.T) {
+	w := newHW(t, jcf.Release30)
+	dir := filepath.Dir(w.h.StageDir())
+	master := filepath.Join(dir, "master")
+	fb, err := backend.OpenFile(master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.h.JCF.SaveTo(fb); err != nil {
+		t.Fatal(err)
+	}
+	before := treeBytes(t, dir)
+	entries := []struct {
+		name string
+		run  func() error
+	}{
+		{"jcf.Load", func() error { _, err := jcf.Load(master); return err }},
+		{"Framework.Save", func() error { return w.h.JCF.Save(master) }},
+		{"LoadHybrid", func() error { _, err := LoadHybrid(dir); return err }},
+		{"Hybrid.Save", func() error { return w.h.Save(dir) }},
+		{"backend.OpenSegment", func() error { _, err := backend.OpenSegment(master); return err }},
+	}
+	for _, e := range entries {
+		err := e.run()
+		if !errors.Is(err, backend.ErrOldFormat) || !strings.Contains(err.Error(), "backend.OpenFile") {
+			t.Errorf("%s of a file-layout dir: %v, want ErrOldFormat naming the upgrade", e.name, err)
+		}
+		if !reflect.DeepEqual(treeBytes(t, dir), before) {
+			t.Fatalf("%s wrote to the file-layout dir", e.name)
+		}
+	}
+
+	old, err := jcf.LoadFrom(fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upgraded := filepath.Join(t.TempDir(), "master")
+	seg, err := backend.OpenSegment(upgraded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(old.SaveTo(seg), seg.Close()); err != nil {
+		t.Fatal(err)
+	}
+	ld, err := jcf.Load(upgraded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ld.FeedLSN() != w.h.JCF.FeedLSN() || len(ld.CheckConsistency()) != 0 {
+		t.Fatalf("upgraded dir loads at feed %d, saved at %d; problems %v", ld.FeedLSN(), w.h.JCF.FeedLSN(), ld.CheckConsistency())
+	}
+}

@@ -87,8 +87,6 @@ type failCURRENT struct {
 	written bool
 }
 
-func (f *failCURRENT) SupportsDeltas() bool { return true }
-
 func (f *failCURRENT) Put(name string, payload []byte) error {
 	if name != backend.ManifestKey || !f.fail {
 		return f.Backend.Put(name, payload)

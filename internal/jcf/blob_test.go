@@ -19,9 +19,10 @@ import (
 
 const blobSpillAt = 64
 
-// newBlobWorld is newWorld plus an enabled blob store on a file backend
-// (the same backend SaveTo targets, as deployed: blob-<digest> names
-// coexist with the manifest epochs).
+// newBlobWorld is newWorld plus an enabled blob store on a file backend.
+// The tests that save do so through the same backend, so blob-<digest>
+// names share it with the manifest epochs. A state dir is a segment
+// log, so outside tests the blob CAS lives in a directory of its own.
 func newBlobWorld(t *testing.T) (*world, backend.Backend) {
 	t.Helper()
 	w := newWorld(t, Release30)

@@ -235,8 +235,6 @@ type copyingBackend struct {
 	copies []string
 }
 
-func (c *copyingBackend) SupportsDeltas() bool { return true }
-
 func (c *copyingBackend) Put(name string, payload []byte) error {
 	c.copyState()
 	return c.Backend.Put(name, payload)

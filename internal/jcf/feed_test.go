@@ -406,34 +406,6 @@ func TestDifferentialSaveCompaction(t *testing.T) {
 	}
 }
 
-// TestDifferentialSaveIgnoredOnFileBackend: the atomic-rename file
-// backend is not delta-capable; every save stays a full base.
-func TestDifferentialSaveIgnoredOnFileBackend(t *testing.T) {
-	w := newWorld(t, Release30)
-	fw := w.fw
-	if err := fw.Reserve("anna", w.cv); err != nil {
-		t.Fatal(err)
-	}
-	fb, err := backend.OpenFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.SaveTo(fb); err != nil {
-		t.Fatal(err)
-	}
-	populate(t, fw, w, "x", 1)
-	if err := fw.SaveTo(fb); err != nil {
-		t.Fatal(err)
-	}
-	m, err := backend.LoadManifest(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Deltas) != 0 || m.BaseEpoch != m.Epoch {
-		t.Fatalf("file backend produced a differential commit: %+v", m)
-	}
-}
-
 // TestDifferentialSaveCrashConsistencyUnderLoad is the segment-backend
 // sibling of TestSaveCrashConsistencyUnderLoad: differential saves loop
 // against concurrent designers, with a chain bound of 2 so that overlays

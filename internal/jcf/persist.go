@@ -23,13 +23,13 @@ import (
 // differential one. No framework lock is taken, and a load has nothing
 // to cross-validate.
 //
-// Layout through the backend (file backend shown; the segment backend
-// stores the same names in its log):
+// Layout by backend name (a state dir, as Save writes it, is a segment
+// log holding these names in its frames):
 //
 //	CURRENT            commit manifest, compact JSON: epoch, payload
 //	                   names, checksums, the base's and the overlay's
 //	                   cut LSNs and the feed LSN the epoch ends at. Its
-//	                   atomic replacement is the commit point.
+//	                   atomic Put is the commit point.
 //	oms@<epoch>        a full base snapshot payload in oms's binary
 //	                   snapshot format, or an overlay over the current
 //	                   base in oms's binary overlay format; the manifest
@@ -88,17 +88,17 @@ const (
 	defaultMaxDeltaChain = 64
 )
 
-// Save persists the framework into dir (created if needed) through the
-// default atomic-rename file backend. See SaveTo.
+// Save persists the framework into the state dir dir, a segment log
+// (created if needed), and closes the log's file. Each call opens a new
+// backend, so each writes a full base; to save repeatedly, keep one
+// backend.OpenSegment and call SaveTo. One writing process per state
+// dir. A dir in the File layout is refused (see backend.OpenSegment).
 func (fw *Framework) Save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("jcf: save: %w", err)
-	}
-	b, err := backend.OpenFile(dir)
+	b, err := backend.OpenSegment(dir)
 	if err != nil {
 		return fmt.Errorf("jcf: save: %w", err)
 	}
-	return fw.SaveTo(b)
+	return errors.Join(fw.SaveTo(b), b.Close())
 }
 
 // SaveTo persists the framework through an arbitrary storage backend.
@@ -110,12 +110,12 @@ func (fw *Framework) Save(dir string) error {
 // Put; a crash at any earlier point leaves the previous epoch fully
 // intact.
 //
-// On a DeltaCapable backend (the segment/WAL backend), a SaveTo that
-// follows a commit this same framework instance made — the backend's
-// CURRENT holds exactly the bytes it committed — writes only the
-// change-feed suffix since that commit — a delta payload of O(what
-// changed), not O(store) — and the manifest binds the checkpoint and
-// the delta chain. The release header is written with every commit.
+// A SaveTo that follows a commit this same framework instance made
+// through the same backend — the backend's CURRENT holds exactly the
+// bytes it committed — writes only the change-feed suffix since that
+// commit — a delta payload of O(what changed), not O(store) — and the
+// manifest binds the checkpoint and the delta chain. The release
+// header is written with every commit.
 //
 // When the chain reaches its compaction bound, the save writes a
 // checkpoint instead and empties the chain. The checkpoint is an
@@ -139,13 +139,13 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 	start := obs.Now()
 
 	var prev backend.Manifest
-	havePrev, own := false, false
+	havePrev, anchored := false, false
 	raw, err := b.Get(backend.ManifestKey)
 	switch {
 	case err == nil && fw.lastSaveTo == b && bytes.Equal(raw, fw.committedCURRENT):
 		// CURRENT is still this instance's last commit: its manifest
 		// is in memory, so nothing is decoded.
-		prev, havePrev, own = fw.committed, true, true
+		prev, havePrev, anchored = fw.committed, true, true
 	case err == nil:
 		if prev, err = backend.DecodeManifest(raw); err != nil {
 			return fmt.Errorf("jcf: save: reading previous manifest: %w", err)
@@ -160,8 +160,6 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 	if maxChain <= 0 {
 		maxChain = defaultMaxDeltaChain
 	}
-	dc, deltaCapable := b.(backend.DeltaCapable)
-	anchored := own && deltaCapable && dc.SupportsDeltas()
 	wantDelta := anchored && len(prev.Deltas) < maxChain
 
 	var delta []oms.Change
@@ -328,7 +326,8 @@ func gcOldEpochs(b backend.Backend, committed, prev *backend.Manifest) {
 
 // Load restores a framework saved by Save from a state directory. A
 // directory that does not exist holds no committed state: the error
-// wraps backend.ErrNotFound, and nothing is created.
+// wraps backend.ErrNotFound, and nothing is created. A dir in the File
+// layout is refused with backend.ErrOldFormat.
 func Load(dir string) (*Framework, error) {
 	if _, err := os.Stat(dir); err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -336,7 +335,7 @@ func Load(dir string) (*Framework, error) {
 		}
 		return nil, fmt.Errorf("jcf: load: %w", err)
 	}
-	b, err := backend.OpenFile(dir)
+	b, err := backend.OpenSegment(dir)
 	if err != nil {
 		return nil, fmt.Errorf("jcf: load: %w", err)
 	}

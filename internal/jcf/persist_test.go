@@ -153,7 +153,7 @@ func TestSaveLoadRelease40State(t *testing.T) {
 // A nil omsPayload leaves the named oms payload unwritten.
 func commitPair(t *testing.T, dir string, fwPayload, omsPayload []byte) {
 	t.Helper()
-	b, err := backend.OpenFile(dir)
+	b, err := backend.OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func commitPair(t *testing.T, dir string, fwPayload, omsPayload []byte) {
 		FrameworkSum: backend.SHA256Hex(fwPayload),
 		BaseEpoch:    1,
 	}
-	if err := backend.PutManifest(b, m); err != nil {
+	if err := errors.Join(backend.PutManifest(b, m), b.Close()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -236,7 +236,7 @@ func TestLoadMissingDirCreatesNothing(t *testing.T) {
 // through its CURRENT manifest.
 func readCommitted(t *testing.T, dir string) (fwPayload, omsPayload []byte) {
 	t.Helper()
-	b, err := backend.OpenFile(dir)
+	b, err := backend.OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,23 +290,26 @@ func TestSaveCommitIsAtomic(t *testing.T) {
 	if err := w.fw.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte inside the committed oms payload, bypassing Save.
-	var m struct {
-		OMS string `json:"oms"`
-	}
-	mdata, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
+	// Flip a byte inside the committed oms payload, bypassing Save: the
+	// state dir's own log takes the new record under the same name, and
+	// only the manifest's checksum can tell.
+	seg, err := backend.OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(mdata, &m); err != nil {
+	m, err := backend.LoadManifest(seg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := os.ReadFile(filepath.Join(dir, m.OMS))
+	payload, err := seg.Get(m.OMS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload[len(payload)/2] ^= 0xFF
-	if err := os.WriteFile(filepath.Join(dir, m.OMS), payload, 0o644); err != nil {
+	if err := seg.Put(m.OMS, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(dir); err == nil {
@@ -528,12 +531,11 @@ func TestLoadContinuesSavedLSNs(t *testing.T) {
 	saved := func(t *testing.T, delta bool) backend.Backend {
 		w := newWorld(t, Release40)
 		if !delta {
-			dir := t.TempDir()
-			if err := w.fw.Save(dir); err != nil {
+			b, err := backend.OpenFile(t.TempDir())
+			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := backend.OpenFile(dir)
-			if err != nil {
+			if err := w.fw.SaveTo(b); err != nil {
 				t.Fatal(err)
 			}
 			return b

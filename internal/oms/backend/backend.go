@@ -15,13 +15,16 @@
 //
 // Two implementations ship:
 //
-//   - File: one file per name, written via temp file + atomic rename —
-//     the classic UNIX snapshot layout.
 //   - Segment: an append-only segment (write-ahead) log. Put appends a
 //     framed, checksummed record and Delete a tombstone frame; the
 //     frame's fsync is the commit. A MANIFEST checkpoint of the name
 //     index is written only when a segment rotates, and opening replays
-//     the frames after it up to the first short or bad one.
+//     the frames after it up to the first short or bad one. Every
+//     framework state dir is a Segment.
+//   - File: one file per name, written via temp file + atomic rename.
+//     It holds the content-addressed blob store (blob-<digest> names);
+//     a state dir in this layout (a top-level CURRENT file) is refused
+//     by OpenSegment.
 //
 // Both pass the same conformance suite (see Conformance).
 package backend
@@ -60,17 +63,14 @@ type Backend interface {
 	Delete(name string) error
 }
 
-// DeltaCapable marks backends whose Put cost is dominated by payload
-// size rather than by rewrite amplification — appending a small delta
-// really is cheap. The segment/WAL backend qualifies (every Put is an
-// append to the active segment and old records are retained until
-// unreferenced); the one-file-per-name File backend does not gain
-// anything from deltas beyond smaller files, so it leaves the interface
-// unimplemented and the persistence layer keeps writing full snapshots
-// through it.
+// DeltaCapable marked backends on which the persistence layer wrote
+// differential saves. Nothing in this module reads it any more:
+// jcf.SaveTo writes a delta on every backend it has an anchor on. It
+// stays only because the benchmark harness under perfbench/ compiles
+// against it and forwards it through its backend wrapper.
 type DeltaCapable interface {
-	// SupportsDeltas reports that incremental (delta-chain) persistence
-	// should be used against this backend.
+	// SupportsDeltas reported that incremental (delta-chain)
+	// persistence should be used against this backend.
 	SupportsDeltas() bool
 }
 

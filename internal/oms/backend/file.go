@@ -12,7 +12,8 @@ import (
 // File is the atomic-rename file backend: every name is one regular file
 // in the backend directory; Put writes a dot-prefixed temporary sibling
 // and renames it into place, so a name always reads as exactly one
-// complete payload — before or after, never torn.
+// complete payload — before or after, never torn. It backs the blob
+// CAS; framework state dirs are Segment logs.
 type File struct {
 	dir string
 }

@@ -112,7 +112,14 @@ func segNum(name string) (int, bool) {
 // It loads the MANIFEST checkpoint and replays every frame appended
 // since, up to the first short or bad one. It writes nothing: a torn
 // tail is cut back by this instance's first append.
+//
+// A regular CURRENT file marks a state dir in the File layout. As a
+// segment it would hold no committed state, and a caller initialising
+// fresh state would write over it, so it is refused with ErrOldFormat.
 func OpenSegment(dir string) (*Segment, error) {
+	if fi, err := os.Lstat(filepath.Join(dir, ManifestKey)); err == nil && fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("backend: %s holds a CURRENT file, a state dir in the File backend's layout; upgrade it with jcf.LoadFrom(backend.OpenFile(old)), then SaveTo(backend.OpenSegment(new)); if that load fails too: %w", dir, ErrOldFormat)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("backend: open segment backend: %w", err)
 	}
@@ -312,10 +319,8 @@ func readN(r io.Reader, buf *[]byte, n int) ([]byte, error) {
 // Dir returns the backend's root directory.
 func (s *Segment) Dir() string { return s.dir }
 
-// SupportsDeltas marks the segment backend as delta-capable: a Put is
-// an append to the active segment, so writing a small delta payload
-// costs O(delta), not O(store) — the property the framework's
-// differential Save exploits.
+// SupportsDeltas reports true, for callers of DeltaCapable outside
+// this module; nothing in it asks any more.
 func (s *Segment) SupportsDeltas() bool { return true }
 
 // segPath returns the path of a segment file name.
@@ -587,4 +592,17 @@ func (s *Segment) Delete(name string) error {
 	delete(s.refs, name)
 	s.maybeRotate()
 	return nil
+}
+
+// Close closes the active segment file, whose frames are all fsynced.
+// The next append reopens it.
+func (s *Segment) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := s.active
+	s.active = nil
+	if f == nil {
+		return nil
+	}
+	return f.Close()
 }

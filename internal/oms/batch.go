@@ -379,11 +379,7 @@ func (st *Store) Apply(b *Batch) ([]OID, error) {
 	// Phase 5 — the batch is now permanent: publish every effect to the
 	// change feed as ONE contiguous group, still under the stripe locks,
 	// so no subscriber can ever observe a torn batch.
-	group := make([]Change, 0, len(applieds))
-	for _, a := range applieds {
-		group = append(group, a.change)
-	}
-	st.feed.publish(group)
+	st.feed.publish(applieds)
 	unlock()
 	return created, nil
 }

@@ -22,21 +22,10 @@ var ErrNotFound = errors.New("blobstore: blob not found")
 // so a lying peer cannot poison the CAS.
 type Fetcher func(Ref) ([]byte, error)
 
-// Option configures a Store.
-type Option func(*Store)
-
-// WithUploadWorkers bounds the number of concurrent async uploads
-// (default defaultUploadWorkers). PutAsync callers never block on the
-// bound; queued uploads wait for a slot.
-func WithUploadWorkers(n int) Option {
-	return func(s *Store) {
-		if n > 0 {
-			s.workers = make(chan struct{}, n)
-		}
-	}
-}
-
-const defaultUploadWorkers = 4
+// uploadWorkers bounds the number of concurrent async uploads.
+// PutAsync callers never block on the bound; queued uploads wait for a
+// slot.
+const uploadWorkers = 4
 
 // upload is one in-flight backend write of a digest; duplicate writers
 // of the same content wait on done instead of writing twice.
@@ -94,17 +83,14 @@ type Store struct {
 
 // New opens a store on be and rebuilds the in-memory index from the
 // backend listing — the only persistent state is the blobs themselves.
-func New(be backend.Backend, opts ...Option) (*Store, error) {
+func New(be backend.Backend) (*Store, error) {
 	s := &Store{
 		be:        be,
-		workers:   make(chan struct{}, defaultUploadWorkers),
+		workers:   make(chan struct{}, uploadWorkers),
 		have:      make(map[[32]byte]struct{}),
 		inflight:  make(map[[32]byte]*upload),
 		pinned:    make(map[[32]byte]int),
 		condemned: make(map[[32]byte]chan struct{}),
-	}
-	for _, opt := range opts {
-		opt(s)
 	}
 	names, err := be.List()
 	if err != nil {

@@ -173,12 +173,14 @@ func newFeed() *feed {
 	return f
 }
 
-// publish appends one commit group, assigning contiguous LSNs. The
-// caller holds the write locks of every stripe the group mutated, so
-// the assigned order agrees with visibility order. The committed
-// watermark (f.last) moves once, after the whole group is in the ring —
-// that is what makes groups untearable.
-func (f *feed) publish(group []Change) {
+// publish appends one commit group, the changes of an applied batch,
+// assigning contiguous LSNs. Each change is copied straight into the
+// ring; group is not kept. The caller holds the write locks of every
+// stripe the group mutated, so the assigned order agrees with
+// visibility order. The committed watermark (f.last) moves once, after
+// the whole group is in the ring — that is what makes groups
+// untearable.
+func (f *feed) publish(group []applied) {
 	if len(group) == 0 {
 		return
 	}
@@ -191,15 +193,15 @@ func (f *feed) publish(group []Change) {
 	first := f.last + 1
 	for i := range group {
 		lsn := first + uint64(i)
-		group[i].LSN = lsn
-		group[i].Group = first
 		// A full ring overwrites its oldest record: account its blob
 		// payload out before the slot is reused.
 		if lsn-f.start >= uint64(len(f.buf)) {
 			f.evictOldest()
 		}
-		f.buf[(lsn-1)%uint64(len(f.buf))] = group[i]
-		f.blobBytes += changeBlobBytes(group[i])
+		slot := &f.buf[(lsn-1)%uint64(len(f.buf))]
+		*slot = group[i].change
+		slot.LSN, slot.Group = lsn, first
+		f.blobBytes += changeBlobBytes(*slot)
 		f.last = lsn
 	}
 	// The byte bound: shed oldest records until the pinned design data

@@ -10,6 +10,11 @@ import (
 	"repro/internal/oms/blobstore"
 )
 
+// sessionBuffer is the per-session Watch channel depth, in commit
+// groups: how long a consumer stall a session absorbs before it lags
+// out of the feed ring.
+const sessionBuffer = 256
+
 // Publisher wraps a primary oms.Store and serves its change feed to
 // follower sessions. One Publisher serves any number of listeners and
 // sessions concurrently; sessions are independent — a slow replica can
@@ -18,7 +23,6 @@ import (
 type Publisher struct {
 	st   *oms.Store
 	seed backend.Backend // optional: manifest-chain bootstrap source
-	buf  int             // per-session Watch channel depth
 
 	mu        sync.Mutex
 	closed    bool
@@ -88,19 +92,11 @@ func WithSeedBackend(b backend.Backend) PublisherOption {
 	return func(p *Publisher) { p.seed = b }
 }
 
-// WithSessionBuffer sets the per-session Watch channel depth (default
-// 256 groups). Deeper buffers absorb longer consumer stalls before a
-// session lags out of the feed ring.
-func WithSessionBuffer(n int) PublisherOption {
-	return func(p *Publisher) { p.buf = n }
-}
-
 // NewPublisher returns a publisher for the primary store. Call Serve
 // with one or more listeners, then Close to stop everything.
 func NewPublisher(st *oms.Store, opts ...PublisherOption) *Publisher {
 	p := &Publisher{
 		st:        st,
-		buf:       256,
 		listeners: map[Listener]struct{}{},
 		conns:     map[Conn]struct{}{},
 	}
@@ -304,7 +300,7 @@ func (p *Publisher) attach(resume uint64, needSnap bool) (*oms.Subscription, []F
 	// A follower at 0 holds the empty store, and the feed from 0 rebuilds
 	// the primary from that: no store holds a non-empty base at LSN 0.
 	if !needSnap && resume <= p.st.FeedLSN() {
-		if sub, err := p.st.Watch(resume, p.buf); err == nil {
+		if sub, err := p.st.Watch(resume, sessionBuffer); err == nil {
 			return sub, nil, nil
 		}
 	}
@@ -319,7 +315,7 @@ func (p *Publisher) attach(resume uint64, needSnap bool) (*oms.Subscription, []F
 	for attempt := 0; attempt < 3; attempt++ {
 		snap := p.st.Snapshot()
 		data := snap.Encode()
-		sub, err := p.st.Watch(snap.LSN(), p.buf)
+		sub, err := p.st.Watch(snap.LSN(), sessionBuffer)
 		if err != nil {
 			lastErr = err
 			continue
@@ -360,7 +356,7 @@ func (p *Publisher) chainBootstrap() (*oms.Subscription, []Frame, bool) {
 		}
 	}
 	m := c.Manifest
-	sub, err := p.st.Watch(m.FeedLSN, p.buf)
+	sub, err := p.st.Watch(m.FeedLSN, sessionBuffer)
 	if err != nil {
 		return nil, nil, false
 	}

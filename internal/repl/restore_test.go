@@ -84,12 +84,11 @@ func dirFiles(t *testing.T, dir string) map[string]string {
 func restoredCases() []restoredCase {
 	return []restoredCase{
 		{"file-full-save", func(t *testing.T) backend.Backend {
-			dir := t.TempDir()
-			if err := smallFramework(t).Save(dir); err != nil {
+			b, err := backend.OpenFile(t.TempDir())
+			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := backend.OpenFile(dir)
-			if err != nil {
+			if err := smallFramework(t).SaveTo(b); err != nil {
 				t.Fatal(err)
 			}
 			return b
