@@ -69,8 +69,13 @@ race:
 ## disk a crash before any backend Put or Delete leaves behind (see
 ## internal/jcf/checkpoint_test.go); and a hybrid whose master is
 ## committed after each step of NewCellVersion must reload with every
-## binding whole and every bound cell version in the index (see
-## internal/core/persist_test.go); and a differential save must continue
+## binding whole and every bound cell version answering BindingFor, a
+## slave cell stranded by a lost master save must be adopted by the next
+## NewCellVersion unless it holds tool output (see
+## internal/core/persist_test.go), and SyncLibrary must import a direct
+## checkin saved before a reload and, looping against concurrent tool
+## runs, put every master version on exactly one slave version (see
+## internal/core/feedsync_test.go); and a differential save must continue
 ## only from a CURRENT holding exactly the bytes this framework last
 ## committed, so a rewritten or failed commit is followed by a save that
 ## loads back whole (see internal/jcf/anchor_test.go); and loading a
@@ -80,7 +85,7 @@ race:
 ## Save(dir) leaves no file open and SaveTo through a File backend is
 ## differential (see internal/jcf/statedir_test.go).
 stress-persist:
-	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent|TestReloadEquivalenceModel|TestCheckpointCrashStates|TestBindingCrashStates|TestSaveAnchorsOnCommittedBytes|TestSaveAfterFailedCommit|TestSaveRewritesIndentedCURRENTCompact|TestLoadMissingDirCreatesNothing|TestLoadHybridMissingDirCreatesNothing|TestFileLayoutStateDirIsRefused|TestServeRefusesFileLayoutStateDir|TestSaveDirRoundTripClosesFiles|TestFileBackendSavesAreDifferential' ./internal/jcf/ ./internal/core/ ./cmd/replicad/
+	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent|TestReloadEquivalenceModel|TestCheckpointCrashStates|TestBindingCrashStates|TestSaveAnchorsOnCommittedBytes|TestSaveAfterFailedCommit|TestSaveRewritesIndentedCURRENTCompact|TestLoadMissingDirCreatesNothing|TestLoadHybridMissingDirCreatesNothing|TestFileLayoutStateDirIsRefused|TestServeRefusesFileLayoutStateDir|TestSaveDirRoundTripClosesFiles|TestFileBackendSavesAreDifferential|TestNewCellVersionAdoptsStrandedSlaveCell|TestNewCellVersionRefusesStrandedToolOutput|TestSyncLibraryAfterReloadImportsEarlierCheckin|TestSyncLibraryConcurrentWithToolRuns' ./internal/jcf/ ./internal/core/ ./cmd/replicad/
 
 ## stress-atomic hammers the grouped-operation paths under the race
 ## detector: batches must stay all-or-nothing against concurrent readers

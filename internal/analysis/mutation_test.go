@@ -56,6 +56,14 @@ var realTreeMutations = []struct {
 			"\tmark := oms.NewBatch()\n\tmark.Set(cv, AttrSlaveCell, oms.S(slaveCell))\n\t_, err := fw.store.Apply(mark)\n",
 		want: "BindSlaveCell performs ≥2 separate store mutations",
 	},
+	{
+		name:     "the replica compares ErrFeedGap with ==",
+		analyzer: ErrFlowAnalyzer,
+		file:     "internal/repl/replica.go",
+		old:      "if errors.Is(err, oms.ErrFeedGap) {",
+		new:      "if err == oms.ErrFeedGap {",
+		want:     "sentinel error ErrFeedGap compared with ==",
+	},
 }
 
 // TestRealTreeMutations applies every row of realTreeMutations to one
@@ -124,8 +132,9 @@ func TestRealTreeMutations(t *testing.T) {
 // copyModuleSources copies go.mod and the non-test .go files of the
 // packages in dirs (module-relative) and of every module package they
 // import, keeping the layout. The rows' analyzers read no other package:
-// lockorder and feedpublish look only at oms, and guardwrite and
-// applyatomic follow jcf.Framework methods into what jcf imports.
+// lockorder and feedpublish look only at oms, guardwrite and applyatomic
+// follow jcf.Framework methods into what jcf imports, and errflow reads
+// the comparisons in each loaded package.
 func copyModuleSources(t *testing.T, root, mod string, dirs []string) string {
 	t.Helper()
 	dir := t.TempDir()

@@ -118,13 +118,13 @@ func (h *Hybrid) checkoutSlave(user, fmcadCell, view string) (*fmcad.Session, *f
 }
 
 // captureResult runs step 5: slave checkin, copy into OMS, derivation,
-// property tagging. The capture is bracketed so the feed-driven
+// property tagging. It holds captureMu's read side throughout, so
 // SyncLibrary never observes the master checkin before the slave
 // version carries its tag (and double-imports it).
 func (h *Hybrid) captureResult(user string, session *fmcad.Session, wf *fmcad.Workfile,
 	outputDO, inputDOV oms.OID) (oms.OID, int, error) {
-	h.captureBegin(outputDO)
-	defer h.captureEnd(outputDO)
+	h.captureMu.RLock()
+	defer h.captureMu.RUnlock()
 	slaveVersion, err := session.Checkin(wf)
 	if err != nil {
 		return oms.InvalidOID, 0, fmt.Errorf("core: slave checkin: %w", err)
@@ -143,7 +143,6 @@ func (h *Hybrid) captureResult(user string, session *fmcad.Session, wf *fmcad.Wo
 	if err := h.Lib.SetProperty(wf.Cell, wf.View, slaveVersion, PropJCFVersion, fmt.Sprintf("%d", dov)); err != nil {
 		return oms.InvalidOID, 0, err
 	}
-	h.markCaptured(dov)
 	return dov, slaveVersion, nil
 }
 

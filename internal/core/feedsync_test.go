@@ -4,82 +4,36 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/jcf"
+	"repro/internal/oms"
+	"repro/internal/tools/schematic"
 )
 
-// Tests for the feed-driven coupling sync: VerifyMapping's fast path
-// and SyncLibrary's import of master-side checkins. See ISSUE 4.
+// Tests for the coupling sync: SyncLibrary's import of master-side
+// checkins and VerifyMapping, both read from the master's store.
 
-// verifyMappingFull re-verifies every binding unconditionally, refreshing
-// the cache: the pre-feed behaviour, the oracle for the fast path.
-func (h *Hybrid) verifyMappingFull() []string {
-	return h.verify(true)
-}
-
-// TestVerifyMappingFastPathMatchesFull: under normal operation the fast
-// path and the full rescan agree, before and after master traffic.
-func TestVerifyMappingFastPathMatchesFull(t *testing.T) {
-	w := newHW(t, jcf.Release30)
-	if got, want := w.h.VerifyMapping(), w.h.verifyMappingFull(); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("fast path %v != full %v", got, want)
-	}
-	if err := w.h.JCF.Reserve("anna", w.cv); err != nil {
+// checkInDirect checks data into a design object through the master
+// alone, as a designer at the JCF desktop would, bypassing the tools.
+func checkInDirect(t *testing.T, h *Hybrid, user string, do oms.OID, data string) oms.OID {
+	t.Helper()
+	src := filepath.Join(t.TempDir(), "direct")
+	if err := os.WriteFile(src, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.h.RunSchematicEntry("anna", w.cv, drawHalfAdder, RunOpts{}); err != nil {
+	dov, err := h.JCF.CheckInData(user, do, src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Another bound cell after the first verification round.
-	if _, err := w.h.NewDesignCell(w.project, "mul", w.h.DefaultFlowName(), w.team); err != nil {
-		t.Fatal(err)
-	}
-	fast := w.h.VerifyMapping()
-	full := w.h.verifyMappingFull()
-	if len(fast) != 0 || fmt.Sprint(fast) != fmt.Sprint(full) {
-		t.Fatalf("fast path %v != full %v", fast, full)
-	}
-}
-
-// TestVerifyMappingFastPathCachesUntilDirty: a clean verification is
-// cached — breakage invisible to the feed is not rediscovered until
-// master-side traffic dirties the binding, at which point the fast path
-// re-verifies and reports it. (verifyMappingFull always sees it.)
-func TestVerifyMappingFastPathCachesUntilDirty(t *testing.T) {
-	w := newHW(t, jcf.Release30)
-	if problems := w.h.VerifyMapping(); len(problems) != 0 {
-		t.Fatalf("fresh world inconsistent: %v", problems)
-	}
-	// Break the inverse map behind the feed's back (no master change).
-	w.h.mu.Lock()
-	w.h.byCell["alu_v1"] = w.cv + 9999
-	w.h.mu.Unlock()
-	if problems := w.h.VerifyMapping(); len(problems) != 0 {
-		t.Fatalf("fast path rescanned without dirt: %v", problems)
-	}
-	if problems := w.h.verifyMappingFull(); len(problems) != 1 {
-		t.Fatalf("full rescan missed the breakage: %v", problems)
-	}
-	// The full pass refreshed the cache; repair and dirty via master
-	// traffic to show the feed-driven path converges on its own.
-	w.h.mu.Lock()
-	w.h.byCell["alu_v1"] = w.cv
-	w.h.mu.Unlock()
-	if err := w.h.JCF.Reserve("anna", w.cv); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.h.RunSchematicEntry("anna", w.cv, drawHalfAdder, RunOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if problems := w.h.VerifyMapping(); len(problems) != 0 {
-		t.Fatalf("fast path did not re-verify the dirtied binding: %v", problems)
-	}
+	return dov
 }
 
 // TestSyncLibraryImportsDirectCheckin: design data checked into the
 // master directly (JCF desktop, not an encapsulated tool run) reaches
-// the slave library via the feed, tagged with its JCF version — and the
+// the slave library through SyncLibrary, tagged with its JCF version — and the
 // import is idempotent.
 func TestSyncLibraryImportsDirectCheckin(t *testing.T) {
 	w := newHW(t, jcf.Release30)
@@ -90,15 +44,7 @@ func TestSyncLibraryImportsDirectCheckin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	do := binding.DesignObjects[ViewSchematic]
-	src := filepath.Join(t.TempDir(), "alu.sch")
-	if err := os.WriteFile(src, []byte("schematic alu_v1\n.end\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dov, err := w.h.JCF.CheckInData("anna", do, src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dov := checkInDirect(t, w.h, "anna", binding.DesignObjects[ViewSchematic], "schematic alu_v1\n.end\n")
 	// The library knows nothing about this version yet.
 	versionsBefore, err := w.h.Lib.Versions(binding.FMCADCell, ViewSchematic)
 	if err != nil {
@@ -142,7 +88,7 @@ func TestSyncLibraryImportsDirectCheckin(t *testing.T) {
 }
 
 // TestSyncLibraryIgnoresEncapsulatedRuns: versions captured by the
-// wrappers are already tagged; the feed-driven sync must not duplicate
+// wrappers are already tagged; SyncLibrary must not duplicate
 // them.
 func TestSyncLibraryIgnoresEncapsulatedRuns(t *testing.T) {
 	w := newHW(t, jcf.Release30)
@@ -173,5 +119,194 @@ func TestSyncLibraryIgnoresEncapsulatedRuns(t *testing.T) {
 	}
 	if len(after) != len(before) {
 		t.Fatalf("library versions changed %v -> %v", before, after)
+	}
+}
+
+// TestSyncLibraryAfterReloadImportsEarlierCheckin: a direct checkin
+// saved with the master but not yet imported is imported by the
+// reloaded hybrid, which knows of it only through the master's store.
+func TestSyncLibraryAfterReloadImportsEarlierCheckin(t *testing.T) {
+	w := newHW(t, jcf.Release30)
+	dir := filepath.Dir(w.h.StageDir())
+	if err := w.h.JCF.Reserve("anna", w.cv); err != nil {
+		t.Fatal(err)
+	}
+	binding, err := w.h.BindingFor(w.cv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dov := checkInDirect(t, w.h, "anna", binding.DesignObjects[ViewSchematic], "schematic alu_v1\n.end\n")
+	if err := w.h.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	ld, err := LoadHybrid(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if imported, err := ld.SyncLibrary(); err != nil || imported != 1 {
+		t.Fatalf("sync after reload imported %d (err %v), want 1", imported, err)
+	}
+	versions, err := ld.Lib.Versions(binding.FMCADCell, ViewSchematic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag, ok, err := ld.Lib.GetProperty(binding.FMCADCell, ViewSchematic, versions[len(versions)-1], PropJCFVersion)
+	if err != nil || !ok || tag != fmt.Sprint(dov) {
+		t.Fatalf("imported version tag = %q,%t,%v want %d", tag, ok, err, dov)
+	}
+	if again, err := ld.SyncLibrary(); err != nil || again != 0 {
+		t.Fatalf("second sync imported %d (err %v), want 0", again, err)
+	}
+}
+
+// TestSyncLibraryConcurrentWithToolRuns loops SyncLibrary against
+// designers who run schematic entry and check waveforms in directly on
+// the same cells. Every master version must end up on exactly one slave
+// version: the tool runs' own captures are never imported again, and
+// each direct checkin is imported once.
+func TestSyncLibraryConcurrentWithToolRuns(t *testing.T) {
+	w := newHW(t, jcf.Release30)
+	h := w.h
+	b, err := h.NewDesignCell(w.project, "b", h.DefaultFlowName(), w.team)
+	if err != nil {
+		t.Fatal(err)
+	}
+	designers := map[string]oms.OID{"anna": w.cv, "bert": b}
+	for user, cv := range designers {
+		if err := h.JCF.Reserve(user, cv); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.RunSchematicEntry(user, cv, drawHalfAdder, RunOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 8
+	var wg sync.WaitGroup
+	for user, cv := range designers {
+		binding, err := h.BindingFor(cv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(user string, cv, waveform oms.OID) {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				if _, err := h.RunSchematicEntry(user, cv, func(s *schematic.Schematic) error {
+					return s.AddNet(fmt.Sprintf("n%d", i))
+				}, RunOpts{}); err != nil {
+					t.Error(err)
+					return
+				}
+				src := filepath.Join(t.TempDir(), "waves")
+				if err := os.WriteFile(src, []byte(fmt.Sprintf("wave %s %d\n", user, i)), 0o644); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := h.JCF.CheckInData(user, waveform, src); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(user, cv, binding.DesignObjects[ViewWaveform])
+	}
+	done := make(chan struct{})
+	imported := 0
+	var syncErr error
+	var syncWG sync.WaitGroup
+	syncWG.Add(1)
+	go func() {
+		defer syncWG.Done()
+		for {
+			n, err := h.SyncLibrary()
+			imported += n
+			if err != nil {
+				syncErr = err
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	syncWG.Wait()
+	if syncErr != nil {
+		t.Fatal(syncErr)
+	}
+	n, err := h.SyncLibrary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	imported += n
+	if imported != runs*len(designers) {
+		t.Fatalf("imported %d versions, want the %d direct checkins", imported, runs*len(designers))
+	}
+	if again, err := h.SyncLibrary(); err != nil || again != 0 {
+		t.Fatalf("final sync imported %d (err %v), want 0", again, err)
+	}
+	for _, cv := range designers {
+		binding, err := h.BindingFor(cv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for view, do := range binding.DesignObjects {
+			versions, err := h.Lib.Versions(binding.FMCADCell, view)
+			if err != nil {
+				t.Fatal(err)
+			}
+			carried := map[string]int{}
+			for _, v := range versions {
+				if tag, ok, err := h.Lib.GetProperty(binding.FMCADCell, view, v, PropJCFVersion); err != nil {
+					t.Fatal(err)
+				} else if ok {
+					carried[tag]++
+				}
+			}
+			dovs := h.JCF.DesignObjectVersions(do)
+			if len(carried) != len(dovs) {
+				t.Fatalf("%s/%s: tags %v for master versions %v", binding.FMCADCell, view, carried, dovs)
+			}
+			for _, dov := range dovs {
+				if carried[fmt.Sprint(dov)] != 1 {
+					t.Fatalf("%s/%s: version %d tagged on %d slave versions", binding.FMCADCell, view, dov, carried[fmt.Sprint(dov)])
+				}
+			}
+		}
+	}
+	if problems, err := h.SlaveSyncCheck(); err != nil || len(problems) != 0 {
+		t.Fatalf("slave sync problems %v, %v", problems, err)
+	}
+}
+
+// TestVerifyMappingReportsDoublyBoundCell: a slave cell that the master
+// binds to two cell versions breaks the inverse mapping of both.
+func TestVerifyMappingReportsDoublyBoundCell(t *testing.T) {
+	w := newHW(t, jcf.Release30)
+	h := w.h
+	cell, err := h.JCF.CreateCell(w.project, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cv, err := h.JCF.CreateCellVersion(cell, h.DefaultFlowName(), w.team)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.JCF.BindSlaveCell(cv, "alu_v1", boundViews); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.CellVersionFor("alu_v1"); err == nil {
+		t.Fatal("CellVersionFor resolved a cell bound twice")
+	}
+	problems := h.VerifyMapping()
+	if len(problems) != 2 {
+		t.Fatalf("VerifyMapping = %v, want the broken inverse of both bindings", problems)
+	}
+	for _, p := range problems {
+		if !strings.Contains(p, "inverse mapping broken for alu_v1") {
+			t.Fatalf("VerifyMapping = %v", problems)
+		}
 	}
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"maps"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,20 +55,12 @@ type Hybrid struct {
 
 	stage string // staging directory for OMS <-> file-system copies
 
-	// mu guards the binding index and the feed-sync state. The hot paths
-	// only read them, so readers share the lock. The index caches the
-	// master's store: only indexBindingsLocked fills it, and an indexed
-	// binding never changes.
-	mu       sync.RWMutex
-	bindings map[oms.OID]Binding // cell version -> slave binding
-	byCell   map[string]oms.OID  // fmcad cell name -> cell version
-	// sync is the coupling's cursor into the master's change feed
-	// (dirty bindings, pending library imports; see feedsync.go).
-	sync feedSyncState
-	// syncLibMu serializes SyncLibrary runs so two concurrent syncs
-	// cannot both import the same pending version; the library I/O
-	// itself runs outside h.mu (see SyncLibrary).
-	syncLibMu sync.Mutex
+	// captureMu keeps SyncLibrary from seeing a tool run's master
+	// checkin before the slave version carries its tag: captureResult
+	// holds the read side from the slave checkin to the tag write, and
+	// SyncLibrary holds the write side. The mapping itself is read from
+	// the master's store on every query.
+	captureMu sync.RWMutex
 	// overrides counts forced out-of-order activity executions that went
 	// through a consistency window. Like the flow enactments and the FML
 	// counters it is session state, not saved.
@@ -133,21 +126,17 @@ func NewHybrid(release jcf.Release, dir string) (*Hybrid, error) {
 
 // attach couples master fw to slave lib, both already set up under dir;
 // NewHybrid and LoadHybrid share it. It installs the extension-language
-// customization, points the feed cursor at the master's position and
-// indexes every cell version the master's store marks as bound. Later
-// bindings enter the index through NewCellVersion or the feed pump, so
-// fw may also be a replica view.
+// customization. The bindings stay in the master's store, so fw may also
+// be a replica view.
 func attach(fw *jcf.Framework, lib *fmcad.Library, dir string) (*Hybrid, error) {
 	interp := fml.NewInterp()
 	h := &Hybrid{
-		JCF:      fw,
-		Lib:      lib,
-		Bus:      itc.NewBus(),
-		Interp:   interp,
-		Hooks:    fml.NewHooks(interp),
-		stage:    filepath.Join(dir, "stage"),
-		bindings: map[oms.OID]Binding{},
-		byCell:   map[string]oms.OID{},
+		JCF:    fw,
+		Lib:    lib,
+		Bus:    itc.NewBus(),
+		Interp: interp,
+		Hooks:  fml.NewHooks(interp),
+		stage:  filepath.Join(dir, "stage"),
 	}
 	// Extension-language customization (section 2.4): lock the
 	// FMCAD-native data-management menus and register the consistency
@@ -165,10 +154,6 @@ func attach(fw *jcf.Framework, lib *fmcad.Library, dir string) (*Hybrid, error) 
 	if _, err := interp.Run(script); err != nil {
 		return nil, fmt.Errorf("core: installing FML customization: %w", err)
 	}
-	h.mu.Lock()
-	h.initFeedSync()
-	h.indexBindingsLocked(fw.BoundCellVersions()...)
-	h.mu.Unlock()
 	return h, nil
 }
 
@@ -213,16 +198,31 @@ func (h *Hybrid) NewDesignCell(project oms.OID, cellName, flowName string, team 
 // binding it to its own FMCAD cell (Table 1: CellVersion -> Cell). The
 // slave cell and its cellviews are created before the master commits the
 // binding, so a bound version's slave side always exists.
+//
+// A crash after the slave writes but before the master's next save
+// leaves a slave cell that no cell version names, under the name the
+// reloaded master issues again. NewCellVersion adopts such a cell while
+// each of its cellviews holds only the empty seed version 1; a later
+// version carries the tag of a design object version the master never
+// kept, so then it returns an error wrapping fmcad.ErrExists.
 func (h *Hybrid) NewCellVersion(cell oms.OID, flowName string, team oms.OID) (oms.OID, error) {
 	cv, err := h.JCF.CreateCellVersion(cell, flowName, team)
 	if err != nil {
 		return oms.InvalidOID, err
 	}
 	fmcadCell := FMCADCellName(h.JCF.CellName(cell), h.JCF.CellVersionNum(cv))
-	if err := h.Lib.CreateCell(fmcadCell); err != nil {
+	var views map[string]bool // cellviews of an adopted slave cell
+	if err := h.Lib.CreateCell(fmcadCell); errors.Is(err, fmcad.ErrExists) {
+		if views, err = h.strandedCellviews(fmcadCell); err != nil {
+			return oms.InvalidOID, err
+		}
+	} else if err != nil {
 		return oms.InvalidOID, err
 	}
 	for _, view := range boundViews {
+		if views[view] {
+			continue
+		}
 		if err := h.Lib.CreateCellview(fmcadCell, view); err != nil {
 			return oms.InvalidOID, err
 		}
@@ -230,83 +230,65 @@ func (h *Hybrid) NewCellVersion(cell oms.OID, flowName string, team oms.OID) (om
 	if err := h.JCF.BindSlaveCell(cv, fmcadCell, boundViews); err != nil {
 		return oms.InvalidOID, err
 	}
-	h.mu.Lock()
-	h.indexBindingsLocked(cv)
-	h.mu.Unlock()
 	return cv, nil
 }
 
-// indexBindingsLocked adds to the binding index each of the given cell
-// versions that the master's store marks as bound — the only way a
-// binding enters the index. Caller holds h.mu.
-func (h *Hybrid) indexBindingsLocked(cvs ...oms.OID) {
-	for _, cv := range cvs {
-		if _, done := h.bindings[cv]; done {
-			continue
-		}
-		fmcadCell, dos, ok := h.JCF.SlaveBinding(cv)
-		if !ok {
-			continue
-		}
-		h.bindings[cv] = Binding{CellVersion: cv, FMCADCell: fmcadCell, DesignObjects: dos}
-		h.byCell[fmcadCell] = cv
-		for _, do := range dos {
-			h.sync.doToCV[do] = cv
-		}
-		h.sync.dirty[cv] = true
+// strandedCellviews returns the cellviews of an existing slave cell that
+// NewCellVersion may adopt: no cell version names it, and each cellview
+// holds only its seed version 1. Otherwise it returns an error wrapping
+// fmcad.ErrExists.
+func (h *Hybrid) strandedCellviews(fmcadCell string) (map[string]bool, error) {
+	refuse := func(why string) error {
+		return fmt.Errorf("core: %w: slave cell %q %s", fmcad.ErrExists, fmcadCell, why)
 	}
+	if _, err := h.JCF.CellVersionFor(fmcadCell); !errors.Is(err, jcf.ErrNotFound) {
+		return nil, refuse("is bound in the master")
+	}
+	views, err := h.Lib.Cellviews(fmcadCell)
+	if err != nil {
+		return nil, err
+	}
+	have := map[string]bool{}
+	for _, view := range views {
+		versions, err := h.Lib.Versions(fmcadCell, view)
+		if err != nil {
+			return nil, err
+		}
+		if len(versions) != 1 || versions[0] != 1 {
+			return nil, refuse(fmt.Sprintf("holds versions %v of %s past the seed", versions, view))
+		}
+		have[view] = true
+	}
+	return have, nil
 }
 
-// lookup reads key from a binding index under the read lock. On a miss
-// it folds the master's change feed into the index and reads once more:
-// on a replica view a binding reaches the index only through the feed.
-func lookup[K comparable, V any](h *Hybrid, index map[K]V, key K) (V, bool) {
-	h.mu.RLock()
-	v, ok := index[key]
-	h.mu.RUnlock()
-	if !ok {
-		h.mu.Lock()
-		h.pumpFeedLocked()
-		v, ok = index[key]
-		h.mu.Unlock()
-	}
-	return v, ok
-}
-
-// BindingFor returns the mapping state of a cell version.
+// BindingFor returns the mapping state of a cell version, read from the
+// master's store.
 func (h *Hybrid) BindingFor(cv oms.OID) (Binding, error) {
-	b, ok := lookup(h, h.bindings, cv)
+	fmcadCell, dos, ok := h.JCF.SlaveBinding(cv)
 	if !ok {
 		return Binding{}, fmt.Errorf("core: cell version %d has no FMCAD binding", cv)
 	}
-	b.DesignObjects = maps.Clone(b.DesignObjects)
-	return b, nil
+	return Binding{CellVersion: cv, FMCADCell: fmcadCell, DesignObjects: dos}, nil
 }
 
 // CellVersionFor resolves an FMCAD cell name back to its JCF cell version
-// — the inverse mapping, used by the cross-probe wrappers.
+// — the inverse mapping, used by the cross-probe wrappers. It is an error
+// when no cell version, or more than one, is bound to the cell.
 func (h *Hybrid) CellVersionFor(fmcadCell string) (oms.OID, error) {
-	cv, ok := lookup(h, h.byCell, fmcadCell)
-	if !ok {
-		return oms.InvalidOID, fmt.Errorf("core: FMCAD cell %q has no JCF binding", fmcadCell)
-	}
-	return cv, nil
+	return h.JCF.CellVersionFor(fmcadCell)
 }
 
-// Bindings lists all bound FMCAD cell names, sorted, as of the master's
-// current feed position.
+// Bindings lists all bound FMCAD cell names, sorted, as the master's
+// store holds them.
 func (h *Hybrid) Bindings() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.pumpFeedLocked()
-	out := make([]string, 0, len(h.byCell))
-	for name := range h.byCell {
-		out = append(out, name)
+	cvs := h.JCF.BoundCellVersions()
+	out := make([]string, 0, len(cvs))
+	for _, cv := range cvs {
+		if fmcadCell, _, ok := h.JCF.SlaveBinding(cv); ok {
+			out = append(out, fmcadCell)
+		}
 	}
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
-
-// VerifyMapping lives in feedsync.go: the feed-driven fast path
-// re-verifies only bindings the master's change feed dirtied since the
-// last call; the tests check it against a full rescan.

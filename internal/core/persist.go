@@ -42,8 +42,8 @@ func (h *Hybrid) Save(dir string) error {
 }
 
 // LoadHybrid restores a hybrid saved by Save from its directory: reopens
-// the slave library, reloads the master, rebuilds the binding index from
-// the master's store and reinstalls the FML customization.
+// the slave library, reloads the master, whose store holds the bindings,
+// and reinstalls the FML customization.
 func LoadHybrid(dir string) (*Hybrid, error) {
 	old := filepath.Join(dir, "hybrid.json")
 	if _, err := os.Stat(old); err == nil {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fmcad"
 	"repro/internal/jcf"
 	"repro/internal/oms"
 	"repro/internal/oms/backend"
@@ -373,5 +374,124 @@ func TestFileLayoutStateDirIsRefused(t *testing.T) {
 	}
 	if ld.FeedLSN() != w.h.JCF.FeedLSN() || len(ld.CheckConsistency()) != 0 {
 		t.Fatalf("upgraded dir loads at feed %d, saved at %d; problems %v", ld.FeedLSN(), w.h.JCF.FeedLSN(), ld.CheckConsistency())
+	}
+}
+
+// TestNewCellVersionAdoptsStrandedSlaveCell: the slave writes of a
+// NewCellVersion whose master side a crash lost leave a slave cell under
+// the name the reloaded master issues again. While its cellviews hold
+// only their seed versions, the next NewCellVersion adopts it, creating
+// the cellviews the crash left out.
+func TestNewCellVersionAdoptsStrandedSlaveCell(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		views []string // the stranded cell's cellviews; nil: a whole NewCellVersion
+	}{
+		{"cell only", []string{}},
+		{"one cellview", []string{ViewSchematic}},
+		{"whole NewCellVersion", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newHW(t, jcf.Release30)
+			dir := filepath.Dir(w.h.StageDir())
+			cell, err := w.h.JCF.CreateCell(w.project, "b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.h.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			if tc.views == nil {
+				if _, err := w.h.NewCellVersion(cell, w.h.DefaultFlowName(), w.team); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if err := w.h.Lib.CreateCell("b_v1"); err != nil {
+					t.Fatal(err)
+				}
+				for _, view := range tc.views {
+					if err := w.h.Lib.CreateCellview("b_v1", view); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// The crash: the master's last save predates the slave writes.
+			ld, err := LoadHybrid(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cv, err := ld.NewCellVersion(cell, ld.DefaultFlowName(), w.team)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b, err := ld.BindingFor(cv); err != nil || b.FMCADCell != "b_v1" {
+				t.Fatalf("adopted binding = %+v, %v", b, err)
+			}
+			if problems := ld.VerifyMapping(); len(problems) != 0 {
+				t.Fatalf("mapping problems after adoption: %v", problems)
+			}
+			if err := ld.JCF.Reserve("anna", cv); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ld.RunSchematicEntry("anna", cv, drawHalfAdder, RunOpts{}); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ld.RunSimulation("anna", cv, []byte("at 0 set a 1\nat 0 set b 1\nrun 50\n"), RunOpts{}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ld.RunLayoutEntry("anna", cv, nil, RunOpts{}); err != nil {
+				t.Fatal(err)
+			}
+			if problems, err := ld.SlaveSyncCheck(); err != nil || len(problems) != 0 {
+				t.Fatalf("slave sync problems %v, %v", problems, err)
+			}
+			if err := ld.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			again, err := LoadHybrid(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMapping(t, "after adoption and reload", ld, again)
+		})
+	}
+}
+
+// TestNewCellVersionRefusesStrandedToolOutput: a stranded slave cell
+// whose cellview holds a tool run's version names a design object
+// version the master never kept, so NewCellVersion refuses to adopt it.
+func TestNewCellVersionRefusesStrandedToolOutput(t *testing.T) {
+	w := newHW(t, jcf.Release30)
+	dir := filepath.Dir(w.h.StageDir())
+	cell, err := w.h.JCF.CreateCell(w.project, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.h.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	cv, err := w.h.NewCellVersion(cell, w.h.DefaultFlowName(), w.team)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.h.JCF.Reserve("anna", cv); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.h.RunSchematicEntry("anna", cv, drawHalfAdder, RunOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	ld, err := LoadHybrid(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ld.NewCellVersion(cell, ld.DefaultFlowName(), w.team)
+	if !errors.Is(err, fmcad.ErrExists) || !strings.Contains(err.Error(), `"b_v1"`) {
+		t.Fatalf("NewCellVersion over a stranded tool output: %v, want ErrExists naming b_v1", err)
+	}
+	if _, err := ld.CellVersionFor("b_v1"); err == nil {
+		t.Fatal("the stranded cell was bound")
+	}
+	if problems := ld.VerifyMapping(); len(problems) != 0 {
+		t.Fatalf("mapping problems after the refusal: %v", problems)
 	}
 }

@@ -149,8 +149,7 @@ type Inconsistency struct {
 // design object's versions, in OID order, must be numbered 1..n. It
 // returns all problems found (empty means consistent).
 //
-// It is feed-driven and incremental, the same dirty-tracking pattern the
-// coupling layer's VerifyMapping uses: the sweep's verdict is cached
+// It is feed-driven and incremental: the sweep's verdict is cached
 // together with the feed position it was computed at, and a later call
 // first scans the change-feed suffix — if nothing touched the checked
 // relationships (compOf / uses / hasEntry / version ownership), the

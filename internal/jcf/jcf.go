@@ -284,9 +284,6 @@ func (fw *Framework) link(rel string, from, to oms.OID) error {
 // Release returns the framework release level.
 func (fw *Framework) Release() Release { return fw.release }
 
-// Model returns the Figure 1 information model the framework enforces.
-func (fw *Framework) Model() *otod.Model { return fw.model }
-
 // MetadataOps reports the cumulative OMS operation count — the metric
 // behind the "performance of metadata operations ... is sufficiently high"
 // statement of section 3.6.

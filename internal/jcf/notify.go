@@ -204,21 +204,11 @@ func (n *Notifier) notifyGroup(group []oms.Change) {
 	}
 }
 
-// --- change feed access for coupling layers ---------------------------
+// --- change feed access ---------------------------------------------------
 
 // FeedLSN returns the database's committed change-feed position. See
 // oms.Store.FeedLSN.
 func (fw *Framework) FeedLSN() uint64 { return fw.store.FeedLSN() }
-
-// Changes returns the committed change records after `since` and
-// whether the range is complete (false: the feed ring evicted part of
-// it and the consumer must resynchronize from a full scan). The records
-// expose the database's low-level history; they are how the coupling
-// layer (internal/core) tracks the master incrementally despite JCF's
-// otherwise closed interfaces.
-func (fw *Framework) Changes(since uint64) ([]oms.Change, bool) {
-	return fw.store.Changes(since)
-}
 
 // Watch subscribes to the framework database's change feed. See
 // oms.Store.Watch.

@@ -440,6 +440,20 @@ func (fw *Framework) bindingVariant(cv oms.OID) (oms.OID, string) {
 	return variants[0], fw.CellName(cells[0]) + "-"
 }
 
+// CellVersionFor returns the cell version bound to slaveCell: the one
+// CellVersion whose AttrSlaveCell names it. It is an error when none
+// does, or when more than one does.
+func (fw *Framework) CellVersionFor(slaveCell string) (oms.OID, error) {
+	cvs := fw.store.FindByAttr("CellVersion", AttrSlaveCell, oms.S(slaveCell))
+	switch len(cvs) {
+	case 0:
+		return oms.InvalidOID, fmt.Errorf("%w: cell version bound to slave cell %q", ErrNotFound, slaveCell)
+	case 1:
+		return cvs[0], nil
+	}
+	return oms.InvalidOID, fmt.Errorf("jcf: slave cell %q is bound to %d cell versions %v", slaveCell, len(cvs), cvs)
+}
+
 // BoundCellVersions lists the cell versions bound to a slave cell, in OID
 // order.
 func (fw *Framework) BoundCellVersions() []oms.OID {
@@ -566,18 +580,10 @@ func (fw *Framework) CheckOutData(user string, dov oms.OID, dstPath string) erro
 	return err
 }
 
-// VersionExists reports whether a design object version OID still
-// names a live object — the liveness probe the coupling layer uses to
-// drop feed-announced checkins whose version has since been deleted or
-// rolled back.
-func (fw *Framework) VersionExists(dov oms.OID) bool {
-	return fw.store.Exists(dov)
-}
-
 // ExportVersionData copies a design object version's data blob to
 // dstPath without a user-permission check — the trusted export the
-// coupling layer (internal/core) uses to mirror feed-announced checkins
-// into the slave library. Tools never call this; they go through
+// coupling layer (internal/core) uses to mirror direct checkins into
+// the slave library. Tools never call this; they go through
 // CheckOutData, which enforces the workspace rules.
 func (fw *Framework) ExportVersionData(dov oms.OID, dstPath string) error {
 	_, err := fw.store.CopyOut(dov, "data", dstPath)
