@@ -74,7 +74,10 @@ race:
 ## NewCellVersion unless it holds tool output (see
 ## internal/core/persist_test.go), and SyncLibrary must import a direct
 ## checkin saved before a reload and, looping against concurrent tool
-## runs, put every master version on exactly one slave version (see
+## runs, put every master version on exactly one slave version, and a
+## tool run's capture commits the master first: a refused master
+## checkin leaves no slave version, and a failed slave checkin releases
+## the checkout and is imported, tagged, by the next SyncLibrary (see
 ## internal/core/feedsync_test.go); and a differential save must continue
 ## only from a CURRENT holding exactly the bytes this framework last
 ## committed, so a rewritten or failed commit is followed by a save that
@@ -85,7 +88,7 @@ race:
 ## Save(dir) leaves no file open and SaveTo through a File backend is
 ## differential (see internal/jcf/statedir_test.go).
 stress-persist:
-	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent|TestReloadEquivalenceModel|TestCheckpointCrashStates|TestBindingCrashStates|TestSaveAnchorsOnCommittedBytes|TestSaveAfterFailedCommit|TestSaveRewritesIndentedCURRENTCompact|TestLoadMissingDirCreatesNothing|TestLoadHybridMissingDirCreatesNothing|TestFileLayoutStateDirIsRefused|TestServeRefusesFileLayoutStateDir|TestSaveDirRoundTripClosesFiles|TestFileBackendSavesAreDifferential|TestNewCellVersionAdoptsStrandedSlaveCell|TestNewCellVersionRefusesStrandedToolOutput|TestSyncLibraryAfterReloadImportsEarlierCheckin|TestSyncLibraryConcurrentWithToolRuns' ./internal/jcf/ ./internal/core/ ./cmd/replicad/
+	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent|TestReloadEquivalenceModel|TestCheckpointCrashStates|TestBindingCrashStates|TestSaveAnchorsOnCommittedBytes|TestSaveAfterFailedCommit|TestSaveRewritesIndentedCURRENTCompact|TestLoadMissingDirCreatesNothing|TestLoadHybridMissingDirCreatesNothing|TestFileLayoutStateDirIsRefused|TestServeRefusesFileLayoutStateDir|TestSaveDirRoundTripClosesFiles|TestFileBackendSavesAreDifferential|TestNewCellVersionAdoptsStrandedSlaveCell|TestNewCellVersionRefusesStrandedToolOutput|TestSyncLibraryAfterReloadImportsEarlierCheckin|TestSyncLibraryConcurrentWithToolRuns|TestFailedMasterCheckinLeavesNoSlaveVersion|TestFailedSlaveCheckinIsImportedBySync' ./internal/jcf/ ./internal/core/ ./cmd/replicad/
 
 ## stress-atomic hammers the grouped-operation paths under the race
 ## detector: batches must stay all-or-nothing against concurrent readers
@@ -153,11 +156,12 @@ stress-blob:
 ## journal appends, torn appends and failed checkpoints included, a fresh
 ## Open must load the published root (internal/fmcad/snapshot_test.go).
 ## It then checks the .meta.log journal (internal/fmcad/journal_test.go):
-## a Checkout, Checkin and SetProperty record and the checkpoints per
-## 1,000 commits must not grow from 8 to 512 versions; a journal whose
+## a Checkout, Checkin, SetProperty and tagged Checkin record and the
+## checkpoints per 1,000 commits must not grow from 8 to 512 versions; a journal whose
 ## header names another .meta must be ignored; a journal of the older
 ## whole-cell records (testdata/parent-journal) must replay exactly; and,
-## in short mode, every byte prefix of a record, zero-filled tails, and a
+## in short mode, every byte prefix of a record (a checkin carrying
+## properties is one record), zero-filled tails, and a
 ## checkpoint's rename kept or lost before the log's truncate must open
 ## to the root after the last whole record and accept one more mutation.
 ## `make check` runs the full crash-state enumeration through `race`.

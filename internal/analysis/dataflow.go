@@ -455,13 +455,6 @@ func classifyAcquire(info *types.Info, call *ast.CallExpr) (acquireSpec, bool) {
 		return acquireSpec{class: "oms.Subscription", release: "Close"}, true
 	case pkg == "oms" && typ == "Batch" && name == "getBatch":
 		return acquireSpec{class: "oms.Batch", release: "putBatch", borrowOnly: true}, true
-	case pkg == "blobstore" && typ == "Writer" && name == "NewWriter":
-		// A streaming CAS writer holds buffered bytes until Commit or
-		// Close; a leaked one silently drops the upload. Close after
-		// Commit is a no-op, so `defer w.Close()` is the clean shape.
-		return acquireSpec{class: "blobstore.Writer", release: "Close"}, true
-	case pkg == "blobstore" && typ == "Reader" && name == "Open":
-		return acquireSpec{class: "blobstore.Reader", release: "Close"}, true
 	}
 	return acquireSpec{}, false
 }

@@ -19,18 +19,19 @@ import (
 // Encapsulation wrappers (section 2.4): "Since each tool is modelled by
 // one JCF activity, JCF records all derivation relationships between
 // schematic and layout versions." Each Run* method executes one FMCAD tool
-// under JCF control:
+// under JCF control, through the one step sequence of run:
 //
 //  1. fire the pre-activity trigger (FML scripts may veto),
 //  2. start the JCF activity (workspace + flow enforcement),
-//  3. copy the needed design data OUT of the OMS database to a staging
-//     file (a full copy even for read-only input — the section 3.6 cost),
-//  4. check out the slave cellview, run the tool on the working copy,
-//     check the result back in (the slave library stays in sync so native
-//     FMCAD tools could still browse it),
-//  5. copy the result INTO the OMS database as a new design object
-//     version, record the derivation, tag the slave version with the JCF
-//     version (PropJCFVersion),
+//  3. for a tool that reads the schematic, copy its latest version OUT of
+//     the OMS database to a staging file (a full copy even for read-only
+//     input — the section 3.6 cost),
+//  4. check out the slave cellview and run the tool on the working copy,
+//  5. capture the result, master first: copy the working copy INTO the
+//     OMS database as a new design object version and record the
+//     derivation, then check the slave version in, tagged with the JCF
+//     version (PropJCFVersion) in the same slave metadata commit (see
+//     capture),
 //  6. finish the activity and fire the post-activity trigger.
 //
 // RunOpts.Force reproduces the paper's wrapper feature that "enabled
@@ -63,6 +64,63 @@ type RunResult struct {
 // stagePath builds a per-user staging file path.
 func (h *Hybrid) stagePath(user, name string) string {
 	return filepath.Join(h.stage, user, name)
+}
+
+// run executes a tool as the JCF activity that writes view, in steps 1-6
+// above. body is the tool itself (step 4): given the staged input
+// schematic (nil unless readsSchematic) and the checked-out working copy,
+// it returns the content to capture. With readsSchematic, run stages the
+// cell version's latest schematic as the input and records the output as
+// derived from it.
+func (h *Hybrid) run(user string, cv oms.OID, opts RunOpts, activity, view string, readsSchematic bool,
+	body func(in *schematic.Schematic, wf *fmcad.Workfile) ([]byte, error)) (RunResult, error) {
+	binding, err := h.BindingFor(cv)
+	if err != nil {
+		return RunResult{}, err
+	}
+	forced, err := h.beginActivity(user, cv, activity, opts)
+	if err != nil {
+		return RunResult{}, err
+	}
+	res := RunResult{Activity: activity, Forced: forced}
+	ok := false
+	defer func() { h.endActivity(user, cv, activity, forced, ok) }()
+
+	var in *schematic.Schematic
+	if readsSchematic {
+		res.InputDOV, in, err = h.stageSchematic(user, binding.DesignObjects[ViewSchematic], binding.FMCADCell+".sch")
+		if err != nil {
+			return res, err
+		}
+	}
+	session, wf, err := h.checkoutSlave(user, binding.FMCADCell, view)
+	if err != nil {
+		return res, err
+	}
+	out, err := body(in, wf)
+	if err == nil {
+		if werr := os.WriteFile(wf.Path, out, 0o644); werr != nil {
+			err = fmt.Errorf("core: writing working copy: %w", werr)
+		}
+	}
+	if err != nil {
+		return res, abortSlave(session, wf, err)
+	}
+	h.captureMu.RLock()
+	defer h.captureMu.RUnlock()
+	dov, slaveV, err := capture(session, wf, func() (oms.OID, error) {
+		dov, err := h.JCF.CheckInData(user, binding.DesignObjects[view], wf.Path)
+		if err == nil && res.InputDOV != oms.InvalidOID {
+			err = h.JCF.RecordDerivation(res.InputDOV, dov)
+		}
+		return dov, err
+	})
+	if err != nil {
+		return res, err
+	}
+	res.OutputDOV, res.SlaveVersion = dov, slaveV
+	ok = true
+	return res, nil
 }
 
 // beginActivity runs steps 1-2; it reports whether the run is forced.
@@ -117,33 +175,26 @@ func (h *Hybrid) checkoutSlave(user, fmcadCell, view string) (*fmcad.Session, *f
 	return session, wf, nil
 }
 
-// captureResult runs step 5: slave checkin, copy into OMS, derivation,
-// property tagging. It holds captureMu's read side throughout, so
-// SyncLibrary never observes the master checkin before the slave
-// version carries its tag (and double-imports it).
-func (h *Hybrid) captureResult(user string, session *fmcad.Session, wf *fmcad.Workfile,
-	outputDO, inputDOV oms.OID) (oms.OID, int, error) {
-	h.captureMu.RLock()
-	defer h.captureMu.RUnlock()
-	slaveVersion, err := session.Checkin(wf)
+// capture is the coupling's one capture step, shared by the tool runs and
+// SyncLibrary. The master commits first: master puts the design object
+// version in the master's store (a tool run checks the working copy in)
+// or, for a version the store already holds, exports it into the working
+// copy. Then one slave checkin creates the cellview version carrying that
+// version as its PropJCFVersion tag, in the same metadata commit. On any
+// failure the slave checkout is cancelled, so capture never leaves an
+// untagged slave version; a master version whose slave checkin failed
+// is imported by the next SyncLibrary. The caller holds captureMu.
+func capture(session *fmcad.Session, wf *fmcad.Workfile, master func() (oms.OID, error)) (oms.OID, int, error) {
+	dov, err := master()
 	if err != nil {
-		return oms.InvalidOID, 0, fmt.Errorf("core: slave checkin: %w", err)
+		return oms.InvalidOID, 0, abortSlave(session, wf, err)
 	}
-	// The slave's new version file is the source for the master copy-in.
-	src := h.Lib.VersionPath(wf.Cell, wf.View, slaveVersion)
-	dov, err := h.JCF.CheckInData(user, outputDO, src)
+	wf.Props = map[string]string{PropJCFVersion: fmt.Sprint(dov)}
+	slaveV, err := session.Checkin(wf)
 	if err != nil {
-		return oms.InvalidOID, 0, err
+		return oms.InvalidOID, 0, abortSlave(session, wf, fmt.Errorf("core: slave checkin: %w", err))
 	}
-	if inputDOV != oms.InvalidOID {
-		if err := h.JCF.RecordDerivation(inputDOV, dov); err != nil {
-			return oms.InvalidOID, 0, err
-		}
-	}
-	if err := h.Lib.SetProperty(wf.Cell, wf.View, slaveVersion, PropJCFVersion, fmt.Sprintf("%d", dov)); err != nil {
-		return oms.InvalidOID, 0, err
-	}
-	return dov, slaveVersion, nil
+	return dov, slaveV, nil
 }
 
 // stageInput runs step 3: copy the latest version of the input design
@@ -160,116 +211,83 @@ func (h *Hybrid) stageInput(user string, inputDO oms.OID, stageName string) (oms
 	return dov, path, nil
 }
 
+// stageSchematic stages the latest version of a schematic design object
+// (see stageInput) and parses it.
+func (h *Hybrid) stageSchematic(user string, do oms.OID, stageName string) (oms.OID, *schematic.Schematic, error) {
+	dov, staged, err := h.stageInput(user, do, stageName)
+	if err != nil {
+		return oms.InvalidOID, nil, err
+	}
+	data, err := os.ReadFile(staged)
+	if err != nil {
+		return oms.InvalidOID, nil, fmt.Errorf("core: reading staged input: %w", err)
+	}
+	sch, err := schematic.Parse(data)
+	if err != nil {
+		return oms.InvalidOID, nil, fmt.Errorf("core: staged schematic corrupt: %w", err)
+	}
+	return dov, sch, nil
+}
+
+// readWorkfile reads a tool's working copy.
+func readWorkfile(wf *fmcad.Workfile) ([]byte, error) {
+	data, err := os.ReadFile(wf.Path)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading working copy: %w", err)
+	}
+	return data, nil
+}
+
 // RunSchematicEntry executes the schematic entry tool: edit receives the
 // current schematic of the cell version (empty on first entry) and
 // mutates it; the result becomes a new schematic version in both
 // frameworks.
 func (h *Hybrid) RunSchematicEntry(user string, cv oms.OID, edit func(*schematic.Schematic) error, opts RunOpts) (RunResult, error) {
-	binding, err := h.BindingFor(cv)
-	if err != nil {
-		return RunResult{}, err
-	}
-	forced, err := h.beginActivity(user, cv, ActSchematicEntry, opts)
-	if err != nil {
-		return RunResult{}, err
-	}
-	res := RunResult{Activity: ActSchematicEntry, Forced: forced}
-	ok := false
-	defer func() { h.endActivity(user, cv, ActSchematicEntry, forced, ok) }()
-
-	session, wf, err := h.checkoutSlave(user, binding.FMCADCell, ViewSchematic)
-	if err != nil {
-		return res, err
-	}
-	// Load the working copy (may be empty on the first entry).
-	data, err := os.ReadFile(wf.Path)
-	if err != nil {
-		return res, abortSlave(session, wf, fmt.Errorf("core: reading working copy: %w", err))
-	}
-	var sch *schematic.Schematic
-	if len(data) == 0 {
-		sch = schematic.New(binding.FMCADCell)
-	} else {
-		sch, err = schematic.Parse(data)
+	return h.run(user, cv, opts, ActSchematicEntry, ViewSchematic, false, func(_ *schematic.Schematic, wf *fmcad.Workfile) ([]byte, error) {
+		data, err := readWorkfile(wf)
 		if err != nil {
-			return res, abortSlave(session, wf, fmt.Errorf("core: working copy corrupt: %w", err))
+			return nil, err
 		}
-	}
-	if err := edit(sch); err != nil {
-		return res, abortSlave(session, wf, fmt.Errorf("core: schematic edit: %w", err))
-	}
-	if problems := sch.Validate(); len(problems) > 0 {
-		return res, abortSlave(session, wf, fmt.Errorf("core: schematic invalid: %s", problems[0]))
-	}
-	if err := os.WriteFile(wf.Path, sch.Format(), 0o644); err != nil {
-		return res, abortSlave(session, wf, fmt.Errorf("core: writing working copy: %w", err))
-	}
-	dov, slaveV, err := h.captureResult(user, session, wf, binding.DesignObjects[ViewSchematic], oms.InvalidOID)
-	if err != nil {
-		return res, err
-	}
-	res.OutputDOV, res.SlaveVersion = dov, slaveV
-	ok = true
-	return res, nil
+		var sch *schematic.Schematic
+		if len(data) == 0 {
+			sch = schematic.New(wf.Cell)
+		} else if sch, err = schematic.Parse(data); err != nil {
+			return nil, fmt.Errorf("core: working copy corrupt: %w", err)
+		}
+		if err := edit(sch); err != nil {
+			return nil, fmt.Errorf("core: schematic edit: %w", err)
+		}
+		if problems := sch.Validate(); len(problems) > 0 {
+			return nil, fmt.Errorf("core: schematic invalid: %s", problems[0])
+		}
+		return sch.Format(), nil
+	})
 }
 
 // RunSimulation executes the digital simulator on the cell version's
 // current schematic with the given stimulus, storing the waveform output
 // as a new waveform design object version derived from the schematic.
 func (h *Hybrid) RunSimulation(user string, cv oms.OID, stimulus []byte, opts RunOpts) (RunResult, []byte, error) {
-	binding, err := h.BindingFor(cv)
-	if err != nil {
-		return RunResult{}, nil, err
-	}
-	forced, err := h.beginActivity(user, cv, ActSimulate, opts)
-	if err != nil {
-		return RunResult{}, nil, err
-	}
-	res := RunResult{Activity: ActSimulate, Forced: forced}
-	ok := false
-	defer func() { h.endActivity(user, cv, ActSimulate, forced, ok) }()
-
-	// Read-only input still costs a full copy-out (section 3.6).
-	inputDOV, stagedIn, err := h.stageInput(user, binding.DesignObjects[ViewSchematic], binding.FMCADCell+".sch")
-	if err != nil {
-		return res, nil, err
-	}
-	res.InputDOV = inputDOV
-	data, err := os.ReadFile(stagedIn)
-	if err != nil {
-		return res, nil, fmt.Errorf("core: reading staged input: %w", err)
-	}
-	sch, err := schematic.Parse(data)
-	if err != nil {
-		return res, nil, fmt.Errorf("core: staged schematic corrupt: %w", err)
-	}
-	circuit, err := dsim.Flatten(sch, h.SchematicResolver(user))
+	var waves []byte
+	res, err := h.run(user, cv, opts, ActSimulate, ViewWaveform, true, func(sch *schematic.Schematic, _ *fmcad.Workfile) ([]byte, error) {
+		circuit, err := dsim.Flatten(sch, h.SchematicResolver(user))
+		if err != nil {
+			return nil, err
+		}
+		stim, err := dsim.ParseStimulus(stimulus)
+		if err != nil {
+			return nil, err
+		}
+		sim := dsim.NewSimulator(circuit)
+		if _, err := stim.Apply(sim); err != nil {
+			return nil, err
+		}
+		waves = sim.DumpWaves()
+		return waves, nil
+	})
 	if err != nil {
 		return res, nil, err
 	}
-	stim, err := dsim.ParseStimulus(stimulus)
-	if err != nil {
-		return res, nil, err
-	}
-	sim := dsim.NewSimulator(circuit)
-	if _, err := stim.Apply(sim); err != nil {
-		return res, nil, err
-	}
-	waves := sim.DumpWaves()
-
-	session, wf, err := h.checkoutSlave(user, binding.FMCADCell, ViewWaveform)
-	if err != nil {
-		return res, nil, err
-	}
-	if err := os.WriteFile(wf.Path, waves, 0o644); err != nil {
-		return res, nil, abortSlave(session, wf, fmt.Errorf("core: writing waveform: %w", err))
-	}
-	dov, slaveV, err := h.captureResult(user, session, wf, binding.DesignObjects[ViewWaveform], inputDOV)
-	if err != nil {
-		return res, nil, err
-	}
-	res.OutputDOV, res.SlaveVersion = dov, slaveV
-	ok = true
 	return res, waves, nil
 }
 
@@ -279,77 +297,33 @@ func (h *Hybrid) RunSimulation(user string, cv oms.OID, stimulus []byte, opts Ru
 // to the schematic hierarchy, because the master cannot represent
 // per-view-type hierarchies (section 2.3).
 func (h *Hybrid) RunLayoutEntry(user string, cv oms.OID, edit func(*layout.Layout) error, opts RunOpts) (RunResult, error) {
-	binding, err := h.BindingFor(cv)
-	if err != nil {
-		return RunResult{}, err
-	}
-	forced, err := h.beginActivity(user, cv, ActLayoutEntry, opts)
-	if err != nil {
-		return RunResult{}, err
-	}
-	res := RunResult{Activity: ActLayoutEntry, Forced: forced}
-	ok := false
-	defer func() { h.endActivity(user, cv, ActLayoutEntry, forced, ok) }()
-
-	inputDOV, stagedIn, err := h.stageInput(user, binding.DesignObjects[ViewSchematic], binding.FMCADCell+".sch")
-	if err != nil {
-		return res, err
-	}
-	res.InputDOV = inputDOV
-	data, err := os.ReadFile(stagedIn)
-	if err != nil {
-		return res, fmt.Errorf("core: reading staged input: %w", err)
-	}
-	sch, err := schematic.Parse(data)
-	if err != nil {
-		return res, fmt.Errorf("core: staged schematic corrupt: %w", err)
-	}
-
-	session, wf, err := h.checkoutSlave(user, binding.FMCADCell, ViewLayout)
-	if err != nil {
-		return res, err
-	}
-	current, err := os.ReadFile(wf.Path)
-	if err != nil {
-		return res, abortSlave(session, wf, fmt.Errorf("core: reading working copy: %w", err))
-	}
-	var lay *layout.Layout
-	if len(current) == 0 {
-		lay, err = layout.FromSchematic(sch, 16)
+	return h.run(user, cv, opts, ActLayoutEntry, ViewLayout, true, func(sch *schematic.Schematic, wf *fmcad.Workfile) ([]byte, error) {
+		current, err := readWorkfile(wf)
 		if err != nil {
-			return res, abortSlave(session, wf, err)
+			return nil, err
 		}
-	} else {
-		lay, err = layout.Parse(current)
+		var lay *layout.Layout
+		if len(current) == 0 {
+			lay, err = layout.FromSchematic(sch, 16)
+		} else if lay, err = layout.Parse(current); err != nil {
+			err = fmt.Errorf("core: working copy corrupt: %w", err)
+		}
 		if err != nil {
-			return res, abortSlave(session, wf, fmt.Errorf("core: working copy corrupt: %w", err))
+			return nil, err
 		}
-	}
-	if edit != nil {
-		if err := edit(lay); err != nil {
-			return res, abortSlave(session, wf, fmt.Errorf("core: layout edit: %w", err))
+		if edit != nil {
+			if err := edit(lay); err != nil {
+				return nil, fmt.Errorf("core: layout edit: %w", err)
+			}
 		}
-	}
-
-	// Non-isomorphic hierarchy guard (JCF 3.0 master cannot hold per-view
-	// hierarchies): the layout's instance structure must match the
-	// schematic's.
-	if h.JCF.Release() < jcf.Release40 {
-		if !isomorphicInstances(sch, lay) {
-			return res, abortSlave(session, wf, fmt.Errorf("%w: layout hierarchy differs from schematic (non-isomorphic); JCF 3.0 cannot represent it", jcf.ErrUnsupported))
+		// Non-isomorphic hierarchy guard (JCF 3.0 master cannot hold
+		// per-view hierarchies): the layout's instance structure must
+		// match the schematic's.
+		if h.JCF.Release() < jcf.Release40 && !isomorphicInstances(sch, lay) {
+			return nil, fmt.Errorf("%w: layout hierarchy differs from schematic (non-isomorphic); JCF 3.0 cannot represent it", jcf.ErrUnsupported)
 		}
-	}
-
-	if err := os.WriteFile(wf.Path, lay.Format(), 0o644); err != nil {
-		return res, abortSlave(session, wf, fmt.Errorf("core: writing working copy: %w", err))
-	}
-	dov, slaveV, err := h.captureResult(user, session, wf, binding.DesignObjects[ViewLayout], inputDOV)
-	if err != nil {
-		return res, err
-	}
-	res.OutputDOV, res.SlaveVersion = dov, slaveV
-	ok = true
-	return res, nil
+		return lay.Format(), nil
+	})
 }
 
 // isomorphicInstances compares the instance sets of a schematic and a
@@ -412,14 +386,7 @@ func (h *Hybrid) SchematicResolver(user string) dsim.Resolver {
 		if !ok {
 			return nil, fmt.Errorf("core: cell %q has no schematic design object", cell)
 		}
-		_, staged, err := h.stageInput(user, do, cell+".child.sch")
-		if err != nil {
-			return nil, err
-		}
-		data, err := os.ReadFile(staged)
-		if err != nil {
-			return nil, err
-		}
-		return schematic.Parse(data)
+		_, sch, err := h.stageSchematic(user, do, cell+".child.sch")
+		return sch, err
 	}
 }

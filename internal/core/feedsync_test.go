@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -308,5 +309,123 @@ func TestVerifyMappingReportsDoublyBoundCell(t *testing.T) {
 		if !strings.Contains(p, "inverse mapping broken for alu_v1") {
 			t.Fatalf("VerifyMapping = %v", problems)
 		}
+	}
+}
+
+// TestFailedMasterCheckinLeavesNoSlaveVersion: the capture step commits
+// the master first, so a tool run whose master checkin fails (here the
+// reservation is released while the tool runs) leaves no slave version,
+// tagged or not, and the slave checkout is released.
+func TestFailedMasterCheckinLeavesNoSlaveVersion(t *testing.T) {
+	w := newHW(t, jcf.Release30)
+	h := w.h
+	if err := h.JCF.Reserve("anna", w.cv); err != nil {
+		t.Fatal(err)
+	}
+	binding, err := h.BindingFor(w.cv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = h.RunSchematicEntry("anna", w.cv, func(s *schematic.Schematic) error {
+		if err := h.JCF.ReleaseReservation("anna", w.cv); err != nil {
+			return err
+		}
+		return drawHalfAdder(s)
+	}, RunOpts{})
+	if !errors.Is(err, jcf.ErrNotReserved) {
+		t.Fatalf("run after losing the reservation = %v, want %v", err, jcf.ErrNotReserved)
+	}
+	if versions, err := h.Lib.Versions(binding.FMCADCell, ViewSchematic); err != nil || len(versions) != 1 {
+		t.Fatalf("slave versions %v (err %v), want only the seed", versions, err)
+	}
+	if holder, err := h.Lib.LockedBy(binding.FMCADCell, ViewSchematic); err != nil || holder != "" {
+		t.Fatalf("slave cellview held by %q (err %v) after the failed run", holder, err)
+	}
+	if dovs := h.JCF.DesignObjectVersions(binding.DesignObjects[ViewSchematic]); len(dovs) != 0 {
+		t.Fatalf("master holds versions %v after the refused checkin", dovs)
+	}
+	if problems, err := h.SlaveSyncCheck(); err != nil || len(problems) != 0 {
+		t.Fatalf("SlaveSyncCheck = %v, %v; want clean", problems, err)
+	}
+	if problems := h.VerifyMapping(); len(problems) != 0 {
+		t.Fatalf("VerifyMapping = %v", problems)
+	}
+}
+
+// TestFailedSlaveCheckinIsImportedBySync: when the slave checkin fails
+// after the master checkin (a directory sits where the version file
+// goes), the run fails and releases the slave checkout, and the next
+// SyncLibrary imports exactly that master version, tagged. A tool run
+// and an import each make two slave metadata commits: the checkout and
+// the checkin that carries the tag.
+func TestFailedSlaveCheckinIsImportedBySync(t *testing.T) {
+	w := newHW(t, jcf.Release30)
+	h := w.h
+	if err := h.JCF.Reserve("anna", w.cv); err != nil {
+		t.Fatal(err)
+	}
+	seq := h.Lib.Seq()
+	if _, err := h.RunSchematicEntry("anna", w.cv, drawHalfAdder, RunOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	// A tool run is a checkout and one checkin that carries the tag.
+	if writes := h.Lib.Seq() - seq; writes != 2 {
+		t.Fatalf("the tool run made %d slave metadata commits, want 2", writes)
+	}
+	binding, err := h.BindingFor(w.cv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, do := binding.FMCADCell, binding.DesignObjects[ViewSchematic]
+	next := h.Lib.VersionPath(cell, ViewSchematic, 3)
+	if err := os.Mkdir(next, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.RunSchematicEntry("anna", w.cv, func(s *schematic.Schematic) error {
+		return s.AddNet("n1")
+	}, RunOpts{}); err == nil {
+		t.Fatal("a run whose slave checkin failed succeeded")
+	}
+	if holder, err := h.Lib.LockedBy(cell, ViewSchematic); err != nil || holder != "" {
+		t.Fatalf("slave cellview held by %q (err %v) after the failed run", holder, err)
+	}
+	dovs := h.JCF.DesignObjectVersions(do)
+	if len(dovs) != 2 {
+		t.Fatalf("master versions %v, want the first run's and the failed run's", dovs)
+	}
+	if err := os.Remove(next); err != nil {
+		t.Fatal(err)
+	}
+	seq = h.Lib.Seq()
+	if imported, err := h.SyncLibrary(); err != nil || imported != 1 {
+		t.Fatalf("sync imported %d (err %v), want 1", imported, err)
+	}
+	// The import is a checkout and one checkin that carries the tag.
+	if writes := h.Lib.Seq() - seq; writes != 2 {
+		t.Fatalf("the import made %d slave metadata commits, want 2", writes)
+	}
+	versions, err := h.Lib.Versions(cell, ViewSchematic)
+	if err != nil || len(versions) != 3 {
+		t.Fatalf("slave versions %v (err %v), want 1..3", versions, err)
+	}
+	if tag, ok, err := h.Lib.GetProperty(cell, ViewSchematic, 3, PropJCFVersion); err != nil || !ok || tag != fmt.Sprint(dovs[1]) {
+		t.Fatalf("imported version tag = %q,%t,%v want %d", tag, ok, err, dovs[1])
+	}
+	master := filepath.Join(t.TempDir(), "master")
+	if err := h.JCF.ExportVersionData(dovs[1], master); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := h.Lib.ReadVersion(cell, ViewSchematic, 3); err != nil || string(got) != string(want) {
+		t.Fatalf("imported version = %q (err %v), want the master's %q", got, err, want)
+	}
+	if problems, err := h.SlaveSyncCheck(); err != nil || len(problems) != 0 {
+		t.Fatalf("SlaveSyncCheck = %v, %v; want clean", problems, err)
+	}
+	if problems := h.VerifyMapping(); len(problems) != 0 {
+		t.Fatalf("VerifyMapping = %v", problems)
 	}
 }

@@ -56,10 +56,11 @@ type Hybrid struct {
 	stage string // staging directory for OMS <-> file-system copies
 
 	// captureMu keeps SyncLibrary from seeing a tool run's master
-	// checkin before the slave version carries its tag: captureResult
-	// holds the read side from the slave checkin to the tag write, and
-	// SyncLibrary holds the write side. The mapping itself is read from
-	// the master's store on every query.
+	// checkin before the slave version that carries its tag exists (and
+	// importing it a second time): a tool run holds the read side from
+	// its master checkin through its tagged slave checkin (see capture),
+	// and SyncLibrary holds the write side. The mapping itself is read
+	// from the master's store on every query.
 	captureMu sync.RWMutex
 	// overrides counts forced out-of-order activity executions that went
 	// through a consistency window. Like the flow enactments and the FML

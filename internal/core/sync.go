@@ -7,10 +7,11 @@ import (
 
 // Master/slave synchronization audit. The encapsulation tags every slave
 // cellview version it creates with the JCF design object version
-// (PropJCFVersion). A version without the tag was created behind the
-// master's back — exactly what the locked data-management menus prevent
-// (section 2.4: "lock menu points in order to prevent data
-// inconsistency"). SlaveSyncCheck is the audit that quantifies the damage
+// (PropJCFVersion), in the checkin that creates it, and only after the
+// master committed that version (see capture). A version without the
+// tag was created behind the master's back — exactly what the locked
+// data-management menus prevent (section 2.4: "lock menu points in order
+// to prevent data inconsistency"). SlaveSyncCheck is the audit that quantifies the damage
 // when the locks are disabled; the A1 ablation uses it.
 
 // SyncProblem describes one slave-side version the master does not know.

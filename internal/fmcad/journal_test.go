@@ -106,8 +106,8 @@ type crashState struct {
 }
 
 // TestMetaLogCrashStates enumerates the crash states of the journal over
-// a seeded script of checkouts, checkins, cancels, property tags, cells
-// and configs. For each commit it builds every state a crash can leave:
+// a seeded script of checkouts, checkins (some carrying properties),
+// cancels, property tags, cells and configs. For each commit it builds every state a crash can leave:
 //
 //   - for an append, the journal with the new record (behind the header
 //     that names .meta, after a checkpoint) cut to every byte prefix, and
@@ -136,7 +136,7 @@ func TestMetaLogCrashStates(t *testing.T) {
 	s := l.NewSession("anna")
 	var wf *Workfile
 	scratch := filepath.Join(t.TempDir(), "state")
-	var states, appends, checkpoints int
+	var states, appends, checkpoints, tagged int
 	for i := 0; i < ops; i++ {
 		if i%5 == 4 {
 			dueCheckpoint(l)
@@ -152,10 +152,17 @@ func TestMetaLogCrashStates(t *testing.T) {
 			wf, err = s.Checkout(cell, "schematic")
 		case wf != nil && r < 5:
 			desc = "checkin " + wf.Cell
-			if rng.Intn(4) == 0 {
+			switch rng.Intn(4) {
+			case 0:
 				desc = "cancel " + wf.Cell
 				err = s.Cancel(wf)
-			} else {
+			case 1:
+				// A checkin that carries properties is one record.
+				desc = "tagged checkin " + wf.Cell
+				wf.Props = map[string]string{"tag": strconv.Itoa(i), "by": "anna"}
+				_, err = s.Checkin(wf)
+				tagged++
+			default:
 				_, err = s.Checkin(wf)
 			}
 			wf = nil
@@ -210,10 +217,10 @@ func TestMetaLogCrashStates(t *testing.T) {
 			states++
 		}
 	}
-	if appends == 0 || checkpoints < 3 {
-		t.Fatalf("script lost coverage: %d appends, %d checkpoints", appends, checkpoints)
+	if appends == 0 || checkpoints < 3 || tagged == 0 {
+		t.Fatalf("script lost coverage: %d appends, %d checkpoints, %d tagged checkins", appends, checkpoints, tagged)
 	}
-	t.Logf("%d ops (%d appends, %d checkpoints): %d crash states", ops, appends, checkpoints, states)
+	t.Logf("%d ops (%d appends, %d checkpoints, %d tagged checkins): %d crash states", ops, appends, checkpoints, tagged, states)
 }
 
 // checkJournalState materializes st in dir and checks that it opens to
@@ -248,7 +255,7 @@ func checkJournalState(t *testing.T, dir string, st crashState) {
 	requireOnDisk(t, l, st.desc+", after one more mutation")
 }
 
-// A tool run's checkout, checkin and property tag between two checkpoints
+// A tool run's checkout and tagged checkin between two checkpoints
 // append to the journal and create no file but the version file: .meta
 // keeps its inode and bytes, and the workfile is rewritten in place by
 // each checkout, which restages the base version's content.
@@ -262,7 +269,7 @@ func TestJournalWorkCounts(t *testing.T) {
 	}
 	s := l.NewSession("anna")
 	const cycles = 4
-	// One tool run's metadata work, as core's captureResult does it.
+	// One tool run's metadata work, as core's capture step does it.
 	toolRun := func(i int) {
 		t.Helper()
 		wf, err := s.Checkout("cell0", "schematic")
@@ -272,11 +279,8 @@ func TestJournalWorkCounts(t *testing.T) {
 		if err := os.WriteFile(wf.Path, []byte("run "+strconv.Itoa(i)+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		num, err := s.Checkin(wf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.SetProperty("cell0", "schematic", num, "jcf_version", strconv.Itoa(i)); err != nil {
+		wf.Props = map[string]string{"jcf_version": strconv.Itoa(i)}
+		if _, err := s.Checkin(wf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,8 +302,8 @@ func TestJournalWorkCounts(t *testing.T) {
 			break
 		}
 	}
-	// Each cycle appends three records of cell0.
-	if rec := int64(len(appendRecord(nil, l.meta))); l.logSize+3*cycles*(rec+64) >= max(l.metaSize, checkpointFloor) {
+	// Each cycle appends two records of cell0.
+	if rec := int64(len(appendRecord(nil, l.meta))); l.logSize+2*cycles*(rec+64) >= max(l.metaSize, checkpointFloor) {
 		t.Fatalf("test premise broken: checkpoint threshold too small for %d cycles of %d-byte records", cycles, rec)
 	}
 	meta0, err := os.ReadFile(metaPath)
@@ -560,8 +564,8 @@ func TestJournalHeaderNamesCheckpoint(t *testing.T) {
 	}
 }
 
-// A Checkout, Checkin and SetProperty record holds what the mutation
-// wrote, so its bytes, numbers aside, are the same at 8 versions as at
+// A Checkout, Checkin, SetProperty and tagged Checkin record holds what
+// the mutation wrote, so its bytes, numbers aside, are the same at 8 versions as at
 // 512, and so is the number of checkpoints per 1,000 commits.
 func TestJournalRecordFlatInHistory(t *testing.T) {
 	digits := regexp.MustCompile(`[0-9]+`)
@@ -587,6 +591,12 @@ func TestJournalRecordFlatInHistory(t *testing.T) {
 		num, err := s.Checkin(wf)
 		record("Checkin", err)
 		record("SetProperty", l.SetProperty("cell0000", "schematic", num, "jcf_version", "1"))
+		if wf, err = s.Checkout("cell0000", "schematic"); err != nil {
+			t.Fatal(err)
+		}
+		wf.Props = map[string]string{"jcf_version": "2"}
+		_, err = s.Checkin(wf)
+		record("tagged Checkin", err)
 		records[history] = recs
 
 		// 1,000 commits of the tool run's shape without its version file.
@@ -611,7 +621,7 @@ func TestJournalRecordFlatInHistory(t *testing.T) {
 		}
 		requireOnDisk(t, l, fmt.Sprintf("after 1,000 commits at %d versions", history))
 	}
-	for i, op := range []string{"Checkout", "Checkin", "SetProperty"} {
+	for i, op := range []string{"Checkout", "Checkin", "SetProperty", "tagged Checkin"} {
 		if records[8][i] != records[512][i] {
 			t.Errorf("%s record grows with history:\n   8 versions: %s\n 512 versions: %s", op, records[8][i], records[512][i])
 		}

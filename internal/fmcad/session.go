@@ -97,6 +97,9 @@ type Workfile struct {
 	BaseVersion int
 	// Path is the user's editable working copy.
 	Path string
+	// Props are properties of the version Checkin creates; the checkin
+	// writes them in its own metadata commit.
+	Props map[string]string
 
 	session *Session
 	done    bool
@@ -167,7 +170,8 @@ func (s *Session) Resume(cell, view string) (*Workfile, error) {
 }
 
 // Checkin turns the working copy into the next cellview version, makes it
-// the default, and releases the lock. Returns the new version number.
+// the default, sets the workfile's Props on it, and releases the lock, in
+// one metadata commit. Returns the new version number.
 //
 // The next version number cannot change while this user holds the
 // checkout, so the version file is written first and the metadata commit
@@ -200,6 +204,14 @@ func (s *Session) Checkin(wf *Workfile) (int, error) {
 		cv.Versions = append(cv.Versions, newVersion)
 		cv.Default = newVersion
 		cv.LockedBy = ""
+		names := make([]string, 0, len(wf.Props))
+		for name := range wf.Props {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			m.setProperty(wf.Cell, wf.View, newVersion, name, wf.Props[name])
+		}
 		return nil
 	})
 	if err != nil {

@@ -1,12 +1,9 @@
 package blobstore
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"hash"
-	"io"
 	"sync"
 
 	"repro/internal/obs"
@@ -183,16 +180,6 @@ func (s *Store) PutBytesPinned(data []byte) (Ref, func(), error) {
 		return Ref{}, nil, err
 	}
 	return ref, func() { s.Unpin(ref) }, nil
-}
-
-// Put streams r into the store, hashing while copying.
-func (s *Store) Put(r io.Reader) (Ref, error) {
-	w := s.NewWriter()
-	defer w.Close()
-	if _, err := io.Copy(w, r); err != nil {
-		return Ref{}, err
-	}
-	return w.Commit()
 }
 
 // PutAsync computes the ref synchronously — callers need it for the
@@ -440,86 +427,4 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterGauge("blob_inflight_uploads", &s.inflightUp)
 	reg.RegisterHistogram("blob_upload_ns", &s.uploadNs)
 	reg.RegisterHistogram("blob_sweep_ns", &s.sweepNs)
-}
-
-// Writer is a streaming, hashing put handle: Write accumulates and
-// hashes, Commit stores under the computed digest, Close aborts an
-// uncommitted write (and is a no-op after Commit) — so `defer w.Close()`
-// is always correct, and releasepath enforces that no path leaks one.
-type Writer struct {
-	s    *Store
-	h    hash.Hash
-	buf  bytes.Buffer
-	done bool
-}
-
-// NewWriter opens a streaming put. The caller must Close it on every
-// path; Commit does not replace Close.
-func (s *Store) NewWriter() *Writer {
-	return &Writer{s: s, h: sha256.New()}
-}
-
-// Write hashes and buffers p.
-func (w *Writer) Write(p []byte) (int, error) {
-	if w.done {
-		return 0, errors.New("blobstore: write on finished writer")
-	}
-	if int64(w.buf.Len())+int64(len(p)) > MaxBlobSize {
-		return 0, fmt.Errorf("blobstore: blob exceeds %d-byte limit", MaxBlobSize)
-	}
-	w.h.Write(p) //lint:allow noerrdrop hash.Hash.Write never returns an error (stdlib contract)
-	return w.buf.Write(p)
-}
-
-// Commit stores the accumulated bytes and returns their ref.
-func (w *Writer) Commit() (Ref, error) {
-	if w.done {
-		return Ref{}, errors.New("blobstore: commit on finished writer")
-	}
-	w.done = true
-	var ref Ref
-	w.h.Sum(ref.Digest[:0])
-	ref.Size = int64(w.buf.Len())
-	if err := w.s.commit(ref, w.buf.Bytes()); err != nil {
-		return Ref{}, err
-	}
-	return ref, nil
-}
-
-// Close aborts an uncommitted writer; after Commit it is a no-op.
-func (w *Writer) Close() error {
-	w.done = true
-	w.buf.Reset()
-	return nil
-}
-
-// Reader is a verified read handle: Open resolves and digest-checks the
-// whole blob, Read streams from the verified copy, Close releases it.
-type Reader struct {
-	r      *bytes.Reader
-	closed bool
-}
-
-// Open returns a reader over the blob, after fetching (if needed) and
-// verifying it. The caller must Close it on every path.
-func (s *Store) Open(ref Ref) (*Reader, error) {
-	data, err := s.Get(ref)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{r: bytes.NewReader(data)}, nil
-}
-
-// Read streams the verified blob bytes.
-func (r *Reader) Read(p []byte) (int, error) {
-	if r.closed {
-		return 0, errors.New("blobstore: read on closed reader")
-	}
-	return r.r.Read(p)
-}
-
-// Close releases the handle.
-func (r *Reader) Close() error {
-	r.closed = true
-	return nil
 }

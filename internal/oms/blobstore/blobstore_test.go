@@ -97,68 +97,6 @@ func TestConcurrentIdenticalPuts(t *testing.T) {
 	}
 }
 
-func TestWriterStreamingAndAbort(t *testing.T) {
-	s, _ := openStore(t)
-	w := s.NewWriter()
-	defer w.Close()
-	if _, err := w.Write([]byte("part one ")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write([]byte("part two")); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := w.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := RefOf([]byte("part one part two"))
-	if ref != want {
-		t.Fatalf("streamed ref %v, want %v", ref, want)
-	}
-
-	// An aborted writer stores nothing.
-	w2 := s.NewWriter()
-	if _, err := w2.Write([]byte("never committed")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Has(RefOf([]byte("never committed"))) {
-		t.Fatal("aborted writer leaked a blob")
-	}
-	if _, err := w2.Commit(); err == nil {
-		t.Fatal("commit after close should fail")
-	}
-}
-
-func TestPutStreamAndOpen(t *testing.T) {
-	s, _ := openStore(t)
-	data := bytes.Repeat([]byte{0xAB}, 1<<16)
-	ref, err := s.Put(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Open(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got := make([]byte, len(data))
-	if _, err := r.Read(got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("Open served different bytes")
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Read(got); err == nil {
-		t.Fatal("read after close should fail")
-	}
-}
-
 func TestDigestVerifiedOnRead(t *testing.T) {
 	s, be := openStore(t)
 	ref, err := s.PutBytes([]byte("pristine content"))
