@@ -77,7 +77,8 @@ race:
 ## runs, put every master version on exactly one slave version, and a
 ## tool run's capture commits the master first: a refused master
 ## checkin leaves no slave version, and a failed slave checkin releases
-## the checkout and is imported, tagged, by the next SyncLibrary (see
+## the checkout, finishes the activity as done, since the master holds
+## the output, and is imported, tagged, by the next SyncLibrary (see
 ## internal/core/feedsync_test.go); and a differential save must continue
 ## only from a CURRENT holding exactly the bytes this framework last
 ## committed, so a rewritten or failed commit is followed by a save that
@@ -88,7 +89,7 @@ race:
 ## Save(dir) leaves no file open and SaveTo through a File backend is
 ## differential (see internal/jcf/statedir_test.go).
 stress-persist:
-	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent|TestReloadEquivalenceModel|TestCheckpointCrashStates|TestBindingCrashStates|TestSaveAnchorsOnCommittedBytes|TestSaveAfterFailedCommit|TestSaveRewritesIndentedCURRENTCompact|TestLoadMissingDirCreatesNothing|TestLoadHybridMissingDirCreatesNothing|TestFileLayoutStateDirIsRefused|TestServeRefusesFileLayoutStateDir|TestSaveDirRoundTripClosesFiles|TestFileBackendSavesAreDifferential|TestNewCellVersionAdoptsStrandedSlaveCell|TestNewCellVersionRefusesStrandedToolOutput|TestSyncLibraryAfterReloadImportsEarlierCheckin|TestSyncLibraryConcurrentWithToolRuns|TestFailedMasterCheckinLeavesNoSlaveVersion|TestFailedSlaveCheckinIsImportedBySync' ./internal/jcf/ ./internal/core/ ./cmd/replicad/
+	$(GO) test -race -count=3 -run 'TestSaveCrashConsistencyUnderLoad|TestDeriveConfigVersionConcurrent|TestReloadEquivalenceModel|TestCheckpointCrashStates|TestBindingCrashStates|TestSaveAnchorsOnCommittedBytes|TestSaveAfterFailedCommit|TestSaveRewritesIndentedCURRENTCompact|TestLoadMissingDirCreatesNothing|TestLoadHybridMissingDirCreatesNothing|TestFileLayoutStateDirIsRefused|TestServeRefusesFileLayoutStateDir|TestSaveDirRoundTripClosesFiles|TestFileBackendSavesAreDifferential|TestNewCellVersionAdoptsStrandedSlaveCell|TestNewCellVersionRefusesStrandedToolOutput|TestSyncLibraryAfterReloadImportsEarlierCheckin|TestSyncLibraryConcurrentWithToolRuns|TestFailedMasterCheckinLeavesNoSlaveVersion|TestFailedSlaveCheckinIsImportedBySync|TestFailedSlaveCheckinFinishesActivity' ./internal/jcf/ ./internal/core/ ./cmd/replicad/
 
 ## stress-atomic hammers the grouped-operation paths under the race
 ## detector: batches must stay all-or-nothing against concurrent readers
@@ -151,10 +152,17 @@ stress-blob:
 ## stress-fmcad hammers the copy-on-write FMCAD metadata under the race
 ## detector: sessions open, refresh and read their snapshots while
 ## designers check out, check in, tag and configure, so any write to a
-## published record is a race; of concurrent Creates on one directory
+## published record is a race, also in a library of 300 cells with 100
+## versions each, whose Cells and Props persistent maps span interior
+## nodes; of concurrent Creates on one directory
 ## exactly one must win; and after every op of a seeded sequence, failed
 ## journal appends, torn appends and failed checkpoints included, a fresh
 ## Open must load the published root (internal/fmcad/snapshot_test.go).
+## The persistent map must match a Go map over ~3,000 keys with every
+## earlier root held and read by a second goroutine, so a write to a
+## shared node is a race (internal/fmcad/pmap_test.go), and a checkout,
+## tagged checkin and tag of an old version must allocate no more at 512
+## cells and 512 versions than at 16 and 8, bar one path per map level.
 ## It then checks the .meta.log journal (internal/fmcad/journal_test.go):
 ## a Checkout, Checkin, SetProperty and tagged Checkin record and the
 ## checkpoints per 1,000 commits must not grow from 8 to 512 versions; a journal whose
@@ -167,7 +175,7 @@ stress-blob:
 ## `make check` runs the full crash-state enumeration through `race`.
 stress-fmcad:
 	$(GO) test -race -count=3 -run 'TestSessionsReadWhileLibraryMutates|TestConcurrentCreateOneWins|TestPublishedMetaNeverChanges' ./internal/fmcad/
-	$(GO) test -race -short -count=1 -run 'TestMetaLogCrashStates|TestJournalRecordFlatInHistory|TestJournalHeaderNamesCheckpoint|TestOpenParentJournal' ./internal/fmcad/
+	$(GO) test -race -short -count=1 -run 'TestMetaLogCrashStates|TestJournalRecordFlatInHistory|TestJournalHeaderNamesCheckpoint|TestOpenParentJournal|TestPmapModel|TestPublishedDeepMetaNeverChanges|TestMutationAllocsFlat' ./internal/fmcad/
 
 ## crash-segment enumerates the crash states of the segment log's commit
 ## protocol (internal/oms/backend/crash_test.go) over a seeded script in

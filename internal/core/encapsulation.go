@@ -115,12 +115,13 @@ func (h *Hybrid) run(user string, cv oms.OID, opts RunOpts, activity, view strin
 		}
 		return dov, err
 	})
-	if err != nil {
-		return res, err
-	}
+	// The master's store is the coupling's commit point, so its commit
+	// decides the outcome: once it holds the output version the activity
+	// is done, even when the slave checkin then failed and capture's
+	// error says the slave version waits for SyncLibrary.
 	res.OutputDOV, res.SlaveVersion = dov, slaveV
-	ok = true
-	return res, nil
+	ok = dov != oms.InvalidOID
+	return res, err
 }
 
 // beginActivity runs steps 1-2; it reports whether the run is forced.
@@ -182,8 +183,10 @@ func (h *Hybrid) checkoutSlave(user, fmcadCell, view string) (*fmcad.Session, *f
 // copy. Then one slave checkin creates the cellview version carrying that
 // version as its PropJCFVersion tag, in the same metadata commit. On any
 // failure the slave checkout is cancelled, so capture never leaves an
-// untagged slave version; a master version whose slave checkin failed
-// is imported by the next SyncLibrary. The caller holds captureMu.
+// untagged slave version. A failed master returns InvalidOID; a slave
+// checkin that fails after the master committed returns the master's
+// version with the error, and the next SyncLibrary imports it. The caller
+// holds captureMu.
 func capture(session *fmcad.Session, wf *fmcad.Workfile, master func() (oms.OID, error)) (oms.OID, int, error) {
 	dov, err := master()
 	if err != nil {
@@ -192,7 +195,7 @@ func capture(session *fmcad.Session, wf *fmcad.Workfile, master func() (oms.OID,
 	wf.Props = map[string]string{PropJCFVersion: fmt.Sprint(dov)}
 	slaveV, err := session.Checkin(wf)
 	if err != nil {
-		return oms.InvalidOID, 0, abortSlave(session, wf, fmt.Errorf("core: slave checkin: %w", err))
+		return dov, 0, abortSlave(session, wf, fmt.Errorf("core: slave checkin of master version %d (it waits for SyncLibrary): %w", dov, err))
 	}
 	return dov, slaveV, nil
 }

@@ -429,3 +429,52 @@ func TestFailedSlaveCheckinIsImportedBySync(t *testing.T) {
 		t.Fatalf("VerifyMapping = %v", problems)
 	}
 }
+
+// TestFailedSlaveCheckinFinishesActivity: the master's commit decides a
+// tool run's outcome. A run whose slave checkin fails after the master
+// checked its output in still returns an error naming SyncLibrary, but
+// its activity finishes as done, so the flow goes on: after the import,
+// the simulation runs on that schematic without a second schematic entry.
+func TestFailedSlaveCheckinFinishesActivity(t *testing.T) {
+	w := newHW(t, jcf.Release30)
+	h := w.h
+	if err := h.JCF.Reserve("anna", w.cv); err != nil {
+		t.Fatal(err)
+	}
+	binding, err := h.BindingFor(w.cv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, do := binding.FMCADCell, binding.DesignObjects[ViewSchematic]
+	next := h.Lib.VersionPath(cell, ViewSchematic, 2)
+	if err := os.Mkdir(next, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.RunSchematicEntry("anna", w.cv, drawHalfAdder, RunOpts{})
+	if err == nil || !strings.Contains(err.Error(), "SyncLibrary") {
+		t.Fatalf("run whose slave checkin failed = %v, want an error naming SyncLibrary", err)
+	}
+	dovs := h.JCF.DesignObjectVersions(do)
+	if len(dovs) != 1 || res.OutputDOV != dovs[0] {
+		t.Fatalf("master versions %v, run output %d; want the run's one version", dovs, res.OutputDOV)
+	}
+	if hist := h.JCF.ExecutionHistory(w.cv); len(hist) == 0 || hist[len(hist)-1] != ActSchematicEntry+"/done" {
+		t.Fatalf("ExecutionHistory = %v, want it to end in %s/done", hist, ActSchematicEntry)
+	}
+	if err := os.Remove(next); err != nil {
+		t.Fatal(err)
+	}
+	if imported, err := h.SyncLibrary(); err != nil || imported != 1 {
+		t.Fatalf("sync imported %d (err %v), want 1", imported, err)
+	}
+	stim := []byte("at 0 set a 1\nat 0 set b 1\nrun 50\n")
+	if _, _, err := h.RunSimulation("anna", w.cv, stim, RunOpts{}); err != nil {
+		t.Fatalf("simulation after the import: %v", err)
+	}
+	if got := h.JCF.DesignObjectVersions(do); len(got) != 1 {
+		t.Fatalf("master schematic versions %v after the simulation, want only %v", got, dovs)
+	}
+	if problems, err := h.SlaveSyncCheck(); err != nil || len(problems) != 0 {
+		t.Fatalf("SlaveSyncCheck = %v, %v; want clean", problems, err)
+	}
+}

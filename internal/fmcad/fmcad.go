@@ -28,7 +28,10 @@
 // In memory, published metadata is immutable. A mutation builds a new root
 // that shares every record it does not change, writes it to disk, and only
 // then publishes it; a Session snapshot is just the root published when it
-// was taken, so opening or refreshing one copies nothing.
+// was taken, so opening or refreshing one copies nothing. The cells of a
+// library and the per-version properties of a cellview are persistent
+// maps (pmap), so a mutation copies the path to each key it writes, not
+// the map: its cost does not grow with the library or the history.
 //
 // On disk, the metadata is a checkpoint plus a journal, under the library
 // mutex. .meta is the checkpoint: compact JSON (struct fields in
@@ -94,10 +97,10 @@ var (
 
 // cellviewMeta is the per-cellview record in the .meta file.
 type cellviewMeta struct {
-	Versions []int                        `json:"versions"` // ascending
-	Default  int                          `json:"default"`  // highest checked-in version
-	LockedBy string                       `json:"locked_by,omitempty"`
-	Props    map[string]map[string]string `json:"props,omitempty"` // "v<N>" -> name -> value
+	Versions []int                   `json:"versions"` // ascending
+	Default  int                     `json:"default"`  // highest checked-in version
+	LockedBy string                  `json:"locked_by,omitempty"`
+	Props    pmap[map[string]string] `json:"props,omitempty"` // "v<N>" -> name -> value
 }
 
 // cellMeta is the per-cell record.
@@ -110,7 +113,7 @@ type meta struct {
 	Name    string                    `json:"name"`
 	Seq     int64                     `json:"seq"`   // bumped on every change; staleness marker
 	Views   map[string]string         `json:"views"` // view name -> viewtype
-	Cells   map[string]*cellMeta      `json:"cells"`
+	Cells   pmap[*cellMeta]           `json:"cells"`
 	Configs map[string]map[string]int `json:"configs"` // config -> "cell/view" -> version
 
 	// edits names what this root wrote over the one it was built from
@@ -151,36 +154,43 @@ func newMeta(name string) *meta {
 	return &meta{
 		Name:    name,
 		Views:   map[string]string{},
-		Cells:   map[string]*cellMeta{},
 		Configs: map[string]map[string]int{},
 	}
 }
 
-// next returns the root a mutation builds on: a copy of m whose top-level
-// maps are shallow clones. Published records are immutable, and next
-// shares them, so a mutation writes only these maps and the records it
-// replaced with copies (editCellview, or a maps.Clone of a config).
+// next returns the root a mutation builds on: a copy of m that shares
+// everything m holds. Published records and maps are immutable, so a
+// mutation writes nothing it shares: Cells and Props are persistent maps,
+// whose set copies only the path to its key, and setView and setConfig
+// clone the Views and Configs maps on their first write, so a checkout or
+// checkin copies one path of Cells and one cell record.
 func (m *meta) next() *meta {
 	return &meta{
 		Name:    m.Name,
 		Seq:     m.Seq,
-		Views:   maps.Clone(m.Views),
-		Cells:   maps.Clone(m.Cells),
-		Configs: maps.Clone(m.Configs),
+		Views:   m.Views,
+		Cells:   m.Cells,
+		Configs: m.Configs,
 	}
 }
 
 // editCellview replaces the existing (cell, view) record of m, a root from
 // next, with a copy the mutation may write, records the edit, and returns
-// the copy. Its Versions are clipped, so an append reallocates instead of
-// writing the shared array; its Props map is shared, so setProperty
-// clones it before writing it.
+// the copy; a record this mutation already copied is returned as it is.
+// The copy's Props is a persistent map, which setProperty replaces rather
+// than writes. Its Versions share the array of the record it copies, so an
+// append writes into that array's spare capacity, or reallocates when
+// there is none. That is safe because every root reads only its own
+// length of Versions: the slots past it belong to no published root, and
+// roots are built only from the latest one, so no two published roots
+// ever write the same slot.
 func (m *meta) editCellview(cell, view string) *cellviewMeta {
-	cv := *m.Cells[cell].Cellviews[view]
-	cv.Versions = slices.Clip(cv.Versions)
-	if m.edits.cellview(cell, view) == nil {
-		m.edits.cellviews = append(m.edits.cellviews, cellviewEdit{cell: cell, view: view, versions: len(cv.Versions)})
+	c, _ := m.Cells.get(cell)
+	if m.edits.cellview(cell, view) != nil {
+		return c.Cellviews[view]
 	}
+	cv := *c.Cellviews[view]
+	m.edits.cellviews = append(m.edits.cellviews, cellviewEdit{cell: cell, view: view, versions: len(cv.Versions)})
 	m.putCellview(cell, view, &cv)
 	return &cv
 }
@@ -195,26 +205,25 @@ func (m *meta) addCellview(cell, view string) {
 // putCellview replaces the cell record of m, a root from next, with a copy
 // holding cv as its view record.
 func (m *meta) putCellview(cell, view string, cv *cellviewMeta) {
-	c := &cellMeta{Cellviews: maps.Clone(m.Cells[cell].Cellviews)}
+	old, _ := m.Cells.get(cell)
+	c := &cellMeta{Cellviews: maps.Clone(old.Cellviews)}
 	c.Cellviews[view] = cv
-	m.Cells[cell] = c
+	m.Cells = m.Cells.set(cell, c)
 }
 
 // setProperty sets a property of version num of the existing (cell, view)
-// record of m, a root from next, and records it.
+// record of m, a root from next, and records it. It copies the version's
+// own property map, and Props only on the path to the version's key.
 func (m *meta) setProperty(cell, view string, num int, name, value string) {
 	cv := m.editCellview(cell, view)
 	k := versionKey(num)
-	cv.Props = maps.Clone(cv.Props)
-	if cv.Props == nil {
-		cv.Props = map[string]map[string]string{}
-	}
-	props := maps.Clone(cv.Props[k])
+	old, _ := cv.Props.get(k)
+	props := maps.Clone(old)
 	if props == nil {
 		props = map[string]string{}
 	}
 	props[name] = value
-	cv.Props[k] = props
+	cv.Props = cv.Props.set(k, props)
 	e := m.edits.cellview(cell, view)
 	if p := (propKey{k, name}); !slices.Contains(e.props, p) {
 		e.props = append(e.props, p)
@@ -224,17 +233,25 @@ func (m *meta) setProperty(cell, view string, num int, name, value string) {
 // setView, setCell and setConfig set a whole entry of the top-level maps
 // of a root from next and record its key in edits; with editCellview,
 // addCellview and setProperty, they are the only writes a mutation makes.
+// The first setView or setConfig of a mutation clones the map it writes,
+// which next shares with the published root.
 func (m *meta) setView(view, viewtype string) {
+	if len(m.edits.views) == 0 {
+		m.Views = maps.Clone(m.Views)
+	}
 	m.Views[view] = viewtype
 	m.edits.views = addKey(m.edits.views, view)
 }
 
 func (m *meta) setCell(cell string, c *cellMeta) {
-	m.Cells[cell] = c
+	m.Cells = m.Cells.set(cell, c)
 	m.edits.cells = addKey(m.edits.cells, cell)
 }
 
 func (m *meta) setConfig(config string, cfg map[string]int) {
+	if len(m.edits.configs) == 0 {
+		m.Configs = maps.Clone(m.Configs)
+	}
 	m.Configs[config] = cfg
 	m.edits.configs = addKey(m.edits.configs, config)
 }
@@ -247,7 +264,7 @@ func addKey(keys []string, k string) []string {
 }
 
 func (m *meta) cellview(cell, view string) (*cellviewMeta, error) {
-	c, ok := m.Cells[cell]
+	c, ok := m.Cells.get(cell)
 	if !ok {
 		return nil, fmt.Errorf("%w: cell %q", ErrNotFound, cell)
 	}
@@ -510,7 +527,7 @@ func (l *Library) CreateCell(cell string) error {
 		return fmt.Errorf("fmcad: bad cell name %q", cell)
 	}
 	return l.mutate(func(m *meta) error {
-		if _, dup := m.Cells[cell]; dup {
+		if _, dup := m.Cells.get(cell); dup {
 			return fmt.Errorf("%w: cell %q", ErrExists, cell)
 		}
 		m.setCell(cell, &cellMeta{Cellviews: map[string]*cellviewMeta{}})
@@ -525,7 +542,7 @@ func (l *Library) CreateCell(cell string) error {
 func (l *Library) CreateCellview(cell, view string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	c, ok := l.meta.Cells[cell]
+	c, ok := l.meta.Cells.get(cell)
 	if !ok {
 		return fmt.Errorf("%w: cell %q", ErrNotFound, cell)
 	}
@@ -574,14 +591,7 @@ func (l *Library) VersionPath(cell, view string, num int) string {
 
 // Cells returns all cell names, sorted.
 func (l *Library) Cells() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.meta.Cells))
-	for c := range l.meta.Cells {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
+	return l.snapshot().Cells.keys()
 }
 
 // Views returns all view names, sorted.
@@ -600,7 +610,7 @@ func (l *Library) Views() []string {
 func (l *Library) Cellviews(cell string) ([]string, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	c, ok := l.meta.Cells[cell]
+	c, ok := l.meta.Cells.get(cell)
 	if !ok {
 		return nil, fmt.Errorf("%w: cell %q", ErrNotFound, cell)
 	}
@@ -641,17 +651,8 @@ func (l *Library) DefaultVersion(cell, view string) (int, error) {
 func (l *Library) ReadVersion(cell, view string, num int) ([]byte, error) {
 	l.mu.Lock()
 	cv, err := l.meta.cellview(cell, view)
-	if err == nil {
-		found := false
-		for _, v := range cv.Versions {
-			if v == num {
-				found = true
-				break
-			}
-		}
-		if !found {
-			err = fmt.Errorf("%w: version %d of %s/%s", ErrNotFound, num, cell, view)
-		}
+	if err == nil && !cv.hasVersion(num) {
+		err = fmt.Errorf("%w: version %d of %s/%s", ErrNotFound, num, cell, view)
 	}
 	l.mu.Unlock()
 	if err != nil {
@@ -687,7 +688,7 @@ func (l *Library) SetProperty(cell, view string, num int, name, value string) er
 		if err != nil {
 			return err
 		}
-		if !containsInt(cv.Versions, num) {
+		if !cv.hasVersion(num) {
 			return fmt.Errorf("%w: version %d of %s/%s", ErrNotFound, num, cell, view)
 		}
 		m.setProperty(cell, view, num, name, value)
@@ -703,7 +704,7 @@ func (l *Library) GetProperty(cell, view string, num int, name string) (value st
 	if err != nil {
 		return "", false, err
 	}
-	props, exists := cv.Props[versionKey(num)]
+	props, exists := cv.Props.get(versionKey(num))
 	if !exists {
 		return "", false, nil
 	}
@@ -711,13 +712,11 @@ func (l *Library) GetProperty(cell, view string, num int, name string) (value st
 	return v, ok, nil
 }
 
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+// hasVersion reports whether num is a version of cv. Versions ascend
+// (replay's appliesTo enforces it), so the search is binary.
+func (cv *cellviewMeta) hasVersion(num int) bool {
+	_, ok := slices.BinarySearch(cv.Versions, num)
+	return ok
 }
 
 // --- configs ----------------------------------------------------------------
@@ -751,7 +750,7 @@ func (l *Library) AddToConfig(config, cell, view string, num int) error {
 		if err != nil {
 			return err
 		}
-		if !containsInt(cv.Versions, num) {
+		if !cv.hasVersion(num) {
 			return fmt.Errorf("%w: version %d of %s/%s", ErrNotFound, num, cell, view)
 		}
 		cfg = maps.Clone(cfg)

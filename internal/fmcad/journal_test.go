@@ -2,6 +2,7 @@ package fmcad
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -321,7 +324,7 @@ func TestJournalWorkCounts(t *testing.T) {
 		for path, fi := range libraryFiles(t, l.Dir()) {
 			if old, ok := inodes[path]; !ok || !os.SameFile(old, fi) {
 				created++
-				if want := l.VersionPath("cell0", "schematic", l.meta.Cells["cell0"].Cellviews["schematic"].Default); path != want {
+				if want := l.VersionPath("cell0", "schematic", cellOf(l.meta, "cell0").Cellviews["schematic"].Default); path != want {
 					t.Errorf("cycle %d created %s; only the version file %s should be new", i, path, want)
 				}
 			}
@@ -507,14 +510,14 @@ func TestReplayStopsAtInvalidRecord(t *testing.T) {
 			if m.Seq != tc.seq || len(m.Views) != 0 {
 				t.Fatalf("replayed to seq %d with views %v, want seq %d and no views", m.Seq, m.Views, tc.seq)
 			}
-			if _, ok := m.Cells["alu"]; ok != (tc.seq == 6) {
+			if _, ok := m.Cells.get("alu"); ok != (tc.seq == 6) {
 				t.Fatalf("cell alu present = %t after replaying to seq %d", ok, m.Seq)
 			}
 			want := `{"versions":[1,2],"default":2}`
 			if tc.seq == 6 {
 				want = `{"versions":[1,2,3],"default":3,"locked_by":"anna","props":{"v1":{"tag":"x"}}}`
 			}
-			if got, _ := json.Marshal(m.Cells["reg"].Cellviews["schematic"]); string(got) != want {
+			if got, _ := json.Marshal(cellOf(m, "reg").Cellviews["schematic"]); string(got) != want {
 				t.Fatalf("reg/schematic replayed to %s, want %s", got, want)
 			}
 		})
@@ -632,6 +635,83 @@ func TestJournalRecordFlatInHistory(t *testing.T) {
 	t.Logf("checkpoints per 1,000 commits: %d at 8 versions, %d at 512", checkpoints[8], checkpoints[512])
 }
 
+// TestMutationAllocsFlat: a checkout, a tagged checkin and a tag of an
+// old version copy the path to each key they write in Cells and Props,
+// not the maps, nor the version list, that hold them. The median bytes
+// and allocations of each, over rounds of the three, are measured at 16
+// and 512 cells and 8 and 512 versions a cellview. A path is the root's
+// kid list and one node a level, and 512 keys take two levels where 8 or
+// 16 take one, so from the smallest library to any other the bytes may
+// grow by half and the allocations by eight (two for each node copied,
+// and a split now and then); a mutation that copies a whole map, or the
+// version list, grows by far more.
+func TestMutationAllocsFlat(t *testing.T) {
+	type size struct{ cells, versions int }
+	type cost struct{ allocs, bytes uint64 }
+	sizes := []size{{16, 8}, {16, 512}, {512, 8}, {512, 512}}
+	costs := map[string]map[size]cost{}
+	var ops []string
+	for _, sz := range sizes {
+		l := historyLib(t, sz.cells, sz.versions)
+		s := l.NewSession("anna")
+		cell := fmt.Sprintf("cell%04d", sz.cells/2)
+		var wf *Workfile
+		steps := []struct {
+			op string
+			fn func() error
+		}{
+			{"Checkout", func() (err error) {
+				wf, err = s.Checkout(cell, "schematic")
+				return err
+			}},
+			{"tagged Checkin", func() error {
+				wf.Props = map[string]string{"jcf_version": "17"}
+				_, err := s.Checkin(wf)
+				return err
+			}},
+			{"SetProperty of version 1", func() error {
+				return l.SetProperty(cell, "schematic", 1, "jcf_version", "17")
+			}},
+		}
+		samples := map[string][]cost{}
+		for round := 0; round < 24; round++ {
+			for _, step := range steps {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err := step.fn()
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatalf("%s at %v: %v", step.op, sz, err)
+				}
+				if round >= 4 { // after the version list has room to grow
+					samples[step.op] = append(samples[step.op], cost{after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc})
+				}
+			}
+		}
+		ops = ops[:0]
+		for _, step := range steps {
+			ops = append(ops, step.op)
+			c := samples[step.op]
+			slices.SortFunc(c, func(a, b cost) int { return cmp.Compare(a.bytes, b.bytes) })
+			if costs[step.op] == nil {
+				costs[step.op] = map[size]cost{}
+			}
+			costs[step.op][sz] = c[len(c)/2]
+		}
+	}
+	for _, op := range ops {
+		base := costs[op][sizes[0]]
+		for _, sz := range sizes {
+			c := costs[op][sz]
+			t.Logf("%-24s %3d cells %3d versions: %4d B, %2d allocs", op, sz.cells, sz.versions, c.bytes, c.allocs)
+			if c.bytes > base.bytes*3/2 || c.allocs > base.allocs+8 {
+				t.Errorf("%s grows with the library: %d B and %d allocs at %d cells and %d versions, %d B and %d allocs at %d and %d",
+					op, c.bytes, c.allocs, sz.cells, sz.versions, base.bytes, base.allocs, sizes[0].cells, sizes[0].versions)
+			}
+		}
+	}
+}
+
 // historyLib returns a library of cells cellNNNN, each with a schematic
 // cellview of the given number of versions, each version tagged with a
 // jcf_version property as the hybrid framework tags it. It is written as
@@ -642,13 +722,15 @@ func historyLib(t testing.TB, cells, versions int) *Library {
 	m.Views["schematic"] = "schematic"
 	dir := filepath.Join(t.TempDir(), "lib")
 	for i := 0; i < cells; i++ {
-		cv := &cellviewMeta{Default: versions, Props: map[string]map[string]string{}}
+		cv := &cellviewMeta{Default: versions}
+		props := map[string]map[string]string{}
 		for v := 1; v <= versions; v++ {
 			cv.Versions = append(cv.Versions, v)
-			cv.Props[versionKey(v)] = map[string]string{"jcf_version": strconv.Itoa(v)}
+			props[versionKey(v)] = map[string]string{"jcf_version": strconv.Itoa(v)}
 		}
+		cv.Props = pmapFrom(props)
 		cell := fmt.Sprintf("cell%04d", i)
-		m.Cells[cell] = &cellMeta{Cellviews: map[string]*cellviewMeta{"schematic": cv}}
+		m.Cells = m.Cells.set(cell, &cellMeta{Cellviews: map[string]*cellviewMeta{"schematic": cv}})
 		if err := writeDesignFile(filepath.Join(dir, cell, "schematic", fmt.Sprintf("v%d.cv", versions)), nil); err != nil {
 			t.Fatal(err)
 		}

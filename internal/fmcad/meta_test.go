@@ -48,11 +48,11 @@ func FuzzAppendMeta(f *testing.F) {
 		}
 		m.Name += name
 		m.Views[name] = name
-		m.Cells[name] = &cellMeta{Cellviews: map[string]*cellviewMeta{
+		m.Cells = m.Cells.set(name, &cellMeta{Cellviews: map[string]*cellviewMeta{
 			name: {Versions: []int{1, 2}, Default: 2, LockedBy: name,
-				Props: map[string]map[string]string{"v2": {name: name}, name: nil}},
-			"": {Versions: []int{1}, Default: 1, Props: map[string]map[string]string{}},
-		}}
+				Props: pmapFrom(map[string]map[string]string{"v2": {name: name}, name: nil})},
+			"": {Versions: []int{1}, Default: 1, Props: pmapFrom(map[string]map[string]string{})},
+		}})
 		m.Configs[name] = map[string]int{cvKey(name, name): 2, configRefPrefix + name: 0}
 		want, err := json.Marshal(m)
 		if err != nil {
@@ -103,7 +103,7 @@ func FuzzAppendMeta(f *testing.F) {
 			t.Fatal(err)
 		}
 		cells, views := []string{"c0", "c1", name}, []string{"schematic", name}
-		for c := range l.meta.Cells {
+		for _, c := range l.meta.Cells.keys() {
 			if filepath.IsLocal(c) {
 				cells = append(cells, c)
 			}

@@ -55,13 +55,17 @@ func decodeMeta(data []byte) (*meta, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	for cell, c := range m.Cells {
+	var err error
+	m.Cells.all(func(cell string, c *cellMeta) bool {
 		if c == nil || c.Cellviews == nil {
-			return nil, fmt.Errorf("%w: cell %q has a null record", ErrCorrupt, cell)
+			err = fmt.Errorf("%w: cell %q has a null record", ErrCorrupt, cell)
+		} else if view, bad := badCellview(c.Cellviews); bad {
+			err = fmt.Errorf("%w: cellview %s/%s has no versions", ErrCorrupt, cell, view)
 		}
-		if view, bad := badCellview(c.Cellviews); bad {
-			return nil, fmt.Errorf("%w: cellview %s/%s has no versions", ErrCorrupt, cell, view)
-		}
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for name, cfg := range m.Configs {
 		if cfg == nil {
@@ -70,9 +74,6 @@ func decodeMeta(data []byte) (*meta, error) {
 	}
 	if m.Views == nil {
 		m.Views = map[string]string{}
-	}
-	if m.Cells == nil {
-		m.Cells = map[string]*cellMeta{}
 	}
 	if m.Configs == nil {
 		m.Configs = map[string]map[string]int{}
@@ -124,8 +125,9 @@ func appendRecord(buf []byte, m *meta) []byte {
 	}
 	buf = append(buf, `,"cells":`...)
 	buf = appendKeys(buf, cells, func(buf []byte, cell string) []byte {
+		c, _ := m.Cells.get(cell)
 		if slices.Contains(m.edits.cells, cell) {
-			return appendCell(buf, m.Cells[cell])
+			return appendCell(buf, c)
 		}
 		var views []string
 		for _, e := range m.edits.cellviews {
@@ -135,7 +137,7 @@ func appendRecord(buf []byte, m *meta) []byte {
 		}
 		buf = append(buf, `{"edits":`...)
 		buf = appendKeys(buf, views, func(buf []byte, view string) []byte {
-			return appendCellviewEdit(buf, m.Cells[cell].Cellviews[view], m.edits.cellview(cell, view))
+			return appendCellviewEdit(buf, c.Cellviews[view], m.edits.cellview(cell, view))
 		})
 		return append(buf, '}')
 	})
@@ -170,7 +172,8 @@ func appendCellviewEdit(buf []byte, cv *cellviewMeta, e *cellviewEdit) []byte {
 					names = append(names, p.name)
 				}
 			}
-			return appendKeys(buf, names, func(buf []byte, name string) []byte { return appendString(buf, cv.Props[k][name]) })
+			props, _ := cv.Props.get(k)
+			return appendKeys(buf, names, func(buf []byte, name string) []byte { return appendString(buf, props[name]) })
 		})
 	}
 	return append(buf, '}')
@@ -225,7 +228,7 @@ func (rec *record) appliesTo(m *meta) bool {
 			}
 			continue
 		}
-		cur, ok := m.Cells[cell]
+		cur, ok := m.Cells.get(cell)
 		if !ok {
 			return false
 		}
@@ -255,33 +258,34 @@ func (rec *record) appliesTo(m *meta) bool {
 	return true
 }
 
-// apply applies rec, which appliesTo m, to m, a root no one else holds.
+// apply applies rec, which appliesTo m, to m, a root no one else holds:
+// it writes m's maps and records in place.
 func (rec *record) apply(m *meta) {
 	m.Seq = rec.Seq
 	maps.Copy(m.Views, rec.Views)
 	for cell, c := range rec.Cells {
 		if c.Cellviews != nil {
-			m.Cells[cell] = &cellMeta{Cellviews: c.Cellviews}
+			m.Cells = m.Cells.set(cell, &cellMeta{Cellviews: c.Cellviews})
 			continue
 		}
-		cvs := m.Cells[cell].Cellviews
+		cur, _ := m.Cells.get(cell)
 		for view, e := range c.Edits {
-			cv, ok := cvs[view]
+			cv, ok := cur.Cellviews[view]
 			if !ok {
-				cvs[view] = e
+				cur.Cellviews[view] = e
 				continue
 			}
 			cv.Versions = append(cv.Versions, e.Versions...)
 			cv.Default, cv.LockedBy = e.Default, e.LockedBy
-			for k, props := range e.Props {
-				if cv.Props == nil {
-					cv.Props = map[string]map[string]string{}
+			e.Props.all(func(k string, props map[string]string) bool {
+				merged, _ := cv.Props.get(k)
+				if merged == nil {
+					merged = map[string]string{}
 				}
-				if cv.Props[k] == nil {
-					cv.Props[k] = map[string]string{}
-				}
-				maps.Copy(cv.Props[k], props)
-			}
+				maps.Copy(merged, props)
+				cv.Props = cv.Props.set(k, merged)
+				return true
+			})
 		}
 	}
 	maps.Copy(m.Configs, rec.Configs)
@@ -336,7 +340,7 @@ func appendMeta(buf []byte, m *meta) []byte {
 	buf = append(buf, `,"views":`...)
 	buf = appendMap(buf, m.Views, appendString)
 	buf = append(buf, `,"cells":`...)
-	buf = appendMap(buf, m.Cells, appendCell)
+	buf = appendPmap(buf, m.Cells, appendCell)
 	buf = append(buf, `,"configs":`...)
 	buf = appendMap(buf, m.Configs, func(buf []byte, cfg map[string]int) []byte {
 		return appendMap(buf, cfg, appendInt)
@@ -366,7 +370,7 @@ func appendCellview(buf []byte, cv *cellviewMeta) []byte {
 	}
 	if len(cv.Props) > 0 {
 		buf = append(buf, `,"props":`...)
-		buf = appendMap(buf, cv.Props, func(buf []byte, props map[string]string) []byte {
+		buf = appendPmap(buf, cv.Props, func(buf []byte, props map[string]string) []byte {
 			return appendMap(buf, props, appendString)
 		})
 	}
@@ -385,6 +389,24 @@ func appendMap[V any](buf []byte, m map[string]V, val func([]byte, V) []byte) []
 	}
 	slices.Sort(keys)
 	return appendKeys(buf, keys, func(buf []byte, k string) []byte { return val(buf, m[k]) })
+}
+
+// appendPmap appends p as a JSON object, its keys in order, encoding each
+// value with val.
+func appendPmap[V any](buf []byte, p pmap[V], val func([]byte, V) []byte) []byte {
+	buf = append(buf, '{')
+	first := true
+	p.all(func(k string, v V) bool {
+		if !first {
+			buf = append(buf, ',')
+		}
+		first = false
+		buf = appendString(buf, k)
+		buf = append(buf, ':')
+		buf = val(buf, v)
+		return true
+	})
+	return append(buf, '}')
 }
 
 // appendKeys appends a JSON object of the given keys, in their order; val

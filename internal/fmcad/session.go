@@ -77,12 +77,7 @@ func (s *Session) LockedSeen(cell, view string) (string, error) {
 
 // CellsSeen lists cells as of the last Refresh.
 func (s *Session) CellsSeen() []string {
-	out := make([]string, 0, len(s.snap.Cells))
-	for c := range s.snap.Cells {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
+	return s.snap.Cells.keys()
 }
 
 // --- checkout / checkin ----------------------------------------------------

@@ -183,6 +183,98 @@ func TestPublishedMetaNeverChanges(t *testing.T) {
 	}
 }
 
+// The same at depth: in a library of 300 cells with 100 tagged versions
+// each, Cells and every Props map span interior nodes, so a checkout, a
+// tagged checkin, a tag of an old version and a cell created between two
+// others each copy a path of several nodes and share the rest. Every root
+// published by a seeded sequence of those must encode as it did when it
+// was published, while two readers encode and query the snapshots they
+// hold; under the race detector a write to any node a published root
+// shares is a reported race.
+func TestPublishedDeepMetaNeverChanges(t *testing.T) {
+	const cells, versions = 300, 100
+	l := historyLib(t, cells, versions)
+	if levels(l.meta.Cells) < 2 || levels(cellOf(l.meta, "cell0000").Cellviews["schematic"].Props) < 2 {
+		t.Fatal("test premise broken: Cells or Props fit in one node")
+	}
+	type published struct {
+		m   *meta
+		enc []byte
+	}
+	roots := []published{{l.meta, appendMeta(nil, l.meta)}}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(user string) {
+			defer readers.Done()
+			s := l.NewSession(user)
+			enc := appendMeta(nil, s.snap)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cell := fmt.Sprintf("cell%04d", i%cells)
+				if _, err := s.VersionsSeen(cell, "schematic"); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, ok, err := s.lib.GetProperty(cell, "schematic", 1+i%versions, "jcf_version"); err != nil || !ok {
+					t.Errorf("GetProperty(%s, v%d) = %t, %v", cell, 1+i%versions, ok, err)
+					return
+				}
+				if i%8 == 7 {
+					if again := appendMeta(nil, s.snap); !bytes.Equal(again, enc) {
+						t.Errorf("%s's snapshot changed while held", user)
+						return
+					}
+					s.Refresh()
+					enc = appendMeta(nil, s.snap)
+				}
+			}
+		}("reader" + strconv.Itoa(r))
+	}
+
+	rng := rand.New(rand.NewSource(33))
+	s := l.NewSession("anna")
+	cell := func() string { return fmt.Sprintf("cell%04d", rng.Intn(cells)) }
+	for i := 0; i < 48; i++ {
+		var err error
+		switch i % 4 {
+		case 0:
+			var wf *Workfile
+			if wf, err = s.Checkout(cell(), "schematic"); err == nil {
+				wf.Props = map[string]string{"jcf_version": strconv.Itoa(i)}
+				_, err = s.Checkin(wf)
+			}
+		case 1:
+			err = l.SetProperty(cell(), "schematic", 1+rng.Intn(versions), "jcf_version", strconv.Itoa(i))
+		case 2:
+			err = l.SetProperty(cell(), "schematic", 1+rng.Intn(versions), "owner"+strconv.Itoa(i%3), "anna")
+		default:
+			c := cell() + "x" + strconv.Itoa(i)
+			if err = l.CreateCell(c); err == nil {
+				err = l.CreateCellview(c, "schematic")
+			}
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		roots = append(roots, published{l.meta, appendMeta(nil, l.meta)})
+	}
+	close(stop)
+	readers.Wait()
+	for j, r := range roots {
+		if got := appendMeta(nil, r.m); !bytes.Equal(got, r.enc) {
+			t.Fatalf("root %d of %d changed after later mutations", j, len(roots))
+		}
+	}
+	requireOnDisk(t, l, "after the sequence")
+}
+
 // Sessions opening, refreshing and reading their snapshots while designers
 // check out, check in, tag and configure must only ever see whole roots.
 // The readers encode every record of their snapshots, so under -race this

@@ -7,13 +7,7 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/oms"
-	"repro/internal/otod"
 )
-
-// otodRel builds the relationship key used to resolve schema names.
-func otodRel(name, from, to string) otod.Relationship {
-	return otod.Relationship{Name: name, From: from, To: to}
-}
 
 // Activity execution: each cell version enacts its attached flow. The
 // designer must hold the workspace reservation, and the flow order is
@@ -113,8 +107,7 @@ func (fw *Framework) recordExecOn(variant oms.OID, activity, state string) error
 	exec := b.CreateOwned("ActiveExecVersion", map[string]oms.Value{
 		"state": oms.S(activity + "/" + state),
 	})
-	rel := fw.model.SchemaRelName(otodRel("activeExec", "Variant", "ActiveExecVersion"))
-	b.Link(rel, variant, exec)
+	b.Link(fw.rel.activeExec, variant, exec)
 	if _, err := fw.store.Apply(b); err != nil {
 		return fmt.Errorf("jcf: recording activity execution: %w", err)
 	}
@@ -152,10 +145,9 @@ func (fw *Framework) FinishActivity(user string, cv oms.OID, activity string, ok
 // cell version (across all its variants), in creation order. Entries look
 // like "simulate/running:anna" or "simulate/done".
 func (fw *Framework) ExecutionHistory(cv oms.OID) []string {
-	rel := fw.model.SchemaRelName(otodRel("activeExec", "Variant", "ActiveExecVersion"))
 	var execs []oms.OID
 	for _, v := range fw.Variants(cv) {
-		execs = append(execs, fw.store.Targets(rel, v)...)
+		execs = append(execs, fw.store.Targets(fw.rel.activeExec, v)...)
 	}
 	sort.Slice(execs, func(i, j int) bool { return execs[i] < execs[j] })
 	out := make([]string, 0, len(execs))

@@ -91,7 +91,7 @@ type relNames struct {
 	edgeParent, edgeChild       string
 	shares                      string
 	contains, proxies           string
-	performedBy                 string
+	performedBy, activeExec     string
 }
 
 // Framework is one live JCF instance. All methods are safe for concurrent
@@ -248,6 +248,7 @@ func New(release Release) (*Framework, error) {
 		shares:          r("shares", "Project", "Cell"),
 		contains:        r("contains", "Flow", "ActivityProxy"),
 		proxies:         r("proxies", "ActivityProxy", "Activity"),
+		activeExec:      r("activeExec", "Variant", "ActiveExecVersion"),
 		performedBy:     r("performedBy", "Activity", "Tool"),
 	}
 	return fw, nil
